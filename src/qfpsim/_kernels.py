@@ -1,63 +1,20 @@
-"""Hot numeric kernels: numba-jitted by default, pure numpy on request.
-
-Set ``QFPSIM_PURE_NUMPY=1`` in the environment to force the numpy fallback
-path (also used when numba is not importable).  ``benchmarks/bench_kernels.py``
-times both paths against each other.
-"""
+"""Hot numeric kernels, one numpy implementation each."""
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-
-def _pure_numpy_requested() -> bool:
-    return os.environ.get("QFPSIM_PURE_NUMPY", "").lower() in ("1", "true", "yes")
-
-
-# ---------------------------------------------------------------------------
-# ell_infinity -> ell_1 norm by exhaustive sign-vector enumeration.
-# Only half of the hypercube is visited since v and -v give the same value.
-# ---------------------------------------------------------------------------
+# Always False: the kernels are plain numpy.  Kept because
+# ``perfbench/run.py`` records ``qfpsim.USING_NUMBA`` in its environment block.
+USING_NUMBA = False
 
 
-def _linf_to_l1_loop(m):
-    rows, cols = m.shape
-    mv = np.empty(rows)
-    for i in range(rows):
-        s = 0.0
-        for j in range(cols):
-            s += m[i, j]
-        mv[i] = s
-    sign = np.ones(cols)
-    best = 0.0
-    half = 1 << (cols - 1)
-    for code in range(half):
-        tot = 0.0
-        for i in range(rows):
-            tot += abs(mv[i])
-        if tot > best:
-            best = tot
-        # Gray-code step: flip the bit at the lowest set position of code+1,
-        # updating M v incrementally by +-2 times one column.
-        c = code + 1
-        j = 0
-        while c & 1 == 0:
-            c >>= 1
-            j += 1
-        if j < cols:
-            delta = -2.0 * sign[j]
-            sign[j] = -sign[j]
-            for i in range(rows):
-                mv[i] += delta * m[i, j]
-    return best
+def linf_to_l1_enum(m: np.ndarray) -> float:
+    """Max ||Mv||_1 over v in {-1,+1}^cols by chunked vectorized enumeration.
 
-
-def linf_to_l1_numpy(m: np.ndarray) -> float:
-    """Chunked vectorized enumeration of max ||Mv||_1 over v in {-1,+1}^cols."""
-    rows, cols = m.shape
+    Only half of the hypercube is visited since v and -v give the same value.
+    """
+    cols = m.shape[1]
     half = 1 << (cols - 1)
     chunk = min(half, 1 << 14)
     shifts = np.arange(cols, dtype=np.uint32)
@@ -70,89 +27,14 @@ def linf_to_l1_numpy(m: np.ndarray) -> float:
     return best
 
 
-# ---------------------------------------------------------------------------
-# Soft-min gradient ascent for max-margin arrangements.
-#
-# Maximizes a softmin surrogate of min over nonzero (x,y) of
-# M[x,y] * <alpha_x, beta_y> over unit vectors, renormalizing every step.
-# Returns the best arrangement seen, judged by its exact margin.
-# ---------------------------------------------------------------------------
+def margin_ascent(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo):
+    """Soft-min gradient ascent for max-margin arrangements.
 
-
-def _margin_ascent_loop(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo):
-    nx, d = alphas0.shape
-    ny = betas0.shape[0]
-    alphas = alphas0.copy()
-    betas = betas0.copy()
-    best_a = alphas.copy()
-    best_b = betas.copy()
-    best = -1.0e300
-    denom = iterations - 1 if iterations > 1 else 1
-    anneal = (temp_lo / temp_hi) ** (1.0 / denom)
-    temp = temp_hi
-    prods = np.empty((nx, ny))
-    weights = np.empty((nx, ny))
-    grad_a = np.empty((nx, d))
-    grad_b = np.empty((ny, d))
-    for _ in range(iterations + 1):
-        for i in range(nx):
-            for j in range(ny):
-                s = 0.0
-                for k in range(d):
-                    s += alphas[i, k] * betas[j, k]
-                prods[i, j] = s
-        worst = 1.0e300
-        for i in range(nx):
-            for j in range(ny):
-                if m[i, j] != 0.0:
-                    v = m[i, j] * prods[i, j]
-                    if v < worst:
-                        worst = v
-        if worst > best:
-            best = worst
-            best_a[:] = alphas
-            best_b[:] = betas
-        wsum = 0.0
-        for i in range(nx):
-            for j in range(ny):
-                if m[i, j] != 0.0:
-                    w = math.exp(-(m[i, j] * prods[i, j] - worst) / temp)
-                    weights[i, j] = w
-                    wsum += w
-                else:
-                    weights[i, j] = 0.0
-        grad_a[:] = 0.0
-        grad_b[:] = 0.0
-        for i in range(nx):
-            for j in range(ny):
-                if weights[i, j] != 0.0:
-                    c = weights[i, j] * m[i, j] / wsum
-                    for k in range(d):
-                        grad_a[i, k] += c * betas[j, k]
-                        grad_b[j, k] += c * alphas[i, k]
-        for i in range(nx):
-            nrm = 0.0
-            for k in range(d):
-                alphas[i, k] += step * grad_a[i, k]
-                nrm += alphas[i, k] * alphas[i, k]
-            nrm = math.sqrt(nrm)
-            for k in range(d):
-                alphas[i, k] /= nrm
-        for j in range(ny):
-            nrm = 0.0
-            for k in range(d):
-                betas[j, k] += step * grad_b[j, k]
-                nrm += betas[j, k] * betas[j, k]
-            nrm = math.sqrt(nrm)
-            for k in range(d):
-                betas[j, k] /= nrm
-        step *= decay
-        temp *= anneal
-    return best_a, best_b, best
-
-
-def margin_ascent_numpy(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo):
-    """Vectorized soft-min ascent; same contract as the jitted loop."""
+    Maximizes a softmin surrogate of min over nonzero (x,y) of
+    M[x,y] * <alpha_x, beta_y> over unit vectors, renormalizing every step.
+    Returns ``(alphas, betas, margin)`` for the best arrangement seen, judged
+    by its exact margin.
+    """
     mask = m != 0.0
     alphas = alphas0.copy()
     betas = betas0.copy()
@@ -175,25 +57,3 @@ def margin_ascent_numpy(m, alphas0, betas0, iterations, step, decay, temp_hi, te
         step *= decay
         temp *= anneal
     return best_a, best_b, best
-
-
-USING_NUMBA = False
-linf_to_l1_numba = None
-margin_ascent_numba = None
-
-if not _pure_numpy_requested():
-    try:
-        from numba import njit
-
-        linf_to_l1_numba = njit(cache=True)(_linf_to_l1_loop)
-        margin_ascent_numba = njit(cache=True)(_margin_ascent_loop)
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        pass
-
-if USING_NUMBA:
-    linf_to_l1_enum = linf_to_l1_numba
-    margin_ascent = margin_ascent_numba
-else:
-    linf_to_l1_enum = linf_to_l1_numpy
-    margin_ascent = margin_ascent_numpy

@@ -10,9 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-SeedLike = "int | np.random.SeedSequence"
-
-
 def seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed

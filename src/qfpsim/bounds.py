@@ -12,7 +12,7 @@ import numpy as np
 from ._kernels import margin_ascent
 from ._rng import generator, spawn
 from .embeddings import Realization, SignMatrix
-from .linalg import linf_to_l1_norm, operator_norm
+from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm
 
 # Krivine's upper bound on Grothendieck's constant; a fixed published value
 # keeps outputs reproducible.
@@ -43,10 +43,7 @@ def linial_bound(m: SignMatrix) -> float:
 def margin_upper_bound(m: SignMatrix) -> float:
     """The minimum of the available margin upper bounds."""
     _require_total(m, "margin upper bounds")
-    upper = forster_bound(m)
-    if m.cols <= 25:
-        upper = min(upper, linial_bound(m))
-    return upper
+    return margin_report(m).upper
 
 
 def repetition_lower_bound(gamma_upper: float) -> float:
@@ -173,7 +170,7 @@ def margin_report(
     forster = linial = upper = None
     if m.is_total:
         forster = forster_bound(m)
-        linial = linial_bound(m) if m.cols <= 25 else None
+        linial = linial_bound(m) if m.cols <= MAX_ENUM_COLS else None
         upper = min(v for v in (forster, linial) if v is not None)
     heuristic_lower = None
     if heuristic:

@@ -11,6 +11,7 @@ import numpy as np
 from . import projections
 from ._rng import generator, spawn
 from .embeddings import (
+    REDUCTION_RETRIES,
     SignMatrix,
     ThresholdEmbedding,
     verify_threshold_embedding,
@@ -18,7 +19,6 @@ from .embeddings import (
 
 NORM_TOL = 1e-9
 MIN_GAP = 1e-6
-REDUCTION_RETRIES = 20
 QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
 

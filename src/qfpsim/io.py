@@ -2,8 +2,9 @@
 systems and protocols.
 
 Every document carries ``format_version``, a ``kind`` tag, a kind-specific
-``payload`` and a ``provenance`` block.  Reals are serialized via Python's
-shortest round-trip repr, so parse(serialize(x)) is bit-identical for doubles.
+``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
+Reals are serialized via Python's shortest round-trip repr, so
+parse(serialize(x)) is bit-identical for doubles.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ def load(path: str) -> dict:
         raise DocumentError(f"cannot read document {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise DocumentError(f"{path!r} is not an interchange document")
+    version = doc.get("format_version")
+    if str(version).split(".")[0] != FORMAT_VERSION.split(".")[0]:
+        raise DocumentError(
+            f"{path!r} has format_version {version!r}; this reader reads {FORMAT_VERSION}"
+        )
     return doc
 
 
@@ -70,6 +76,14 @@ def _field(payload: dict, name: str):
     if name not in payload:
         raise DocumentError(f"payload is missing field {name!r}")
     return payload[name]
+
+
+def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
+    """Field ``name`` as an array; a ragged or non-numeric list is malformed."""
+    try:
+        return np.asarray(_field(payload, name), dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
 
 
 def _listify(arr: np.ndarray) -> list:
@@ -107,13 +121,18 @@ def embedding_payload(e: ThresholdEmbedding) -> dict:
     }
 
 
-def parse_embedding(doc: dict, renormalize: bool = False) -> ThresholdEmbedding:
-    payload = _payload(doc, "embedding")
-    alphas = np.asarray(_field(payload, "alphas"), dtype=np.float64)
-    betas = np.asarray(_field(payload, "betas"), dtype=np.float64)
+def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
+    alphas = _array(payload, "alphas", np.float64)
+    betas = _array(payload, "betas", np.float64)
     if renormalize:
         alphas = alphas / np.linalg.norm(alphas, axis=1, keepdims=True)
         betas = betas / np.linalg.norm(betas, axis=1, keepdims=True)
+    return alphas, betas
+
+
+def parse_embedding(doc: dict, renormalize: bool = False) -> ThresholdEmbedding:
+    payload = _payload(doc, "embedding")
+    alphas, betas = _vector_pair(payload, renormalize)
     return ThresholdEmbedding(alphas, betas, float(_field(payload, "delta0")),
                               float(_field(payload, "delta1")))
 
@@ -129,11 +148,7 @@ def realization_payload(r: Realization) -> dict:
 
 def parse_realization(doc: dict, renormalize: bool = False) -> Realization:
     payload = _payload(doc, "realization")
-    alphas = np.asarray(_field(payload, "alphas"), dtype=np.float64)
-    betas = np.asarray(_field(payload, "betas"), dtype=np.float64)
-    if renormalize:
-        alphas = alphas / np.linalg.norm(alphas, axis=1, keepdims=True)
-        betas = betas / np.linalg.norm(betas, axis=1, keepdims=True)
+    alphas, betas = _vector_pair(payload, renormalize)
     return Realization(alphas, betas, float(_field(payload, "gamma")))
 
 
@@ -147,8 +162,8 @@ def vector_system_payload(v: VectorSystem) -> dict:
 def parse_vector_system(doc: dict) -> VectorSystem:
     payload = _payload(doc, "vector_system")
     return VectorSystem(
-        np.asarray(_field(payload, "a")),
-        np.asarray(_field(payload, "b")),
+        _array(payload, "a"),
+        _array(payload, "b"),
         float(_field(payload, "norm_bound")),
     )
 
@@ -205,7 +220,7 @@ def vectors_payload(vectors: np.ndarray) -> dict:
 
 def parse_vectors(doc: dict) -> np.ndarray:
     payload = _payload(doc, "vectors")
-    arr = np.asarray(_field(payload, "vectors"), dtype=np.float64)
+    arr = _array(payload, "vectors", np.float64)
     if arr.ndim != 2:
         raise DocumentError("vectors payload must be a list of equal-length vectors")
     return arr

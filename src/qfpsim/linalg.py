@@ -7,17 +7,8 @@ import numpy as np
 from ._kernels import linf_to_l1_enum
 
 MAX_ENUM_COLS = 25
-_POWER_ITER_CAP = 10_000
 # Norms whose squares stay well inside the normal float64 range.
 _SAFE_NORM_MIN, _SAFE_NORM_MAX = 1e-150, 1e150
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the best estimate so far."""
-
-    def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
 
 
 def as_vector(v) -> np.ndarray:
@@ -61,53 +52,19 @@ def normalize(v) -> np.ndarray:
     return a / nrm
 
 
-def operator_norm(m, tol: float = 1e-9, max_iter: int = _POWER_ITER_CAP) -> float:
-    """Largest singular value by power iteration on the Gram matrix.
+def operator_norm(m, tol: float = 1e-9) -> float:
+    """Largest singular value: the square root of the top eigenvalue of the
+    Gram matrix on the smaller side, computed by LAPACK (``eigvalsh``).
 
-    Iterates from the normalized all-ones vector and every basis vector,
-    returning the largest converged value.  A single start can be trapped in
-    a non-dominant invariant subspace (or the kernel), but the top eigenspace
-    of M^T M cannot be orthogonal to all basis vectors, so the maximum over
-    these deterministic starts is the true norm.  Raises
-    :class:`PowerIterationError` when any start hits the iteration cap.
+    ``tol`` is accepted for compatibility and must be positive; the result
+    is accurate to float64 rounding whatever its value.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     a = as_matrix(m)
     if a.shape[0] < a.shape[1]:
         a = a.T
-    gram = a.T @ a
-    n = gram.shape[0]
-    if not np.any(a):
-        return 0.0
-
-    starts = [np.full(n, 1.0 / np.sqrt(n))]
-    starts.extend(np.eye(n))
-    best = 0.0
-    for v in starts:
-        sigma = 0.0
-        for _ in range(max_iter):
-            w = gram @ v
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                break  # start vector in the kernel; try the next start
-            new_sigma = float(np.sqrt(v @ w))
-            v = w / nw
-            # successive change lags the true error; the 1e-2 safety factor
-            # absorbs the geometric tail
-            if abs(new_sigma - sigma) <= 1e-2 * tol * max(new_sigma, 1.0):
-                best = max(best, new_sigma)
-                break
-            sigma = new_sigma
-        else:
-            raise PowerIterationError(
-                f"power iteration did not converge within {max_iter} iterations",
-                best_estimate=max(best, sigma),
-            )
-    if best == 0.0:
-        # Cannot happen for a nonzero matrix: some basis vector survives M^T M.
-        raise PowerIterationError("all deterministic start vectors collapsed", best_estimate=0.0)
-    return best
+    return float(np.sqrt(max(np.linalg.eigvalsh(a.T @ a)[-1], 0.0)))
 
 
 def linf_to_l1_norm(m) -> float:
@@ -115,11 +72,14 @@ def linf_to_l1_norm(m) -> float:
 
     The maximum of this convex objective is attained at a vertex, so it is
     computed by exhaustive enumeration of sign vectors (exact, usable as an
-    oracle).  Refuses more than 25 columns.
+    oracle).  Refuses more than ``MAX_ENUM_COLS`` columns.  Since
+    ||M||_{inf->1} = ||M^T||_{inf->1}, the signs range over the smaller side.
     """
     a = as_matrix(m)
     if a.shape[1] > MAX_ENUM_COLS:
         raise ValueError(
             f"exhaustive enumeration refused for {a.shape[1]} > {MAX_ENUM_COLS} columns"
         )
-    return float(linf_to_l1_enum(np.ascontiguousarray(a)))
+    if a.shape[0] < a.shape[1]:
+        a = a.T
+    return linf_to_l1_enum(a)

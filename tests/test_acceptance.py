@@ -73,7 +73,7 @@ def test_02_repetition_blowup_inner_product():
         / 2**k
         for k in (1, 2, 3, 4)
     )
-    # "exactly" up to the float error of the power-iterated norm
+    # "exactly" up to the float error of the computed norm
     ok = worst <= 1e-9
     assert report(
         "2 repetition lower bound at the spectral margin equals 2^k",

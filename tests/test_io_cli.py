@@ -117,6 +117,26 @@ class TestCliExitCodes:
         path = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))
         assert main(["margin", "--matrix", path]) == 2
 
+    def test_ragged_embedding_exits_1(self, tmp_path, capsys):
+        emb = tmp_path / "emb.json"
+        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+        doc["payload"]["alphas"][0] = doc["payload"]["alphas"][0][:-1]
+        with open(emb, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
+        assert "'alphas'" in capsys.readouterr().err
+
+    def test_unknown_format_major_version_exits_1(self, tmp_path, capsys):
+        m = SignMatrix([[1, -1], [-1, 1]])
+        path = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))
+        doc = read_doc(path)
+        doc["format_version"] = "99.0"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["margin", "--matrix", path]) == 1
+        assert "format_version" in capsys.readouterr().err
+
 
 class TestCliPipelines:
     def test_compile_then_verify_then_simulate(self, tmp_path):

@@ -1,15 +1,11 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from qfpsim import _kernels
-from qfpsim._kernels import (
-    USING_NUMBA,
-    _linf_to_l1_loop,
-    linf_to_l1_numpy,
-    margin_ascent_numpy,
-)
+from qfpsim._kernels import linf_to_l1_enum, margin_ascent
+from qfpsim.linalg import linf_to_l1_norm
 
 
 def brute_force_linf(m):
@@ -19,20 +15,89 @@ def brute_force_linf(m):
     return best
 
 
+# Reference oracle for ``margin_ascent``: the same soft-min ascent written as
+# explicit scalar loops.
+def _margin_ascent_loop(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo):
+    nx, d = alphas0.shape
+    ny = betas0.shape[0]
+    alphas = alphas0.copy()
+    betas = betas0.copy()
+    best_a = alphas.copy()
+    best_b = betas.copy()
+    best = -1.0e300
+    denom = iterations - 1 if iterations > 1 else 1
+    anneal = (temp_lo / temp_hi) ** (1.0 / denom)
+    temp = temp_hi
+    prods = np.empty((nx, ny))
+    weights = np.empty((nx, ny))
+    grad_a = np.empty((nx, d))
+    grad_b = np.empty((ny, d))
+    for _ in range(iterations + 1):
+        for i in range(nx):
+            for j in range(ny):
+                s = 0.0
+                for k in range(d):
+                    s += alphas[i, k] * betas[j, k]
+                prods[i, j] = s
+        worst = 1.0e300
+        for i in range(nx):
+            for j in range(ny):
+                if m[i, j] != 0.0:
+                    v = m[i, j] * prods[i, j]
+                    if v < worst:
+                        worst = v
+        if worst > best:
+            best = worst
+            best_a[:] = alphas
+            best_b[:] = betas
+        wsum = 0.0
+        for i in range(nx):
+            for j in range(ny):
+                if m[i, j] != 0.0:
+                    w = math.exp(-(m[i, j] * prods[i, j] - worst) / temp)
+                    weights[i, j] = w
+                    wsum += w
+                else:
+                    weights[i, j] = 0.0
+        grad_a[:] = 0.0
+        grad_b[:] = 0.0
+        for i in range(nx):
+            for j in range(ny):
+                if weights[i, j] != 0.0:
+                    c = weights[i, j] * m[i, j] / wsum
+                    for k in range(d):
+                        grad_a[i, k] += c * betas[j, k]
+                        grad_b[j, k] += c * alphas[i, k]
+        for i in range(nx):
+            nrm = 0.0
+            for k in range(d):
+                alphas[i, k] += step * grad_a[i, k]
+                nrm += alphas[i, k] * alphas[i, k]
+            nrm = math.sqrt(nrm)
+            for k in range(d):
+                alphas[i, k] /= nrm
+        for j in range(ny):
+            nrm = 0.0
+            for k in range(d):
+                betas[j, k] += step * grad_b[j, k]
+                nrm += betas[j, k] * betas[j, k]
+            nrm = math.sqrt(nrm)
+            for k in range(d):
+                betas[j, k] /= nrm
+        step *= decay
+        temp *= anneal
+    return best_a, best_b, best
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_linf_implementations_agree(seed):
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((6, 10))
-    expected = brute_force_linf(m)
-    assert _linf_to_l1_loop(m) == pytest.approx(expected, rel=1e-12)
-    assert linf_to_l1_numpy(m) == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.skipif(not USING_NUMBA, reason="numba path not active")
-def test_compiled_linf_matches_python_loop():
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((8, 14))
-    assert _kernels.linf_to_l1_numba(m) == pytest.approx(_linf_to_l1_loop(m), rel=1e-12)
+    # rows < cols makes linf_to_l1_norm enumerate over the transpose
+    for shape in ((6, 10), (10, 6)):
+        m = rng.standard_normal(shape)
+        expected = brute_force_linf(m)
+        assert linf_to_l1_enum(m) == pytest.approx(expected, rel=1e-12)
+        assert linf_to_l1_norm(m) == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -44,39 +109,8 @@ def test_ascent_implementations_agree(seed):
     a0 /= np.linalg.norm(a0, axis=1, keepdims=True)
     b0 /= np.linalg.norm(b0, axis=1, keepdims=True)
     args = (m, a0, b0, 200, 0.05, 0.999, 1.0, 0.01)
-    a1, b1, g1 = _kernels._margin_ascent_loop(*args)
-    a2, b2, g2 = margin_ascent_numpy(*args)
+    a1, b1, g1 = _margin_ascent_loop(*args)
+    a2, b2, g2 = margin_ascent(*args)
     assert g1 == pytest.approx(g2, abs=1e-9)
     np.testing.assert_allclose(a1, a2, atol=1e-9)
     np.testing.assert_allclose(b1, b2, atol=1e-9)
-
-
-@pytest.mark.skipif(not USING_NUMBA, reason="numba path not active")
-def test_compiled_ascent_matches_python_loop():
-    rng = np.random.default_rng(1)
-    m = rng.choice([-1.0, 1.0], size=(3, 3))
-    a0 = rng.standard_normal((3, 4))
-    b0 = rng.standard_normal((3, 4))
-    a0 /= np.linalg.norm(a0, axis=1, keepdims=True)
-    b0 /= np.linalg.norm(b0, axis=1, keepdims=True)
-    args = (m, a0, b0, 100, 0.05, 0.999, 1.0, 0.01)
-    _, _, g_jit = _kernels.margin_ascent_numba(*args)
-    _, _, g_py = _kernels._margin_ascent_loop(*args)
-    assert g_jit == pytest.approx(g_py, abs=1e-9)
-
-
-def test_env_flag_selects_numpy_path(monkeypatch):
-    monkeypatch.setenv("QFPSIM_PURE_NUMPY", "1")
-    assert _kernels._pure_numpy_requested()
-    monkeypatch.setenv("QFPSIM_PURE_NUMPY", "0")
-    assert not _kernels._pure_numpy_requested()
-    monkeypatch.delenv("QFPSIM_PURE_NUMPY")
-    assert not _kernels._pure_numpy_requested()
-
-
-def test_active_kernels_are_consistent():
-    # Whatever pair was selected at import time must agree with the
-    # reference numpy implementations.
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((5, 8))
-    assert _kernels.linf_to_l1_enum(m) == pytest.approx(linf_to_l1_numpy(m), rel=1e-12)

@@ -74,8 +74,8 @@ class TestOperatorNorm:
 
     def test_all_ones_start_in_non_dominant_eigenspace(self):
         # The all-ones vector is an exact eigenvector of M^T M here with
-        # eigenvalue 1, while the top singular value is 2; the basis-vector
-        # starts must rescue the estimate.
+        # eigenvalue 1, while the top singular value is 2; a power iteration
+        # started from it would report 1.
         m = [[-1, -1, 1], [-1, 1, -1], [1, -1, -1]]
         assert operator_norm(m) == pytest.approx(2.0, abs=1e-8)
 
@@ -86,8 +86,19 @@ class TestOperatorNorm:
         assert operator_norm(h) == pytest.approx(expected, abs=1e-8)
 
     def test_all_ones_start_in_kernel(self):
-        # the all-ones start annihilates; the basis-vector fallback recovers
+        # the all-ones vector lies in the kernel of M
         assert operator_norm([[1, -1], [-1, 1]]) == pytest.approx(2.0, abs=1e-8)
+
+    def test_near_degenerate_top_pair(self):
+        # sigma_2 / sigma_1 = 1 - 1e-7: an iterative method stops short here
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((40, 30)))
+        v, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        s = np.linspace(0.5, 1.0, 30)
+        s[-2] = 1 - 1e-7
+        m = u @ np.diag(s) @ v.T
+        expected = np.linalg.svd(m, compute_uv=False)[0]
+        assert operator_norm(m) == pytest.approx(expected, rel=1e-12)
 
     def test_bad_tol(self):
         with pytest.raises(ValueError):
