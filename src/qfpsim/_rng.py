@@ -25,7 +25,8 @@ def spawn(seed, n: int) -> list[np.random.SeedSequence]:
 
 
 def pair_sequence(seed, x: int, y: int) -> np.random.SeedSequence:
-    """Sub-seed for pair (x, y): the pair index is mixed into the spawn key."""
+    """Sub-seed for pair (x, y): the pair index is appended to the parent's
+    spawn key, so pairs of sibling sequences (from ``spawn``) differ too."""
     base = seed_sequence(seed)
     entropy = base.entropy if base.entropy is not None else 0
-    return np.random.SeedSequence(entropy=entropy, spawn_key=(x, y))
+    return np.random.SeedSequence(entropy=entropy, spawn_key=base.spawn_key + (x, y))

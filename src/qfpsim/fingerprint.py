@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import generator, pair_sequence
+from ._rng import generator
 from .embeddings import (
     Realization,
     SignMatrix,
@@ -90,6 +90,13 @@ def required_repetitions(delta0: float, delta1: float, eps: float) -> int:
     return math.ceil(8.0 * math.log(2.0 / eps) / gap**2)
 
 
+def referee_rule(frac_zero, theta: float):
+    """The referee's rule: the estimate 2 frac_zero - 1 of the squared inner
+    product, clipped to [0, 1], is thresholded at theta (ties go to 1).
+    Applies elementwise to an array of zero-outcome fractions."""
+    return np.clip(2.0 * frac_zero - 1.0, 0.0, 1.0) >= theta
+
+
 def referee_decide(outcomes, theta: float) -> int:
     """Threshold the estimated squared inner product at theta (ties go to 1)."""
     bits = np.asarray(outcomes)
@@ -97,9 +104,7 @@ def referee_decide(outcomes, theta: float) -> int:
         raise ValueError("outcome list must be nonempty")
     if not (0.0 < theta < 1.0):
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    frac_zero = float(np.mean(bits == 0))
-    est = min(max(2.0 * frac_zero - 1.0, 0.0), 1.0)
-    return 1 if est >= theta else 0
+    return int(referee_rule(np.mean(bits == 0), theta))
 
 
 def protocol_from_margin(m: SignMatrix, r: Realization, eps: float) -> FingerprintProtocol:
@@ -131,9 +136,14 @@ class ProtocolRunReport:
 def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> ProtocolRunReport:
     """Monte-Carlo error estimate of a protocol on every non-promise pair.
 
-    Each pair draws its swap-test bits from an independent PCG64 stream whose
-    spawn key mixes in the pair index, so the report is reproducible and pairs
-    may be simulated concurrently.
+    The referee sees only how many of the r swap tests gave 0, and that count
+    is Bin(r, P0) with P0 = 1/2 + <alpha_x, beta_y>^2 / 2. So each trial draws
+    that count instead of r outcome bits; the law is that of r independent
+    swap tests. All P0 come from one inner-product matrix, with no per-state
+    check: ``ThresholdEmbedding`` already holds its rows to unit norm within
+    1e-9, tighter than ``swap_test_prob``'s check. One PCG64 stream from
+    ``seed`` draws the counts one row of M at a time, so memory stays at
+    cols x trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -143,19 +153,16 @@ def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> Pr
             f"embedding is not valid for M (worst f=0 side {report.worst_zero_side}, "
             f"worst f=1 side {report.worst_one_side})"
         )
+    r = p.repetitions
+    # Identical unit states can give <a, a>^2 = 1 + ulp, and binomial refuses p > 1.
+    p_zero = np.minimum(0.5 + (p.embedding.alphas @ p.embedding.betas.T) ** 2 / 2.0, 1.0)
+    rng = generator(seed)
     errors = np.full((m.rows, m.cols), np.nan)
     for x in range(m.rows):
-        for y in range(m.cols):
-            entry = int(m.entries[x, y])
-            if entry == 0:
-                continue
-            p_zero = swap_test_prob(p.embedding.alphas[x], p.embedding.betas[y])
-            rng = generator(pair_sequence(seed, x, y))
-            frac_zero = (rng.random((trials, p.repetitions)) < p_zero).mean(axis=1)
-            est = np.clip(2.0 * frac_zero - 1.0, 0.0, 1.0)
-            decisions = est >= p.theta
-            expected = entry == -1  # -1 encodes f(x,y)=1
-            errors[x, y] = float(np.mean(decisions != expected))
+        cols = np.flatnonzero(m.entries[x])
+        zeros = rng.binomial(r, p_zero[x, cols][:, None], size=(cols.size, trials))
+        expected = m.entries[x, cols] == -1  # -1 encodes f(x,y)=1
+        errors[x, cols] = (referee_rule(zeros / r, p.theta) != expected[:, None]).mean(axis=1)
     return ProtocolRunReport(
         per_pair_error=errors,
         max_error=float(np.nanmax(errors)),

@@ -10,6 +10,7 @@ parse(serialize(x)) is bit-identical for doubles.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,6 +87,17 @@ def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
         raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
 
 
+def _scalar(payload: dict, name: str) -> float:
+    """Field ``name`` as a float; a non-numeric or non-finite value is malformed."""
+    try:
+        value = float(_field(payload, name))
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"field {name!r} is not a number: {exc}") from exc
+    if not math.isfinite(value):
+        raise DocumentError(f"field {name!r} is not finite: {value!r}")
+    return value
+
+
 def _listify(arr: np.ndarray) -> list:
     return arr.tolist()
 
@@ -133,8 +145,8 @@ def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarr
 def parse_embedding(doc: dict, renormalize: bool = False) -> ThresholdEmbedding:
     payload = _payload(doc, "embedding")
     alphas, betas = _vector_pair(payload, renormalize)
-    return ThresholdEmbedding(alphas, betas, float(_field(payload, "delta0")),
-                              float(_field(payload, "delta1")))
+    return ThresholdEmbedding(alphas, betas, _scalar(payload, "delta0"),
+                              _scalar(payload, "delta1"))
 
 
 def realization_payload(r: Realization) -> dict:
@@ -149,7 +161,7 @@ def realization_payload(r: Realization) -> dict:
 def parse_realization(doc: dict, renormalize: bool = False) -> Realization:
     payload = _payload(doc, "realization")
     alphas, betas = _vector_pair(payload, renormalize)
-    return Realization(alphas, betas, float(_field(payload, "gamma")))
+    return Realization(alphas, betas, _scalar(payload, "gamma"))
 
 
 # --- vector systems --------------------------------------------------------
@@ -164,7 +176,7 @@ def parse_vector_system(doc: dict) -> VectorSystem:
     return VectorSystem(
         _array(payload, "a"),
         _array(payload, "b"),
-        float(_field(payload, "norm_bound")),
+        _scalar(payload, "norm_bound"),
     )
 
 

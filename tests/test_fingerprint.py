@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from qfpsim.embeddings import ThresholdEmbedding
+from qfpsim.embeddings import SignMatrix, ThresholdEmbedding
 from qfpsim.fingerprint import (
     FingerprintProtocol,
     protocol_from_margin,
     referee_decide,
+    referee_rule,
     required_repetitions,
     run_protocol,
     sample_swap_tests,
@@ -86,6 +87,16 @@ class TestRefereeDecide:
         with pytest.raises(ValueError):
             referee_decide([], 0.5)
 
+    def test_rule_on_counts_matches_decide_on_bits(self):
+        # run_protocol applies referee_rule to K/r; referee_decide sees bits.
+        for r in range(1, 25):
+            k = np.arange(r + 1)
+            for theta in np.linspace(0.02, 0.98, 49):
+                on_counts = referee_rule(k / r, theta)
+                for zeros in k:
+                    bits = np.r_[np.zeros(zeros), np.ones(r - zeros)]
+                    assert int(on_counts[zeros]) == referee_decide(bits, theta), (r, theta, zeros)
+
 
 class TestProtocolFromMargin:
     def test_eq_margin_third(self):
@@ -153,9 +164,37 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="not valid"):
             run_protocol(p, m, trials=10, seed=0)
 
-    def test_promise_pairs_excluded(self):
-        from qfpsim.embeddings import SignMatrix
+    def test_error_matches_exact_binomial_tail(self):
+        # Orthogonal states: P0 = 1/2, so K ~ Bin(4, 1/2) and the referee errs
+        # (estimate 2K/4 - 1 >= 1/2) iff K >= 3.
+        m = eq_matrix(2)
+        p = FingerprintProtocol(eq_orthonormal_embedding(4), 4, 0.5)
+        trials = 4000
+        report = run_protocol(p, m, trials=trials, seed=0)
+        exact = sum(math.comb(4, k) for k in (3, 4)) / 2**4
+        assert exact == 5 / 16
+        off = ~np.eye(4, dtype=bool)
+        mean = float(report.per_pair_error[off].mean())
+        se = math.sqrt(exact * (1 - exact) / (off.sum() * trials))
+        assert abs(mean - exact) <= 3 * se
+        assert np.all(report.per_pair_error[np.eye(4, dtype=bool)] == 0.0)
 
+    def test_inner_product_overshoot_does_not_raise(self):
+        # A unit state whose computed <a, a>^2 is 1 + ulp gives P0 > 1, which
+        # the binomial sampler refuses unless P0 is clipped.
+        rng = np.random.default_rng(0)
+        for _ in range(10_000):
+            a = rng.standard_normal(8)
+            a = (a / np.linalg.norm(a))[None, :]
+            if 0.5 + (a @ a.T)[0, 0] ** 2 / 2 > 1.0:
+                break
+        else:
+            pytest.fail("no unit state with P0 > 1 found")
+        p = FingerprintProtocol(ThresholdEmbedding(a, a, 0.0, 1.0), 10, 0.5)
+        report = run_protocol(p, SignMatrix([[-1]]), trials=20, seed=0)
+        assert report.max_error == 0.0
+
+    def test_promise_pairs_excluded(self):
         m = SignMatrix([[-1, 0], [0, -1]])
         emb = eq_orthonormal_embedding(2)
         p = FingerprintProtocol(emb, 10, 0.5)

@@ -127,6 +127,17 @@ class TestCliExitCodes:
         assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
         assert "'alphas'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", None, "nan"])
+    def test_non_numeric_scalar_exits_1(self, tmp_path, capsys, value):
+        emb = tmp_path / "emb.json"
+        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+        doc["payload"]["delta0"] = value
+        with open(emb, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
+        assert "'delta0'" in capsys.readouterr().err
+
     def test_unknown_format_major_version_exits_1(self, tmp_path, capsys):
         m = SignMatrix([[1, -1], [-1, 1]])
         path = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))

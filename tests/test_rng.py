@@ -1,0 +1,14 @@
+from qfpsim._rng import generator, pair_sequence, spawn
+
+
+class TestPairSequence:
+    def test_integer_seed_stream_unchanged(self):
+        assert generator(pair_sequence(0, 0, 0)).random() == 0.5651317655614634
+
+    def test_siblings_differ(self):
+        first, second = (generator(pair_sequence(c, 0, 0)).random() for c in spawn(0, 2))
+        assert first != second
+
+    def test_pairs_differ(self):
+        draws = {generator(pair_sequence(7, x, y)).random() for x in range(3) for y in range(3)}
+        assert len(draws) == 9
