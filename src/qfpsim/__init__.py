@@ -1,5 +1,7 @@
 """qfpsim: quantum-fingerprinting SMP protocol simulator and margin toolkit."""
 
+__version__ = "0.1.0"
+
 from ._kernels import USING_NUMBA
 from .bounds import (
     GROTHENDIECK_K,
@@ -35,6 +37,7 @@ from .embeddings import (
 )
 from .fingerprint import (
     FingerprintProtocol,
+    protocol_from_embedding,
     protocol_from_margin,
     referee_decide,
     required_repetitions,
@@ -52,5 +55,3 @@ from .problems import (
     ip_matrix,
 )
 from .projections import jl_dimension, project_vectors, verify_distortion
-
-__version__ = "0.1.0"

@@ -11,14 +11,12 @@ import numpy as np
 
 from ._kernels import margin_ascent
 from ._rng import generator, spawn
-from .embeddings import Realization, SignMatrix
+from .embeddings import Realization, SignMatrix, _renormalized
 from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm
 
 # Krivine's upper bound on Grothendieck's constant; a fixed published value
 # keeps outputs reproducible.
 GROTHENDIECK_K = 1.7822139781
-
-SOUNDNESS_TOL = 1e-6
 
 
 def _require_total(m: SignMatrix, bound: str) -> None:
@@ -26,10 +24,10 @@ def _require_total(m: SignMatrix, bound: str) -> None:
         raise ValueError(f"{bound} is only stated for total sign matrices (no 0 entries)")
 
 
-def forster_bound(m: SignMatrix, tol: float = 1e-9) -> float:
+def forster_bound(m: SignMatrix) -> float:
     """Margin upper bound ||M|| / sqrt(|X| |Y|)."""
     _require_total(m, "the spectral margin bound")
-    norm = operator_norm(m.dense(), tol=tol)
+    norm = operator_norm(m.dense())
     return min(1.0, norm / math.sqrt(m.rows * m.cols))
 
 
@@ -80,11 +78,6 @@ def _eq_seed_vectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return alphas / math.sqrt(3.0), betas / math.sqrt(3.0)
 
 
-def _exact_margin(m: SignMatrix, alphas: np.ndarray, betas: np.ndarray) -> float:
-    signed = m.dense() * (alphas @ betas.T)
-    return float(np.where(m.entries != 0, signed, np.inf).min())
-
-
 def maximize_margin_heuristic(
     m: SignMatrix,
     d: int,
@@ -100,8 +93,9 @@ def maximize_margin_heuristic(
     Runs ``restarts`` random starts (plus one deterministic start seeded by
     the explicit equality construction when M is EQ-shaped and d allows it),
     renormalizing to unit vectors each step.  The returned realization's
-    gamma is the exact recomputed margin of the best arrangement; no
-    optimality is claimed.  Raises when no separating arrangement is found.
+    gamma is the exact margin of the best arrangement, as the ascent kernel
+    computes it; no optimality is claimed.  Raises when no separating
+    arrangement is found.
     """
     if d < 1:
         raise ValueError("dimension must be >= 1")
@@ -115,14 +109,12 @@ def maximize_margin_heuristic(
         rng = generator(child)
         a = rng.standard_normal((m.rows, d))
         b = rng.standard_normal((m.cols, d))
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        starts.append((a, b))
+        starts.append((_renormalized(a), _renormalized(b)))
 
     best_margin = -np.inf
     best_vectors = None
     for a0, b0 in starts:
-        a, b, _ = margin_ascent(
+        a, b, achieved = margin_ascent(
             md,
             np.ascontiguousarray(a0),
             np.ascontiguousarray(b0),
@@ -132,7 +124,6 @@ def maximize_margin_heuristic(
             temp_hi,
             temp_lo,
         )
-        achieved = _exact_margin(m, a, b)
         if achieved > best_margin:
             best_margin = achieved
             best_vectors = (a, b)

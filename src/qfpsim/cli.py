@@ -8,6 +8,7 @@ full provenance in its output document.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import shlex
 import sys
 
@@ -73,13 +74,7 @@ def cmd_margin(args, argv) -> int:
             "report": "margin",
             "rows": m.rows,
             "cols": m.cols,
-            "forster": report.forster,
-            "linial": report.linial,
-            "upper": report.upper,
-            "heuristic_lower": report.heuristic_lower,
-            "qent_lower_bits": report.qent_lower_bits,
-            "repetition_lower": report.repetition_lower,
-            "gamma_source": report.gamma_source,
+            **dataclasses.asdict(report),
             "note": "qent/repetition bounds are asymptotic, constant omitted",
         },
         args,
@@ -94,9 +89,7 @@ def _simulation_inputs(args):
         m = _load_matrix(args)
         return embedding, m
     if args.builtin == "eq":
-        if args.n is None:
-            raise io.DocumentError("--builtin eq requires --n")
-        m = problems.eq_matrix(args.n)
+        m = _builtin_matrix(args)
         system = compiler.compile_smp(problems.eq_parity_protocol(args.n))
         return compiler.assemble_shared_randomness_states(system, m), m
     raise io.DocumentError("simulate needs --embedding plus a matrix, or --builtin eq")
@@ -104,9 +97,7 @@ def _simulation_inputs(args):
 
 def cmd_simulate(args, argv) -> int:
     embedding, m = _simulation_inputs(args)
-    reps = fingerprint.required_repetitions(embedding.delta0, embedding.delta1, args.eps)
-    theta = (embedding.delta0 + embedding.delta1) / 2.0
-    protocol = fingerprint.FingerprintProtocol(embedding, reps, theta)
+    protocol = fingerprint.protocol_from_embedding(embedding, args.eps)
     report = fingerprint.run_protocol(protocol, m, args.trials, args.seed)
     _emit(
         "report",
@@ -114,7 +105,7 @@ def cmd_simulate(args, argv) -> int:
             "report": "simulation",
             "delta0": embedding.delta0,
             "delta1": embedding.delta1,
-            "theta": theta,
+            "theta": protocol.theta,
             "eps": args.eps,
             "trials": args.trials,
             "copies": report.repetitions,
@@ -134,9 +125,7 @@ def cmd_compile(args, argv) -> int:
         protocol = io.parse_protocol(io.load(args.protocol))
         m = _load_matrix(args)
     elif args.builtin == "eq":
-        if args.n is None:
-            raise io.DocumentError("--builtin eq requires --n")
-        m = problems.eq_matrix(args.n)
+        m = _builtin_matrix(args)
         if args.model == "one-way":
             protocol = problems.eq_parity_one_way_protocol(args.n, args.num_r, args.seed)
         else:
@@ -180,10 +169,7 @@ def cmd_project(args, argv) -> int:
             "source_dim": vectors.shape[1],
             "target_dim": args.dim,
             "eps": args.eps,
-            "ok": report.ok,
-            "worst_pair": list(report.worst_pair),
-            "max_distortion": report.max_distortion,
-            "max_inner_product_error": report.max_inner_product_error,
+            **dataclasses.asdict(report),
             "projected": projected.tolist(),
         },
         args,
@@ -202,11 +188,7 @@ def cmd_verify(args, argv) -> int:
         report = verify_threshold_embedding(embedding, m)
         payload = {
             "report": "verify_embedding",
-            "valid": report.valid,
-            "worst_zero_side": report.worst_zero_side,
-            "worst_one_side": report.worst_one_side,
-            "worst_zero_pair": list(report.worst_zero_pair) if report.worst_zero_pair else None,
-            "worst_one_pair": list(report.worst_one_pair) if report.worst_one_pair else None,
+            **dataclasses.asdict(report),
             "delta0": embedding.delta0,
             "delta1": embedding.delta1,
         }
@@ -215,9 +197,7 @@ def cmd_verify(args, argv) -> int:
         report = verify_realization(realization, m)
         payload = {
             "report": "verify_realization",
-            "valid": report.valid,
-            "achieved_margin": report.achieved_margin,
-            "worst_pair": list(report.worst_pair) if report.worst_pair else None,
+            **dataclasses.asdict(report),
             "gamma": realization.gamma,
         }
     else:

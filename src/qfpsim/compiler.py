@@ -9,11 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import projections
-from ._rng import generator, spawn
+from ._rng import generator
 from .embeddings import (
-    REDUCTION_RETRIES,
     SignMatrix,
     ThresholdEmbedding,
+    _jl_reduce,
+    _worst_pair,
     verify_threshold_embedding,
 )
 
@@ -149,25 +150,29 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
     return VectorSystem(a, b, float(np.sqrt(dim)))
 
 
-def pad_to_states(v: VectorSystem, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Junk-pad the r-th slice into unit states on dim+2 coordinates.
-
-    Distinct junk coordinates keep <alpha_x, beta_y> = <a(x), b(y)> / L^2
-    exactly.
-    """
-    if not (0 <= r < v.num_rand):
-        raise ValueError(f"random-string index {r} out of range [0, {v.num_rand})")
-    big_l = v.norm_bound
+def _junk_pad(a: np.ndarray, b: np.ndarray, big_l: float) -> tuple[np.ndarray, np.ndarray]:
+    """Pad rows of norm <= big_l to norm big_l on a junk coordinate per side
+    (dim for a, dim+1 for b) and divide by big_l: unit states on dim+2
+    coordinates with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly."""
+    dim = a.shape[1]
 
     def pad(block: np.ndarray, junk_offset: int) -> np.ndarray:
         sq = (block * block).sum(axis=1)
         slack = np.sqrt(np.maximum(big_l**2 - sq, 0.0))
-        out = np.zeros((block.shape[0], v.dim + 2))
-        out[:, : v.dim] = block
-        out[:, v.dim + junk_offset] = slack
+        out = np.zeros((block.shape[0], dim + 2))
+        out[:, :dim] = block
+        out[:, dim + junk_offset] = slack
         return out / big_l
 
-    return pad(v.a[r], 0), pad(v.b[r], 1)
+    return pad(a, 0), pad(b, 1)
+
+
+def pad_to_states(v: VectorSystem, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Junk-pad the r-th slice into unit states on dim+2 coordinates, with
+    <alpha_x, beta_y> = <a(x), b(y)> / L^2."""
+    if not (0 <= r < v.num_rand):
+        raise ValueError(f"random-string index {r} out of range [0, {v.num_rand})")
+    return _junk_pad(v.a[r], v.b[r], v.norm_bound)
 
 
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
@@ -194,9 +199,8 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
         betas[:, r * block : (r + 1) * block] = scale * pb
 
     sq = (p / v.norm_bound**2) ** 2
-    zeros, ones = m.zero_pairs(), m.one_pairs()
-    delta0 = float(sq[zeros].max()) if zeros.any() else 0.0
-    delta1 = float(sq[ones].min()) if ones.any() else 1.0
+    delta0, _ = _worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None)
+    delta1, _ = _worst_pair(sq, m.one_pairs()) or (1.0, None)
     if delta0 >= delta1:
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"
@@ -227,31 +231,17 @@ def reduce_embedding_dimension(
     eps = gap / 10.0
     count = e.alphas.shape[0] + e.betas.shape[0] + 1
     target = target_dim if target_dim is not None else projections.jl_dimension(count, eps)
-    if target >= e.dimension:
-        return e
 
     delta0 = e.delta0 + gap / 4.0
     delta1 = e.delta1 - gap / 4.0
-    nx = e.alphas.shape[0]
-    for child in spawn(seed, REDUCTION_RETRIES):
-        stacked = np.vstack([e.alphas, e.betas])
-        projected = projections.project_vectors(stacked, target, child)
-        norms = np.linalg.norm(projected, axis=1)
-        big_l = max(1.0, float(norms.max()))
-        out = np.zeros((stacked.shape[0], target + 2))
-        out[:, :target] = projected
-        slack = np.sqrt(np.maximum(big_l**2 - norms**2, 0.0))
-        out[:nx, target] = slack[:nx]  # junk_a
-        out[nx:, target + 1] = slack[nx:]  # junk_b
-        out /= big_l
-        try:
-            candidate = ThresholdEmbedding(out[:nx], out[nx:], delta0, delta1)
-        except ValueError:
-            continue
-        if verify_threshold_embedding(candidate, m).valid:
-            return candidate
-    raise RuntimeError(
-        f"embedding dimension reduction failed after {REDUCTION_RETRIES} retries"
+
+    def rebuild(a: np.ndarray, b: np.ndarray) -> ThresholdEmbedding:
+        big_l = max(1.0, float(np.linalg.norm(np.vstack([a, b]), axis=1).max()))
+        alphas, betas = _junk_pad(a, b, big_l)
+        return ThresholdEmbedding(alphas, betas, delta0, delta1)
+
+    return _jl_reduce(
+        e, target, seed, rebuild, lambda candidate: verify_threshold_embedding(candidate, m).valid
     )
 
 

@@ -18,7 +18,7 @@ REDUCTION_RETRIES = 20
 
 def _unit_rows(name: str, arr: np.ndarray, tol: float = UNIT_TOL) -> None:
     norms = np.linalg.norm(arr, axis=1)
-    bad = np.abs(norms - 1.0) > tol
+    bad = ~(np.abs(norms - 1.0) <= tol)  # a NaN norm fails too
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise ValueError(f"{name}[{idx}] is not a unit vector (norm {norms[idx]!r})")
@@ -71,14 +71,11 @@ class SignMatrix:
 
 
 @dataclass(frozen=True)
-class ThresholdEmbedding:
-    """Unit vectors alpha_x, beta_y with squared-inner-product thresholds
-    delta0 (upper bound on f=0 pairs) < delta1 (lower bound on f=1 pairs)."""
+class _UnitPair:
+    """Unit row vectors alpha_x and beta_y in one common dimension."""
 
     alphas: np.ndarray
     betas: np.ndarray
-    delta0: float
-    delta1: float
 
     def __post_init__(self):
         a = np.asarray(self.alphas, dtype=np.float64)
@@ -87,10 +84,6 @@ class ThresholdEmbedding:
             raise ValueError("alphas and betas must be 2-d with a common dimension")
         _unit_rows("alphas", a)
         _unit_rows("betas", b)
-        if not (0.0 <= self.delta0 < self.delta1 <= 1.0):
-            raise ValueError(
-                f"thresholds must satisfy 0 <= delta0 < delta1 <= 1, got ({self.delta0}, {self.delta1})"
-            )
         _frozen_array(self, "alphas", a)
         _frozen_array(self, "betas", b)
 
@@ -100,29 +93,32 @@ class ThresholdEmbedding:
 
 
 @dataclass(frozen=True)
-class Realization:
+class ThresholdEmbedding(_UnitPair):
+    """Unit vectors alpha_x, beta_y with squared-inner-product thresholds
+    delta0 (upper bound on f=0 pairs) < delta1 (lower bound on f=1 pairs)."""
+
+    delta0: float
+    delta1: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not (0.0 <= self.delta0 < self.delta1 <= 1.0):
+            raise ValueError(
+                f"thresholds must satisfy 0 <= delta0 < delta1 <= 1, got ({self.delta0}, {self.delta1})"
+            )
+
+
+@dataclass(frozen=True)
+class Realization(_UnitPair):
     """Unit vectors with signed inner products >= gamma on f=0 pairs and
     <= -gamma on f=1 pairs."""
 
-    alphas: np.ndarray
-    betas: np.ndarray
     gamma: float
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=np.float64)
-        b = np.asarray(self.betas, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
-            raise ValueError("alphas and betas must be 2-d with a common dimension")
-        _unit_rows("alphas", a)
-        _unit_rows("betas", b)
+        super().__post_init__()
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"margin must lie in (0, 1], got {self.gamma}")
-        _frozen_array(self, "alphas", a)
-        _frozen_array(self, "betas", b)
-
-    @property
-    def dimension(self) -> int:
-        return self.alphas.shape[1]
 
 
 @dataclass(frozen=True)
@@ -149,25 +145,24 @@ def _check_counts(alphas, betas, m: SignMatrix) -> None:
         )
 
 
+def _worst_pair(
+    values: np.ndarray, mask: np.ndarray, largest: bool = False
+) -> tuple[float, tuple[int, int]] | None:
+    """The smallest (or largest) masked entry of ``values`` as (value, (x, y)),
+    ties going to the first in row-major order; None for an empty mask."""
+    if not mask.any():
+        return None
+    pick, fill = (np.argmax, -np.inf) if largest else (np.argmin, np.inf)
+    pair = divmod(int(pick(np.where(mask, values, fill))), values.shape[1])
+    return float(values[pair]), pair
+
+
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M."""
     _check_counts(e.alphas, e.betas, m)
     sq = (e.alphas @ e.betas.T) ** 2
-    zeros, ones = m.zero_pairs(), m.one_pairs()
-
-    worst_zero, zero_pair = 0.0, None
-    if zeros.any():
-        masked = np.where(zeros, sq, -np.inf)
-        flat = int(np.argmax(masked))
-        zero_pair = (flat // m.cols, flat % m.cols)
-        worst_zero = float(sq[zero_pair])
-    worst_one, one_pair = 1.0, None
-    if ones.any():
-        masked = np.where(ones, sq, np.inf)
-        flat = int(np.argmin(masked))
-        one_pair = (flat // m.cols, flat % m.cols)
-        worst_one = float(sq[one_pair])
-
+    worst_zero, zero_pair = _worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None)
+    worst_one, one_pair = _worst_pair(sq, m.one_pairs()) or (1.0, None)
     valid = worst_zero <= e.delta0 + VERIFY_TOL and worst_one >= e.delta1 - VERIFY_TOL
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
 
@@ -175,11 +170,7 @@ def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix) -> Embeddin
 def verify_realization(r: Realization, m: SignMatrix) -> RealizationReport:
     """Check the signed margin on every non-promise pair of M."""
     _check_counts(r.alphas, r.betas, m)
-    signed = m.dense() * (r.alphas @ r.betas.T)
-    masked = np.where(m.entries != 0, signed, np.inf)
-    flat = int(np.argmin(masked))
-    pair = (flat // m.cols, flat % m.cols)
-    achieved = float(masked[pair])
+    achieved, pair = _worst_pair(m.dense() * (r.alphas @ r.betas.T), m.entries != 0)
     return RealizationReport(achieved >= r.gamma - VERIFY_TOL, achieved, pair)
 
 
@@ -216,6 +207,30 @@ def realization_to_embedding(r: Realization) -> ThresholdEmbedding:
     return ThresholdEmbedding(alphas, betas, delta0, delta1)
 
 
+def _renormalized(vectors: np.ndarray) -> np.ndarray:
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+def _jl_reduce(pair: _UnitPair, target: int, seed, rebuild, valid) -> _UnitPair:
+    """Project alphas and betas together to ``target`` dimensions with each
+    child of ``seed`` in turn; return the first ``rebuild(alphas, betas)`` that
+    passes ``valid`` (a ValueError from ``rebuild`` skips the child), or
+    ``pair`` itself when it is no wider than ``target``."""
+    if target >= pair.dimension:
+        return pair
+    stacked = np.vstack([pair.alphas, pair.betas])
+    nx = pair.alphas.shape[0]
+    for child in spawn(seed, REDUCTION_RETRIES):
+        projected = projections.project_vectors(stacked, target, child)
+        try:
+            candidate = rebuild(projected[:nx], projected[nx:])
+        except ValueError:
+            continue
+        if valid(candidate):
+            return candidate
+    raise RuntimeError(f"dimension reduction failed after {REDUCTION_RETRIES} retries")
+
+
 def reduce_realization_dimension(r: Realization, m: SignMatrix, seed) -> Realization:
     """Random-project a realization to roughly O(n/gamma^2) dimensions at half
     the margin, retrying fresh seeds until the projected arrangement verifies.
@@ -228,21 +243,8 @@ def reduce_realization_dimension(r: Realization, m: SignMatrix, seed) -> Realiza
         )
     count = r.alphas.shape[0] + r.betas.shape[0]
     target = projections.jl_dimension(count + 1, r.gamma / 4.0)
-    if target >= r.dimension:
-        return r
-
-    for child in spawn(seed, REDUCTION_RETRIES):
-        stacked = np.vstack([r.alphas, r.betas])
-        projected = projections.project_vectors(stacked, target, child)
-        norms = np.linalg.norm(projected, axis=1, keepdims=True)
-        if np.any(norms == 0.0):
-            continue
-        projected = projected / norms
-        nx = r.alphas.shape[0]
-        candidate = Realization(projected[:nx], projected[nx:], r.gamma / 2.0)
-        if verify_realization(candidate, m).valid:
-            return candidate
-    raise RuntimeError(
-        f"dimension reduction failed after {REDUCTION_RETRIES} retries; "
-        "the input margin claim is likely too tight"
+    return _jl_reduce(
+        r, target, seed,
+        lambda a, b: Realization(_renormalized(a), _renormalized(b), r.gamma / 2.0),
+        lambda candidate: verify_realization(candidate, m).valid,
     )

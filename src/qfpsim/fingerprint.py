@@ -13,6 +13,7 @@ from .embeddings import (
     Realization,
     SignMatrix,
     ThresholdEmbedding,
+    _unit_rows,
     realization_to_embedding,
     verify_realization,
     verify_threshold_embedding,
@@ -49,20 +50,14 @@ class FingerprintProtocol:
         return 2 * self.qubits_per_copy * self.repetitions
 
 
-def _check_state(name: str, v: np.ndarray) -> None:
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > _STATE_NORM_TOL:
-        raise ValueError(f"{name} is not a unit state (norm {nrm!r})")
-
-
 def swap_test_prob(alpha, beta) -> float:
     """Probability of outcome 0: 1/2 + <alpha, beta>^2 / 2."""
     a = np.asarray(alpha, dtype=np.float64)
     b = np.asarray(beta, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    _check_state("alpha", a)
-    _check_state("beta", b)
+    _unit_rows("alpha", np.atleast_2d(a), _STATE_NORM_TOL)
+    _unit_rows("beta", np.atleast_2d(b), _STATE_NORM_TOL)
     return 0.5 + float(a @ b) ** 2 / 2.0
 
 
@@ -107,20 +102,24 @@ def referee_decide(outcomes, theta: float) -> int:
     return int(referee_rule(np.mean(bits == 0), theta))
 
 
+def protocol_from_embedding(e: ThresholdEmbedding, eps: float) -> FingerprintProtocol:
+    """The fingerprinting protocol on e's states for error eps: the Hoeffding
+    repetition count, thresholded at the midpoint of (delta0, delta1)."""
+    reps = required_repetitions(e.delta0, e.delta1, eps)
+    return FingerprintProtocol(e, reps, (e.delta0 + e.delta1) / 2.0)
+
+
 def protocol_from_margin(m: SignMatrix, r: Realization, eps: float) -> FingerprintProtocol:
     """Build a fingerprinting protocol from a margin-gamma realization:
-    converts to a threshold embedding, sizes the repetition count for error
-    eps, and thresholds at the midpoint of (delta0, delta1)."""
+    converts it to a threshold embedding and sizes it with
+    ``protocol_from_embedding``."""
     report = verify_realization(r, m)
     if not report.valid:
         raise ValueError(
             f"realization does not achieve its margin on M "
             f"(achieved {report.achieved_margin}, claimed {r.gamma})"
         )
-    e = realization_to_embedding(r)
-    reps = required_repetitions(e.delta0, e.delta1, eps)
-    theta = (e.delta0 + e.delta1) / 2.0
-    return FingerprintProtocol(e, reps, theta)
+    return protocol_from_embedding(realization_to_embedding(r), eps)
 
 
 @dataclass(frozen=True)

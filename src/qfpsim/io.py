@@ -15,11 +15,11 @@ import sys
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
-from .embeddings import Realization, SignMatrix, ThresholdEmbedding
+from .embeddings import Realization, SignMatrix, ThresholdEmbedding, _renormalized
 
 FORMAT_VERSION = "1.0"
-VERSION = "0.1.0"
 
 KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
 
@@ -80,11 +80,24 @@ def _field(payload: dict, name: str):
 
 
 def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
-    """Field ``name`` as an array; a ragged or non-numeric list is malformed."""
+    """Field ``name`` as an array; a ragged, non-numeric or non-finite list
+    is malformed."""
     try:
-        return np.asarray(_field(payload, name), dtype=dtype)
+        arr = np.asarray(_field(payload, name), dtype=dtype)
+        finite = bool(np.isfinite(arr).all())
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
+    if not finite:
+        raise DocumentError(f"field {name!r} has a non-finite entry")
+    return arr
+
+
+def _integer(payload: dict, name: str) -> int:
+    """Field ``name`` as an int; anything but a JSON integer is malformed."""
+    value = _field(payload, name)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentError(f"field {name!r} is not an integer: {value!r}")
+    return value
 
 
 def _scalar(payload: dict, name: str) -> float:
@@ -98,15 +111,11 @@ def _scalar(payload: dict, name: str) -> float:
     return value
 
 
-def _listify(arr: np.ndarray) -> list:
-    return arr.tolist()
-
-
 # --- sign matrices ---------------------------------------------------------
 
 
 def sign_matrix_payload(m: SignMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": _listify(m.entries)}
+    return {"rows": m.rows, "cols": m.cols, "entries": m.entries.tolist()}
 
 
 def parse_sign_matrix(doc: dict) -> SignMatrix:
@@ -128,8 +137,8 @@ def embedding_payload(e: ThresholdEmbedding) -> dict:
         "dimension": e.dimension,
         "delta0": e.delta0,
         "delta1": e.delta1,
-        "alphas": _listify(e.alphas),
-        "betas": _listify(e.betas),
+        "alphas": e.alphas.tolist(),
+        "betas": e.betas.tolist(),
     }
 
 
@@ -137,8 +146,7 @@ def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarr
     alphas = _array(payload, "alphas", np.float64)
     betas = _array(payload, "betas", np.float64)
     if renormalize:
-        alphas = alphas / np.linalg.norm(alphas, axis=1, keepdims=True)
-        betas = betas / np.linalg.norm(betas, axis=1, keepdims=True)
+        return _renormalized(alphas), _renormalized(betas)
     return alphas, betas
 
 
@@ -153,8 +161,8 @@ def realization_payload(r: Realization) -> dict:
     return {
         "dimension": r.dimension,
         "gamma": r.gamma,
-        "alphas": _listify(r.alphas),
-        "betas": _listify(r.betas),
+        "alphas": r.alphas.tolist(),
+        "betas": r.betas.tolist(),
     }
 
 
@@ -168,14 +176,14 @@ def parse_realization(doc: dict, renormalize: bool = False) -> Realization:
 
 
 def vector_system_payload(v: VectorSystem) -> dict:
-    return {"norm_bound": v.norm_bound, "a": _listify(v.a), "b": _listify(v.b)}
+    return {"norm_bound": v.norm_bound, "a": v.a.tolist(), "b": v.b.tolist()}
 
 
 def parse_vector_system(doc: dict) -> VectorSystem:
     payload = _payload(doc, "vector_system")
     return VectorSystem(
-        _array(payload, "a"),
-        _array(payload, "b"),
+        _array(payload, "a", np.float64),
+        _array(payload, "b", np.float64),
         _scalar(payload, "norm_bound"),
     )
 
@@ -188,46 +196,49 @@ def protocol_payload(p: ClassicalSMPProtocol | OneWayProtocol) -> dict:
         "n": p.n,
         "c": p.c,
         "rand_strings": list(p.rand_strings),
-        "alice_messages": _listify(p.alice_messages),
+        "alice_messages": p.alice_messages.tolist(),
     }
     if isinstance(p, ClassicalSMPProtocol):
         base["model"] = "smp"
-        base["bob_messages"] = _listify(p.bob_messages)
-        base["accept"] = _listify(p.accept)
+        base["bob_messages"] = p.bob_messages.tolist()
+        base["accept"] = p.accept.tolist()
     else:
         base["model"] = "one_way"
-        base["bob_accept"] = _listify(p.bob_accept)
+        base["bob_accept"] = p.bob_accept.tolist()
     return base
 
 
 def parse_protocol(doc: dict) -> ClassicalSMPProtocol | OneWayProtocol:
     payload = _payload(doc, "protocol")
     model = _field(payload, "model")
+    if model not in ("smp", "one_way"):
+        raise DocumentError(f"unknown protocol model {model!r}")
+    rand_strings = _array(payload, "rand_strings")
+    if rand_strings.ndim != 1:
+        raise DocumentError("field 'rand_strings' must be a list of integers")
     common = dict(
-        n=int(_field(payload, "n")),
-        c=int(_field(payload, "c")),
-        rand_strings=tuple(_field(payload, "rand_strings")),
-        alice_messages=np.asarray(_field(payload, "alice_messages")),
+        n=_integer(payload, "n"),
+        c=_integer(payload, "c"),
+        rand_strings=tuple(rand_strings),
+        alice_messages=_array(payload, "alice_messages"),
     )
     try:
         if model == "smp":
             return ClassicalSMPProtocol(
-                bob_messages=np.asarray(_field(payload, "bob_messages")),
-                accept=np.asarray(_field(payload, "accept")),
+                bob_messages=_array(payload, "bob_messages"),
+                accept=_array(payload, "accept"),
                 **common,
             )
-        if model == "one_way":
-            return OneWayProtocol(bob_accept=np.asarray(_field(payload, "bob_accept")), **common)
+        return OneWayProtocol(bob_accept=_array(payload, "bob_accept"), **common)
     except ValueError as exc:
         raise DocumentError(f"invalid protocol: {exc}") from exc
-    raise DocumentError(f"unknown protocol model {model!r}")
 
 
 # --- plain vector lists ----------------------------------------------------
 
 
 def vectors_payload(vectors: np.ndarray) -> dict:
-    return {"vectors": _listify(np.asarray(vectors, dtype=np.float64))}
+    return {"vectors": np.asarray(vectors, dtype=np.float64).tolist()}
 
 
 def parse_vectors(doc: dict) -> np.ndarray:

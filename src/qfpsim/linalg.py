@@ -52,15 +52,9 @@ def normalize(v) -> np.ndarray:
     return a / nrm
 
 
-def operator_norm(m, tol: float = 1e-9) -> float:
+def operator_norm(m) -> float:
     """Largest singular value: the square root of the top eigenvalue of the
-    Gram matrix on the smaller side, computed by LAPACK (``eigvalsh``).
-
-    ``tol`` is accepted for compatibility and must be positive; the result
-    is accurate to float64 rounding whatever its value.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    Gram matrix on the smaller side, computed by LAPACK (``eigvalsh``)."""
     a = as_matrix(m)
     if a.shape[0] < a.shape[1]:
         a = a.T

@@ -69,7 +69,7 @@ def test_01_forster_inner_product_values():
 
 def test_02_repetition_blowup_inner_product():
     worst = max(
-        abs(repetition_lower_bound(forster_bound(ip_matrix(k), tol=1e-12)) - 2**k)
+        abs(repetition_lower_bound(forster_bound(ip_matrix(k))) - 2**k)
         / 2**k
         for k in (1, 2, 3, 4)
     )

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfpsim.embeddings import (
     Realization,
@@ -13,6 +15,7 @@ from qfpsim.embeddings import (
     verify_realization,
     verify_threshold_embedding,
 )
+from qfpsim.fingerprint import swap_test_prob
 from qfpsim.problems import eq_matrix
 
 
@@ -62,6 +65,83 @@ class TestSignMatrix:
         assert m.zero_pairs().sum() == 2
         assert m.one_pairs().sum() == 1
         assert not m.is_total
+
+
+class TestUnitPairs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rows_refused(self, bad):
+        good = np.eye(2)
+        broken = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="alphas\\[0\\] is not a unit vector"):
+            ThresholdEmbedding(broken, good, 0.1, 0.2)
+        with pytest.raises(ValueError, match="betas\\[0\\] is not a unit vector"):
+            Realization(good, broken, 0.5)
+        with pytest.raises(ValueError, match="unit"):
+            swap_test_prob(broken[0], good[0])
+
+    def test_positional_fields_and_dimension(self):
+        a = np.eye(3)
+        e = ThresholdEmbedding(a, a, 0.1, 0.2)
+        r = Realization(a, a, 0.5)
+        assert (e.delta0, e.delta1, r.gamma) == (0.1, 0.2, 0.5)
+        assert e.dimension == r.dimension == 3
+        assert not e.alphas.flags.writeable and not r.betas.flags.writeable
+
+
+def brute_force_worst_pairs(alphas, betas, entries):
+    """Row-major loops: max squared inner product over +1 entries, min over
+    -1 entries, and min signed inner product over nonzero entries, each with
+    the first pair that attains it.  The inner products come from the same
+    matrix product as in the verifiers, so only the search is compared."""
+    gram = alphas @ betas.T
+    zero = one = signed = None
+    for x in range(entries.shape[0]):
+        for y in range(entries.shape[1]):
+            ip = float(gram[x, y])
+            sq = ip * ip  # as numpy squares an array; libm's pow may differ by an ulp
+            if entries[x, y] == 1 and (zero is None or sq > zero[0]):
+                zero = (sq, (x, y))
+            if entries[x, y] == -1 and (one is None or sq < one[0]):
+                one = (sq, (x, y))
+            if entries[x, y] != 0 and (signed is None or entries[x, y] * ip < signed[0]):
+                signed = (float(entries[x, y] * ip), (x, y))
+    return zero, one, signed
+
+
+@st.composite
+def sign_matrices_with_unit_vectors(draw):
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.integers(1, 5))
+    entries = np.array(
+        draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=rows * cols, max_size=rows * cols))
+    ).reshape(rows, cols)
+    if not entries.any():
+        entries[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 4))
+    alphas = rng.standard_normal((rows, dim))
+    betas = rng.standard_normal((cols, dim))
+    # Copied rows give equal inner products, so ties occur.
+    for vectors in (alphas, betas):
+        for i in range(1, vectors.shape[0]):
+            if draw(st.booleans()):
+                vectors[i] = vectors[draw(st.integers(0, i - 1))]
+    alphas /= np.linalg.norm(alphas, axis=1, keepdims=True)
+    betas /= np.linalg.norm(betas, axis=1, keepdims=True)
+    return SignMatrix(entries), alphas, betas
+
+
+class TestWorstPairSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(sign_matrices_with_unit_vectors())
+    def test_verifiers_match_row_major_brute_force(self, case):
+        m, alphas, betas = case
+        zero, one, signed = brute_force_worst_pairs(alphas, betas, m.entries)
+        e = verify_threshold_embedding(ThresholdEmbedding(alphas, betas, 0.0, 1.0), m)
+        assert (e.worst_zero_side, e.worst_zero_pair) == (zero or (0.0, None))
+        assert (e.worst_one_side, e.worst_one_pair) == (one or (1.0, None))
+        r = verify_realization(Realization(alphas, betas, 1.0), m)
+        assert (r.achieved_margin, r.worst_pair) == signed
 
 
 class TestVerifyThresholdEmbedding:

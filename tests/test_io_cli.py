@@ -148,6 +148,34 @@ class TestCliExitCodes:
         assert main(["margin", "--matrix", path]) == 1
         assert "format_version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+    def test_non_finite_array_entry_exits_1(self, tmp_path, capsys, command, value, token):
+        emb = tmp_path / "emb.json"
+        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+        doc["payload"]["alphas"][0][0] = value
+        with open(emb, "w") as fh:
+            json.dump(doc, fh)  # Python's json writes NaN / Infinity tokens
+        assert token in emb.read_text()
+        assert main([command, "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "'alphas'" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", "abc"),
+        ("alice_messages", [[0, 1], [1]]),
+        ("rand_strings", 5),
+        ("c", None),
+    ])
+    def test_malformed_protocol_field_exits_1(self, tmp_path, capsys, field, value):
+        payload = io.protocol_payload(eq_parity_protocol(1))
+        payload[field] = value
+        path = write_doc(tmp_path / "p.json", "protocol", payload)
+        assert main(["compile", "--protocol", path, "--builtin", "eq", "--n", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "Traceback" not in err
+
 
 class TestCliPipelines:
     def test_compile_then_verify_then_simulate(self, tmp_path):
