@@ -3,12 +3,17 @@ systems and protocols.
 
 Every document carries ``format_version``, a ``kind`` tag, a kind-specific
 ``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
-Reals are serialized via Python's shortest round-trip repr, so
+Float arrays (embedding and realization ``alphas``/``betas``, vector system
+``a``/``b``, ``vectors``) are written as one little-endian float64 block,
+``{"dtype": "<f8", "shape": [...], "b64": "..."}``; the reader also accepts
+them as nested lists, the 1.0 form.  Scalars and the remaining lists are
+written in Python's shortest round-trip repr.  Either way
 parse(serialize(x)) is bit-identical for doubles.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
@@ -19,7 +24,8 @@ from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding, _renormalized
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "1.1"
+FLOAT_DTYPE = "<f8"
 
 KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
 
@@ -41,11 +47,14 @@ def document(kind: str, payload: dict, command: str = "", seed=None) -> dict:
 
 def dump(doc: dict, path: str | None = None) -> None:
     text = json.dumps(doc, indent=2, allow_nan=False)
+    # The newline goes in its own write: text + "\n" would copy the document.
     if path is None:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+        sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
 
 
 def load(path: str) -> dict:
@@ -57,9 +66,10 @@ def load(path: str) -> dict:
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise DocumentError(f"{path!r} is not an interchange document")
     version = doc.get("format_version")
-    if str(version).split(".")[0] != FORMAT_VERSION.split(".")[0]:
+    major = FORMAT_VERSION.split(".")[0]
+    if str(version).split(".")[0] != major:
         raise DocumentError(
-            f"{path!r} has format_version {version!r}; this reader reads {FORMAT_VERSION}"
+            f"{path!r} has format_version {version!r}; this reader reads {major}.x"
         )
     return doc
 
@@ -79,11 +89,45 @@ def _field(payload: dict, name: str):
     return payload[name]
 
 
-def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
-    """Field ``name`` as an array; a ragged, non-numeric or non-finite list
-    is malformed."""
+def _float_block(arr: np.ndarray) -> dict:
+    """``arr`` as one little-endian float64 block in base64."""
+    arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
+    if not np.isfinite(arr).all():
+        raise ValueError("float array has a non-finite entry")
+    return {
+        "dtype": FLOAT_DTYPE,
+        "shape": list(arr.shape),
+        "b64": base64.b64encode(arr).decode("ascii"),
+    }
+
+
+def _decoded(value, name: str):
+    """A float block as an array; any other value is returned as it is."""
+    if not isinstance(value, dict):
+        return value
+    if value.get("dtype") != FLOAT_DTYPE:
+        raise DocumentError(f"field {name!r} has dtype {value.get('dtype')!r}, "
+                            f"expected {FLOAT_DTYPE!r}")
+    shape = value.get("shape")
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise DocumentError(f"field {name!r} has shape {shape!r}, "
+                            "expected a list of non-negative integers")
     try:
-        arr = np.asarray(_field(payload, name), dtype=dtype)
+        raw = base64.b64decode(value.get("b64"), validate=True)
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"field {name!r} has no valid base64 'b64': {exc}") from exc
+    need = 8 * math.prod(shape)
+    if len(raw) != need:
+        raise DocumentError(f"field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}")
+    # from a bytearray, so the array is writable like one read from a list
+    return np.frombuffer(bytearray(raw), dtype=FLOAT_DTYPE).reshape(shape)
+
+
+def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
+    """Field ``name`` as an array, from a float block or a nested list; a
+    ragged, non-numeric or non-finite list is malformed."""
+    try:
+        arr = np.asarray(_decoded(_field(payload, name), name), dtype=dtype)
         finite = bool(np.isfinite(arr).all())
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
@@ -137,8 +181,8 @@ def embedding_payload(e: ThresholdEmbedding) -> dict:
         "dimension": e.dimension,
         "delta0": e.delta0,
         "delta1": e.delta1,
-        "alphas": e.alphas.tolist(),
-        "betas": e.betas.tolist(),
+        "alphas": _float_block(e.alphas),
+        "betas": _float_block(e.betas),
     }
 
 
@@ -161,8 +205,8 @@ def realization_payload(r: Realization) -> dict:
     return {
         "dimension": r.dimension,
         "gamma": r.gamma,
-        "alphas": r.alphas.tolist(),
-        "betas": r.betas.tolist(),
+        "alphas": _float_block(r.alphas),
+        "betas": _float_block(r.betas),
     }
 
 
@@ -176,7 +220,7 @@ def parse_realization(doc: dict, renormalize: bool = False) -> Realization:
 
 
 def vector_system_payload(v: VectorSystem) -> dict:
-    return {"norm_bound": v.norm_bound, "a": v.a.tolist(), "b": v.b.tolist()}
+    return {"norm_bound": v.norm_bound, "a": _float_block(v.a), "b": _float_block(v.b)}
 
 
 def parse_vector_system(doc: dict) -> VectorSystem:
@@ -238,7 +282,7 @@ def parse_protocol(doc: dict) -> ClassicalSMPProtocol | OneWayProtocol:
 
 
 def vectors_payload(vectors: np.ndarray) -> dict:
-    return {"vectors": np.asarray(vectors, dtype=np.float64).tolist()}
+    return {"vectors": _float_block(vectors)}
 
 
 def parse_vectors(doc: dict) -> np.ndarray:

@@ -1,17 +1,22 @@
+import base64
 import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import qfpsim
 from qfpsim import io
 from qfpsim.cli import main
-from qfpsim.compiler import compile_smp
-from qfpsim.embeddings import SignMatrix
+from qfpsim.compiler import VectorSystem, compile_smp
+from qfpsim.embeddings import Realization, SignMatrix, ThresholdEmbedding
 from qfpsim.problems import eq_matrix, eq_parity_protocol
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 
@@ -24,6 +29,60 @@ def write_doc(path, kind, payload):
 def read_doc(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def block_array(block):
+    """A float block's array, decoded with numpy alone."""
+    return np.frombuffer(base64.b64decode(block["b64"]), dtype="<f8").reshape(block["shape"])
+
+
+def as_lists(payload, *names):
+    """Replace the float blocks ``names`` of ``payload`` by nested lists, the
+    1.0 form the reader still accepts, so a test can edit single entries."""
+    for name in names:
+        payload[name] = block_array(payload[name]).tolist()
+
+
+# Edge cases of float64: signed zero and the smallest subnormal, which a unit
+# vector can hold, and the largest finite values, which only `vectors` can.
+TINY = [-0.0, 5e-324, -5e-324]
+HUGE = [1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def float_arrays(shape, bound, specials):
+    elements = st.one_of(st.sampled_from(specials), st.floats(-bound, bound))
+    return arrays(np.float64, shape, elements=elements)
+
+
+def unit_rows(rows, cols):
+    # a leading 1.0 keeps each row a unit vector within tolerance, while the
+    # other entries carry the edge cases unscaled
+    return float_arrays((rows, cols), 1e-9, TINY).map(
+        lambda tail: np.hstack([np.ones((rows, 1)), tail]))
+
+
+def float_kind_case(kind, draw):
+    """A random object of ``kind``: its payload, its parser, and for each float
+    field the array sent and how to read it back from the parsed object."""
+    rows, other, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    if kind == "vectors":
+        v = draw(float_arrays((rows, cols), HUGE[0], TINY + HUGE))
+        return io.vectors_payload(v), io.parse_vectors, {"vectors": (v, lambda parsed: parsed)}
+    if kind == "vector_system":
+        shape = (draw(st.integers(1, 3)), rows, cols)
+        a = draw(float_arrays(shape, 1e150, TINY))
+        b = draw(float_arrays((shape[0], other, cols), 1e150, TINY))
+        return (io.vector_system_payload(VectorSystem(a, b, 1e160)), io.parse_vector_system,
+                {"a": (a, attrgetter("a")), "b": (b, attrgetter("b"))})
+    alphas, betas = draw(unit_rows(rows, cols)), draw(unit_rows(other, cols))
+    if kind == "embedding":
+        payload = io.embedding_payload(ThresholdEmbedding(alphas, betas, 0.25, 0.75))
+        parse = io.parse_embedding
+    else:
+        payload = io.realization_payload(Realization(alphas, betas, 0.5))
+        parse = io.parse_realization
+    return payload, parse, {"alphas": (alphas, attrgetter("alphas")),
+                            "betas": (betas, attrgetter("betas"))}
 
 
 def child_env():
@@ -74,6 +133,29 @@ class TestDocuments:
             assert type(parsed) is type(p)
             np.testing.assert_array_equal(parsed.alice_messages, p.alice_messages)
 
+    @pytest.mark.parametrize("kind", ["embedding", "realization", "vector_system", "vectors"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_float_arrays_round_trip_bit_exact(self, kind, data):
+        payload, parse, fields = float_kind_case(kind, data.draw)
+        parsed = parse(json.loads(json.dumps(io.document(kind, payload))))
+        for name, (sent, read) in fields.items():
+            assert "b64" in payload[name]
+            assert np.array_equal(sent.view(np.uint64), read(parsed).view(np.uint64))
+
+    def test_format_1_0_list_document_loads(self, tmp_path):
+        path = tmp_path / "e.json"
+        path.write_text(
+            '{"format_version": "1.0", "kind": "embedding",'
+            ' "payload": {"dimension": 2, "delta0": 0.1, "delta1": 0.9,'
+            ' "alphas": [[0.6, 0.8], [-0.0, 1.0]], "betas": [[0.8, -0.6]]},'
+            ' "provenance": {"command": "", "seed": null, "version": "0.0.0"}}'
+        )
+        parsed = io.parse_embedding(io.load(str(path)))
+        alphas, betas = np.array([[0.6, 0.8], [-0.0, 1.0]]), np.array([[0.8, -0.6]])
+        assert np.array_equal(parsed.alphas.view(np.uint64), alphas.view(np.uint64))
+        assert np.array_equal(parsed.betas.view(np.uint64), betas.view(np.uint64))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(io.DocumentError):
             io.document("nonsense", {})
@@ -121,6 +203,7 @@ class TestCliExitCodes:
         emb = tmp_path / "emb.json"
         assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
         doc = read_doc(emb)
+        as_lists(doc["payload"], "alphas", "betas")
         doc["payload"]["alphas"][0] = doc["payload"]["alphas"][0][:-1]
         with open(emb, "w") as fh:
             json.dump(doc, fh)
@@ -154,6 +237,7 @@ class TestCliExitCodes:
         emb = tmp_path / "emb.json"
         assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
         doc = read_doc(emb)
+        as_lists(doc["payload"], "alphas", "betas")
         doc["payload"]["alphas"][0][0] = value
         with open(emb, "w") as fh:
             json.dump(doc, fh)  # Python's json writes NaN / Infinity tokens
@@ -161,6 +245,31 @@ class TestCliExitCodes:
         assert main([command, "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
         err = capsys.readouterr().err
         assert "input error" in err and "'alphas'" in err
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda block: block.update(dtype=">f8"), id="dtype"),
+        pytest.param(lambda block: block.update(shape=[2.0, 8]), id="float-shape"),
+        pytest.param(lambda block: block.update(shape=[-2, -8]), id="negative-shape"),
+        pytest.param(lambda block: block.update(shape="2x8"), id="shape-not-list"),
+        pytest.param(lambda block: block.update(b64="not base64!"), id="not-base64"),
+        pytest.param(lambda block: block.update(b64=block["b64"][:-12]), id="short-bytes"),
+        pytest.param(lambda block: block.update(shape=[3, 8]), id="byte-count"),
+        pytest.param(lambda block: block.update(
+            b64=base64.b64encode(np.full(16, np.nan)).decode()), id="nan-bytes"),
+        pytest.param(lambda block: block.update(
+            b64=base64.b64encode(np.full(16, -np.inf)).decode()), id="inf-bytes"),
+    ])
+    def test_malformed_float_block_exits_1(self, tmp_path, capsys, edit):
+        emb = tmp_path / "emb.json"
+        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+        assert doc["payload"]["alphas"]["shape"] == [2, 8]
+        edit(doc["payload"]["alphas"])
+        with open(emb, "w") as fh:
+            json.dump(doc, fh)
+        assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "'alphas'" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field, value", [
         ("n", "abc"),
@@ -202,6 +311,7 @@ class TestCliPipelines:
         emb = tmp_path / "emb.json"
         main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)])
         doc = read_doc(emb)
+        as_lists(doc["payload"], "alphas", "betas")
         # Point one Alice state at the wrong Bob state: renormalization keeps
         # it parseable, the verifier must then blame a concrete pair.
         doc["payload"]["alphas"][0] = doc["payload"]["betas"][1]
@@ -253,17 +363,25 @@ class TestDeterminism:
     def test_byte_identical_outputs(self, tmp_path):
         # identical argv (including the relative --out path) must reproduce
         # the document byte for byte; run from two directories to compare
-        argv = [sys.executable, "-m", "qfpsim.cli", "simulate", "--builtin", "eq",
-                "--n", "2", "--trials", "10", "--seed", "7", "--out", "out.json"]
+        runs = {
+            "out.json": ["simulate", "--builtin", "eq", "--n", "2", "--trials", "10",
+                         "--seed", "7", "--out", "out.json"],
+            "states.json": ["compile", "--builtin", "eq", "--n", "2", "--out", "states.json"],
+        }
         env = child_env()
         dirs = []
         for name in ("a", "b"):
             d = tmp_path / name
             d.mkdir()
-            proc = subprocess.run(argv, cwd=d, env=env, capture_output=True, text=True)
-            assert proc.returncode == 0, proc.stderr
+            for args in runs.values():
+                proc = subprocess.run([sys.executable, "-m", "qfpsim.cli", *args], cwd=d,
+                                      env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, proc.stderr
             dirs.append(d)
-        assert (dirs[0] / "out.json").read_bytes() == (dirs[1] / "out.json").read_bytes()
+        for out in runs:
+            assert (dirs[0] / out).read_bytes() == (dirs[1] / out).read_bytes()
+        # the compared compile output really holds a binary float array
+        assert "b64" in json.loads((dirs[0] / "states.json").read_bytes())["payload"]["alphas"]
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
