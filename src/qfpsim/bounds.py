@@ -1,4 +1,4 @@
-"""Upper bounds on the achievable margin of a sign matrix, a heuristic
+"""Upper bounds on the achievable margin of a sign matrix, a deterministic
 max-margin search for lower-bound witnesses, and the derived communication
 lower bounds."""
 
@@ -10,13 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import margin_ascent
-from ._rng import generator, spawn
-from .embeddings import Realization, SignMatrix, _renormalized
+from .embeddings import Realization, SignMatrix
 from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm
 
 # Krivine's upper bound on Grothendieck's constant; a fixed published value
 # keeps outputs reproducible.
 GROTHENDIECK_K = 1.7822139781
+
+# The witness ascent's fixed schedule: iterations, step, step decay, and the
+# soft-min temperature annealed from the first value to the second.
+ASCENT_SCHEDULE = (2000, 0.05, 0.999, 1.0, 0.01)
 
 
 def _require_total(m: SignMatrix, bound: str) -> None:
@@ -59,79 +62,46 @@ def qent_lower_bound(gamma_upper: float) -> float:
     return 0.25 * math.log2(1.0 / gamma_upper)
 
 
-def _eq_shaped(m: SignMatrix) -> bool:
-    if m.rows != m.cols:
-        return False
-    e = m.entries
-    return bool(np.all(np.diag(e) == -1) and np.all(e[~np.eye(m.rows, dtype=bool)] == 1))
+def _factored_start(md: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of U sqrt(S) and V sqrt(S) from the SVD M = U S V^T, cut or
+    zero-padded to d columns.  At d >= rank(M), <alpha_x, beta_y> is M_xy over
+    the two row norms, so every constrained pair starts separated.  A row with
+    no nonzero entry in M, or one that the cut zeroes, starts at e_1."""
+    u, s, vt = np.linalg.svd(md, full_matrices=False)
+    k = min(d, s.size)
+    rows = np.zeros((sum(md.shape), d))
+    rows[:, :k] = np.vstack([u, vt.T])[:, :k] * np.sqrt(s[:k])
+    norms = np.linalg.norm(rows, axis=1)
+    live = np.concatenate([md.any(axis=1), md.any(axis=0)]) & (norms > 0.0)
+    rows[live] /= norms[live, None]
+    rows[~live] = np.eye(1, d)
+    return rows[: md.shape[0]], rows[md.shape[0] :]
 
 
-def _eq_seed_vectors(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The explicit (1, +-sqrt(2) e_x)/sqrt(3) arrangement with margin 1/3."""
-    alphas = np.zeros((n, d))
-    betas = np.zeros((n, d))
-    alphas[:, 0] = 1.0
-    betas[:, 0] = 1.0
-    for i in range(n):
-        alphas[i, 1 + i] = math.sqrt(2.0)
-        betas[i, 1 + i] = -math.sqrt(2.0)
-    return alphas / math.sqrt(3.0), betas / math.sqrt(3.0)
+def dot_allowance(d: int) -> float:
+    """How far a computed margin of d-dimensional unit rows may exceed the exact
+    one: a d-term dot product errs by <= d*u (u = eps/2), and each row's norm
+    is within (d/2 + 2)*u of 1, so (2d + 4)*u = (d + 2)*eps in all."""
+    return (d + 2) * math.ulp(1.0)
 
 
-def maximize_margin_heuristic(
-    m: SignMatrix,
-    d: int,
-    seed,
-    restarts: int = 8,
-    iterations: int = 2000,
-    step: float = 0.05,
-    decay: float = 0.999,
-    softmin_temp: tuple[float, float] = (1.0, 0.01),
-) -> Realization:
-    """Best-effort max-margin witness by soft-min gradient ascent.
-
-    Runs ``restarts`` random starts (plus one deterministic start seeded by
-    the explicit equality construction when M is EQ-shaped and d allows it),
-    renormalizing to unit vectors each step.  The returned realization's
-    gamma is the exact margin of the best arrangement, as the ascent kernel
-    computes it; no optimality is claimed.  Raises when no separating
-    arrangement is found.
-    """
+def maximize_margin_heuristic(m: SignMatrix, d: int) -> Realization:
+    """Max-margin witness by one soft-min gradient ascent from the factored
+    start, renormalizing to unit vectors each step.  The witness depends on M
+    and d alone.  Its gamma is the computed margin of the best arrangement
+    seen less ``dot_allowance(d)``, so it never exceeds the exact margin of the
+    returned vectors; no optimality is claimed.  Raises when no separating
+    arrangement is found."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     md = np.ascontiguousarray(m.dense())
-    temp_hi, temp_lo = softmin_temp
-
-    starts: list[tuple[np.ndarray, np.ndarray]] = []
-    if _eq_shaped(m) and d >= m.rows + 1:
-        starts.append(_eq_seed_vectors(m.rows, d))
-    for child in spawn(seed, restarts):
-        rng = generator(child)
-        a = rng.standard_normal((m.rows, d))
-        b = rng.standard_normal((m.cols, d))
-        starts.append((_renormalized(a), _renormalized(b)))
-
-    best_margin = -np.inf
-    best_vectors = None
-    for a0, b0 in starts:
-        a, b, achieved = margin_ascent(
-            md,
-            np.ascontiguousarray(a0),
-            np.ascontiguousarray(b0),
-            iterations,
-            step,
-            decay,
-            temp_hi,
-            temp_lo,
-        )
-        if achieved > best_margin:
-            best_margin = achieved
-            best_vectors = (a, b)
-    if best_margin <= 0.0 or best_vectors is None:
+    alphas, betas, achieved = margin_ascent(md, *_factored_start(md, d), *ASCENT_SCHEDULE)
+    gamma = achieved - dot_allowance(d)
+    if gamma <= 0.0:
         raise RuntimeError(
-            f"no separating arrangement found at dimension {d} (best margin {best_margin})"
+            f"no separating arrangement found at dimension {d} (best margin {achieved})"
         )
-    return Realization(best_vectors[0], best_vectors[1], min(best_margin, 1.0))
+    return Realization(alphas, betas, min(gamma, 1.0))
 
 
 @dataclass(frozen=True)
@@ -145,18 +115,13 @@ class MarginReport:
     gamma_source: str  # which gamma fed the asymptotic lower bounds
 
 
-def margin_report(
-    m: SignMatrix,
-    heuristic: bool = False,
-    d: int | None = None,
-    seed=0,
-    **heuristic_opts,
-) -> MarginReport:
+def margin_report(m: SignMatrix, heuristic: bool = False, d: int | None = None) -> MarginReport:
     """Assemble the full bound report for a sign matrix.
 
     Spectral bounds require a total matrix; for promise matrices only the
     heuristic witness is available and the asymptotic lower bounds are
-    derived from it instead.
+    derived from it instead.  The witness is searched at dimension ``d``
+    (default: the smaller side plus one, where the factored start separates).
     """
     forster = linial = upper = None
     if m.is_total:
@@ -166,7 +131,7 @@ def margin_report(
     heuristic_lower = None
     if heuristic:
         dim = d if d is not None else min(m.rows, m.cols) + 1
-        heuristic_lower = maximize_margin_heuristic(m, dim, seed, **heuristic_opts).gamma
+        heuristic_lower = maximize_margin_heuristic(m, dim).gamma
     if upper is not None:
         gamma, source = upper, "upper_bound"
     elif heuristic_lower is not None:

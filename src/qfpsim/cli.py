@@ -65,9 +65,7 @@ def _nan_to_none(matrix: np.ndarray) -> list:
 
 def cmd_margin(args, argv) -> int:
     m = _load_matrix(args)
-    report = bounds.margin_report(
-        m, heuristic=args.heuristic, d=args.dim, seed=args.seed
-    )
+    report = bounds.margin_report(m, heuristic=args.heuristic, d=args.dim)
     _emit(
         "report",
         {

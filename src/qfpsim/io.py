@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
-from .embeddings import Realization, SignMatrix, ThresholdEmbedding, _renormalized
+from .embeddings import Realization, SignMatrix, ThresholdEmbedding
 
 FORMAT_VERSION = "1.1"
 FLOAT_DTYPE = "<f8"
@@ -186,12 +186,21 @@ def embedding_payload(e: ThresholdEmbedding) -> dict:
     }
 
 
+def _vectors(payload: dict, name: str, renormalize: bool) -> np.ndarray:
+    vectors = _array(payload, name, np.float64)
+    if vectors.ndim != 2:
+        raise DocumentError(f"field {name!r} is not a 2-d array: shape {vectors.shape}")
+    if not renormalize:
+        return vectors
+    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise DocumentError(f"field {name!r} row {zero[0]} has norm 0 and cannot be renormalized")
+    return vectors / norms
+
+
 def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    alphas = _array(payload, "alphas", np.float64)
-    betas = _array(payload, "betas", np.float64)
-    if renormalize:
-        return _renormalized(alphas), _renormalized(betas)
-    return alphas, betas
+    return _vectors(payload, "alphas", renormalize), _vectors(payload, "betas", renormalize)
 
 
 def parse_embedding(doc: dict, renormalize: bool = False) -> ThresholdEmbedding:

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfpsim.bounds import (
     GROTHENDIECK_K,
+    dot_allowance,
     forster_bound,
     linial_bound,
     margin_report,
@@ -20,6 +23,28 @@ from qfpsim.problems import eq_matrix, ip_matrix
 def random_sign_matrix(rng, max_side=12):
     rows, cols = rng.integers(1, max_side + 1, size=2)
     return SignMatrix(rng.choice([-1, 1], size=(rows, cols)).astype(np.int8))
+
+
+# The paper's families with their exact margins: N/(3N-4) for EQ on N = 2^n
+# inputs, 2^(-k/2) for IP on k bits.
+KNOWN_MARGINS = [
+    pytest.param(eq_matrix(n), 2**n / (3 * 2**n - 4), id=f"eq-{n}") for n in range(1, 7)
+] + [pytest.param(ip_matrix(k), 2 ** (-k / 2), id=f"ip-{k}") for k in range(1, 7)]
+
+
+@st.composite
+def sign_matrices(draw):
+    """{-1, 0, +1} matrices up to 12x12, total about half the time, with up to
+    two all-zero rows and columns."""
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    values = (-1, 1) if draw(st.booleans()) else (-1, 0, 1)
+    cells = draw(st.lists(st.sampled_from(values), min_size=rows * cols, max_size=rows * cols))
+    entries = np.array(cells, dtype=np.int8).reshape(rows, cols)
+    entries[draw(st.lists(st.integers(0, rows - 1), max_size=2))] = 0
+    entries[:, draw(st.lists(st.integers(0, cols - 1), max_size=2))] = 0
+    if not entries.any():
+        entries[0, 0] = 1
+    return SignMatrix(entries)
 
 
 class TestForsterBound:
@@ -84,22 +109,22 @@ class TestMarginUpperBound:
 class TestHeuristic:
     def test_eq_4x4_reaches_explicit_margin(self):
         m = eq_matrix(2)
-        r = maximize_margin_heuristic(m, d=5, seed=0)
+        r = maximize_margin_heuristic(m, d=5)
         assert r.gamma >= 0.30
         assert r.gamma <= margin_upper_bound(m) + 1e-6
         assert verify_realization(r, m).valid
 
     def test_trivial_1x1(self):
-        r = maximize_margin_heuristic(SignMatrix([[1]]), d=1, seed=0)
+        r = maximize_margin_heuristic(SignMatrix([[1]]), d=1)
         assert r.gamma == pytest.approx(1.0)
 
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
-            maximize_margin_heuristic(eq_matrix(1), d=0, seed=0)
+            maximize_margin_heuristic(eq_matrix(1), d=0)
 
     def test_supports_promise_matrices(self):
         m = SignMatrix([[1, 0], [0, -1]])
-        r = maximize_margin_heuristic(m, d=2, seed=0, restarts=2, iterations=300)
+        r = maximize_margin_heuristic(m, d=2)
         assert r.gamma > 0.9  # the two constrained pairs are independent
 
     @pytest.mark.parametrize("seed", range(3))
@@ -107,10 +132,29 @@ class TestHeuristic:
         rng = np.random.default_rng(seed)
         m = SignMatrix(rng.choice([-1, 1], size=(4, 4)).astype(np.int8))
         try:
-            r = maximize_margin_heuristic(m, d=5, seed=seed, restarts=3, iterations=500)
+            r = maximize_margin_heuristic(m, d=5)
         except RuntimeError:
             return
         assert r.gamma <= margin_upper_bound(m) + 1e-6
+
+    @pytest.mark.parametrize("m, exact", KNOWN_MARGINS)
+    def test_factored_start_reaches_known_margin(self, m, exact):
+        d = min(m.rows, m.cols) + 1
+        r = maximize_margin_heuristic(m, d)
+        assert exact - 2 * dot_allowance(d) <= r.gamma <= exact
+        assert verify_realization(r, m).valid
+        rep = margin_report(m, heuristic=True)
+        assert rep.heuristic_lower <= rep.upper
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(sign_matrices())
+    def test_witness_sound_on_any_sign_matrix(self, m):
+        r = maximize_margin_heuristic(m, min(m.rows, m.cols) + 1)
+        report = verify_realization(r, m)
+        assert report.valid and report.achieved_margin >= r.gamma
+        if m.is_total:
+            assert r.gamma <= forster_bound(m)
 
 
 class TestAsymptoticLowerBounds:
@@ -141,7 +185,7 @@ class TestMarginReport:
         assert rep.repetition_lower == pytest.approx(4.0, rel=1e-6)
 
     def test_heuristic_bounded_by_upper(self):
-        rep = margin_report(eq_matrix(2), heuristic=True, d=5, seed=0)
+        rep = margin_report(eq_matrix(2), heuristic=True, d=5)
         assert rep.heuristic_lower is not None
         assert rep.heuristic_lower <= rep.upper + 1e-6
 
@@ -149,6 +193,6 @@ class TestMarginReport:
         m = SignMatrix([[1, 0], [0, -1]])
         with pytest.raises(ValueError, match="promise"):
             margin_report(m)
-        rep = margin_report(m, heuristic=True, d=2, seed=0)
+        rep = margin_report(m, heuristic=True, d=2)
         assert rep.forster is None and rep.upper is None
         assert rep.gamma_source == "heuristic_lower"

@@ -184,6 +184,13 @@ class TestCliExitCodes:
         assert doc["kind"] == "report"
         assert doc["payload"]["upper"] == pytest.approx(0.5, abs=1e-6)
 
+    def test_ham_heuristic_finds_a_witness(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["margin", "--builtin", "ham", "--n", "5", "--d", "2", "--heuristic",
+                     "--out", str(out)]) == 0
+        payload = read_doc(out)["payload"]
+        assert 0 < payload["heuristic_lower"] <= payload["upper"]
+
     def test_parse_error_exits_1(self, capsys):
         assert main(["margin", "--matrix", "/nonexistent.json"]) == 1
         assert "input error" in capsys.readouterr().err
@@ -258,6 +265,9 @@ class TestCliExitCodes:
             b64=base64.b64encode(np.full(16, np.nan)).decode()), id="nan-bytes"),
         pytest.param(lambda block: block.update(
             b64=base64.b64encode(np.full(16, -np.inf)).decode()), id="inf-bytes"),
+        pytest.param(lambda block: block.update(b64=base64.b64encode(
+            np.vstack([np.zeros(8), block_array(block)[1:]])).decode()), id="zero-row"),
+        pytest.param(lambda block: block.update(shape=[16]), id="one-d-shape"),
     ])
     def test_malformed_float_block_exits_1(self, tmp_path, capsys, edit):
         emb = tmp_path / "emb.json"
