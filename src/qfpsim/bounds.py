@@ -66,16 +66,31 @@ def _factored_start(md: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Unit rows of U sqrt(S) and V sqrt(S) from the SVD M = U S V^T, cut or
     zero-padded to d columns.  At d >= rank(M), <alpha_x, beta_y> is M_xy over
     the two row norms, so every constrained pair starts separated.  A row with
-    no nonzero entry in M, or one that the cut zeroes, starts at e_1."""
+    no nonzero entry in M starts at e_1.  A row that the cut to d < rank(M)
+    zeroes starts at its best response: the alphas at sum_y M_xy beta_y, then
+    the betas at sum_x M_xy alpha_x against the filled alphas, each made unit
+    (e_1 where the sum is zero)."""
     u, s, vt = np.linalg.svd(md, full_matrices=False)
     k = min(d, s.size)
     rows = np.zeros((sum(md.shape), d))
     rows[:, :k] = np.vstack([u, vt.T])[:, :k] * np.sqrt(s[:k])
     norms = np.linalg.norm(rows, axis=1)
-    live = np.concatenate([md.any(axis=1), md.any(axis=0)]) & (norms > 0.0)
+    constrained = np.concatenate([md.any(axis=1), md.any(axis=0)])
+    live = constrained & (norms > 0.0)
     rows[live] /= norms[live, None]
     rows[~live] = np.eye(1, d)
-    return rows[: md.shape[0]], rows[md.shape[0] :]
+    alphas, betas = rows[: md.shape[0]], rows[md.shape[0] :]
+    cut_a, cut_b = np.split(constrained & ~live, [md.shape[0]])
+    betas[cut_b] = 0.0  # an unfilled beta takes no part in the alphas' responses
+    alphas[cut_a] = _unit_or_e1(md[cut_a] @ betas)
+    betas[cut_b] = _unit_or_e1(md[:, cut_b].T @ alphas)
+    return alphas, betas
+
+
+def _unit_or_e1(v: np.ndarray) -> np.ndarray:
+    """The rows of ``v`` scaled to unit norm; a zero row becomes e_1."""
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return np.where(norms > 0.0, v / np.where(norms > 0.0, norms, 1.0), np.eye(1, v.shape[1]))
 
 
 def dot_allowance(d: int) -> float:

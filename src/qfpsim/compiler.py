@@ -128,7 +128,13 @@ class VectorSystem:
         return self.a.shape[2]
 
     def acceptance_matrix(self) -> np.ndarray:
-        return np.einsum("rxd,ryd->xy", self.a, self.b) / self.num_rand
+        # one (|X|, |R| dim) x (|R| dim, |Y|) product sums over r and d at once
+        return _by_input(self.a) @ _by_input(self.b).T / self.num_rand
+
+
+def _by_input(arr: np.ndarray) -> np.ndarray:
+    """(|R|, count, k) -> (count, |R| k): each input's slices side by side."""
+    return arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
 
 
 def compile_one_way(p: OneWayProtocol) -> VectorSystem:
@@ -189,14 +195,13 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
             f"vector system is {p.shape[0]}x{p.shape[1]} but the sign matrix is "
             f"{m.rows}x{m.cols}"
         )
-    block = v.dim + 2
+    # Pad the rows of all slices in one call: row x|R| + r is slice r of input
+    # x, so reshaping back to one row per input lays its blocks side by side.
+    alphas, betas = _junk_pad(_by_input(v.a).reshape(-1, v.dim),
+                              _by_input(v.b).reshape(-1, v.dim), v.norm_bound)
     scale = 1.0 / np.sqrt(v.num_rand)
-    alphas = np.zeros((m.rows, v.num_rand * block))
-    betas = np.zeros((m.cols, v.num_rand * block))
-    for r in range(v.num_rand):
-        pa, pb = pad_to_states(v, r)
-        alphas[:, r * block : (r + 1) * block] = scale * pa
-        betas[:, r * block : (r + 1) * block] = scale * pb
+    alphas *= scale
+    betas *= scale
 
     sq = (p / v.norm_bound**2) ** 2
     delta0, _ = _worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None)
@@ -205,7 +210,8 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"
         )
-    return ThresholdEmbedding(alphas, betas, delta0, delta1)
+    return ThresholdEmbedding(alphas.reshape(m.rows, -1), betas.reshape(m.cols, -1),
+                              delta0, delta1)
 
 
 def reduce_embedding_dimension(

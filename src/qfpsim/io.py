@@ -5,10 +5,14 @@ Every document carries ``format_version``, a ``kind`` tag, a kind-specific
 ``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
 Float arrays (embedding and realization ``alphas``/``betas``, vector system
 ``a``/``b``, ``vectors``) are written as one little-endian float64 block,
-``{"dtype": "<f8", "shape": [...], "b64": "..."}``; the reader also accepts
-them as nested lists, the 1.0 form.  Scalars and the remaining lists are
-written in Python's shortest round-trip repr.  Either way
-parse(serialize(x)) is bit-identical for doubles.
+``{"dtype": "<f8", "shape": [...], "b64": "..."}``.  A block whose bytes
+compress well (fingerprint states hold a few distinct values and many zeros)
+is written zlib-compressed and tagged ``"codec": "zlib"`` (format 1.2); other
+blocks hold the raw bytes (the 1.1 form).  The reader also accepts arrays as
+nested lists, the 1.0 form.  Scalars and the remaining lists are written in
+Python's shortest round-trip repr.  Either way parse(serialize(x)) is
+bit-identical for doubles.  The compressed bytes may differ between zlib
+builds; the decoded arrays do not.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import base64
 import json
 import math
 import sys
+import zlib
 
 import numpy as np
 
@@ -24,8 +29,14 @@ from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding
 
-FORMAT_VERSION = "1.1"
+FORMAT_VERSION = "1.2"
 FLOAT_DTYPE = "<f8"
+CODEC = "zlib"
+# A block is compressed when level-1 zlib shrinks its first COMPRESS_SAMPLE
+# bytes below COMPRESS_RATIO of their size; Gaussian data reaches only ~0.96
+# and costs ~13x the raw write to compress.
+COMPRESS_SAMPLE = 1 << 16
+COMPRESS_RATIO = 0.9
 
 KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
 
@@ -90,15 +101,39 @@ def _field(payload: dict, name: str):
 
 
 def _float_block(arr: np.ndarray) -> dict:
-    """``arr`` as one little-endian float64 block in base64."""
+    """``arr`` as one little-endian float64 block in base64, zlib-compressed
+    when a sample of its bytes compresses well."""
     arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
     if not np.isfinite(arr).all():
         raise ValueError("float array has a non-finite entry")
-    return {
-        "dtype": FLOAT_DTYPE,
-        "shape": list(arr.shape),
-        "b64": base64.b64encode(arr).decode("ascii"),
-    }
+    block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape)}
+    data = arr.reshape(-1).view(np.uint8)
+    sample = data[:COMPRESS_SAMPLE]
+    if len(zlib.compress(sample, 1)) < COMPRESS_RATIO * sample.size:
+        block["codec"] = CODEC
+        data = zlib.compress(data, 1)
+    block["b64"] = base64.b64encode(data).decode("ascii")
+    return block
+
+
+def _inflated(raw: bytes, need: int, name: str) -> bytes:
+    """The zlib stream ``raw``, which must inflate to exactly ``need`` bytes.
+    At most need + 1 bytes are ever inflated, so a stream that claims more
+    cannot exhaust memory."""
+    inflater = zlib.decompressobj()
+    try:
+        out = inflater.decompress(raw, min(max(need, 1), sys.maxsize))
+        more = b"" if inflater.eof else inflater.decompress(inflater.unconsumed_tail, 1)
+    except zlib.error as exc:
+        raise DocumentError(f"field {name!r} has a corrupt zlib stream: {exc}") from exc
+    if more or len(out) > need:
+        raise DocumentError(f"field {name!r} inflates to more than {need} bytes")
+    if not inflater.eof:
+        raise DocumentError(f"field {name!r} has a truncated zlib stream")
+    if inflater.unused_data:
+        raise DocumentError(f"field {name!r} has {len(inflater.unused_data)} bytes "
+                            "after its zlib stream")
+    return out
 
 
 def _decoded(value, name: str):
@@ -112,11 +147,16 @@ def _decoded(value, name: str):
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise DocumentError(f"field {name!r} has shape {shape!r}, "
                             "expected a list of non-negative integers")
+    codec = value.get("codec")
+    if codec not in (None, CODEC):
+        raise DocumentError(f"field {name!r} has codec {codec!r}, expected {CODEC!r} or none")
     try:
         raw = base64.b64decode(value.get("b64"), validate=True)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field {name!r} has no valid base64 'b64': {exc}") from exc
     need = 8 * math.prod(shape)
+    if codec is not None:
+        raw = _inflated(raw, need, name)
     if len(raw) != need:
         raise DocumentError(f"field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}")
     # from a bytearray, so the array is writable like one read from a list

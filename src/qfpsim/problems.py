@@ -15,7 +15,9 @@ from .embeddings import SignMatrix, ThresholdEmbedding
 MAX_BITS = 12
 MAX_EXACT_HAM_BITS = 8
 
-_POPCOUNT16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+# uint16 keeps the sixteen temporaries small: this runs at every import
+_POPCOUNT16 = sum((np.arange(1 << 16, dtype=np.uint16) >> k) & 1
+                  for k in range(16)).astype(np.uint8)
 
 
 def _popcount(values: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qfpsim.bounds import (
     GROTHENDIECK_K,
+    _factored_start,
     dot_allowance,
     forster_bound,
     linial_bound,
@@ -45,6 +46,20 @@ def sign_matrices(draw):
     if not entries.any():
         entries[0, 0] = 1
     return SignMatrix(entries)
+
+
+def uncut_start(md, d):
+    """The factored start with every zero row at e_1, which is what
+    ``_factored_start`` must still return when the cut zeroes no row."""
+    u, s, vt = np.linalg.svd(md, full_matrices=False)
+    k = min(d, s.size)
+    rows = np.zeros((sum(md.shape), d))
+    rows[:, :k] = np.vstack([u, vt.T])[:, :k] * np.sqrt(s[:k])
+    norms = np.linalg.norm(rows, axis=1)
+    live = np.concatenate([md.any(axis=1), md.any(axis=0)]) & (norms > 0.0)
+    rows[live] /= norms[live, None]
+    rows[~live] = np.eye(1, d)
+    return rows[: md.shape[0]], rows[md.shape[0] :]
 
 
 class TestForsterBound:
@@ -145,6 +160,23 @@ class TestHeuristic:
         assert verify_realization(r, m).valid
         rep = margin_report(m, heuristic=True)
         assert rep.heuristic_lower <= rep.upper
+
+    def test_cut_rows_start_at_their_best_response(self):
+        # At d=1 the cut zeroes the second row on both sides; e_1 there gives
+        # the pair the wrong sign, which a one-dimensional ascent cannot flip.
+        m = SignMatrix([[1, 0], [0, -1]])
+        r = maximize_margin_heuristic(m, 1)
+        assert r.gamma == 1.0 - dot_allowance(1)
+        assert verify_realization(r, m).valid
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=60, deadline=None)
+    @given(sign_matrices(), st.integers(0, 1))
+    def test_start_unchanged_at_full_rank_dimension(self, m, extra):
+        md = m.dense()
+        d = np.linalg.matrix_rank(md) + extra
+        for got, want in zip(_factored_start(md, d), uncut_start(md, d)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)

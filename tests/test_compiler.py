@@ -23,6 +23,17 @@ from qfpsim.problems import (
 from tests.test_embeddings import eq_orthonormal_embedding
 
 
+def per_slice_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The block states built one random string at a time from pad_to_states."""
+    scale = 1.0 / np.sqrt(v.num_rand)
+    slices = [pad_to_states(v, r) for r in range(v.num_rand)]
+    return tuple(np.hstack([scale * pair[side] for pair in slices]) for side in (0, 1))
+
+
+def bits(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.uint64)
+
+
 def brute_force_acceptance(p: ClassicalSMPProtocol) -> np.ndarray:
     """Average the referee's accept bit over every random string directly."""
     nx = p.alice_messages.shape[0]
@@ -61,6 +72,25 @@ class TestCompile:
     def test_norm_bound_is_sqrt_dim(self):
         v = compile_smp(eq_parity_protocol(2))
         assert v.norm_bound == pytest.approx(math.sqrt(2))  # c=1, dim 2^c
+
+    @pytest.mark.parametrize("protocol", [
+        pytest.param(eq_parity_protocol(4), id="smp"),
+        pytest.param(eq_parity_one_way_protocol(4), id="one-way"),
+        pytest.param(eq_parity_protocol(5, 9, 3), id="sampled-smp"),
+        pytest.param(eq_parity_one_way_protocol(5, 6, 4), id="sampled-one-way"),
+    ])
+    def test_matmul_acceptance_equals_einsum_on_tables(self, protocol):
+        compile_ = compile_smp if isinstance(protocol, ClassicalSMPProtocol) else compile_one_way
+        v = compile_(protocol)
+        einsum = np.einsum("rxd,ryd->xy", v.a, v.b) / v.num_rand
+        assert np.array_equal(bits(v.acceptance_matrix()), bits(einsum))
+
+    def test_matmul_acceptance_close_to_einsum_on_floats(self):
+        rng = np.random.default_rng(7)
+        v = VectorSystem(rng.standard_normal((5, 6, 3)), rng.standard_normal((5, 4, 3)), 10.0)
+        np.testing.assert_allclose(v.acceptance_matrix(),
+                                   np.einsum("rxd,ryd->xy", v.a, v.b) / v.num_rand,
+                                   rtol=1e-13, atol=1e-14)
 
     def test_rejects_out_of_range_messages(self):
         with pytest.raises(ValueError):
@@ -109,6 +139,20 @@ class TestAssemble:
         np.testing.assert_allclose(
             e.alphas @ e.betas.T, v.acceptance_matrix() / v.norm_bound**2, atol=1e-12
         )
+
+    @pytest.mark.parametrize("system", [
+        pytest.param(lambda: compile_smp(eq_parity_protocol(4)), id="smp"),
+        pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(4)), id="one-way"),
+        pytest.param(lambda: compile_smp(eq_parity_protocol(4, 11, 5)), id="sampled-smp"),
+        pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(4, 7, 2)),
+                     id="sampled-one-way"),
+    ])
+    def test_one_pass_states_equal_per_slice_states(self, system):
+        v = system()
+        e = assemble_shared_randomness_states(v, eq_matrix(4))
+        alphas, betas = per_slice_states(v)
+        assert np.array_equal(bits(e.alphas), bits(alphas))
+        assert np.array_equal(bits(e.betas), bits(betas))
 
     def test_non_separating_system_rejected(self):
         # A protocol that always accepts cannot sign-separate anything.

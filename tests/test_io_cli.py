@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import zlib
 from operator import attrgetter
 from pathlib import Path
 
@@ -32,8 +34,21 @@ def read_doc(path):
 
 
 def block_array(block):
-    """A float block's array, decoded with numpy alone."""
-    return np.frombuffer(base64.b64decode(block["b64"]), dtype="<f8").reshape(block["shape"])
+    """A float block's array, decoded with numpy and zlib alone."""
+    raw = base64.b64decode(block["b64"])
+    if block.get("codec") == "zlib":
+        raw = zlib.decompress(raw)
+    return np.frombuffer(raw, dtype="<f8").reshape(block["shape"])
+
+
+def b64(data):
+    return base64.b64encode(data).decode()
+
+
+def put_array(block, arr):
+    """Replace a float block's bytes by those of ``arr``, in the block's codec."""
+    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    block["b64"] = b64(zlib.compress(data) if block.get("codec") == "zlib" else data)
 
 
 def as_lists(payload, *names):
@@ -142,6 +157,53 @@ class TestDocuments:
         for name, (sent, read) in fields.items():
             assert "b64" in payload[name]
             assert np.array_equal(sent.view(np.uint64), read(parsed).view(np.uint64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dump_load_round_trip_bit_exact(self, tmp_path_factory, data):
+        shape = (data.draw(st.integers(0, 40)), data.draw(st.integers(0, 40)))
+        compressible = data.draw(st.booleans())
+        if compressible:
+            sent = data.draw(arrays(np.float64, shape,
+                                    elements=st.sampled_from([0.0, 0.5, -0.5] + TINY + HUGE)))
+        else:
+            sent = np.random.default_rng(data.draw(st.integers(0, 2**32))).standard_normal(shape)
+            spots = data.draw(st.lists(st.integers(0, max(sent.size - 1, 0)), max_size=5))
+            sent.reshape(-1)[spots[: sent.size]] = data.draw(st.sampled_from(TINY + HUGE))
+        path = str(tmp_path_factory.mktemp("blocks") / "v.json")
+        io.dump(io.document("vectors", io.vectors_payload(sent)), path)
+        block = read_doc(path)["payload"]["vectors"]
+        if sent.size >= 64:  # big enough for the sample to show its kind
+            assert ("codec" in block) == compressible
+        got = io.parse_vectors(io.load(path))
+        assert got.shape == sent.shape
+        assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
+
+    def test_inflate_bounded_by_the_declared_shape(self, tmp_path):
+        # 64 MiB of zeros in a ~64 kB stream, declared as four floats
+        deflater = zlib.compressobj(1)
+        stream = b"".join(deflater.compress(bytes(1 << 20)) for _ in range(64)) + deflater.flush()
+        block = {"dtype": "<f8", "shape": [1, 4], "codec": "zlib", "b64": b64(stream)}
+        path = write_doc(tmp_path / "v.json", "vectors", {"vectors": block})
+        doc = io.load(path)
+        tracemalloc.start()
+        try:
+            with pytest.raises(io.DocumentError, match="more than 32 bytes"):
+                io.parse_vectors(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_format_1_1_raw_block_document_loads(self, tmp_path):
+        sent = np.array([[0.6, -0.0, 5e-324], [HUGE[0], HUGE[1], -1.5]])
+        block = {"dtype": "<f8", "shape": [2, 3], "b64": b64(sent.tobytes())}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "format_version": "1.1", "kind": "vectors", "payload": {"vectors": block},
+            "provenance": {"command": "", "seed": None, "version": "0.0.0"}}))
+        got = io.parse_vectors(io.load(str(path)))
+        assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
 
     def test_format_1_0_list_document_loads(self, tmp_path):
         path = tmp_path / "e.json"
@@ -261,19 +323,27 @@ class TestCliExitCodes:
         pytest.param(lambda block: block.update(b64="not base64!"), id="not-base64"),
         pytest.param(lambda block: block.update(b64=block["b64"][:-12]), id="short-bytes"),
         pytest.param(lambda block: block.update(shape=[3, 8]), id="byte-count"),
-        pytest.param(lambda block: block.update(
-            b64=base64.b64encode(np.full(16, np.nan)).decode()), id="nan-bytes"),
-        pytest.param(lambda block: block.update(
-            b64=base64.b64encode(np.full(16, -np.inf)).decode()), id="inf-bytes"),
-        pytest.param(lambda block: block.update(b64=base64.b64encode(
-            np.vstack([np.zeros(8), block_array(block)[1:]])).decode()), id="zero-row"),
+        pytest.param(lambda block: put_array(block, np.full(16, np.nan)), id="nan-bytes"),
+        pytest.param(lambda block: put_array(block, np.full(16, -np.inf)), id="inf-bytes"),
+        pytest.param(lambda block: put_array(
+            block, np.vstack([np.zeros(8), block_array(block)[1:]])), id="zero-row"),
         pytest.param(lambda block: block.update(shape=[16]), id="one-d-shape"),
+        pytest.param(lambda block: block.update(codec="lz4"), id="unknown-codec"),
+        pytest.param(lambda block: block.update(
+            b64=b64(zlib.compress(b"")[:2] + b"not a deflate stream")), id="corrupt-zlib"),
+        pytest.param(lambda block: block.update(
+            b64=b64(zlib.compress(bytes(8 * 16))[:-6])), id="truncated-zlib"),
+        pytest.param(lambda block: put_array(block, np.zeros(15)), id="short-inflate"),
+        pytest.param(lambda block: put_array(block, np.zeros(17)), id="over-long-inflate"),
+        pytest.param(lambda block: block.update(
+            b64=b64(zlib.compress(bytes(8 * 16)) + b"\0")), id="trailing-bytes"),
     ])
     def test_malformed_float_block_exits_1(self, tmp_path, capsys, edit):
         emb = tmp_path / "emb.json"
         assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
         doc = read_doc(emb)
         assert doc["payload"]["alphas"]["shape"] == [2, 8]
+        assert doc["payload"]["alphas"]["codec"] == "zlib"
         edit(doc["payload"]["alphas"])
         with open(emb, "w") as fh:
             json.dump(doc, fh)
@@ -345,6 +415,14 @@ class TestCliPipelines:
         payload = read_doc(out)["payload"]
         assert payload["ok"] is True
         assert payload["max_distortion"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_compiled_states_are_compressed(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert main(["compile", "--builtin", "eq", "--n", "7", "--out", str(out)]) == 0
+        doc = read_doc(out)
+        assert doc["format_version"] == "1.2"
+        assert doc["payload"]["alphas"]["codec"] == doc["payload"]["betas"]["codec"] == "zlib"
+        assert out.stat().st_size < 100_000
 
     def test_compile_no_assemble_emits_vector_system(self, tmp_path):
         out = tmp_path / "vs.json"
