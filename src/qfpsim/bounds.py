@@ -74,13 +74,12 @@ def _factored_start(md: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     k = min(d, s.size)
     rows = np.zeros((sum(md.shape), d))
     rows[:, :k] = np.vstack([u, vt.T])[:, :k] * np.sqrt(s[:k])
-    norms = np.linalg.norm(rows, axis=1)
     constrained = np.concatenate([md.any(axis=1), md.any(axis=0)])
-    live = constrained & (norms > 0.0)
-    rows[live] /= norms[live, None]
-    rows[~live] = np.eye(1, d)
+    cut = constrained & (np.linalg.norm(rows, axis=1) == 0.0)
+    rows = _unit_or_e1(rows)
+    rows[~constrained] = np.eye(1, d)
     alphas, betas = rows[: md.shape[0]], rows[md.shape[0] :]
-    cut_a, cut_b = np.split(constrained & ~live, [md.shape[0]])
+    cut_a, cut_b = np.split(cut, [md.shape[0]])
     betas[cut_b] = 0.0  # an unfilled beta takes no part in the alphas' responses
     alphas[cut_a] = _unit_or_e1(md[cut_a] @ betas)
     betas[cut_b] = _unit_or_e1(md[:, cut_b].T @ alphas)

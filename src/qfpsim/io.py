@@ -5,11 +5,10 @@ Every document carries ``format_version``, a ``kind`` tag, a kind-specific
 ``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
 Float arrays (embedding and realization ``alphas``/``betas``, vector system
 ``a``/``b``, ``vectors``) are written as one little-endian float64 block,
-``{"dtype": "<f8", "shape": [...], "b64": "..."}``.  A block whose bytes
-compress well (fingerprint states hold a few distinct values and many zeros)
-is written zlib-compressed and tagged ``"codec": "zlib"`` (format 1.2); other
-blocks hold the raw bytes (the 1.1 form).  The reader also accepts arrays as
-nested lists, the 1.0 form.  Scalars and the remaining lists are written in
+``{"dtype": "<f8", "shape": [...], "codec": "zlib", "b64": "..."}``, its bytes
+zlib-compressed (format 1.2; fingerprint states hold a few distinct values and
+many zeros).  The reader also accepts blocks without ``codec``, holding the
+raw bytes (the 1.1 form), and arrays as nested lists (the 1.0 form).  Scalars and the remaining lists are written in
 Python's shortest round-trip repr.  Either way parse(serialize(x)) is
 bit-identical for doubles.  The compressed bytes may differ between zlib
 builds; the decoded arrays do not.
@@ -32,11 +31,6 @@ from .embeddings import Realization, SignMatrix, ThresholdEmbedding
 FORMAT_VERSION = "1.2"
 FLOAT_DTYPE = "<f8"
 CODEC = "zlib"
-# A block is compressed when level-1 zlib shrinks its first COMPRESS_SAMPLE
-# bytes below COMPRESS_RATIO of their size; Gaussian data reaches only ~0.96
-# and costs ~13x the raw write to compress.
-COMPRESS_SAMPLE = 1 << 16
-COMPRESS_RATIO = 0.9
 
 KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
 
@@ -101,25 +95,19 @@ def _field(payload: dict, name: str):
 
 
 def _float_block(arr: np.ndarray) -> dict:
-    """``arr`` as one little-endian float64 block in base64, zlib-compressed
-    when a sample of its bytes compresses well."""
+    """``arr`` as one little-endian float64 block, zlib-compressed, in base64."""
     arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
     if not np.isfinite(arr).all():
         raise ValueError("float array has a non-finite entry")
-    block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape)}
-    data = arr.reshape(-1).view(np.uint8)
-    sample = data[:COMPRESS_SAMPLE]
-    if len(zlib.compress(sample, 1)) < COMPRESS_RATIO * sample.size:
-        block["codec"] = CODEC
-        data = zlib.compress(data, 1)
-    block["b64"] = base64.b64encode(data).decode("ascii")
-    return block
+    data = zlib.compress(arr.reshape(-1).view(np.uint8), 1)
+    return {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC,
+            "b64": base64.b64encode(data).decode("ascii")}
 
 
 def _inflated(raw: bytes, need: int, name: str) -> bytes:
     """The zlib stream ``raw``, which must inflate to exactly ``need`` bytes.
-    At most need + 1 bytes are ever inflated, so a stream that claims more
-    cannot exhaust memory."""
+    At most need + 1 bytes are ever inflated, so the memory a stream takes is
+    bounded by the shape the document declares, not by the stream."""
     inflater = zlib.decompressobj()
     try:
         out = inflater.decompress(raw, min(max(need, 1), sys.maxsize))

@@ -172,9 +172,7 @@ class TestDocuments:
             sent.reshape(-1)[spots[: sent.size]] = data.draw(st.sampled_from(TINY + HUGE))
         path = str(tmp_path_factory.mktemp("blocks") / "v.json")
         io.dump(io.document("vectors", io.vectors_payload(sent)), path)
-        block = read_doc(path)["payload"]["vectors"]
-        if sent.size >= 64:  # big enough for the sample to show its kind
-            assert ("codec" in block) == compressible
+        assert read_doc(path)["payload"]["vectors"]["codec"] == "zlib"
         got = io.parse_vectors(io.load(path))
         assert got.shape == sent.shape
         assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
@@ -194,6 +192,22 @@ class TestDocuments:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_memory_bounded_by_the_declared_shape(self, tmp_path):
+        # 8 MiB of zeros in a ~35 kB stream that fills the shape it declares
+        need = 8 << 20
+        block = {"dtype": "<f8", "shape": [1, need // 8], "codec": "zlib",
+                 "b64": b64(zlib.compress(bytes(need), 1))}
+        path = write_doc(tmp_path / "v.json", "vectors", {"vectors": block})
+        doc = io.load(path)
+        tracemalloc.start()
+        try:
+            got = io.parse_vectors(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (1, need // 8) and not got.any()
+        assert peak < 2 * need + (1 << 20)  # the inflated bytes and the array
 
     def test_format_1_1_raw_block_document_loads(self, tmp_path):
         sent = np.array([[0.6, -0.0, 5e-324], [HUGE[0], HUGE[1], -1.5]])
@@ -236,6 +250,55 @@ class TestDocuments:
         bad.write_text("{not json")
         with pytest.raises(io.DocumentError):
             io.load(str(bad))
+
+
+# Edits that make a float block malformed, in either form of block ...
+BLOCK_EDITS = [
+    pytest.param(lambda block: block.update(dtype=">f8"), id="dtype"),
+    pytest.param(lambda block: block.update(shape=[2.0, 8]), id="float-shape"),
+    pytest.param(lambda block: block.update(shape=[-2, -8]), id="negative-shape"),
+    pytest.param(lambda block: block.update(shape="2x8"), id="shape-not-list"),
+    pytest.param(lambda block: block.update(b64="not base64!"), id="not-base64"),
+    pytest.param(lambda block: block.update(b64=block["b64"][:-12]), id="short-bytes"),
+    pytest.param(lambda block: block.update(shape=[3, 8]), id="byte-count"),
+    pytest.param(lambda block: put_array(block, np.full(16, np.nan)), id="nan-bytes"),
+    pytest.param(lambda block: put_array(block, np.full(16, -np.inf)), id="inf-bytes"),
+    pytest.param(lambda block: put_array(
+        block, np.vstack([np.zeros(8), block_array(block)[1:]])), id="zero-row"),
+    pytest.param(lambda block: block.update(shape=[16]), id="one-d-shape"),
+    pytest.param(lambda block: block.update(codec="lz4"), id="unknown-codec"),
+]
+# ... and in its zlib stream.
+ZLIB_EDITS = [
+    pytest.param(lambda block: block.update(
+        b64=b64(zlib.compress(b"")[:2] + b"not a deflate stream")), id="corrupt-zlib"),
+    pytest.param(lambda block: block.update(
+        b64=b64(zlib.compress(bytes(8 * 16))[:-6])), id="truncated-zlib"),
+    pytest.param(lambda block: put_array(block, np.zeros(15)), id="short-inflate"),
+    pytest.param(lambda block: put_array(block, np.zeros(17)), id="over-long-inflate"),
+    pytest.param(lambda block: block.update(
+        b64=b64(zlib.compress(bytes(8 * 16)) + b"\0")), id="trailing-bytes"),
+]
+
+
+def check_malformed_alphas_exit_1(tmp_path, capsys, edit, raw):
+    """Compile EQ-1, rewrite its alphas block as raw bytes (the 1.1 form) if
+    ``raw``, apply ``edit`` to the block, and expect verify to exit 1."""
+    emb = tmp_path / "emb.json"
+    assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+    doc = read_doc(emb)
+    block = doc["payload"]["alphas"]
+    assert block["shape"] == [2, 8] and block["codec"] == "zlib"
+    if raw:
+        arr = block_array(block)
+        del block["codec"]
+        put_array(block, arr)
+    edit(block)
+    with open(emb, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "'alphas'" in err and "Traceback" not in err
 
 
 class TestCliExitCodes:
@@ -315,41 +378,13 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "input error" in err and "'alphas'" in err
 
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda block: block.update(dtype=">f8"), id="dtype"),
-        pytest.param(lambda block: block.update(shape=[2.0, 8]), id="float-shape"),
-        pytest.param(lambda block: block.update(shape=[-2, -8]), id="negative-shape"),
-        pytest.param(lambda block: block.update(shape="2x8"), id="shape-not-list"),
-        pytest.param(lambda block: block.update(b64="not base64!"), id="not-base64"),
-        pytest.param(lambda block: block.update(b64=block["b64"][:-12]), id="short-bytes"),
-        pytest.param(lambda block: block.update(shape=[3, 8]), id="byte-count"),
-        pytest.param(lambda block: put_array(block, np.full(16, np.nan)), id="nan-bytes"),
-        pytest.param(lambda block: put_array(block, np.full(16, -np.inf)), id="inf-bytes"),
-        pytest.param(lambda block: put_array(
-            block, np.vstack([np.zeros(8), block_array(block)[1:]])), id="zero-row"),
-        pytest.param(lambda block: block.update(shape=[16]), id="one-d-shape"),
-        pytest.param(lambda block: block.update(codec="lz4"), id="unknown-codec"),
-        pytest.param(lambda block: block.update(
-            b64=b64(zlib.compress(b"")[:2] + b"not a deflate stream")), id="corrupt-zlib"),
-        pytest.param(lambda block: block.update(
-            b64=b64(zlib.compress(bytes(8 * 16))[:-6])), id="truncated-zlib"),
-        pytest.param(lambda block: put_array(block, np.zeros(15)), id="short-inflate"),
-        pytest.param(lambda block: put_array(block, np.zeros(17)), id="over-long-inflate"),
-        pytest.param(lambda block: block.update(
-            b64=b64(zlib.compress(bytes(8 * 16)) + b"\0")), id="trailing-bytes"),
-    ])
+    @pytest.mark.parametrize("edit", [*BLOCK_EDITS, *ZLIB_EDITS])
     def test_malformed_float_block_exits_1(self, tmp_path, capsys, edit):
-        emb = tmp_path / "emb.json"
-        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
-        doc = read_doc(emb)
-        assert doc["payload"]["alphas"]["shape"] == [2, 8]
-        assert doc["payload"]["alphas"]["codec"] == "zlib"
-        edit(doc["payload"]["alphas"])
-        with open(emb, "w") as fh:
-            json.dump(doc, fh)
-        assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", str(emb)]) == 1
-        err = capsys.readouterr().err
-        assert "input error" in err and "'alphas'" in err and "Traceback" not in err
+        check_malformed_alphas_exit_1(tmp_path, capsys, edit, raw=False)
+
+    @pytest.mark.parametrize("edit", BLOCK_EDITS)
+    def test_malformed_raw_block_exits_1(self, tmp_path, capsys, edit):
+        check_malformed_alphas_exit_1(tmp_path, capsys, edit, raw=True)
 
     @pytest.mark.parametrize("field, value", [
         ("n", "abc"),
