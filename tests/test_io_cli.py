@@ -194,7 +194,7 @@ class TestDocuments:
         assert peak < 1 << 20
 
     def test_memory_bounded_by_the_declared_shape(self, tmp_path):
-        # 8 MiB of zeros in a ~35 kB stream that fills the shape it declares
+        # 8 MiB of zeros in a ~37 kB stream that fills the shape it declares
         need = 8 << 20
         block = {"dtype": "<f8", "shape": [1, need // 8], "codec": "zlib",
                  "b64": b64(zlib.compress(bytes(need), 1))}
