@@ -45,7 +45,7 @@ from .fingerprint import (
     sample_swap_tests,
     swap_test_prob,
 )
-from .linalg import inner, linf_to_l1_norm, normalize, operator_norm
+from .linalg import linf_to_l1_norm, operator_norm
 from .problems import (
     eq_matrix,
     eq_parity_one_way_protocol,

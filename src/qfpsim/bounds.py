@@ -11,7 +11,7 @@ import numpy as np
 
 from ._kernels import margin_ascent
 from .embeddings import Realization, SignMatrix
-from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm
+from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm, unit_rows
 
 # Krivine's upper bound on Grothendieck's constant; a fixed published value
 # keeps outputs reproducible.
@@ -88,8 +88,9 @@ def _factored_start(md: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _unit_or_e1(v: np.ndarray) -> np.ndarray:
     """The rows of ``v`` scaled to unit norm; a zero row becomes e_1."""
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return np.where(norms > 0.0, v / np.where(norms > 0.0, norms, 1.0), np.eye(1, v.shape[1]))
+    rows = unit_rows(v)
+    rows[~rows.any(axis=1)] = np.eye(1, v.shape[1])
+    return rows
 
 
 def dot_allowance(d: int) -> float:

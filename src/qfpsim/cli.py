@@ -88,7 +88,7 @@ def _simulation_inputs(args):
         return embedding, m
     if args.builtin == "eq":
         m = _builtin_matrix(args)
-        system = compiler.compile_smp(problems.eq_parity_protocol(args.n))
+        system = compiler.compile_one_way(problems.eq_parity_protocol(args.n))
         return compiler.assemble_shared_randomness_states(system, m), m
     raise io.DocumentError("simulate needs --embedding plus a matrix, or --builtin eq")
 
@@ -131,11 +131,7 @@ def cmd_compile(args, argv) -> int:
     else:
         raise io.DocumentError("compile needs --protocol plus a matrix, or --builtin eq")
 
-    if isinstance(protocol, compiler.OneWayProtocol):
-        system = compiler.compile_one_way(protocol)
-    else:
-        system = compiler.compile_smp(protocol)
-
+    system = compiler.compile_one_way(protocol)
     if args.no_assemble:
         _emit("vector_system", io.vector_system_payload(system), args, argv)
         return 0

@@ -14,7 +14,7 @@ from .embeddings import (
     SignMatrix,
     ThresholdEmbedding,
     _jl_reduce,
-    _worst_pair,
+    _worst_sides,
     verify_threshold_embedding,
 )
 
@@ -23,75 +23,85 @@ MIN_GAP = 1e-6
 QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
 
-def _message_table(name: str, table, c: int) -> np.ndarray:
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d truth table (inputs x random strings)")
-    if arr.min() < 0 or arr.max() >= (1 << c):
-        raise ValueError(f"{name} contains a message outside [0, 2^{c})")
-    return arr
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as int64; an entry that is not an integer is refused, not
+    truncated."""
+    arr = np.asarray(values)
+    integral = arr.dtype.kind in "biu" or (
+        arr.dtype.kind == "f" and np.all(np.abs(arr) < 2.0**63) and np.all(arr == np.trunc(arr)))
+    if not integral:
+        raise ValueError(f"{name} has an entry that is not an integer")
+    return arr.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
-class ClassicalSMPProtocol:
-    """Classical SMP protocol over an explicit shared-randomness set, as truth
-    tables: ``alice_messages[x, r]``, ``bob_messages[y, r]`` in [2^c], and a
-    referee predicate ``accept[m_a, m_b]``."""
+class _Protocol:
+    """Shared randomness ``rand_strings`` and Alice's messages as a truth table
+    ``alice_messages[x, r]`` in [2^c]."""
 
     n: int
     c: int
     rand_strings: tuple[int, ...]
     alice_messages: np.ndarray
+
+    def __post_init__(self):
+        rand = _integers("rand_strings", self.rand_strings)
+        if rand.ndim != 1 or rand.size < 1:
+            raise ValueError("the shared-randomness set must be a nonempty list")
+        object.__setattr__(self, "rand_strings", tuple(int(r) for r in rand))
+        object.__setattr__(self, "alice_messages",
+                           self._messages("alice_messages", self.alice_messages))
+
+    def _messages(self, name: str, table) -> np.ndarray:
+        """A truth table of messages in [2^c], one column per random string."""
+        arr = _integers(name, table)
+        if arr.ndim != 2 or arr.shape[1] != self.num_rand:
+            raise ValueError(f"{name} must be a 2-d truth table (inputs x random strings)")
+        if arr.min() < 0 or arr.max() >= (1 << self.c):
+            raise ValueError(f"{name} contains a message outside [0, 2^{self.c})")
+        return arr
+
+    @property
+    def num_rand(self) -> int:
+        return len(self.rand_strings)
+
+
+@dataclass(frozen=True)
+class ClassicalSMPProtocol(_Protocol):
+    """Classical SMP protocol: Bob's messages ``bob_messages[y, r]`` in [2^c]
+    and a referee predicate ``accept[m_a, m_b]``."""
+
     bob_messages: np.ndarray
     accept: np.ndarray
 
     def __post_init__(self):
-        if len(self.rand_strings) < 1:
-            raise ValueError("the shared-randomness set must be nonempty")
-        object.__setattr__(self, "rand_strings", tuple(int(r) for r in self.rand_strings))
-        a = _message_table("alice_messages", self.alice_messages, self.c)
-        b = _message_table("bob_messages", self.bob_messages, self.c)
+        super().__post_init__()
+        object.__setattr__(self, "bob_messages", self._messages("bob_messages", self.bob_messages))
         acc = np.asarray(self.accept)
         if acc.shape != (1 << self.c, 1 << self.c) or not np.isin(acc, (0, 1)).all():
             raise ValueError("accept must be a 2^c x 2^c 0/1 table")
-        if a.shape[1] != len(self.rand_strings) or b.shape[1] != len(self.rand_strings):
-            raise ValueError("message tables must have one column per random string")
-        object.__setattr__(self, "alice_messages", a)
-        object.__setattr__(self, "bob_messages", b)
         object.__setattr__(self, "accept", acc.astype(np.int8))
 
     @property
-    def num_rand(self) -> int:
-        return len(self.rand_strings)
+    def bob_accept(self) -> np.ndarray:
+        """The one-way form: Bob accepts m_a on (y, r) iff
+        accept[m_a, bob_messages[y, r]]."""
+        return self.accept[:, self.bob_messages]
 
 
 @dataclass(frozen=True)
-class OneWayProtocol:
-    """Classical one-way protocol: Alice's messages as a truth table and Bob's
-    decision ``bob_accept[m_a, y, r]``."""
+class OneWayProtocol(_Protocol):
+    """Classical one-way protocol: Bob's decision ``bob_accept[m_a, y, r]``."""
 
-    n: int
-    c: int
-    rand_strings: tuple[int, ...]
-    alice_messages: np.ndarray
     bob_accept: np.ndarray
 
     def __post_init__(self):
-        if len(self.rand_strings) < 1:
-            raise ValueError("the shared-randomness set must be nonempty")
-        object.__setattr__(self, "rand_strings", tuple(int(r) for r in self.rand_strings))
-        a = _message_table("alice_messages", self.alice_messages, self.c)
+        super().__post_init__()
         acc = np.asarray(self.bob_accept)
-        if acc.ndim != 3 or acc.shape[0] != (1 << self.c) or not np.isin(acc, (0, 1)).all():
+        if (acc.ndim != 3 or acc.shape[0] != 1 << self.c or acc.shape[2] != self.num_rand
+                or not np.isin(acc, (0, 1)).all()):
             raise ValueError("bob_accept must be a 2^c x |Y| x |R| 0/1 table")
-        if a.shape[1] != len(self.rand_strings) or acc.shape[2] != len(self.rand_strings):
-            raise ValueError("truth tables must have one slice per random string")
-        object.__setattr__(self, "alice_messages", a)
         object.__setattr__(self, "bob_accept", acc.astype(np.int8))
-
-    @property
-    def num_rand(self) -> int:
-        return len(self.rand_strings)
 
 
 @dataclass(frozen=True)
@@ -137,23 +147,19 @@ def _by_input(arr: np.ndarray) -> np.ndarray:
     return arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
 
 
-def compile_one_way(p: OneWayProtocol) -> VectorSystem:
+def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
     """Indicator-vector compilation: a_r(x) is the one-hot of Alice's message,
-    b_r(y) the indicator set of accepting messages, both in {0,1}^(2^c)."""
+    b_r(y) the indicator set of the messages Bob accepts, both in
+    {0,1}^(2^c).  An SMP protocol compiles through its one-way form."""
     dim = 1 << p.c
-    eye = np.eye(dim)
-    a = eye[p.alice_messages].transpose(1, 0, 2)  # (|R|, |X|, 2^c)
+    a = np.eye(dim)[p.alice_messages].transpose(1, 0, 2)  # (|R|, |X|, 2^c)
     b = p.bob_accept.astype(np.float64).transpose(2, 1, 0)  # (|R|, |Y|, 2^c)
     return VectorSystem(a, b, float(np.sqrt(dim)))
 
 
 def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
-    """As compile_one_way, with b_r(y)[m] = accept[m, bob_message(y, r)]."""
-    dim = 1 << p.c
-    eye = np.eye(dim)
-    a = eye[p.alice_messages].transpose(1, 0, 2)
-    b = p.accept.astype(np.float64)[:, p.bob_messages].transpose(2, 1, 0)
-    return VectorSystem(a, b, float(np.sqrt(dim)))
+    """``compile_one_way``, under the name ``perfbench`` calls."""
+    return compile_one_way(p)
 
 
 def _junk_pad(a: np.ndarray, b: np.ndarray, big_l: float) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +209,7 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
     alphas *= scale
     betas *= scale
 
-    sq = (p / v.norm_bound**2) ** 2
-    delta0, _ = _worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None)
-    delta1, _ = _worst_pair(sq, m.one_pairs()) or (1.0, None)
+    (delta0, _), (delta1, _) = _worst_sides((p / v.norm_bound**2) ** 2, m)
     if delta0 >= delta1:
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"

@@ -9,6 +9,7 @@ import numpy as np
 
 from . import projections
 from ._rng import spawn
+from .linalg import unit_rows
 
 UNIT_TOL = 1e-9
 VERIFY_TOL = 1e-9
@@ -157,12 +158,18 @@ def _worst_pair(
     return float(values[pair]), pair
 
 
+def _worst_sides(sq: np.ndarray, m: SignMatrix):
+    """The largest squared inner product ``sq`` over the f=0 pairs of M (0.0
+    when there are none) and the smallest over its f=1 pairs (1.0 when none),
+    each as (value, pair)."""
+    return (_worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None),
+            _worst_pair(sq, m.one_pairs()) or (1.0, None))
+
+
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M."""
     _check_counts(e.alphas, e.betas, m)
-    sq = (e.alphas @ e.betas.T) ** 2
-    worst_zero, zero_pair = _worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None)
-    worst_one, one_pair = _worst_pair(sq, m.one_pairs()) or (1.0, None)
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides((e.alphas @ e.betas.T) ** 2, m)
     valid = worst_zero <= e.delta0 + VERIFY_TOL and worst_one >= e.delta1 - VERIFY_TOL
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
 
@@ -207,10 +214,6 @@ def realization_to_embedding(r: Realization) -> ThresholdEmbedding:
     return ThresholdEmbedding(alphas, betas, delta0, delta1)
 
 
-def _renormalized(vectors: np.ndarray) -> np.ndarray:
-    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
-
-
 def _jl_reduce(pair: _UnitPair, target: int, seed, rebuild, valid) -> _UnitPair:
     """Project alphas and betas together to ``target`` dimensions with each
     child of ``seed`` in turn; return the first ``rebuild(alphas, betas)`` that
@@ -245,6 +248,6 @@ def reduce_realization_dimension(r: Realization, m: SignMatrix, seed) -> Realiza
     target = projections.jl_dimension(count + 1, r.gamma / 4.0)
     return _jl_reduce(
         r, target, seed,
-        lambda a, b: Realization(_renormalized(a), _renormalized(b), r.gamma / 2.0),
+        lambda a, b: Realization(unit_rows(a), unit_rows(b), r.gamma / 2.0),
         lambda candidate: verify_realization(candidate, m).valid,
     )

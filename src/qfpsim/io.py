@@ -8,10 +8,10 @@ Float arrays (embedding and realization ``alphas``/``betas``, vector system
 ``{"dtype": "<f8", "shape": [...], "codec": "zlib", "b64": "..."}``, its bytes
 zlib-compressed (format 1.2; fingerprint states hold a few distinct values and
 many zeros).  The reader also accepts blocks without ``codec``, holding the
-raw bytes (the 1.1 form), and arrays as nested lists (the 1.0 form).  Scalars and the remaining lists are written in
-Python's shortest round-trip repr.  Either way parse(serialize(x)) is
-bit-identical for doubles.  The compressed bytes may differ between zlib
-builds; the decoded arrays do not.
+raw bytes (the 1.1 form), and arrays as nested lists (the 1.0 form).  Scalars
+and the remaining lists are written in Python's shortest round-trip repr.
+Either way parse(serialize(x)) is bit-identical for doubles.  The compressed
+bytes may differ between zlib builds; the decoded arrays do not.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding
+from .linalg import unit_rows
 
 FORMAT_VERSION = "1.2"
 FLOAT_DTYPE = "<f8"
@@ -147,8 +148,7 @@ def _decoded(value, name: str):
         raw = _inflated(raw, need, name)
     if len(raw) != need:
         raise DocumentError(f"field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}")
-    # from a bytearray, so the array is writable like one read from a list
-    return np.frombuffer(bytearray(raw), dtype=FLOAT_DTYPE).reshape(shape)
+    return np.frombuffer(raw, dtype=FLOAT_DTYPE).reshape(shape)
 
 
 def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
@@ -161,6 +161,14 @@ def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
         raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
     if not finite:
         raise DocumentError(f"field {name!r} has a non-finite entry")
+    return arr
+
+
+def _integers(payload: dict, name: str) -> np.ndarray:
+    """Field ``name`` as an array of JSON integers; anything else is malformed."""
+    arr = _array(payload, name)
+    if arr.dtype.kind not in "iu":
+        raise DocumentError(f"field {name!r} is not an array of integers")
     return arr
 
 
@@ -220,11 +228,10 @@ def _vectors(payload: dict, name: str, renormalize: bool) -> np.ndarray:
         raise DocumentError(f"field {name!r} is not a 2-d array: shape {vectors.shape}")
     if not renormalize:
         return vectors
-    norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-    zero = np.flatnonzero(norms == 0.0)
+    zero = np.flatnonzero(~vectors.any(axis=1))
     if zero.size:
         raise DocumentError(f"field {name!r} row {zero[0]} has norm 0 and cannot be renormalized")
-    return vectors / norms
+    return unit_rows(vectors)
 
 
 def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -294,23 +301,23 @@ def parse_protocol(doc: dict) -> ClassicalSMPProtocol | OneWayProtocol:
     model = _field(payload, "model")
     if model not in ("smp", "one_way"):
         raise DocumentError(f"unknown protocol model {model!r}")
-    rand_strings = _array(payload, "rand_strings")
+    rand_strings = _integers(payload, "rand_strings")
     if rand_strings.ndim != 1:
         raise DocumentError("field 'rand_strings' must be a list of integers")
     common = dict(
         n=_integer(payload, "n"),
         c=_integer(payload, "c"),
         rand_strings=tuple(rand_strings),
-        alice_messages=_array(payload, "alice_messages"),
+        alice_messages=_integers(payload, "alice_messages"),
     )
     try:
         if model == "smp":
             return ClassicalSMPProtocol(
-                bob_messages=_array(payload, "bob_messages"),
-                accept=_array(payload, "accept"),
+                bob_messages=_integers(payload, "bob_messages"),
+                accept=_integers(payload, "accept"),
                 **common,
             )
-        return OneWayProtocol(bob_accept=_array(payload, "bob_accept"), **common)
+        return OneWayProtocol(bob_accept=_integers(payload, "bob_accept"), **common)
     except ValueError as exc:
         raise DocumentError(f"invalid protocol: {exc}") from exc
 

@@ -11,15 +11,6 @@ MAX_ENUM_COLS = 25
 _SAFE_NORM_MIN, _SAFE_NORM_MAX = 1e-150, 1e150
 
 
-def as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError(f"expected a 1-d vector with at least one entry, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
 def as_matrix(m) -> np.ndarray:
     arr = np.asarray(m, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -29,27 +20,20 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def inner(u, v) -> float:
-    """Standard dot product; errors on dimension mismatch."""
-    a, b = as_vector(u), as_vector(v)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return float(a @ b)
-
-
-def normalize(v) -> np.ndarray:
-    a = as_vector(v)
+def unit_rows(v) -> np.ndarray:
+    """The rows of ``v`` scaled to unit norm; a zero row stays zero.  A row
+    whose sum of squares leaves the normal float64 range (lost to subnormals,
+    or overflowed) is first divided by its largest entry."""
+    v = np.asarray(v, dtype=np.float64)
     with np.errstate(over="ignore"):
-        nrm = float(np.linalg.norm(a))
-    if not _SAFE_NORM_MIN < nrm < _SAFE_NORM_MAX:
-        # The sum of squares lost bits to subnormals (or overflowed):
-        # rescale by the largest entry first.
-        scale = float(np.max(np.abs(a)))
-        if scale == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        a = a / scale
-        nrm = float(np.linalg.norm(a))
-    return a / nrm
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
+    odd = ~((_SAFE_NORM_MIN < norms) & (norms < _SAFE_NORM_MAX))[:, 0]
+    if odd.any():
+        v = v.copy()
+        peak = np.abs(v[odd]).max(axis=1, keepdims=True)
+        v[odd] /= np.where(peak > 0.0, peak, 1.0)
+        norms[odd] = np.linalg.norm(v[odd], axis=1, keepdims=True)
+    return v / np.where(norms > 0.0, norms, 1.0)
 
 
 def operator_norm(m) -> float:

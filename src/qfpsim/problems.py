@@ -95,18 +95,8 @@ def eq_parity_protocol(n: int, num_r: int | None = None, seed=0) -> ClassicalSMP
 def eq_parity_one_way_protocol(n: int, num_r: int | None = None, seed=0) -> OneWayProtocol:
     """The same parity check expressed one-way: Bob accepts iff Alice's bit
     equals <y, r>."""
-    _check_bits("n", n)
-    rand = _rand_set(n, num_r, seed)
-    table = _parity_table(n, rand)
-    # bob_accept[m, y, r] = 1 iff m == <y, r>
-    bob_accept = np.stack([(table == m).astype(np.int8) for m in (0, 1)])
-    return OneWayProtocol(
-        n=n,
-        c=1,
-        rand_strings=tuple(int(r) for r in rand),
-        alice_messages=table,
-        bob_accept=bob_accept,
-    )
+    smp = eq_parity_protocol(n, num_r, seed)
+    return OneWayProtocol(smp.n, smp.c, smp.rand_strings, smp.alice_messages, smp.bob_accept)
 
 
 def collision_probability(delta: int, p: float) -> float:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfpsim.compiler import (
     ClassicalSMPProtocol,
@@ -80,8 +82,7 @@ class TestCompile:
         pytest.param(eq_parity_one_way_protocol(5, 6, 4), id="sampled-one-way"),
     ])
     def test_matmul_acceptance_equals_einsum_on_tables(self, protocol):
-        compile_ = compile_smp if isinstance(protocol, ClassicalSMPProtocol) else compile_one_way
-        v = compile_(protocol)
+        v = compile_one_way(protocol)
         einsum = np.einsum("rxd,ryd->xy", v.a, v.b) / v.num_rand
         assert np.array_equal(bits(v.acceptance_matrix()), bits(einsum))
 
@@ -102,6 +103,60 @@ class TestCompile:
                 bob_messages=[[0], [0]],
                 accept=np.eye(2, dtype=int),
             )
+
+    @pytest.mark.parametrize("field, value", [
+        ("alice_messages", [[0.7], [0]]),
+        ("rand_strings", (0.5,)),
+        ("rand_strings", ("0",)),
+    ])
+    @pytest.mark.parametrize("model", ["smp", "one-way"])
+    def test_rejects_non_integral_entries(self, model, field, value):
+        fields = dict(n=1, c=1, rand_strings=(0,), alice_messages=[[1], [0]])
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"{field} has an entry that is not an integer"):
+            if model == "smp":
+                ClassicalSMPProtocol(**fields, bob_messages=[[0], [1]], accept=np.eye(2))
+            else:
+                OneWayProtocol(**fields, bob_accept=np.ones((2, 2, 1)))
+
+    def test_integral_floats_are_accepted(self):
+        p = ClassicalSMPProtocol(1, 1, (1.0,), [[1.0], [0.0]], [[0], [1]], np.eye(2))
+        assert p.rand_strings == (1,) and p.alice_messages.dtype == np.int64
+        assert p.alice_messages.tolist() == [[1], [0]]
+
+
+@st.composite
+def smp_protocols(draw):
+    """A random SMP protocol with c in {1, 2} on up to 8 x 8 inputs."""
+    c = draw(st.sampled_from((1, 2)))
+    nx, ny, nr = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ClassicalSMPProtocol(
+        n=3,
+        c=c,
+        rand_strings=tuple(rng.choice(64, nr, replace=False)),
+        alice_messages=rng.integers(0, 1 << c, (nx, nr)),
+        bob_messages=rng.integers(0, 1 << c, (ny, nr)),
+        accept=rng.integers(0, 2, (1 << c, 1 << c)),
+    )
+
+
+class TestOneProtocolPath:
+    @settings(max_examples=60, deadline=None)
+    @given(smp_protocols())
+    def test_smp_compiles_as_its_one_way_form(self, p):
+        smp = compile_smp(p)
+        one_way = compile_one_way(
+            OneWayProtocol(p.n, p.c, p.rand_strings, p.alice_messages, p.bob_accept))
+        assert smp.norm_bound == one_way.norm_bound
+        assert np.array_equal(bits(smp.a), bits(one_way.a))
+        assert np.array_equal(bits(smp.b), bits(one_way.b))
+        assert np.array_equal(smp.acceptance_matrix(), brute_force_acceptance(p))
+
+    def test_eq_one_way_protocol_is_the_smp_one_way_form(self):
+        smp, one_way = eq_parity_protocol(4, 7, 2), eq_parity_one_way_protocol(4, 7, 2)
+        assert one_way.rand_strings == smp.rand_strings
+        assert np.array_equal(one_way.bob_accept, smp.bob_accept)
 
 
 class TestPadToStates:

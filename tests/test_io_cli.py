@@ -391,6 +391,11 @@ class TestCliExitCodes:
         ("alice_messages", [[0, 1], [1]]),
         ("rand_strings", 5),
         ("c", None),
+        # non-integral entries that an int64 cast would truncate to EQ-1's tables
+        ("alice_messages", [[0.7, 0], [0, 1]]),
+        ("bob_messages", [[0, 0.5], [0, 1]]),
+        ("rand_strings", [0.5, 1.5]),
+        ("accept", [[1.0, 0], [0, 1]]),
     ])
     def test_malformed_protocol_field_exits_1(self, tmp_path, capsys, field, value):
         payload = io.protocol_payload(eq_parity_protocol(1))
@@ -398,7 +403,7 @@ class TestCliExitCodes:
         path = write_doc(tmp_path / "p.json", "protocol", payload)
         assert main(["compile", "--protocol", path, "--builtin", "eq", "--n", "1"]) == 1
         err = capsys.readouterr().err
-        assert "input error" in err and "Traceback" not in err
+        assert "input error" in err and f"'{field}'" in err and "Traceback" not in err
 
 
 class TestCliPipelines:
@@ -421,6 +426,23 @@ class TestCliPipelines:
         payload = read_doc(sim)["payload"]
         assert payload["max_error"] <= 1.0
         assert payload["total_qubits"] == 2 * payload["qubits_per_copy"] * payload["copies"]
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e200])
+    def test_verify_renormalizes_rows_at_extreme_scales(self, tmp_path, scale):
+        # squared entries of these rows fall into subnormals, to zero, or
+        # overflow; the rows must still renormalize without a warning
+        emb = tmp_path / "emb.json"
+        assert main(["compile", "--builtin", "eq", "--n", "2", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+        block = doc["payload"]["alphas"]
+        put_array(block, block_array(block) * scale)
+        with open(emb, "w") as fh:
+            json.dump(doc, fh)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qfpsim.cli", "verify", "--builtin", "eq", "--n", "2",
+             "--embedding", str(emb)], env=child_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["payload"]["valid"] is True
 
     def test_corrupted_embedding_names_offending_pair(self, tmp_path):
         emb = tmp_path / "emb.json"

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfpsim.linalg import (
-    inner,
-    linf_to_l1_norm,
-    normalize,
-    operator_norm,
-)
+from qfpsim.linalg import linf_to_l1_norm, operator_norm, unit_rows
 
 
 def brute_force_linf_l1(m):
@@ -22,47 +17,36 @@ def brute_force_linf_l1(m):
     )
 
 
-class TestInner:
-    def test_orthogonal(self):
-        assert inner((1, 0), (0, 1)) == 0.0
-
-    def test_identical_unit(self):
-        assert inner((1, 0), (1, 0)) == 1.0
-
-    def test_arithmetic(self):
-        assert inner((0.6, 0.8), (0.8, 0.6)) == pytest.approx(0.96)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            inner((1, 0), (1, 0, 0))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            inner((np.inf, 0), (1, 0))
-
-
-class TestNormalize:
+class TestUnitRows:
     def test_three_four(self):
-        assert normalize((3, 4)) == pytest.approx([0.6, 0.8])
+        assert unit_rows([[3, 4]]) == pytest.approx(np.array([[0.6, 0.8]]))
 
     def test_identity_case(self):
-        assert normalize((1, 0)) == pytest.approx([1.0, 0.0])
+        assert unit_rows([[1, 0]]) == pytest.approx(np.array([[1.0, 0.0]]))
 
     def test_zero_vector(self):
-        with pytest.raises(ValueError, match="zero"):
-            normalize((0, 0))
+        # a zero row stays zero, beside a row that is scaled
+        out = unit_rows([[0.0, 0.0], [0.0, 2.0]])
+        assert out.tolist() == [[0.0, 0.0], [0.0, 1.0]]
 
     @pytest.mark.parametrize("entries", [[1.1249568914120838e-157], [1e-170, 0.0], [1e200, 1e200]])
     def test_unit_norm_outside_normal_range(self, entries):
         # squares that fall into subnormals or overflow must not skew the norm
-        assert np.linalg.norm(normalize(entries)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(unit_rows([entries])) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
     def test_unit_norm(self, entries):
         v = np.array(entries)
         if np.linalg.norm(v) == 0:
             return
-        assert np.linalg.norm(normalize(v)) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(unit_rows([v])) == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 6))
+    def test_normal_range_matches_plain_division(self, seed, rows, cols):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-100, 100)
+        expected = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(unit_rows(v), expected)
 
 
 class TestOperatorNorm:
