@@ -141,7 +141,7 @@ def margin_report(m: SignMatrix, heuristic: bool = False, d: int | None = None) 
     forster = linial = upper = None
     if m.is_total:
         forster = forster_bound(m)
-        linial = linial_bound(m) if m.cols <= MAX_ENUM_COLS else None
+        linial = linial_bound(m) if min(m.rows, m.cols) <= MAX_ENUM_COLS else None
         upper = min(v for v in (forster, linial) if v is not None)
     heuristic_lower = None
     if heuristic:

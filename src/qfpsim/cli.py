@@ -60,7 +60,7 @@ def _emit(kind: str, payload: dict, args, argv: list[str]) -> None:
 
 
 def _nan_to_none(matrix: np.ndarray) -> list:
-    return [[None if np.isnan(v) else v for v in row] for row in matrix]
+    return [[None if v != v else v for v in row] for row in matrix.tolist()]
 
 
 def cmd_margin(args, argv) -> int:

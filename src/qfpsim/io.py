@@ -52,7 +52,8 @@ def document(kind: str, payload: dict, command: str = "", seed=None) -> dict:
 
 
 def dump(doc: dict, path: str | None = None) -> None:
-    text = json.dumps(doc, indent=2, allow_nan=False)
+    # No indent: with one, json falls back from its C encoder to pure Python.
+    text = json.dumps(doc, allow_nan=False)
     # The newline goes in its own write: text + "\n" would copy the document.
     if path is None:
         sys.stdout.write(text)

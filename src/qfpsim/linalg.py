@@ -50,14 +50,15 @@ def linf_to_l1_norm(m) -> float:
 
     The maximum of this convex objective is attained at a vertex, so it is
     computed by exhaustive enumeration of sign vectors (exact, usable as an
-    oracle).  Refuses more than ``MAX_ENUM_COLS`` columns.  Since
-    ||M||_{inf->1} = ||M^T||_{inf->1}, the signs range over the smaller side.
+    oracle).  Since ||M||_{inf->1} = ||M^T||_{inf->1}, the signs range over
+    the smaller side, and more than ``MAX_ENUM_COLS`` there is refused.
     """
     a = as_matrix(m)
-    if a.shape[1] > MAX_ENUM_COLS:
-        raise ValueError(
-            f"exhaustive enumeration refused for {a.shape[1]} > {MAX_ENUM_COLS} columns"
-        )
     if a.shape[0] < a.shape[1]:
         a = a.T
+    if a.shape[1] > MAX_ENUM_COLS:
+        raise ValueError(
+            f"exhaustive enumeration refused for a smaller side of "
+            f"{a.shape[1]} > {MAX_ENUM_COLS}"
+        )
     return linf_to_l1_enum(a)

@@ -221,6 +221,14 @@ class TestMarginReport:
         assert rep.heuristic_lower is not None
         assert rep.heuristic_lower <= rep.upper + 1e-6
 
+    def test_wide_and_tall_agree(self):
+        # 12x40 has a smaller side of 12, so the enumeration cap allows linial
+        rng = np.random.default_rng(5)
+        entries = rng.choice([-1, 1], size=(12, 40)).astype(np.int8)
+        wide = margin_report(SignMatrix(entries))
+        assert wide.linial is not None
+        assert wide == margin_report(SignMatrix(entries.T))
+
     def test_promise_needs_heuristic(self):
         m = SignMatrix([[1, 0], [0, -1]])
         with pytest.raises(ValueError, match="promise"):

@@ -105,8 +105,13 @@ class TestLinfToL1:
         assert linf_to_l1_norm([[-1]]) == 1.0
 
     def test_refuses_wide(self):
+        # the cap is on the smaller side, so both sides must exceed it
         with pytest.raises(ValueError, match="refused"):
-            linf_to_l1_norm(np.ones((2, 26)))
+            linf_to_l1_norm(np.ones((26, 26)))
+
+    def test_cap_on_the_smaller_side(self):
+        m = np.ones((2, 26))
+        assert linf_to_l1_norm(m) == linf_to_l1_norm(m.T) == 52.0
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_oracle(self, seed):
