@@ -9,7 +9,6 @@ from .bounds import (
     forster_bound,
     linial_bound,
     margin_report,
-    margin_upper_bound,
     maximize_margin_heuristic,
     qent_lower_bound,
     repetition_lower_bound,
@@ -39,10 +38,8 @@ from .fingerprint import (
     FingerprintProtocol,
     protocol_from_embedding,
     protocol_from_margin,
-    referee_decide,
     required_repetitions,
     run_protocol,
-    sample_swap_tests,
     swap_test_prob,
 )
 from .linalg import linf_to_l1_norm, operator_norm

@@ -1,9 +1,8 @@
 """Seeding conventions: PCG64 generators derived from numpy SeedSequence.
 
 Every stochastic operation takes a seed (64-bit int or a SeedSequence).
-Independent sub-streams are derived either by ``spawn`` or, for per-pair
-work, by mixing the pair index into the spawn key, so concurrent execution
-of pairs cannot collide.
+Independent sub-streams are derived by ``spawn``.  No library code calls
+``pair_sequence``; it is kept only because ``perfbench/spans.py`` wraps it.
 """
 
 from __future__ import annotations

@@ -41,12 +41,6 @@ def linial_bound(m: SignMatrix) -> float:
     return min(1.0, raw)
 
 
-def margin_upper_bound(m: SignMatrix) -> float:
-    """The minimum of the available margin upper bounds."""
-    _require_total(m, "margin upper bounds")
-    return margin_report(m).upper
-
-
 def repetition_lower_bound(gamma_upper: float) -> float:
     """Asymptotic swap-test repetition count 1/gamma^2 (constant omitted)."""
     if not (0.0 < gamma_upper <= 1.0):

@@ -64,6 +64,8 @@ def _nan_to_none(matrix: np.ndarray) -> list:
 
 
 def cmd_margin(args, argv) -> int:
+    if args.dim is not None and not args.heuristic:
+        raise io.DocumentError("--dim requires --heuristic")
     m = _load_matrix(args)
     report = bounds.margin_report(m, heuristic=args.heuristic, d=args.dim)
     _emit(
@@ -106,9 +108,9 @@ def cmd_simulate(args, argv) -> int:
             "theta": protocol.theta,
             "eps": args.eps,
             "trials": args.trials,
-            "copies": report.repetitions,
-            "qubits_per_copy": report.qubits_per_copy,
-            "total_qubits": report.total_qubits,
+            "copies": protocol.repetitions,
+            "qubits_per_copy": protocol.qubits_per_copy,
+            "total_qubits": protocol.total_qubits,
             "max_error": report.max_error,
             "per_pair_error": _nan_to_none(report.per_pair_error),
         },
@@ -119,7 +121,11 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_compile(args, argv) -> int:
+    if args.target_dim is not None and not args.reduce:
+        raise io.DocumentError("--target-dim requires --reduce")
     if args.protocol is not None:
+        if args.num_r is not None:
+            raise io.DocumentError("--num-r conflicts with --protocol")
         protocol = io.parse_protocol(io.load(args.protocol))
         m = _load_matrix(args)
     elif args.builtin == "eq":
@@ -153,8 +159,7 @@ def cmd_compile(args, argv) -> int:
 
 def cmd_project(args, argv) -> int:
     vectors = io.parse_vectors(io.load(args.vectors))
-    projected = projections.project_vectors(vectors, args.dim, args.seed,
-                                            identity=args.identity)
+    projected = projections.project_vectors(vectors, args.dim, args.seed)
     report = projections.verify_distortion(vectors, projected, args.eps)
     _emit(
         "report",
@@ -218,7 +223,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--heuristic", action="store_true",
                    help="also search for a max-margin witness")
-    p.add_argument("--dim", type=int, default=None, help="witness dimension")
+    p.add_argument("--dim", type=int, default=None, help="witness dimension (with --heuristic)")
     p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of a fingerprinting protocol")
@@ -237,7 +242,7 @@ def build_parser() -> _Parser:
     p.add_argument("--no-assemble", action="store_true",
                    help="emit the raw vector system instead of assembled states")
     p.add_argument("--reduce", action="store_true", help="JL-reduce the embedding dimension")
-    p.add_argument("--target-dim", type=int, default=None)
+    p.add_argument("--target-dim", type=int, default=None, help="with --reduce")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("project", help="random-project a vector list and report distortion")
@@ -245,7 +250,6 @@ def build_parser() -> _Parser:
     p.add_argument("--vectors", required=True, help="vectors document")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--eps", type=float, default=0.2)
-    p.add_argument("--identity", action="store_true", help="identity test mode (d == D)")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("verify", help="verify an embedding or realization against a matrix")

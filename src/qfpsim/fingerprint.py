@@ -19,8 +19,6 @@ from .embeddings import (
     verify_threshold_embedding,
 )
 
-_STATE_NORM_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class FingerprintProtocol:
@@ -56,18 +54,9 @@ def swap_test_prob(alpha, beta) -> float:
     b = np.asarray(beta, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    _unit_rows("alpha", np.atleast_2d(a), _STATE_NORM_TOL)
-    _unit_rows("beta", np.atleast_2d(b), _STATE_NORM_TOL)
+    _unit_rows("alpha", np.atleast_2d(a))
+    _unit_rows("beta", np.atleast_2d(b))
     return 0.5 + float(a @ b) ** 2 / 2.0
-
-
-def sample_swap_tests(alpha, beta, r: int, seed) -> np.ndarray:
-    """r independent swap-test outcome bits (0 with probability swap_test_prob)."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    p_zero = swap_test_prob(alpha, beta)
-    rng = generator(seed)
-    return (rng.random(r) >= p_zero).astype(np.int8)
 
 
 def required_repetitions(delta0: float, delta1: float, eps: float) -> int:
@@ -90,16 +79,6 @@ def referee_rule(frac_zero, theta: float):
     product, clipped to [0, 1], is thresholded at theta (ties go to 1).
     Applies elementwise to an array of zero-outcome fractions."""
     return np.clip(2.0 * frac_zero - 1.0, 0.0, 1.0) >= theta
-
-
-def referee_decide(outcomes, theta: float) -> int:
-    """Threshold the estimated squared inner product at theta (ties go to 1)."""
-    bits = np.asarray(outcomes)
-    if bits.size == 0:
-        raise ValueError("outcome list must be nonempty")
-    if not (0.0 < theta < 1.0):
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    return int(referee_rule(np.mean(bits == 0), theta))
 
 
 def protocol_from_embedding(e: ThresholdEmbedding, eps: float) -> FingerprintProtocol:
@@ -126,10 +105,6 @@ def protocol_from_margin(m: SignMatrix, r: Realization, eps: float) -> Fingerpri
 class ProtocolRunReport:
     per_pair_error: np.ndarray = field(repr=False)  # NaN on promise-excluded pairs
     max_error: float
-    trials: int
-    repetitions: int
-    qubits_per_copy: int
-    total_qubits: int
 
 
 def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> ProtocolRunReport:
@@ -139,10 +114,9 @@ def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> Pr
     is Bin(r, P0) with P0 = 1/2 + <alpha_x, beta_y>^2 / 2. So each trial draws
     that count instead of r outcome bits; the law is that of r independent
     swap tests. All P0 come from one inner-product matrix, with no per-state
-    check: ``ThresholdEmbedding`` already holds its rows to unit norm within
-    1e-9, tighter than ``swap_test_prob``'s check. One PCG64 stream from
-    ``seed`` draws the counts one row of M at a time, so memory stays at
-    cols x trials.
+    check: ``ThresholdEmbedding`` already holds its rows to unit norm at the
+    tolerance ``swap_test_prob`` checks. One PCG64 stream from ``seed`` draws
+    the counts one row of M at a time, so memory stays at cols x trials.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -165,8 +139,4 @@ def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> Pr
     return ProtocolRunReport(
         per_pair_error=errors,
         max_error=float(np.nanmax(errors)),
-        trials=trials,
-        repetitions=p.repetitions,
-        qubits_per_copy=p.qubits_per_copy,
-        total_qubits=p.total_qubits,
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import generator
-from .compiler import ClassicalSMPProtocol, OneWayProtocol
+from .compiler import MIN_GAP, ClassicalSMPProtocol, OneWayProtocol
 from .embeddings import SignMatrix, ThresholdEmbedding
 
 MAX_BITS = 12
@@ -108,8 +108,6 @@ def collision_probability(delta: int, p: float) -> float:
 @dataclass(frozen=True)
 class HamEmbeddingReport:
     embedding: ThresholdEmbedding
-    delta0: float
-    delta1: float
     margin_lower_bound: float
     bit_bias: float
     exact: bool
@@ -142,7 +140,7 @@ def ham_parity_embedding(
     p = 1.0 / (2.0 * d)
     delta1 = collision_probability(d, p) ** 2
     delta0 = collision_probability(d + 1, p) ** 2
-    if delta1 - delta0 < 1e-6:
+    if delta1 - delta0 < MIN_GAP:
         raise ValueError(f"collision gap {delta1 - delta0} below 1e-6")
     margin = (delta1 - delta0) / (2.0 + delta1 + delta0)
 
@@ -171,8 +169,6 @@ def ham_parity_embedding(
     embedding = ThresholdEmbedding(vectors, vectors, delta0, delta1)
     return HamEmbeddingReport(
         embedding=embedding,
-        delta0=delta0,
-        delta1=delta1,
         margin_lower_bound=margin,
         bit_bias=p,
         exact=exact,

@@ -19,14 +19,12 @@ def jl_dimension(n: int, eps: float) -> int:
     return math.ceil(4.0 * math.log(n) / (eps**2 / 2.0 - eps**3 / 3.0))
 
 
-def project_vectors(vectors, d: int, seed, identity: bool = False) -> np.ndarray:
+def project_vectors(vectors, d: int, seed) -> np.ndarray:
     """Apply one random linear map to all vectors.
 
     The map is a d x D matrix of independent standard Gaussians scaled by
     1/sqrt(d): the standard JL surrogate for projecting onto a random
     d-dimensional subspace, with identical guarantees up to constants.
-    With ``identity=True`` (debug mode, requires d == D) vectors pass through
-    unchanged.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -34,10 +32,6 @@ def project_vectors(vectors, d: int, seed, identity: bool = False) -> np.ndarray
     big_d = arr.shape[1]
     if not (1 <= d <= big_d):
         raise ValueError(f"target dimension {d} must lie in [1, {big_d}]")
-    if identity:
-        if d != big_d:
-            raise ValueError("identity test mode requires d == D")
-        return arr.copy()
     g = generator(seed).standard_normal((d, big_d)) / math.sqrt(d)
     return arr @ g.T
 

@@ -15,7 +15,7 @@ from qfpsim.bounds import (
     GROTHENDIECK_K,
     forster_bound,
     linial_bound,
-    margin_upper_bound,
+    margin_report,
     maximize_margin_heuristic,
     repetition_lower_bound,
 )
@@ -26,6 +26,7 @@ from qfpsim.compiler import (
 )
 from qfpsim.embeddings import (
     SignMatrix,
+    ThresholdEmbedding,
     embed_to_realization,
     realization_to_embedding,
     verify_realization,
@@ -34,7 +35,6 @@ from qfpsim.fingerprint import (
     FingerprintProtocol,
     required_repetitions,
     run_protocol,
-    sample_swap_tests,
     swap_test_prob,
 )
 from qfpsim.problems import (
@@ -141,7 +141,7 @@ def test_05_equality_margin_witness():
     t0 = time.perf_counter()
     m = eq_matrix(3)
     witness = maximize_margin_heuristic(m, d=9)
-    upper = margin_upper_bound(m)
+    upper = margin_report(m).upper
     elapsed = time.perf_counter() - t0
     ok = witness.gamma >= 0.30 and witness.gamma <= upper + 1e-6 and elapsed < 30.0
     assert report(
@@ -203,7 +203,7 @@ def test_08_bound_consistency():
                 w = maximize_margin_heuristic(m, d=int(min(rows, cols)) + 1)
             except RuntimeError:
                 continue
-            witnesses_ok &= w.gamma <= margin_upper_bound(m) + 1e-6
+            witnesses_ok &= w.gamma <= margin_report(m).upper + 1e-6
     ok = worst_gap <= 1e-9 and witnesses_ok
     assert report(
         "8 Grothendieck bound stays under K_G times the spectral bound",
@@ -213,8 +213,11 @@ def test_08_bound_consistency():
 
 
 def test_09_swap_test_law():
+    # One copy on the 1x1 matrix [[+1]] with delta0 = <a,b>^2 and delta1 = 1:
+    # the referee says 1 exactly when the swap test gives 0, and every such
+    # answer is an error, so per_pair_error[0, 0] is the frequency of 0.
     rng = np.random.default_rng(7)
-    r = 100_000
+    trials = 100_000
     worst_sigmas = 0.0
     for i in range(20):
         d = int(rng.integers(2, 10))
@@ -223,9 +226,12 @@ def test_09_swap_test_law():
         alpha /= np.linalg.norm(alpha)
         beta /= np.linalg.norm(beta)
         p = swap_test_prob(alpha, beta)
-        outcomes = sample_swap_tests(alpha, beta, r, seed=1000 + i)
-        freq = float(np.mean(outcomes == 0))
-        sigma = math.sqrt(p * (1 - p) / r)
+        delta0 = float(alpha @ beta) ** 2
+        e = ThresholdEmbedding(alpha[None, :], beta[None, :], delta0, 1.0)
+        one_copy = FingerprintProtocol(e, 1, (delta0 + 1.0) / 2.0)
+        run = run_protocol(one_copy, SignMatrix([[1]]), trials, seed=1000 + i)
+        freq = float(run.per_pair_error[0, 0])
+        sigma = math.sqrt(p * (1 - p) / trials)
         worst_sigmas = max(worst_sigmas, abs(freq - p) / sigma)
     ok = worst_sigmas <= 4.0
     assert report(

@@ -12,7 +12,6 @@ from qfpsim.bounds import (
     forster_bound,
     linial_bound,
     margin_report,
-    margin_upper_bound,
     maximize_margin_heuristic,
     qent_lower_bound,
     repetition_lower_bound,
@@ -95,14 +94,14 @@ class TestLinialBound:
 
 class TestMarginUpperBound:
     def test_ip_k2(self):
-        assert margin_upper_bound(ip_matrix(2)) == pytest.approx(0.5, abs=1e-6)
+        assert margin_report(ip_matrix(2)).upper == pytest.approx(0.5, abs=1e-6)
 
     def test_forster_wins_on_2x2(self):
         m = SignMatrix([[1, 1], [1, -1]])
-        assert margin_upper_bound(m) == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
+        assert margin_report(m).upper == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
 
     def test_eq_consistent_with_explicit_construction(self):
-        assert margin_upper_bound(eq_matrix(2)) >= 1 / 3 - 1e-9
+        assert margin_report(eq_matrix(2)).upper >= 1 / 3 - 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_linial_below_kg_forster(self, seed):
@@ -126,7 +125,7 @@ class TestHeuristic:
         m = eq_matrix(2)
         r = maximize_margin_heuristic(m, d=5)
         assert r.gamma >= 0.30
-        assert r.gamma <= margin_upper_bound(m) + 1e-6
+        assert r.gamma <= margin_report(m).upper + 1e-6
         assert verify_realization(r, m).valid
 
     def test_trivial_1x1(self):
@@ -150,7 +149,7 @@ class TestHeuristic:
             r = maximize_margin_heuristic(m, d=5)
         except RuntimeError:
             return
-        assert r.gamma <= margin_upper_bound(m) + 1e-6
+        assert r.gamma <= margin_report(m).upper + 1e-6
 
     @pytest.mark.parametrize("m, exact", KNOWN_MARGINS)
     def test_factored_start_reaches_known_margin(self, m, exact):

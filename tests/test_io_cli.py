@@ -20,6 +20,7 @@ from qfpsim.cli import main
 from qfpsim.compiler import VectorSystem, compile_smp
 from qfpsim.embeddings import Realization, SignMatrix, ThresholdEmbedding
 from qfpsim.problems import eq_matrix, eq_parity_protocol
+from qfpsim.projections import project_vectors, verify_distortion
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 
 
@@ -325,6 +326,20 @@ class TestCliExitCodes:
             main(["margin", "--builtin", "bogus"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["margin", "--builtin", "ip", "--k", "2", "--dim", "3"], "--dim requires --heuristic"),
+        (["compile", "--builtin", "eq", "--n", "2", "--target-dim", "4"],
+         "--target-dim requires --reduce"),
+        (["compile", "--builtin", "eq", "--n", "1", "--protocol", "PROTOCOL", "--num-r", "3"],
+         "--num-r conflicts with --protocol"),
+    ], ids=["margin-dim", "compile-target-dim", "compile-num-r-protocol"])
+    def test_option_without_effect_exits_1(self, tmp_path, capsys, argv, flags):
+        path = write_doc(tmp_path / "p.json", "protocol",
+                         io.protocol_payload(eq_parity_protocol(1)))
+        assert main([path if a == "PROTOCOL" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert f"input error: {flags}" in err and "Traceback" not in err
+
     def test_math_error_exits_2(self, tmp_path, capsys):
         # A promise matrix without --heuristic trips the precondition path.
         m = SignMatrix([[1, 0], [0, -1]])
@@ -467,11 +482,14 @@ class TestCliPipelines:
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         vec = write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(v))
         out = tmp_path / "p.json"
-        assert main(["project", "--vectors", vec, "--dim", "400", "--identity",
-                     "--eps", "0.01", "--out", str(out)]) == 0
+        assert main(["project", "--vectors", vec, "--dim", "64", "--seed", "3",
+                     "--eps", "0.5", "--out", str(out)]) == 0
         payload = read_doc(out)["payload"]
-        assert payload["ok"] is True
-        assert payload["max_distortion"] == pytest.approx(0.0, abs=1e-12)
+        expected = project_vectors(v, 64, 3)
+        np.testing.assert_array_equal(np.array(payload["projected"]), expected)
+        report = verify_distortion(v, expected, 0.5)
+        assert (payload["ok"], payload["max_distortion"]) == (report.ok, report.max_distortion)
+        assert (payload["source_dim"], payload["target_dim"]) == (400, 64)
 
     def test_compiled_states_are_compressed(self, tmp_path):
         out = tmp_path / "e.json"
@@ -480,6 +498,42 @@ class TestCliPipelines:
         assert doc["format_version"] == "1.2"
         assert doc["payload"]["alphas"]["codec"] == doc["payload"]["betas"]["codec"] == "zlib"
         assert out.stat().st_size < 100_000
+
+    def test_compile_one_way_model_matches_smp(self, tmp_path):
+        payloads = []
+        for model in ("smp", "one-way"):
+            out = tmp_path / f"{model}.json"
+            assert main(["compile", "--builtin", "eq", "--n", "3", "--model", model,
+                         "--out", str(out)]) == 0
+            payloads.append(read_doc(out)["payload"])
+        assert payloads[0] == payloads[1]
+
+    def test_compile_num_r_is_seeded(self, tmp_path):
+        def run(seed, name):
+            out = tmp_path / name
+            assert main(["compile", "--builtin", "eq", "--n", "4", "--num-r", "5",
+                         "--seed", seed, "--out", str(out)]) == 0
+            return read_doc(out)["payload"]
+
+        first = run("4", "a.json")
+        assert first == run("4", "b.json")
+        assert first["dimension"] == 4 * 5
+        assert first != run("8", "c.json")
+
+    def test_compile_reduce_at_or_above_dimension_is_unchanged(self, tmp_path):
+        out = tmp_path / "e.json"
+        assert main(["compile", "--builtin", "eq", "--n", "3", "--reduce", "--target-dim", "32",
+                     "--out", str(out)]) == 0
+        assembled, reduced = read_doc(out)["payload"]["stages"]
+        assert (assembled.pop("stage"), reduced.pop("stage")) == ("assembled", "reduced")
+        assert assembled == reduced and reduced["dimension"] == 32
+
+    def test_compile_reduce_exhausts_its_retries(self, capsys):
+        assert main(["compile", "--builtin", "eq", "--n", "6", "--reduce",
+                     "--target-dim", "120"]) == 2
+        err = capsys.readouterr().err
+        assert "dimension reduction failed after 20 retries" in err
+        assert "Traceback" not in err
 
     def test_compile_no_assemble_emits_vector_system(self, tmp_path):
         out = tmp_path / "vs.json"
@@ -538,7 +592,7 @@ class TestDeterminism:
         assert pa["upper"] == pb["upper"]  # spectral bounds are seed-free
 
 
-def test_console_script_runs():
+def test_cli_module_runs_in_a_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "qfpsim.cli", "margin", "--builtin", "ip", "--k", "1"],
         env=child_env(),

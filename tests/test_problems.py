@@ -109,12 +109,13 @@ class TestHamParityEmbedding:
 
     def test_thresholds_and_margin_formula(self):
         rep = ham_parity_embedding(6, 2)
+        e = rep.embedding
         p = 1 / 4
         assert rep.bit_bias == pytest.approx(p)
-        assert rep.delta1 == pytest.approx(collision_probability(2, p) ** 2, abs=1e-15)
-        assert rep.delta0 == pytest.approx(collision_probability(3, p) ** 2, abs=1e-15)
+        assert e.delta1 == pytest.approx(collision_probability(2, p) ** 2, abs=1e-15)
+        assert e.delta0 == pytest.approx(collision_probability(3, p) ** 2, abs=1e-15)
         assert rep.margin_lower_bound == pytest.approx(
-            (rep.delta1 - rep.delta0) / (2 + rep.delta1 + rep.delta0), abs=1e-15
+            (e.delta1 - e.delta0) / (2 + e.delta1 + e.delta0), abs=1e-15
         )
 
     def test_exact_embedding_verifies(self):

@@ -40,14 +40,6 @@ class TestProjectVectors:
         p3 = project_vectors(v, d=10, seed=43)
         assert not np.allclose(p1, p3)
 
-    def test_identity_passthrough(self):
-        v = np.eye(4)
-        np.testing.assert_array_equal(project_vectors(v, d=4, seed=0, identity=True), v)
-
-    def test_identity_requires_matching_dim(self):
-        with pytest.raises(ValueError):
-            project_vectors(np.eye(4), d=3, seed=0, identity=True)
-
     def test_expected_norm_preserved(self):
         # Gaussian JL maps preserve squared norms in expectation; average
         # over many vectors at a healthy target dimension and check loosely.
