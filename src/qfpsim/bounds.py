@@ -56,35 +56,17 @@ def qent_lower_bound(gamma_upper: float) -> float:
     return 0.25 * math.log2(1.0 / gamma_upper)
 
 
-def _factored_start(md: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit rows of U sqrt(S) and V sqrt(S) from the SVD M = U S V^T, cut or
-    zero-padded to d columns.  At d >= rank(M), <alpha_x, beta_y> is M_xy over
-    the two row norms, so every constrained pair starts separated.  A row with
-    no nonzero entry in M starts at e_1.  A row that the cut to d < rank(M)
-    zeroes starts at its best response: the alphas at sum_y M_xy beta_y, then
-    the betas at sum_x M_xy alpha_x against the filled alphas, each made unit
-    (e_1 where the sum is zero)."""
+def _factored_start(md: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit rows of U sqrt(S) and V sqrt(S) from the SVD M = U S V^T, with one
+    zero column appended.  <alpha_x, beta_y> is then M_xy over the two row
+    norms, so every constrained pair starts separated.  A row with no nonzero
+    entry in M starts at e_1."""
     u, s, vt = np.linalg.svd(md, full_matrices=False)
-    k = min(d, s.size)
-    rows = np.zeros((sum(md.shape), d))
-    rows[:, :k] = np.vstack([u, vt.T])[:, :k] * np.sqrt(s[:k])
-    constrained = np.concatenate([md.any(axis=1), md.any(axis=0)])
-    cut = constrained & (np.linalg.norm(rows, axis=1) == 0.0)
-    rows = _unit_or_e1(rows)
-    rows[~constrained] = np.eye(1, d)
-    alphas, betas = rows[: md.shape[0]], rows[md.shape[0] :]
-    cut_a, cut_b = np.split(cut, [md.shape[0]])
-    betas[cut_b] = 0.0  # an unfilled beta takes no part in the alphas' responses
-    alphas[cut_a] = _unit_or_e1(md[cut_a] @ betas)
-    betas[cut_b] = _unit_or_e1(md[:, cut_b].T @ alphas)
-    return alphas, betas
-
-
-def _unit_or_e1(v: np.ndarray) -> np.ndarray:
-    """The rows of ``v`` scaled to unit norm; a zero row becomes e_1."""
-    rows = unit_rows(v)
-    rows[~rows.any(axis=1)] = np.eye(1, v.shape[1])
-    return rows
+    rows = np.zeros((sum(md.shape), s.size + 1))
+    rows[:, :-1] = np.vstack([u, vt.T]) * np.sqrt(s)
+    rows = unit_rows(rows)
+    rows[~np.concatenate([md.any(axis=1), md.any(axis=0)])] = np.eye(1, rows.shape[1])
+    return rows[: md.shape[0]], rows[md.shape[0] :]
 
 
 def dot_allowance(d: int) -> float:
@@ -94,21 +76,20 @@ def dot_allowance(d: int) -> float:
     return (d + 2) * math.ulp(1.0)
 
 
-def maximize_margin_heuristic(m: SignMatrix, d: int) -> Realization:
+def maximize_margin_heuristic(m: SignMatrix) -> Realization:
     """Max-margin witness by one soft-min gradient ascent from the factored
     start, renormalizing to unit vectors each step.  The witness depends on M
-    and d alone.  Its gamma is the computed margin of the best arrangement
-    seen less ``dot_allowance(d)``, so it never exceeds the exact margin of the
-    returned vectors; no optimality is claimed.  Raises when no separating
-    arrangement is found."""
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
+    alone and lives in dimension min(|X|, |Y|) + 1.  Its gamma is the computed
+    margin of the best arrangement seen less ``dot_allowance`` of that
+    dimension, so it never exceeds the exact margin of the returned vectors;
+    no optimality is claimed.  Raises when no separating arrangement is found."""
     md = np.ascontiguousarray(m.dense())
-    alphas, betas, achieved = margin_ascent(md, *_factored_start(md, d), *ASCENT_SCHEDULE)
-    gamma = achieved - dot_allowance(d)
+    alphas, betas, achieved = margin_ascent(md, *_factored_start(md), *ASCENT_SCHEDULE)
+    gamma = achieved - dot_allowance(alphas.shape[1])
     if gamma <= 0.0:
         raise RuntimeError(
-            f"no separating arrangement found at dimension {d} (best margin {achieved})"
+            f"no separating arrangement found at dimension {alphas.shape[1]} "
+            f"(best margin {achieved})"
         )
     return Realization(alphas, betas, min(gamma, 1.0))
 
@@ -124,13 +105,12 @@ class MarginReport:
     gamma_source: str  # which gamma fed the asymptotic lower bounds
 
 
-def margin_report(m: SignMatrix, heuristic: bool = False, d: int | None = None) -> MarginReport:
+def margin_report(m: SignMatrix, heuristic: bool = False) -> MarginReport:
     """Assemble the full bound report for a sign matrix.
 
     Spectral bounds require a total matrix; for promise matrices only the
     heuristic witness is available and the asymptotic lower bounds are
-    derived from it instead.  The witness is searched at dimension ``d``
-    (default: the smaller side plus one, where the factored start separates).
+    derived from it instead.
     """
     forster = linial = upper = None
     if m.is_total:
@@ -139,8 +119,7 @@ def margin_report(m: SignMatrix, heuristic: bool = False, d: int | None = None) 
         upper = min(v for v in (forster, linial) if v is not None)
     heuristic_lower = None
     if heuristic:
-        dim = d if d is not None else min(m.rows, m.cols) + 1
-        heuristic_lower = maximize_margin_heuristic(m, dim).gamma
+        heuristic_lower = maximize_margin_heuristic(m).gamma
     if upper is not None:
         gamma, source = upper, "upper_bound"
     elif heuristic_lower is not None:

@@ -29,28 +29,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# The size options each builtin reads, in the order its generator takes them.
+_BUILTIN_PARAMS = {"eq": ("n",), "ip": ("k",), "ham": ("n", "d")}
+
+
+def _refuse(args, reason: str, *names: str) -> None:
+    """Raise an input error naming each option in ``names`` that was given."""
+    given = [n for n in names if getattr(args, n) is not None and getattr(args, n) is not False]
+    if given:
+        flags = ", ".join("--" + n.replace("_", "-") for n in given)
+        raise io.DocumentError(f"{flags} {reason}")
+
+
 def _builtin_matrix(args) -> SignMatrix:
-    if args.builtin == "eq":
-        if args.n is None:
-            raise io.DocumentError("--builtin eq requires --n")
-        return problems.eq_matrix(args.n)
-    if args.builtin == "ip":
-        if args.k is None:
-            raise io.DocumentError("--builtin ip requires --k")
-        return problems.ip_matrix(args.k)
-    if args.builtin == "ham":
-        if args.n is None or args.d is None:
-            raise io.DocumentError("--builtin ham requires --n and --d")
-        return problems.ham_matrix(args.n, args.d)
-    raise io.DocumentError(f"unknown builtin {args.builtin!r}")
+    params = _BUILTIN_PARAMS[args.builtin]
+    if any(getattr(args, p) is None for p in params):
+        raise io.DocumentError(
+            f"--builtin {args.builtin} requires " + " and ".join("--" + p for p in params)
+        )
+    _refuse(args, f"conflicts with --builtin {args.builtin}",
+            *(p for p in ("n", "k", "d") if p not in params))
+    # looked up at each call, so that perfbench's wrappers of problems.*_matrix see it
+    return getattr(problems, f"{args.builtin}_matrix")(*(getattr(args, p) for p in params))
 
 
 def _load_matrix(args) -> SignMatrix:
-    if args.matrix is not None:
-        return io.parse_sign_matrix(io.load(args.matrix))
     if args.builtin is not None:
         return _builtin_matrix(args)
-    raise io.DocumentError("either --matrix or --builtin is required")
+    if args.matrix is None:
+        raise io.DocumentError("either --matrix or --builtin is required")
+    _refuse(args, "conflicts with --matrix", "n", "k", "d")
+    return io.parse_sign_matrix(io.load(args.matrix))
 
 
 def _emit(kind: str, payload: dict, args, argv: list[str]) -> None:
@@ -64,10 +73,8 @@ def _nan_to_none(matrix: np.ndarray) -> list:
 
 
 def cmd_margin(args, argv) -> int:
-    if args.dim is not None and not args.heuristic:
-        raise io.DocumentError("--dim requires --heuristic")
     m = _load_matrix(args)
-    report = bounds.margin_report(m, heuristic=args.heuristic, d=args.dim)
+    report = bounds.margin_report(m, heuristic=args.heuristic)
     _emit(
         "report",
         {
@@ -121,11 +128,12 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_compile(args, argv) -> int:
-    if args.target_dim is not None and not args.reduce:
-        raise io.DocumentError("--target-dim requires --reduce")
+    if not args.reduce:
+        _refuse(args, "requires --reduce", "target_dim")
+    if args.no_assemble:
+        _refuse(args, "conflicts with --no-assemble", "reduce", "target_dim")
     if args.protocol is not None:
-        if args.num_r is not None:
-            raise io.DocumentError("--num-r conflicts with --protocol")
+        _refuse(args, "conflicts with --protocol", "model", "num_r")
         protocol = io.parse_protocol(io.load(args.protocol))
         m = _load_matrix(args)
     elif args.builtin == "eq":
@@ -191,7 +199,7 @@ def cmd_verify(args, argv) -> int:
             "delta0": embedding.delta0,
             "delta1": embedding.delta1,
         }
-    elif args.realization is not None:
+    else:
         realization = io.parse_realization(io.load(args.realization), renormalize=True)
         report = verify_realization(realization, m)
         payload = {
@@ -199,8 +207,6 @@ def cmd_verify(args, argv) -> int:
             **dataclasses.asdict(report),
             "gamma": realization.gamma,
         }
-    else:
-        raise io.DocumentError("verify needs --embedding or --realization")
     _emit("report", payload, args, argv)
     return 0
 
@@ -212,9 +218,10 @@ def build_parser() -> _Parser:
     def common(p, builtin=True):
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--matrix", default=None, help="sign_matrix document")
         if builtin:
-            p.add_argument("--builtin", choices=("eq", "ip", "ham"), default=None)
+            source = p.add_mutually_exclusive_group()
+            source.add_argument("--matrix", default=None, help="sign_matrix document")
+            source.add_argument("--builtin", choices=_BUILTIN_PARAMS, default=None)
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--k", type=int, default=None)
             p.add_argument("--d", type=int, default=None)
@@ -223,7 +230,6 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--heuristic", action="store_true",
                    help="also search for a max-margin witness")
-    p.add_argument("--dim", type=int, default=None, help="witness dimension (with --heuristic)")
     p.set_defaults(func=cmd_margin)
 
     p = sub.add_parser("simulate", help="Monte-Carlo run of a fingerprinting protocol")
@@ -236,7 +242,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compile", help="compile a classical protocol into fingerprint states")
     common(p)
     p.add_argument("--protocol", default=None, help="protocol document")
-    p.add_argument("--model", choices=("smp", "one-way"), default="smp")
+    p.add_argument("--model", choices=("smp", "one-way"), default=None)
     p.add_argument("--num-r", type=int, default=None,
                    help="sample this many shared random strings instead of enumerating")
     p.add_argument("--no-assemble", action="store_true",
@@ -254,8 +260,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="verify an embedding or realization against a matrix")
     common(p)
-    p.add_argument("--embedding", default=None)
-    p.add_argument("--realization", default=None)
+    checked = p.add_mutually_exclusive_group(required=True)
+    checked.add_argument("--embedding", default=None)
+    checked.add_argument("--realization", default=None)
     p.set_defaults(func=cmd_verify)
 
     return parser

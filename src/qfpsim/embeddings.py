@@ -17,9 +17,9 @@ MAX_TENSOR_DIM = 64
 REDUCTION_RETRIES = 20
 
 
-def _unit_rows(name: str, arr: np.ndarray, tol: float = UNIT_TOL) -> None:
+def _require_unit_rows(name: str, arr: np.ndarray) -> None:
     norms = np.linalg.norm(arr, axis=1)
-    bad = ~(np.abs(norms - 1.0) <= tol)  # a NaN norm fails too
+    bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise ValueError(f"{name}[{idx}] is not a unit vector (norm {norms[idx]!r})")
@@ -83,8 +83,8 @@ class _UnitPair:
         b = np.asarray(self.betas, dtype=np.float64)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
             raise ValueError("alphas and betas must be 2-d with a common dimension")
-        _unit_rows("alphas", a)
-        _unit_rows("betas", b)
+        _require_unit_rows("alphas", a)
+        _require_unit_rows("betas", b)
         _frozen_array(self, "alphas", a)
         _frozen_array(self, "betas", b)
 

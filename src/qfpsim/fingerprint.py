@@ -13,7 +13,7 @@ from .embeddings import (
     Realization,
     SignMatrix,
     ThresholdEmbedding,
-    _unit_rows,
+    _require_unit_rows,
     realization_to_embedding,
     verify_realization,
     verify_threshold_embedding,
@@ -54,8 +54,8 @@ def swap_test_prob(alpha, beta) -> float:
     b = np.asarray(beta, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    _unit_rows("alpha", np.atleast_2d(a))
-    _unit_rows("beta", np.atleast_2d(b))
+    _require_unit_rows("alpha", np.atleast_2d(a))
+    _require_unit_rows("beta", np.atleast_2d(b))
     return 0.5 + float(a @ b) ** 2 / 2.0
 
 

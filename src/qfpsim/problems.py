@@ -15,15 +15,6 @@ from .embeddings import SignMatrix, ThresholdEmbedding
 MAX_BITS = 12
 MAX_EXACT_HAM_BITS = 8
 
-# uint16 keeps the sixteen temporaries small: this runs at every import
-_POPCOUNT16 = sum((np.arange(1 << 16, dtype=np.uint16) >> k) & 1
-                  for k in range(16)).astype(np.uint8)
-
-
-def _popcount(values: np.ndarray) -> np.ndarray:
-    return _POPCOUNT16[values.astype(np.uint16)]
-
-
 def _check_bits(name: str, n: int) -> None:
     if not (1 <= n <= MAX_BITS):
         raise ValueError(f"{name} must lie in [1, {MAX_BITS}], got {n}")
@@ -42,7 +33,7 @@ def ip_matrix(k: int) -> SignMatrix:
     """Inner product mod 2 on k-bit strings: M_{xy} = (-1)^{<x,y>}."""
     _check_bits("k", k)
     idx = np.arange(1 << k)
-    parities = _popcount(np.bitwise_and.outer(idx, idx)) & 1
+    parities = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
     return SignMatrix(1 - 2 * parities.astype(np.int8))
 
 
@@ -52,14 +43,14 @@ def ham_matrix(n: int, d: int) -> SignMatrix:
     if not (0 <= d < n):
         raise ValueError(f"d must lie in [0, {n - 1}], got {d}")
     idx = np.arange(1 << n)
-    dist = _popcount(np.bitwise_xor.outer(idx, idx))
+    dist = np.bitwise_count(np.bitwise_xor.outer(idx, idx))
     return SignMatrix(np.where(dist <= d, -1, 1).astype(np.int8))
 
 
 def _parity_table(n: int, rand_strings: np.ndarray) -> np.ndarray:
     """parities[x, j] = <x, s_j> mod 2 for all n-bit x."""
     xs = np.arange(1 << n)
-    return (_popcount(np.bitwise_and.outer(xs, rand_strings)) & 1).astype(np.int64)
+    return (np.bitwise_count(np.bitwise_and.outer(xs, rand_strings)) & 1).astype(np.int64)
 
 
 def _rand_set(n: int, num_r: int | None, seed) -> np.ndarray:
@@ -150,7 +141,7 @@ def ham_parity_embedding(
                 f"exact enumeration is capped at n <= {MAX_EXACT_HAM_BITS}; pass num_r"
             )
         strings = np.arange(1 << n)
-        weights = _popcount(strings).astype(np.float64)
+        weights = np.bitwise_count(strings).astype(np.float64)
         amps = np.sqrt(p**weights * (1.0 - p) ** (n - weights))
         exact = True
     else:

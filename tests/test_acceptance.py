@@ -140,7 +140,7 @@ def test_04_equality_end_to_end():
 def test_05_equality_margin_witness():
     t0 = time.perf_counter()
     m = eq_matrix(3)
-    witness = maximize_margin_heuristic(m, d=9)
+    witness = maximize_margin_heuristic(m)
     upper = margin_report(m).upper
     elapsed = time.perf_counter() - t0
     ok = witness.gamma >= 0.30 and witness.gamma <= upper + 1e-6 and elapsed < 30.0
@@ -200,7 +200,7 @@ def test_08_bound_consistency():
         worst_gap = max(worst_gap, gap)
         if i % 20 == 0:  # heuristic witnesses on a subsample, for runtime
             try:
-                w = maximize_margin_heuristic(m, d=int(min(rows, cols)) + 1)
+                w = maximize_margin_heuristic(m)
             except RuntimeError:
                 continue
             witnesses_ok &= w.gamma <= margin_report(m).upper + 1e-6

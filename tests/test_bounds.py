@@ -48,8 +48,8 @@ def sign_matrices(draw):
 
 
 def uncut_start(md, d):
-    """The factored start with every zero row at e_1, which is what
-    ``_factored_start`` must still return when the cut zeroes no row."""
+    """The factored start in d columns, with every zero row at e_1: at
+    d = min side + 1, ``_factored_start`` must return exactly this."""
     u, s, vt = np.linalg.svd(md, full_matrices=False)
     k = min(d, s.size)
     rows = np.zeros((sum(md.shape), d))
@@ -123,22 +123,18 @@ class TestMarginUpperBound:
 class TestHeuristic:
     def test_eq_4x4_reaches_explicit_margin(self):
         m = eq_matrix(2)
-        r = maximize_margin_heuristic(m, d=5)
+        r = maximize_margin_heuristic(m)
         assert r.gamma >= 0.30
         assert r.gamma <= margin_report(m).upper + 1e-6
         assert verify_realization(r, m).valid
 
     def test_trivial_1x1(self):
-        r = maximize_margin_heuristic(SignMatrix([[1]]), d=1)
+        r = maximize_margin_heuristic(SignMatrix([[1]]))
         assert r.gamma == pytest.approx(1.0)
-
-    def test_bad_dimension(self):
-        with pytest.raises(ValueError):
-            maximize_margin_heuristic(eq_matrix(1), d=0)
 
     def test_supports_promise_matrices(self):
         m = SignMatrix([[1, 0], [0, -1]])
-        r = maximize_margin_heuristic(m, d=2)
+        r = maximize_margin_heuristic(m)
         assert r.gamma > 0.9  # the two constrained pairs are independent
 
     @pytest.mark.parametrize("seed", range(3))
@@ -146,42 +142,30 @@ class TestHeuristic:
         rng = np.random.default_rng(seed)
         m = SignMatrix(rng.choice([-1, 1], size=(4, 4)).astype(np.int8))
         try:
-            r = maximize_margin_heuristic(m, d=5)
+            r = maximize_margin_heuristic(m)
         except RuntimeError:
             return
         assert r.gamma <= margin_report(m).upper + 1e-6
 
     @pytest.mark.parametrize("m, exact", KNOWN_MARGINS)
     def test_factored_start_reaches_known_margin(self, m, exact):
-        d = min(m.rows, m.cols) + 1
-        r = maximize_margin_heuristic(m, d)
-        assert exact - 2 * dot_allowance(d) <= r.gamma <= exact
+        r = maximize_margin_heuristic(m)
+        assert exact - 2 * dot_allowance(min(m.rows, m.cols) + 1) <= r.gamma <= exact
         assert verify_realization(r, m).valid
         rep = margin_report(m, heuristic=True)
         assert rep.heuristic_lower <= rep.upper
 
-    def test_cut_rows_start_at_their_best_response(self):
-        # At d=1 the cut zeroes the second row on both sides; e_1 there gives
-        # the pair the wrong sign, which a one-dimensional ascent cannot flip.
-        m = SignMatrix([[1, 0], [0, -1]])
-        r = maximize_margin_heuristic(m, 1)
-        assert r.gamma == 1.0 - dot_allowance(1)
-        assert verify_realization(r, m).valid
-
-    @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
-    @given(sign_matrices(), st.integers(0, 1))
-    def test_start_unchanged_at_full_rank_dimension(self, m, extra):
+    @given(sign_matrices())
+    def test_start_unchanged_at_full_rank_dimension(self, m):
         md = m.dense()
-        d = np.linalg.matrix_rank(md) + extra
-        for got, want in zip(_factored_start(md, d), uncut_start(md, d)):
+        for got, want in zip(_factored_start(md), uncut_start(md, min(md.shape) + 1)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    @pytest.mark.filterwarnings("error")
     @settings(max_examples=60, deadline=None)
     @given(sign_matrices())
     def test_witness_sound_on_any_sign_matrix(self, m):
-        r = maximize_margin_heuristic(m, min(m.rows, m.cols) + 1)
+        r = maximize_margin_heuristic(m)
         report = verify_realization(r, m)
         assert report.valid and report.achieved_margin >= r.gamma
         if m.is_total:
@@ -216,7 +200,7 @@ class TestMarginReport:
         assert rep.repetition_lower == pytest.approx(4.0, rel=1e-6)
 
     def test_heuristic_bounded_by_upper(self):
-        rep = margin_report(eq_matrix(2), heuristic=True, d=5)
+        rep = margin_report(eq_matrix(2), heuristic=True)
         assert rep.heuristic_lower is not None
         assert rep.heuristic_lower <= rep.upper + 1e-6
 
@@ -232,6 +216,6 @@ class TestMarginReport:
         m = SignMatrix([[1, 0], [0, -1]])
         with pytest.raises(ValueError, match="promise"):
             margin_report(m)
-        rep = margin_report(m, heuristic=True, d=2)
+        rep = margin_report(m, heuristic=True)
         assert rep.forster is None and rep.upper is None
         assert rep.gamma_source == "heuristic_lower"

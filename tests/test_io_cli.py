@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -326,19 +327,46 @@ class TestCliExitCodes:
             main(["margin", "--builtin", "bogus"])
         assert exc.value.code == 1
 
-    @pytest.mark.parametrize("argv, flags", [
-        (["margin", "--builtin", "ip", "--k", "2", "--dim", "3"], "--dim requires --heuristic"),
+    @pytest.mark.parametrize("argv, message", [
         (["compile", "--builtin", "eq", "--n", "2", "--target-dim", "4"],
-         "--target-dim requires --reduce"),
+         "input error: --target-dim requires --reduce"),
         (["compile", "--builtin", "eq", "--n", "1", "--protocol", "PROTOCOL", "--num-r", "3"],
-         "--num-r conflicts with --protocol"),
-    ], ids=["margin-dim", "compile-target-dim", "compile-num-r-protocol"])
-    def test_option_without_effect_exits_1(self, tmp_path, capsys, argv, flags):
-        path = write_doc(tmp_path / "p.json", "protocol",
-                         io.protocol_payload(eq_parity_protocol(1)))
-        assert main([path if a == "PROTOCOL" else a for a in argv]) == 1
+         "input error: --num-r conflicts with --protocol"),
+        (["compile", "--builtin", "eq", "--n", "1", "--protocol", "PROTOCOL", "--model", "smp"],
+         "input error: --model conflicts with --protocol"),
+        (["compile", "--builtin", "eq", "--n", "1", "--no-assemble", "--reduce",
+          "--target-dim", "3"], "input error: --reduce, --target-dim conflicts with --no-assemble"),
+        (["margin", "--builtin", "ip", "--k", "1", "--n", "7", "--d", "3"],
+         "input error: --n, --d conflicts with --builtin ip"),
+        (["margin", "--matrix", "MATRIX", "--k", "2"], "input error: --k conflicts with --matrix"),
+        (["margin", "--builtin", "ham", "--n", "4"], "input error: --builtin ham requires --n and --d"),
+        (["simulate", "--builtin", "eq"], "input error: --builtin eq requires --n"),
+        (["margin", "--matrix", "MATRIX", "--builtin", "ip", "--k", "1"],
+         "argument --builtin: not allowed with argument --matrix"),
+        (["project", "--vectors", "VECTORS", "--dim", "2", "--matrix", "MATRIX"],
+         "unrecognized arguments: --matrix"),
+        (["verify", "--builtin", "eq", "--n", "1", "--embedding", "E", "--realization", "R"],
+         "argument --realization: not allowed with argument --embedding"),
+        (["verify", "--builtin", "eq", "--n", "1"],
+         "one of the arguments --embedding --realization is required"),
+    ], ids=["compile-target-dim", "compile-num-r-protocol", "compile-model-protocol",
+            "compile-no-assemble-reduce", "builtin-stray-size", "matrix-stray-size",
+            "builtin-missing-size", "simulate-missing-size", "matrix-and-builtin",
+            "project-matrix", "verify-embedding-and-realization", "verify-neither"])
+    def test_option_without_effect_exits_1(self, tmp_path, capsys, argv, message):
+        docs = {
+            "PROTOCOL": write_doc(tmp_path / "p.json", "protocol",
+                                  io.protocol_payload(eq_parity_protocol(1))),
+            "MATRIX": write_doc(tmp_path / "m.json", "sign_matrix",
+                                io.sign_matrix_payload(eq_matrix(1))),
+            "VECTORS": write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(np.eye(3))),
+        }
+        try:  # argparse refuses some of these itself, by exiting
+            code = main([docs.get(a, a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
         err = capsys.readouterr().err
-        assert f"input error: {flags}" in err and "Traceback" not in err
+        assert code == 1 and message in err and "Traceback" not in err
 
     def test_math_error_exits_2(self, tmp_path, capsys):
         # A promise matrix without --heuristic trips the precondition path.
@@ -584,9 +612,9 @@ class TestDeterminism:
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        main(["margin", "--builtin", "eq", "--n", "1", "--heuristic", "--dim", "3",
+        main(["margin", "--builtin", "eq", "--n", "1", "--heuristic",
               "--seed", "1", "--out", str(a)])
-        main(["margin", "--builtin", "eq", "--n", "1", "--heuristic", "--dim", "3",
+        main(["margin", "--builtin", "eq", "--n", "1", "--heuristic",
               "--seed", "2", "--out", str(b)])
         pa, pb = read_doc(a)["payload"], read_doc(b)["payload"]
         assert pa["upper"] == pb["upper"]  # spectral bounds are seed-free
@@ -603,3 +631,21 @@ def test_cli_module_runs_in_a_subprocess():
     doc = json.loads(proc.stdout)
     assert doc["format_version"] == io.FORMAT_VERSION
     assert doc["provenance"]["version"] == io.VERSION
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    """Every ``qfpsim`` line of README's CLI block runs in order and exits 0;
+    the block projects ``vecs.json``, which it does not make, so it is made
+    here."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("qfpsim ")]
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    vectors = np.random.default_rng(0).standard_normal((10, 400))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    write_doc("vecs.json", "vectors", io.vectors_payload(vectors))
+    for argv in commands:
+        assert main(argv) == 0, shlex.join(argv)
+        capsys.readouterr()

@@ -195,7 +195,7 @@ def test_ascent_bit_identical_to_the_where_form(seed, rows, cols, d, iterations,
     m[:, rng.random(cols) < 0.2] = 0.0
     m[rng.integers(rows), rng.integers(cols)] = rng.choice([-1.0, 1.0])
     if factored:
-        a0, b0 = _factored_start(m, d)
+        a0, b0 = _factored_start(m)
     else:
         a0 = unit_rows(rng.standard_normal((rows, d)))
         b0 = unit_rows(rng.standard_normal((cols, d)))

@@ -7,7 +7,6 @@ import pytest
 from qfpsim.compiler import compile_smp
 from qfpsim.embeddings import verify_threshold_embedding
 from qfpsim.problems import (
-    _POPCOUNT16,
     collision_probability,
     eq_matrix,
     eq_parity_protocol,
@@ -18,9 +17,6 @@ from qfpsim.problems import (
 
 
 class TestMatrices:
-    def test_popcount_table(self):
-        assert _POPCOUNT16.tolist() == [bin(i).count("1") for i in range(1 << 16)]
-
     def test_eq_structure(self):
         m = eq_matrix(2)
         assert m.rows == m.cols == 4
