@@ -123,8 +123,8 @@ class VectorSystem:
         if self.norm_bound <= 0:
             raise ValueError("norm bound must be positive")
         for name, arr in (("a", a), ("b", b)):
-            worst = float(np.linalg.norm(arr, axis=2).max())
-            if worst > self.norm_bound + NORM_TOL:
+            worst = float(np.sqrt(np.einsum("rxd,rxd->rx", arr, arr).max()))
+            if not worst <= self.norm_bound + NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"{name} vector norm {worst} exceeds the bound {self.norm_bound}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -139,7 +139,9 @@ class VectorSystem:
 
     def acceptance_matrix(self) -> np.ndarray:
         # one (|X|, |R| dim) x (|R| dim, |Y|) product sums over r and d at once
-        return _by_input(self.a) @ _by_input(self.b).T / self.num_rand
+        p = _by_input(self.a) @ _by_input(self.b).T
+        p /= self.num_rand
+        return p
 
 
 def _by_input(arr: np.ndarray) -> np.ndarray:
@@ -162,21 +164,22 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
     return compile_one_way(p)
 
 
-def _junk_pad(a: np.ndarray, b: np.ndarray, big_l: float) -> tuple[np.ndarray, np.ndarray]:
-    """Pad rows of norm <= big_l to norm big_l on a junk coordinate per side
-    (dim for a, dim+1 for b) and divide by big_l: unit states on dim+2
-    coordinates with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly."""
-    dim = a.shape[1]
-
-    def pad(block: np.ndarray, junk_offset: int) -> np.ndarray:
-        sq = (block * block).sum(axis=1)
-        slack = np.sqrt(np.maximum(big_l**2 - sq, 0.0))
-        out = np.zeros((block.shape[0], dim + 2))
-        out[:, :dim] = block
-        out[:, dim + junk_offset] = slack
-        return out / big_l
-
-    return pad(a, 0), pad(b, 1)
+def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
+    """Pad rows (..., dim) of norm <= big_l to norm big_l on junk coordinate
+    dim + junk of dim+2 (0 for alphas, 1 for betas) and divide by big_l: unit
+    states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The slack
+    column is computed, and its squares freed, before the output is
+    allocated; the output is then filled in place."""
+    slack = np.add.reduce(rows * rows, axis=-1)
+    np.subtract(big_l**2, slack, out=slack)
+    np.maximum(slack, 0.0, out=slack)
+    np.sqrt(slack, out=slack)
+    dim = rows.shape[-1]
+    out = np.zeros(rows.shape[:-1] + (dim + 2,))
+    out[..., :dim] = rows
+    out[..., dim + junk] = slack
+    out /= big_l
+    return out
 
 
 def pad_to_states(v: VectorSystem, r: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,7 +187,7 @@ def pad_to_states(v: VectorSystem, r: int) -> tuple[np.ndarray, np.ndarray]:
     <alpha_x, beta_y> = <a(x), b(y)> / L^2."""
     if not (0 <= r < v.num_rand):
         raise ValueError(f"random-string index {r} out of range [0, {v.num_rand})")
-    return _junk_pad(v.a[r], v.b[r], v.norm_bound)
+    return _junk_pad(v.a[r], 0, v.norm_bound), _junk_pad(v.b[r], 1, v.norm_bound)
 
 
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
@@ -194,26 +197,30 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
     delta0 / delta1 are set to the exact extremal values of (P/L^2)^2 over
     the f=0 and f=1 pairs of the supplied sign matrix; errors out when the
     system does not separate the two sides.
+
+    Allocation order: the acceptance matrix, the thresholds and the
+    separation check come first and are dropped.  Then, one side at a time,
+    the slack column is computed from the (|X|, |R|, dim) view of ``v.a`` or
+    ``v.b``, and only then is that side's (|X|, |R|, dim+2) state block
+    allocated and filled in place.  Each block is allocated once, so the peak
+    is about the two blocks plus one slack column.
     """
-    p = v.acceptance_matrix()
-    if p.shape != (m.rows, m.cols):
+    if (v.a.shape[1], v.b.shape[1]) != (m.rows, m.cols):
         raise ValueError(
-            f"vector system is {p.shape[0]}x{p.shape[1]} but the sign matrix is "
+            f"vector system is {v.a.shape[1]}x{v.b.shape[1]} but the sign matrix is "
             f"{m.rows}x{m.cols}"
         )
-    # Pad the rows of all slices in one call: row x|R| + r is slice r of input
-    # x, so reshaping back to one row per input lays its blocks side by side.
-    alphas, betas = _junk_pad(_by_input(v.a).reshape(-1, v.dim),
-                              _by_input(v.b).reshape(-1, v.dim), v.norm_bound)
-    scale = 1.0 / np.sqrt(v.num_rand)
-    alphas *= scale
-    betas *= scale
-
-    (delta0, _), (delta1, _) = _worst_sides((p / v.norm_bound**2) ** 2, m)
+    (delta0, _), (delta1, _) = _worst_sides((v.acceptance_matrix() / v.norm_bound**2) ** 2, m)
     if delta0 >= delta1:
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"
         )
+    # Block r of input x holds slice r's padded state, scaled by 1/sqrt(|R|).
+    scale = 1.0 / np.sqrt(v.num_rand)
+    alphas = _junk_pad(v.a.transpose(1, 0, 2), 0, v.norm_bound)
+    betas = _junk_pad(v.b.transpose(1, 0, 2), 1, v.norm_bound)
+    alphas *= scale
+    betas *= scale
     return ThresholdEmbedding(alphas.reshape(m.rows, -1), betas.reshape(m.cols, -1),
                               delta0, delta1)
 
@@ -247,8 +254,7 @@ def reduce_embedding_dimension(
 
     def rebuild(a: np.ndarray, b: np.ndarray) -> ThresholdEmbedding:
         big_l = max(1.0, float(np.linalg.norm(np.vstack([a, b]), axis=1).max()))
-        alphas, betas = _junk_pad(a, b, big_l)
-        return ThresholdEmbedding(alphas, betas, delta0, delta1)
+        return ThresholdEmbedding(_junk_pad(a, 0, big_l), _junk_pad(b, 1, big_l), delta0, delta1)
 
     return _jl_reduce(
         e, target, seed, rebuild, lambda candidate: verify_threshold_embedding(candidate, m).valid

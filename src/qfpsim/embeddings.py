@@ -18,11 +18,11 @@ REDUCTION_RETRIES = 20
 
 
 def _require_unit_rows(name: str, arr: np.ndarray) -> None:
-    norms = np.linalg.norm(arr, axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
     bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise ValueError(f"{name}[{idx}] is not a unit vector (norm {norms[idx]!r})")
+        raise ValueError(f"{name}[{idx}] is not a unit vector (norm {float(norms[idx])})")
 
 
 def _frozen_array(obj, field: str, arr: np.ndarray) -> None:

@@ -1,10 +1,14 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qfpsim import compiler
 from qfpsim.compiler import (
     ClassicalSMPProtocol,
     OneWayProtocol,
@@ -17,6 +21,7 @@ from qfpsim.compiler import (
     reduce_embedding_dimension,
 )
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
+from qfpsim.linalg import unit_rows
 from qfpsim.problems import (
     eq_matrix,
     eq_parity_one_way_protocol,
@@ -30,6 +35,31 @@ def per_slice_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
     scale = 1.0 / np.sqrt(v.num_rand)
     slices = [pad_to_states(v, r) for r in range(v.num_rand)]
     return tuple(np.hstack([scale * pair[side] for pair in slices]) for side in (0, 1))
+
+
+def previous_junk_pad(a: np.ndarray, b: np.ndarray, big_l: float):
+    """The two-sided pad that built every state block before padding filled
+    its output in place, copied verbatim: the bit-identity reference."""
+    dim = a.shape[1]
+
+    def pad(block: np.ndarray, junk_offset: int) -> np.ndarray:
+        sq = (block * block).sum(axis=1)
+        slack = np.sqrt(np.maximum(big_l**2 - sq, 0.0))
+        out = np.zeros((block.shape[0], dim + 2))
+        out[:, :dim] = block
+        out[:, dim + junk_offset] = slack
+        return out / big_l
+
+    return pad(a, 0), pad(b, 1)
+
+
+def previous_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The block states as assembled with ``previous_junk_pad``: all slices
+    padded as one (|X| |R|, dim) block per side, then scaled by 1/sqrt(|R|)."""
+    rows = [side.transpose(1, 0, 2).reshape(-1, v.dim) for side in (v.a, v.b)]
+    scale = 1.0 / np.sqrt(v.num_rand)
+    return tuple(scale * padded.reshape(side.shape[1], -1)
+                 for padded, side in zip(previous_junk_pad(*rows, v.norm_bound), (v.a, v.b)))
 
 
 def bits(arr: np.ndarray) -> np.ndarray:
@@ -141,6 +171,26 @@ def smp_protocols(draw):
     )
 
 
+@st.composite
+def float_systems(draw):
+    """A float-valued vector system, dim 1-9, |R| 1-4, 1-6 inputs per side,
+    with row norms <= L, a zero row and a row at norm L on each side."""
+    dim, nr = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    big_l = draw(st.floats(0.25, 4.0))
+
+    def side() -> np.ndarray:
+        count = draw(st.integers(1, 6))
+        raw = draw(arrays(np.float64, (nr, count, dim),
+                          elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
+        rows = raw * (big_l / np.sqrt(dim))
+        rows[0, 0] = 0.0
+        top = unit_rows(raw[-1, -1:])[0]
+        rows[-1, -1] = big_l * (top if np.any(top) else np.eye(dim)[0])
+        return rows
+
+    return VectorSystem(side(), side(), big_l)
+
+
 class TestOneProtocolPath:
     @settings(max_examples=60, deadline=None)
     @given(smp_protocols())
@@ -157,6 +207,20 @@ class TestOneProtocolPath:
         smp, one_way = eq_parity_protocol(4, 7, 2), eq_parity_one_way_protocol(4, 7, 2)
         assert one_way.rand_strings == smp.rand_strings
         assert np.array_equal(one_way.bob_accept, smp.bob_accept)
+
+
+class TestVectorSystem:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1.0 + 2e-9])
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_vectors_beyond_the_bound_refused(self, side, bad):
+        vectors = {"a": np.zeros((2, 3, 2)), "b": np.zeros((2, 4, 2))}
+        vectors[side][1, 2, 0] = bad
+        with pytest.raises(ValueError, match=f"^{side} vector norm {re.escape(str(bad))} exceeds"):
+            VectorSystem(vectors["a"], vectors["b"], 1.0)
+
+    def test_norm_within_tolerance_accepted(self):
+        a = np.full((1, 1, 1), 1.0 + 0.5e-9)
+        assert VectorSystem(a, -a, 1.0).acceptance_matrix()[0, 0] < 0.0
 
 
 class TestPadToStates:
@@ -209,6 +273,35 @@ class TestAssemble:
         assert np.array_equal(bits(e.alphas), bits(alphas))
         assert np.array_equal(bits(e.betas), bits(betas))
 
+    @settings(max_examples=150, deadline=None)
+    @given(float_systems())
+    def test_states_equal_per_slice_states_on_float_data(self, v):
+        sq = (v.acceptance_matrix() / v.norm_bound**2) ** 2
+        cut = (sq.min() + sq.max()) / 2
+        # rounding at norm L can put (P/L^2)^2 just above 1, past any delta1
+        entries = np.where(sq < cut, 1, np.where((sq > cut) & (sq <= 1.0), -1, 0))
+        assume(np.any(entries))
+        e = assemble_shared_randomness_states(v, SignMatrix(entries))
+        for reference in (per_slice_states(v), previous_states(v)):
+            assert np.array_equal(bits(e.alphas), bits(reference[0]))
+            assert np.array_equal(bits(e.betas), bits(reference[1]))
+
+    @pytest.mark.parametrize("system", [
+        pytest.param(lambda: compile_smp(eq_parity_protocol(8)), id="smp"),
+        pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(8)), id="one-way"),
+    ])
+    def test_peak_memory_is_about_the_states(self, system):
+        # Each state block is allocated once; the only other array live at
+        # the peak is one slack column, 1/(dim+2) of a block.
+        v = system()
+        tracemalloc.start()
+        try:
+            e = assemble_shared_randomness_states(v, eq_matrix(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (e.alphas.nbytes + e.betas.nbytes)
+
     def test_non_separating_system_rejected(self):
         # A protocol that always accepts cannot sign-separate anything.
         p = ClassicalSMPProtocol(
@@ -234,17 +327,38 @@ class TestReduceEmbeddingDimension:
         e = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(2)), m)
         assert reduce_embedding_dimension(e, m, seed=0) is e
 
-    def test_explicit_target_reduces_and_verifies(self):
-        m = eq_matrix(3)
+    @staticmethod
+    def wide_eq3_embedding() -> ThresholdEmbedding:
         base = eq_orthonormal_embedding(8)
         padded = np.zeros((8, 2000))
         padded[:, :8] = base.alphas
-        wide = ThresholdEmbedding(padded, padded.copy(), base.delta0, base.delta1)
+        return ThresholdEmbedding(padded, padded.copy(), base.delta0, base.delta1)
+
+    def test_explicit_target_reduces_and_verifies(self):
+        m = eq_matrix(3)
+        wide = self.wide_eq3_embedding()
         reduced = reduce_embedding_dimension(wide, m, seed=0, target_dim=300)
         assert reduced.dimension == 302  # target plus two junk coordinates
         assert verify_threshold_embedding(reduced, m).valid
-        gap = base.delta1 - base.delta0
+        gap = wide.delta1 - wide.delta0
         assert reduced.delta1 - reduced.delta0 == pytest.approx(gap / 2, abs=1e-12)
+
+    def test_rebuilt_states_equal_the_previous_pad(self, monkeypatch):
+        calls = []
+
+        def recording_pad(rows, junk, big_l):
+            calls.append((rows.copy(), big_l))
+            return pad(rows, junk, big_l)
+
+        pad = compiler._junk_pad
+        monkeypatch.setattr(compiler, "_junk_pad", recording_pad)
+        reduced = reduce_embedding_dimension(self.wide_eq3_embedding(), eq_matrix(3), seed=0,
+                                             target_dim=300)
+        # the returned embedding is the last candidate rebuilt
+        (a, big_l), (b, _) = calls[-2:]
+        alphas, betas = previous_junk_pad(a, b, big_l)
+        assert np.array_equal(bits(reduced.alphas), bits(alphas))
+        assert np.array_equal(bits(reduced.betas), bits(betas))
 
     def test_invalid_embedding_refused(self):
         e = eq_orthonormal_embedding(4)

@@ -72,7 +72,7 @@ class TestUnitPairs:
     def test_non_finite_rows_refused(self, bad):
         good = np.eye(2)
         broken = np.array([[bad, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="alphas\\[0\\] is not a unit vector"):
+        with pytest.raises(ValueError, match=f"alphas\\[0\\] is not a unit vector \\(norm {bad}\\)"):
             ThresholdEmbedding(broken, good, 0.1, 0.2)
         with pytest.raises(ValueError, match="betas\\[0\\] is not a unit vector"):
             Realization(good, broken, 0.5)
