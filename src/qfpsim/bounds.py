@@ -22,22 +22,20 @@ GROTHENDIECK_K = 1.7822139781
 ASCENT_SCHEDULE = (2000, 0.05, 0.999, 1.0, 0.01)
 
 
-def _require_total(m: SignMatrix, bound: str) -> None:
-    if not m.is_total:
-        raise ValueError(f"{bound} is only stated for total sign matrices (no 0 entries)")
-
-
 def forster_bound(m: SignMatrix) -> float:
-    """Margin upper bound ||M|| / sqrt(|X| |Y|)."""
-    _require_total(m, "the spectral margin bound")
+    """Margin upper bound ||M|| sqrt(|X| |Y|) / nnz(M), clamped to 1.  For unit
+    rows, sum M_xy <alpha_x, beta_y> <= ||M|| sqrt(|X| |Y|), while a margin-gamma
+    realization makes it >= gamma nnz(M), since promise pairs add 0."""
     norm = operator_norm(m.dense())
-    return min(1.0, norm / math.sqrt(m.rows * m.cols))
+    size, nnz = m.rows * m.cols, int(np.count_nonzero(m.entries))
+    # size / nnz is exactly 1.0 on a total matrix: ||M|| / sqrt(|X| |Y|) bit for bit
+    return min(1.0, norm / math.sqrt(size) * (size / nnz))
 
 
 def linial_bound(m: SignMatrix) -> float:
-    """Margin upper bound K_G ||M||_{inf->1} / (|X| |Y|), clamped to 1."""
-    _require_total(m, "the Grothendieck margin bound")
-    raw = GROTHENDIECK_K * linf_to_l1_norm(m.dense()) / (m.rows * m.cols)
+    """Margin upper bound K_G ||M||_{inf->1} / nnz(M), clamped to 1, by the same
+    argument with Grothendieck's inequality in place of Cauchy-Schwarz."""
+    raw = GROTHENDIECK_K * linf_to_l1_norm(m.dense()) / int(np.count_nonzero(m.entries))
     return min(1.0, raw)
 
 
@@ -96,44 +94,27 @@ def maximize_margin_heuristic(m: SignMatrix) -> Realization:
 
 @dataclass(frozen=True)
 class MarginReport:
-    forster: float | None
+    forster: float
     linial: float | None
-    upper: float | None
+    upper: float
     heuristic_lower: float | None
     qent_lower_bits: float
     repetition_lower: float
-    gamma_source: str  # which gamma fed the asymptotic lower bounds
+    gamma_source: str  # always "upper_bound"; kept for readers that look it up
 
 
 def margin_report(m: SignMatrix, heuristic: bool = False) -> MarginReport:
-    """Assemble the full bound report for a sign matrix.
-
-    Spectral bounds require a total matrix; for promise matrices only the
-    heuristic witness is available and the asymptotic lower bounds are
-    derived from it instead.
-    """
-    forster = linial = upper = None
-    if m.is_total:
-        forster = forster_bound(m)
-        linial = linial_bound(m) if min(m.rows, m.cols) <= MAX_ENUM_COLS else None
-        upper = min(v for v in (forster, linial) if v is not None)
-    heuristic_lower = None
-    if heuristic:
-        heuristic_lower = maximize_margin_heuristic(m).gamma
-    if upper is not None:
-        gamma, source = upper, "upper_bound"
-    elif heuristic_lower is not None:
-        gamma, source = heuristic_lower, "heuristic_lower"
-    else:
-        raise ValueError(
-            "promise matrix: spectral bounds refuse and no heuristic was requested"
-        )
+    """Assemble the full bound report for any sign matrix, promise or total.
+    The asymptotic lower bounds come from the margin upper bound alone."""
+    forster = forster_bound(m)
+    linial = linial_bound(m) if min(m.rows, m.cols) <= MAX_ENUM_COLS else None
+    upper = forster if linial is None else min(forster, linial)
     return MarginReport(
         forster=forster,
         linial=linial,
         upper=upper,
-        heuristic_lower=heuristic_lower,
-        qent_lower_bits=qent_lower_bound(gamma),
-        repetition_lower=repetition_lower_bound(gamma),
-        gamma_source=source,
+        heuristic_lower=maximize_margin_heuristic(m).gamma if heuristic else None,
+        qent_lower_bits=qent_lower_bound(upper),
+        repetition_lower=repetition_lower_bound(upper),
+        gamma_source="upper_bound",
     )

@@ -55,10 +55,6 @@ class SignMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    @property
-    def is_total(self) -> bool:
-        return bool(np.all(self.entries != 0))
-
     def zero_pairs(self) -> np.ndarray:
         """Boolean mask of (x, y) with f(x, y) = 0 (entry +1)."""
         return self.entries == 1

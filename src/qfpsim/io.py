@@ -192,6 +192,14 @@ def _scalar(payload: dict, name: str) -> float:
     return value
 
 
+def _build(what: str, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a ValueError from its checks is malformed input."""
+    try:
+        return cls(*args, **kwargs)
+    except ValueError as exc:
+        raise DocumentError(f"invalid {what}: {exc}") from exc
+
+
 # --- sign matrices ---------------------------------------------------------
 
 
@@ -201,10 +209,7 @@ def sign_matrix_payload(m: SignMatrix) -> dict:
 
 def parse_sign_matrix(doc: dict) -> SignMatrix:
     payload = _payload(doc, "sign_matrix")
-    try:
-        m = SignMatrix(np.asarray(_field(payload, "entries")))
-    except ValueError as exc:
-        raise DocumentError(f"invalid sign matrix: {exc}") from exc
+    m = _build("sign matrix", SignMatrix, np.asarray(_field(payload, "entries")))
     if m.rows != _field(payload, "rows") or m.cols != _field(payload, "cols"):
         raise DocumentError("declared sign matrix shape does not match the entries")
     return m
@@ -242,8 +247,8 @@ def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarr
 def parse_embedding(doc: dict, renormalize: bool = False) -> ThresholdEmbedding:
     payload = _payload(doc, "embedding")
     alphas, betas = _vector_pair(payload, renormalize)
-    return ThresholdEmbedding(alphas, betas, _scalar(payload, "delta0"),
-                              _scalar(payload, "delta1"))
+    return _build("embedding", ThresholdEmbedding, alphas, betas,
+                  _scalar(payload, "delta0"), _scalar(payload, "delta1"))
 
 
 def realization_payload(r: Realization) -> dict:
@@ -258,7 +263,7 @@ def realization_payload(r: Realization) -> dict:
 def parse_realization(doc: dict, renormalize: bool = False) -> Realization:
     payload = _payload(doc, "realization")
     alphas, betas = _vector_pair(payload, renormalize)
-    return Realization(alphas, betas, _scalar(payload, "gamma"))
+    return _build("realization", Realization, alphas, betas, _scalar(payload, "gamma"))
 
 
 # --- vector systems --------------------------------------------------------
@@ -270,7 +275,9 @@ def vector_system_payload(v: VectorSystem) -> dict:
 
 def parse_vector_system(doc: dict) -> VectorSystem:
     payload = _payload(doc, "vector_system")
-    return VectorSystem(
+    return _build(
+        "vector system",
+        VectorSystem,
         _array(payload, "a", np.float64),
         _array(payload, "b", np.float64),
         _scalar(payload, "norm_bound"),
@@ -311,16 +318,12 @@ def parse_protocol(doc: dict) -> ClassicalSMPProtocol | OneWayProtocol:
         rand_strings=tuple(rand_strings),
         alice_messages=_integers(payload, "alice_messages"),
     )
-    try:
-        if model == "smp":
-            return ClassicalSMPProtocol(
-                bob_messages=_integers(payload, "bob_messages"),
-                accept=_integers(payload, "accept"),
-                **common,
-            )
-        return OneWayProtocol(bob_accept=_integers(payload, "bob_accept"), **common)
-    except ValueError as exc:
-        raise DocumentError(f"invalid protocol: {exc}") from exc
+    if model == "smp":
+        return _build("protocol", ClassicalSMPProtocol,
+                      bob_messages=_integers(payload, "bob_messages"),
+                      accept=_integers(payload, "accept"), **common)
+    return _build("protocol", OneWayProtocol, bob_accept=_integers(payload, "bob_accept"),
+                  **common)
 
 
 # --- plain vector lists ----------------------------------------------------

@@ -59,12 +59,13 @@ def verify_distortion(vectors, projected, eps: float) -> DistortionReport:
     v = np.vstack([v, np.zeros(v.shape[1])])
     pv = np.vstack([pv, np.zeros(pv.shape[1])])
 
-    def pairwise_sq(a: np.ndarray) -> np.ndarray:
-        sq = (a * a).sum(axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (a @ a.T)
-        return np.maximum(d2, 0.0)
+    gv, gp = v @ v.T, pv @ pv.T
 
-    dv, dp = pairwise_sq(v), pairwise_sq(pv)
+    def pairwise_sq(a: np.ndarray, gram: np.ndarray) -> np.ndarray:
+        sq = (a * a).sum(axis=1)
+        return np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+
+    dv, dp = pairwise_sq(v, gv), pairwise_sq(pv, gp)
     iu = np.triu_indices(v.shape[0], k=1)
     ratios = np.ones(len(iu[0]))
     nondegenerate = dv[iu] > 0.0  # coincident pairs are skipped
@@ -74,7 +75,7 @@ def verify_distortion(vectors, projected, eps: float) -> DistortionReport:
     worst_pair = (int(iu[0][worst]), int(iu[1][worst]))
     max_distortion = float(distortions[worst])
 
-    ip_err = float(np.abs(pv @ pv.T - v @ v.T).max())
+    ip_err = float(np.abs(gp - gv).max())
     return DistortionReport(
         ok=max_distortion <= eps + 1e-12,
         worst_pair=worst_pair,

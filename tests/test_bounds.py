@@ -17,7 +17,8 @@ from qfpsim.bounds import (
     repetition_lower_bound,
 )
 from qfpsim.embeddings import SignMatrix, verify_realization
-from qfpsim.problems import eq_matrix, ip_matrix
+from qfpsim.linalg import linf_to_l1_norm, operator_norm
+from qfpsim.problems import eq_matrix, ham_matrix, ip_matrix
 
 
 def random_sign_matrix(rng, max_side=12):
@@ -61,6 +62,37 @@ def uncut_start(md, d):
     return rows[: md.shape[0]], rows[md.shape[0] :]
 
 
+def promise_ip3():
+    """IP on 3 bits with five pairs moved into the promise."""
+    entries = ip_matrix(3).entries.copy()
+    entries.flat[[0, 9, 18, 45, 63]] = 0
+    return SignMatrix(entries)
+
+
+def old_forster(m):
+    """The total-matrix formula, verbatim, before promise matrices were admitted."""
+    norm = operator_norm(m.dense())
+    return min(1.0, norm / math.sqrt(m.rows * m.cols))
+
+
+def old_linial(m):
+    raw = GROTHENDIECK_K * linf_to_l1_norm(m.dense()) / (m.rows * m.cols)
+    return min(1.0, raw)
+
+
+def random_total(seed, shape):
+    return SignMatrix(np.random.default_rng(seed).choice([-1, 1], size=shape).astype(np.int8))
+
+
+TOTAL_MATRICES = (
+    [pytest.param(ip_matrix(k), id=f"ip-{k}") for k in range(1, 5)]
+    + [pytest.param(eq_matrix(n), id=f"eq-{n}") for n in range(1, 5)]
+    + [pytest.param(ham_matrix(4, 1), id="ham-4-1")]
+    + [pytest.param(random_total(s, shape), id=f"random-{shape[0]}x{shape[1]}-{s}")
+       for s, shape in enumerate([(5, 7), (12, 12), (16, 22), (40, 20)])]
+)
+
+
 class TestForsterBound:
     def test_ip_k1(self):
         assert forster_bound(ip_matrix(1)) == pytest.approx(math.sqrt(2) / 2, abs=1e-6)
@@ -71,9 +103,25 @@ class TestForsterBound:
     def test_all_ones(self):
         assert forster_bound(SignMatrix(np.ones((2, 2)))) == pytest.approx(1.0, abs=1e-9)
 
-    def test_promise_refused(self):
-        with pytest.raises(ValueError, match="total"):
-            forster_bound(SignMatrix([[1, 0], [1, 1]]))
+    def test_promise_divides_by_nonzero_count(self):
+        m = promise_ip3()
+        want = np.linalg.norm(m.dense(), 2) * 8 / 59
+        assert forster_bound(m) == pytest.approx(want, rel=1e-12)
+        assert forster_bound(m) < 1.0
+
+    @pytest.mark.parametrize("m", TOTAL_MATRICES)
+    def test_total_matrices_unchanged(self, m):
+        assert forster_bound(m) == old_forster(m)
+
+    def test_block_diagonal_keeps_the_block_bound(self):
+        # diag(EQ-3, EQ-3) has EQ-3's exact margin 0.4: the off-diagonal
+        # blocks are all promise pairs
+        eq3 = eq_matrix(3).entries
+        m = SignMatrix(np.block([[eq3, np.zeros_like(eq3)], [np.zeros_like(eq3), eq3]]))
+        assert forster_bound(m) == pytest.approx(forster_bound(eq_matrix(3)), abs=1e-12)
+        r = maximize_margin_heuristic(m)
+        assert verify_realization(r, m).valid
+        assert r.gamma <= 0.4 <= margin_report(m).upper
 
 
 class TestLinialBound:
@@ -87,9 +135,17 @@ class TestLinialBound:
     def test_1x1_clamped(self):
         assert linial_bound(SignMatrix([[-1]])) == 1.0
 
-    def test_promise_refused(self):
-        with pytest.raises(ValueError, match="total"):
-            linial_bound(SignMatrix([[1, 0], [1, 1]]))
+    def test_promise_divides_by_nonzero_count(self):
+        m = promise_ip3()
+        md = m.dense()
+        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * 8)).reshape(8, -1)
+        want = GROTHENDIECK_K * np.abs(md @ signs).sum(axis=0).max() / 59
+        assert linial_bound(m) == pytest.approx(want, rel=1e-12)
+        assert linial_bound(m) < 1.0
+
+    @pytest.mark.parametrize("m", TOTAL_MATRICES)
+    def test_total_matrices_unchanged(self, m):
+        assert linial_bound(m) == old_linial(m)
 
 
 class TestMarginUpperBound:
@@ -168,8 +224,8 @@ class TestHeuristic:
         r = maximize_margin_heuristic(m)
         report = verify_realization(r, m)
         assert report.valid and report.achieved_margin >= r.gamma
-        if m.is_total:
-            assert r.gamma <= forster_bound(m)
+        assert r.gamma <= forster_bound(m)
+        assert r.gamma <= linial_bound(m)
 
 
 class TestAsymptoticLowerBounds:
@@ -212,10 +268,12 @@ class TestMarginReport:
         assert wide.linial is not None
         assert wide == margin_report(SignMatrix(entries.T))
 
-    def test_promise_needs_heuristic(self):
-        m = SignMatrix([[1, 0], [0, -1]])
-        with pytest.raises(ValueError, match="promise"):
-            margin_report(m)
-        rep = margin_report(m, heuristic=True)
-        assert rep.forster is None and rep.upper is None
-        assert rep.gamma_source == "heuristic_lower"
+    def test_promise_bounds_from_upper(self):
+        m = promise_ip3()
+        rep = margin_report(m)
+        assert rep.upper == min(forster_bound(m), linial_bound(m)) < 1.0
+        assert rep.heuristic_lower is None and rep.gamma_source == "upper_bound"
+        assert rep.repetition_lower == repetition_lower_bound(rep.upper)
+        assert rep.qent_lower_bits == qent_lower_bound(rep.upper)
+        witnessed = margin_report(m, heuristic=True)
+        assert witnessed.heuristic_lower <= witnessed.upper == rep.upper

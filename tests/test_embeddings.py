@@ -64,7 +64,7 @@ class TestSignMatrix:
         m = SignMatrix([[1, 0], [-1, 1]])
         assert m.zero_pairs().sum() == 2
         assert m.one_pairs().sum() == 1
-        assert not m.is_total
+        assert (m.entries == 0).sum() == 1
 
 
 class TestUnitPairs:

@@ -368,11 +368,47 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1 and message in err and "Traceback" not in err
 
-    def test_math_error_exits_2(self, tmp_path, capsys):
-        # A promise matrix without --heuristic trips the precondition path.
-        m = SignMatrix([[1, 0], [0, -1]])
+    def test_math_error_exits_2(self, capsys):
+        # eps = 1/2 leaves no room for a swap-test threshold: a precondition
+        assert main(["simulate", "--builtin", "eq", "--n", "2", "--eps", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert "eps must lie in (0, 1/2)" in err and "Traceback" not in err
+
+    def test_margin_of_promise_matrix(self, tmp_path):
+        m = SignMatrix([[1, 0], [1, -1]])
         path = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))
-        assert main(["margin", "--matrix", path]) == 2
+        out = tmp_path / "r.json"
+        assert main(["margin", "--matrix", path, "--out", str(out)]) == 0
+        payload = read_doc(out)["payload"]
+        assert payload["gamma_source"] == "upper_bound" and payload["heuristic_lower"] is None
+        assert payload["repetition_lower"] == 1 / payload["upper"] ** 2
+
+    @pytest.mark.parametrize("command, kind, edit, message", [
+        ("simulate", "embedding", lambda p: p.update(betas=block_array(p["betas"])[:, 1:].tolist()),
+         "alphas and betas must be 2-d with a common dimension"),
+        ("simulate", "embedding", lambda p: p.update(delta0=0.5, delta1=0.25),
+         "thresholds must satisfy"),
+        ("verify", "embedding", lambda p: p.update(delta0=0.5, delta1=0.25),
+         "thresholds must satisfy"),
+        ("simulate", "embedding", lambda p: put_array(p["alphas"], 2 * block_array(p["alphas"])),
+         "alphas[0] is not a unit vector"),
+        ("verify", "realization", lambda p: p.update(gamma=1.5), "margin must lie in (0, 1]"),
+        ("verify", "realization", lambda p: p.update(gamma=0), "margin must lie in (0, 1]"),
+    ], ids=["simulate-betas-width", "simulate-delta0-above-delta1",
+            "verify-delta0-above-delta1", "simulate-non-unit-alphas", "verify-gamma-1.5",
+            "verify-gamma-0"])
+    def test_malformed_vectors_document_exits_1(self, tmp_path, capsys, command, kind, edit,
+                                                message):
+        if kind == "embedding":
+            payload = io.embedding_payload(eq_orthonormal_embedding(4))
+        else:
+            payload = io.realization_payload(eq_explicit_realization(4))
+        edit(payload)
+        path = write_doc(tmp_path / "doc.json", kind, payload)
+        code = main([command, "--builtin", "eq", "--n", "2", f"--{kind}", path])
+        err = capsys.readouterr().err
+        assert code == 1 and "input error" in err and message in err
+        assert "Traceback" not in err
 
     def test_ragged_embedding_exits_1(self, tmp_path, capsys):
         emb = tmp_path / "emb.json"

@@ -20,7 +20,7 @@ class TestMatrices:
     def test_eq_structure(self):
         m = eq_matrix(2)
         assert m.rows == m.cols == 4
-        assert m.is_total
+        assert np.all(m.entries != 0)
         np.testing.assert_array_equal(np.diag(m.entries), -1)
         assert (m.entries == 1).sum() == 12
 
