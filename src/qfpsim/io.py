@@ -4,14 +4,24 @@ systems and protocols.
 Every document carries ``format_version``, a ``kind`` tag, a kind-specific
 ``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
 Float arrays (embedding and realization ``alphas``/``betas``, vector system
-``a``/``b``, ``vectors``) are written as one little-endian float64 block,
-``{"dtype": "<f8", "shape": [...], "codec": "zlib", "b64": "..."}``, its bytes
-zlib-compressed (format 1.2; fingerprint states hold a few distinct values and
-many zeros).  The reader also accepts blocks without ``codec``, holding the
-raw bytes (the 1.1 form), and arrays as nested lists (the 1.0 form).  Scalars
-and the remaining lists are written in Python's shortest round-trip repr.
-Either way parse(serialize(x)) is bit-identical for doubles.  The compressed
-bytes may differ between zlib builds; the decoded arrays do not.
+``a``/``b``, ``vectors``) are written as one little-endian float64 block in
+one of two forms, chosen from the block's contents alone (format 1.3):
+
+- ``{"dtype": "<f8", "shape": [...], "codec": "zlib-palette", "palette":
+  [v0, ...], "b64": "..."}`` when the block holds 1 to 256 distinct bit
+  patterns.  ``b64`` is a zlib stream of one uint8 code per entry, and the
+  entry is ``palette[code]``.  Fingerprint states are built from scaled
+  one-hot and indicator vectors, so a compiled state block holds a few values.
+- ``{"dtype": "<f8", "shape": [...], "codec": "zlib", "b64": "..."}``
+  otherwise (the 1.2 form): a zlib stream of the float64 bytes themselves.
+
+The palette is built on the bit patterns, so ``-0.0``, ``+0.0`` and
+subnormals are kept apart and parse(serialize(x)) is bit-identical for
+doubles.  A 1.2 reader rejects a palette block as an unknown codec.  The reader
+also accepts blocks without ``codec``, holding the raw bytes (the 1.1 form),
+and arrays as nested lists (the 1.0 form).  Scalars and the remaining lists
+are written in Python's shortest round-trip repr.  The compressed bytes may
+differ between zlib builds; the decoded arrays do not.
 """
 
 from __future__ import annotations
@@ -29,9 +39,14 @@ from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding
 from .linalg import unit_rows
 
-FORMAT_VERSION = "1.2"
+FORMAT_VERSION = "1.3"
 FLOAT_DTYPE = "<f8"
 CODEC = "zlib"
+PALETTE_CODEC = "zlib-palette"
+PALETTE_MAX = 256
+# Entries per step of the palette scan: its sort and search temporaries stay
+# small, and the only block-sized buffer is the one-byte code array.
+_CHUNK = 1 << 16
 
 KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
 
@@ -96,14 +111,42 @@ def _field(payload: dict, name: str):
     return payload[name]
 
 
+def _palette(bits: np.ndarray) -> np.ndarray | None:
+    """The distinct entries of the uint64 array ``bits`` in ascending order, or
+    None if there are none or more than PALETTE_MAX.  Each chunk is merged in
+    by a plain sort: np.unique would import numpy.ma, 6-7 ms of CLI start-up."""
+    palette = bits[:0]
+    for start in range(0, bits.size, _CHUNK):
+        merged = np.sort(np.concatenate([palette, bits[start:start + _CHUNK]]))
+        palette = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+        if palette.size > PALETTE_MAX:
+            return None
+    return palette if palette.size else None
+
+
+def _codes(bits: np.ndarray, palette: np.ndarray) -> np.ndarray:
+    """Each entry of ``bits`` as the uint8 index of its value in ``palette``."""
+    codes = np.empty(bits.size, dtype=np.uint8)
+    for start in range(0, bits.size, _CHUNK):
+        codes[start:start + _CHUNK] = np.searchsorted(palette, bits[start:start + _CHUNK])
+    return codes
+
+
 def _float_block(arr: np.ndarray) -> dict:
-    """``arr`` as one little-endian float64 block, zlib-compressed, in base64."""
+    """``arr`` as one little-endian float64 block, zlib-compressed, in base64:
+    palette-coded when it holds at most PALETTE_MAX distinct bit patterns."""
     arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
     if not np.isfinite(arr).all():
         raise ValueError("float array has a non-finite entry")
-    data = zlib.compress(arr.reshape(-1).view(np.uint8), 1)
-    return {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC,
-            "b64": base64.b64encode(data).decode("ascii")}
+    bits = arr.reshape(-1).view("<u8")
+    block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC}
+    data = bits.view(np.uint8)
+    palette = _palette(bits)
+    if palette is not None:
+        block.update(codec=PALETTE_CODEC, palette=palette.view(FLOAT_DTYPE).tolist())
+        data = _codes(bits, palette)
+    block["b64"] = base64.b64encode(zlib.compress(data, 1)).decode("ascii")
+    return block
 
 
 def _inflated(raw: bytes, need: int, name: str) -> bytes:
@@ -126,6 +169,22 @@ def _inflated(raw: bytes, need: int, name: str) -> bytes:
     return out
 
 
+def _palette_field(value: dict, name: str) -> np.ndarray:
+    """The ``palette`` of a palette block: 1 to PALETTE_MAX finite numbers."""
+    palette = value.get("palette")
+    if not (isinstance(palette, list) and 1 <= len(palette) <= PALETTE_MAX):
+        raise DocumentError(f"field {name!r} has no palette of 1 to {PALETTE_MAX} entries")
+    if not all(type(v) in (int, float) for v in palette):
+        raise DocumentError(f"field {name!r} has a palette entry that is not a number")
+    try:
+        palette = np.array(palette, dtype=np.float64)
+    except OverflowError as exc:
+        raise DocumentError(f"field {name!r} has a palette entry out of range: {exc}") from exc
+    if not np.isfinite(palette).all():
+        raise DocumentError(f"field {name!r} has a non-finite palette entry")
+    return palette
+
+
 def _decoded(value, name: str):
     """A float block as an array; any other value is returned as it is."""
     if not isinstance(value, dict):
@@ -138,18 +197,30 @@ def _decoded(value, name: str):
         raise DocumentError(f"field {name!r} has shape {shape!r}, "
                             "expected a list of non-negative integers")
     codec = value.get("codec")
-    if codec not in (None, CODEC):
-        raise DocumentError(f"field {name!r} has codec {codec!r}, expected {CODEC!r} or none")
+    if codec not in (None, CODEC, PALETTE_CODEC):
+        raise DocumentError(f"field {name!r} has codec {codec!r}, "
+                            f"expected {PALETTE_CODEC!r}, {CODEC!r} or none")
+    if codec == PALETTE_CODEC:
+        palette = _palette_field(value, name)
+    elif "palette" in value:
+        raise DocumentError(f"field {name!r} has a palette but codec {codec!r}")
     try:
         raw = base64.b64decode(value.get("b64"), validate=True)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field {name!r} has no valid base64 'b64': {exc}") from exc
-    need = 8 * math.prod(shape)
+    need = (1 if codec == PALETTE_CODEC else 8) * math.prod(shape)
     if codec is not None:
         raw = _inflated(raw, need, name)
     if len(raw) != need:
         raise DocumentError(f"field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}")
-    return np.frombuffer(raw, dtype=FLOAT_DTYPE).reshape(shape)
+    if codec != PALETTE_CODEC:
+        return np.frombuffer(raw, dtype=FLOAT_DTYPE).reshape(shape)
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    if codes.size and codes.max() >= palette.size:
+        raise DocumentError(f"field {name!r} has code {codes.max()}, "
+                            f"its palette has {palette.size} entries")
+    # Indexing, not np.take: np.take would copy the codes to intp first.
+    return palette[codes].reshape(shape)
 
 
 def _array(payload: dict, name: str, dtype=None) -> np.ndarray:

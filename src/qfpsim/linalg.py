@@ -9,6 +9,9 @@ from ._kernels import linf_to_l1_enum
 MAX_ENUM_COLS = 25
 # Norms whose squares stay well inside the normal float64 range.
 _SAFE_NORM_MIN, _SAFE_NORM_MAX = 1e-150, 1e150
+# Entries per step of unit_rows: the squares np.linalg.norm forms stay small
+# next to the rows themselves.
+_NORM_CHUNK = 1 << 16
 
 
 def as_matrix(m) -> np.ndarray:
@@ -23,10 +26,15 @@ def as_matrix(m) -> np.ndarray:
 def unit_rows(v) -> np.ndarray:
     """The rows of ``v`` scaled to unit norm; a zero row stays zero.  A row
     whose sum of squares leaves the normal float64 range (lost to subnormals,
-    or overflowed) is first divided by its largest entry."""
+    or overflowed) is first divided by its largest entry.  Norms are taken over
+    chunks of rows, each row with the same arithmetic as in one call."""
     v = np.asarray(v, dtype=np.float64)
+    step = max(1, _NORM_CHUNK // max(v.shape[1], 1))
+    norms = np.empty((v.shape[0], 1))
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
+        for start in range(0, v.shape[0], step):
+            norms[start:start + step] = np.linalg.norm(v[start:start + step], axis=1,
+                                                       keepdims=True)
     odd = ~((_SAFE_NORM_MIN < norms) & (norms < _SAFE_NORM_MAX))[:, 0]
     if odd.any():
         v = v.copy()

@@ -2,8 +2,10 @@ import base64
 import json
 import os
 import shlex
+import struct
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 import zlib
 from operator import attrgetter
@@ -38,8 +40,11 @@ def read_doc(path):
 def block_array(block):
     """A float block's array, decoded with numpy and zlib alone."""
     raw = base64.b64decode(block["b64"])
-    if block.get("codec") == "zlib":
+    if block.get("codec") in ("zlib", "zlib-palette"):
         raw = zlib.decompress(raw)
+    if block.get("codec") == "zlib-palette":
+        codes = np.frombuffer(raw, dtype=np.uint8)
+        return np.array(block["palette"], dtype="<f8")[codes].reshape(block["shape"])
     return np.frombuffer(raw, dtype="<f8").reshape(block["shape"])
 
 
@@ -48,9 +53,34 @@ def b64(data):
 
 
 def put_array(block, arr):
-    """Replace a float block's bytes by those of ``arr``, in the block's codec."""
-    data = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    block["b64"] = b64(zlib.compress(data) if block.get("codec") == "zlib" else data)
+    """Replace a float block's contents by ``arr``, in the block's codec."""
+    bits = np.ascontiguousarray(arr, dtype="<f8").reshape(-1).view("<u8")
+    if block.get("codec") == "zlib-palette":
+        palette, codes = np.unique(bits, return_inverse=True)
+        block["palette"] = palette.view("<f8").tolist()
+        data = codes.astype(np.uint8).tobytes()
+    else:
+        data = bits.tobytes()
+    block["b64"] = b64(zlib.compress(data) if block.get("codec") else data)
+
+
+def recode(block, codec):
+    """Rewrite a float block in ``codec``: "zlib-palette", "zlib", or None for
+    the raw bytes of the 1.1 form."""
+    arr = block_array(block)
+    block.pop("palette", None)
+    block.pop("codec", None)
+    if codec is not None:
+        block["codec"] = codec
+    put_array(block, arr)
+
+
+def distinct_patterns(arr):
+    return np.unique(np.ascontiguousarray(arr, dtype="<f8").view("<u8")).size
+
+
+def bits_of(x):
+    return struct.pack("<d", x)
 
 
 def as_lists(payload, *names):
@@ -174,7 +204,9 @@ class TestDocuments:
             sent.reshape(-1)[spots[: sent.size]] = data.draw(st.sampled_from(TINY + HUGE))
         path = str(tmp_path_factory.mktemp("blocks") / "v.json")
         io.dump(io.document("vectors", io.vectors_payload(sent)), path)
-        assert read_doc(path)["payload"]["vectors"]["codec"] == "zlib"
+        palette = 1 <= distinct_patterns(sent) <= 256
+        assert read_doc(path)["payload"]["vectors"]["codec"] == (
+            "zlib-palette" if palette else "zlib")
         got = io.parse_vectors(io.load(path))
         assert got.shape == sent.shape
         assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
@@ -210,6 +242,67 @@ class TestDocuments:
             tracemalloc.stop()
         assert got.shape == (1, need // 8) and not got.any()
         assert peak < 2 * need + (1 << 20)  # the inflated bytes and the array
+
+    def test_palette_memory_bounded_by_the_declared_shape(self, tmp_path):
+        # 1 Mi codes decode into 8 MiB of floats and nothing else of that size
+        count = 1 << 20
+        block = {"dtype": "<f8", "shape": [1, count], "codec": "zlib-palette",
+                 "palette": [0.5], "b64": b64(zlib.compress(bytes(count), 1))}
+        path = write_doc(tmp_path / "v.json", "vectors", {"vectors": block})
+        doc = io.load(path)
+        tracemalloc.start()
+        try:
+            got = io.parse_vectors(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (1, count) and (got == 0.5).all()
+        assert peak < 9 * count + (1 << 20)  # the codes and the array
+
+    @pytest.mark.parametrize("distinct", [1, 255, 256, 257])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_palette_boundary_round_trip(self, distinct, data):
+        # float64 edge cases first, then other finite values, each bit pattern once
+        specials = data.draw(st.permutations([-0.0, 0.0, 5e-324, 1e300, -1e300]))
+        others = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=distinct, max_size=distinct, unique_by=bits_of))
+        patterns = {}
+        for x in [*specials, *others]:
+            patterns.setdefault(bits_of(x), x)
+        values = np.array(list(patterns.values())[:distinct])
+        cols = data.draw(st.integers(1, 4))
+        rows = -(-distinct // cols) + data.draw(st.integers(0, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        picks = np.concatenate([np.arange(distinct),
+                                rng.integers(0, distinct, rows * cols - distinct)])
+        sent = values[rng.permutation(picks)].reshape(rows, cols)
+        block = io.vectors_payload(sent)["vectors"]
+        if distinct <= 256:
+            assert block["codec"] == "zlib-palette" and len(block["palette"]) == distinct
+        else:
+            assert block["codec"] == "zlib" and "palette" not in block
+        doc = json.loads(json.dumps(io.document("vectors", {"vectors": block})))
+        for got in (io.parse_vectors(doc), block_array(doc["payload"]["vectors"])):
+            assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
+
+    def test_empty_block_is_zlib(self):
+        block = io.vectors_payload(np.zeros((0, 3)))["vectors"]
+        assert block["codec"] == "zlib" and io.parse_vectors(
+            {"kind": "vectors", "payload": {"vectors": block}}).shape == (0, 3)
+
+    def test_format_1_2_zlib_block_document_loads(self, tmp_path):
+        # a block of three values, which the writer now palette-codes
+        sent = np.array([[0.0, 0.03125, -0.03125], [-0.0, 0.0, 0.03125]])
+        block = {"dtype": "<f8", "shape": [2, 3], "codec": "zlib",
+                 "b64": b64(zlib.compress(sent.tobytes(), 1))}
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({
+            "format_version": "1.2", "kind": "vectors", "payload": {"vectors": block},
+            "provenance": {"command": "", "seed": None, "version": "0.0.0"}}))
+        got = io.parse_vectors(io.load(str(path)))
+        assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
+        assert io.vectors_payload(sent)["vectors"]["codec"] == "zlib-palette"
 
     def test_format_1_1_raw_block_document_loads(self, tmp_path):
         sent = np.array([[0.6, -0.0, 5e-324], [HUGE[0], HUGE[1], -1.5]])
@@ -254,7 +347,12 @@ class TestDocuments:
             io.load(str(bad))
 
 
-# Edits that make a float block malformed, in either form of block ...
+def stream_bytes(block):
+    """The byte count that the stream of EQ-1's 16-entry alphas block holds."""
+    return (1 if block.get("codec") == "zlib-palette" else 8) * 16
+
+
+# Edits that make a float block malformed, in any form of block ...
 BLOCK_EDITS = [
     pytest.param(lambda block: block.update(dtype=">f8"), id="dtype"),
     pytest.param(lambda block: block.update(shape=[2.0, 8]), id="float-shape"),
@@ -270,31 +368,46 @@ BLOCK_EDITS = [
     pytest.param(lambda block: block.update(shape=[16]), id="one-d-shape"),
     pytest.param(lambda block: block.update(codec="lz4"), id="unknown-codec"),
 ]
-# ... and in its zlib stream.
+# ... in its zlib stream ...
 ZLIB_EDITS = [
     pytest.param(lambda block: block.update(
         b64=b64(zlib.compress(b"")[:2] + b"not a deflate stream")), id="corrupt-zlib"),
     pytest.param(lambda block: block.update(
-        b64=b64(zlib.compress(bytes(8 * 16))[:-6])), id="truncated-zlib"),
+        b64=b64(zlib.compress(bytes(stream_bytes(block)))[:-6])), id="truncated-zlib"),
     pytest.param(lambda block: put_array(block, np.zeros(15)), id="short-inflate"),
     pytest.param(lambda block: put_array(block, np.zeros(17)), id="over-long-inflate"),
     pytest.param(lambda block: block.update(
-        b64=b64(zlib.compress(bytes(8 * 16)) + b"\0")), id="trailing-bytes"),
+        b64=b64(zlib.compress(bytes(stream_bytes(block))) + b"\0")), id="trailing-bytes"),
+]
+# ... and in its palette.
+PALETTE_EDITS = [
+    pytest.param(lambda block: block.update(
+        b64=b64(zlib.compress(bytes([len(block["palette"])] * 16)))), id="code-past-palette"),
+    pytest.param(lambda block: block.update(palette=[]), id="empty-palette"),
+    pytest.param(lambda block: block.update(palette=[i / 257 for i in range(257)]),
+                 id="257-entry-palette"),
+    pytest.param(lambda block: block.update(palette=0.5), id="palette-not-list"),
+    pytest.param(lambda block: block["palette"].__setitem__(0, float("nan")), id="nan-entry"),
+    pytest.param(lambda block: block["palette"].__setitem__(0, float("inf")), id="inf-entry"),
+    pytest.param(lambda block: block["palette"].__setitem__(0, True), id="bool-entry"),
+    pytest.param(lambda block: block["palette"].__setitem__(0, "0.5"), id="string-entry"),
+    pytest.param(lambda block: block["palette"].__setitem__(0, 10**400), id="huge-int-entry"),
+    pytest.param(lambda block: block.update(codec="zlib"), id="palette-with-zlib"),
+    pytest.param(lambda block: block.pop("codec"), id="palette-with-raw"),
+    pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes(8 * 16)))),
+                 id="float-sized-stream"),
 ]
 
 
-def check_malformed_alphas_exit_1(tmp_path, capsys, edit, raw):
-    """Compile EQ-1, rewrite its alphas block as raw bytes (the 1.1 form) if
-    ``raw``, apply ``edit`` to the block, and expect verify to exit 1."""
+def check_malformed_alphas_exit_1(tmp_path, capsys, edit, codec):
+    """Compile EQ-1, rewrite its alphas block in ``codec`` (see ``recode``),
+    apply ``edit`` to the block, and expect verify to exit 1."""
     emb = tmp_path / "emb.json"
     assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
     doc = read_doc(emb)
     block = doc["payload"]["alphas"]
-    assert block["shape"] == [2, 8] and block["codec"] == "zlib"
-    if raw:
-        arr = block_array(block)
-        del block["codec"]
-        put_array(block, arr)
+    assert block["shape"] == [2, 8] and block["codec"] == "zlib-palette"
+    recode(block, codec)
     edit(block)
     with open(emb, "w") as fh:
         json.dump(doc, fh)
@@ -459,11 +572,15 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("edit", [*BLOCK_EDITS, *ZLIB_EDITS])
     def test_malformed_float_block_exits_1(self, tmp_path, capsys, edit):
-        check_malformed_alphas_exit_1(tmp_path, capsys, edit, raw=False)
+        check_malformed_alphas_exit_1(tmp_path, capsys, edit, "zlib")
 
     @pytest.mark.parametrize("edit", BLOCK_EDITS)
     def test_malformed_raw_block_exits_1(self, tmp_path, capsys, edit):
-        check_malformed_alphas_exit_1(tmp_path, capsys, edit, raw=True)
+        check_malformed_alphas_exit_1(tmp_path, capsys, edit, None)
+
+    @pytest.mark.parametrize("edit", [*BLOCK_EDITS, *ZLIB_EDITS, *PALETTE_EDITS])
+    def test_malformed_palette_block_exits_1(self, tmp_path, capsys, edit):
+        check_malformed_alphas_exit_1(tmp_path, capsys, edit, "zlib-palette")
 
     @pytest.mark.parametrize("field, value", [
         ("n", "abc"),
@@ -559,9 +676,11 @@ class TestCliPipelines:
         out = tmp_path / "e.json"
         assert main(["compile", "--builtin", "eq", "--n", "7", "--out", str(out)]) == 0
         doc = read_doc(out)
-        assert doc["format_version"] == "1.2"
-        assert doc["payload"]["alphas"]["codec"] == doc["payload"]["betas"]["codec"] == "zlib"
-        assert out.stat().st_size < 100_000
+        assert doc["format_version"] == "1.3"
+        for name in ("alphas", "betas"):
+            block = doc["payload"][name]
+            assert block["codec"] == "zlib-palette" and len(block["palette"]) == 3
+        assert out.stat().st_size < 20_000
 
     def test_compile_one_way_model_matches_smp(self, tmp_path):
         payloads = []
@@ -667,6 +786,55 @@ def test_cli_module_runs_in_a_subprocess():
     doc = json.loads(proc.stdout)
     assert doc["format_version"] == io.FORMAT_VERSION
     assert doc["provenance"]["version"] == io.VERSION
+
+
+def test_cli_never_imports_numpy_ma(tmp_path):
+    """np.unique and its kin import numpy.ma on their first call, 6-7 ms of a
+    CLI process; no command may pull it in."""
+    vectors = np.random.default_rng(0).standard_normal((10, 200))
+    write_doc(tmp_path / "vecs.json", "vectors",
+              io.vectors_payload(vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
+    commands = [
+        ["compile", "--builtin", "eq", "--n", "3", "--out", "eq3.json"],
+        ["verify", "--builtin", "eq", "--n", "3", "--embedding", "eq3.json", "--out", "v.json"],
+        ["project", "--vectors", "vecs.json", "--dim", "16", "--out", "p.json"],
+        ["margin", "--builtin", "ham", "--n", "4", "--d", "1", "--heuristic", "--out", "m.json"],
+        ["simulate", "--builtin", "eq", "--n", "2", "--trials", "5", "--out", "s.json"],
+    ]
+    script = textwrap.dedent("""
+        import json, sys
+        from qfpsim.cli import main
+        for argv in json.loads(sys.argv[1]):
+            if main(argv) != 0:
+                sys.exit(f"{argv[0]} failed")
+            if "numpy.ma" in sys.modules:
+                sys.exit(f"{argv[0]} imported numpy.ma")
+    """)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def readme_decode_recipe():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("To decode a block with numpy:\n\n```python\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("codec", ["zlib-palette", "zlib"])
+def test_readme_decode_recipe(tmp_path, codec):
+    """README's numpy-only recipe decodes both codecs as the reader does."""
+    if codec == "zlib-palette":
+        emb = tmp_path / "eq3.json"
+        assert main(["compile", "--builtin", "eq", "--n", "3", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+    else:
+        alphas = np.random.default_rng(0).standard_normal((5, 300))
+        doc = {"payload": {"alphas": io.vectors_payload(alphas)["vectors"]}}
+    assert doc["payload"]["alphas"]["codec"] == codec
+    scope = {"doc": doc}
+    exec(readme_decode_recipe(), scope)
+    expected = io._array(doc["payload"], "alphas")
+    assert np.array_equal(scope["alphas"].view(np.uint64), expected.view(np.uint64))
 
 
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):

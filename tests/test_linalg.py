@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfpsim.linalg import linf_to_l1_norm, operator_norm, unit_rows
+from qfpsim.linalg import _NORM_CHUNK, linf_to_l1_norm, operator_norm, unit_rows
 
 
 def brute_force_linf_l1(m):
@@ -47,6 +47,20 @@ class TestUnitRows:
         v = rng.standard_normal((rows, cols)) * 10.0 ** rng.integers(-100, 100)
         expected = v / np.linalg.norm(v, axis=1, keepdims=True)
         assert np.array_equal(unit_rows(v), expected)
+
+    @pytest.mark.parametrize("cols", [1, 7, 512, _NORM_CHUNK + 3])
+    def test_chunked_norms_match_one_call(self, cols):
+        # several chunks of rows, the last one partial; every third row is
+        # scaled so far that its norm leaves the normal range
+        rng = np.random.default_rng(cols)
+        v = rng.standard_normal((3 * max(1, _NORM_CHUNK // cols) + 2, cols))
+        assert np.array_equal(unit_rows(v), v / np.linalg.norm(v, axis=1, keepdims=True))
+        v[::3] *= 1e200
+        v[1::3] *= 1e-200
+        peaked = v / np.abs(v).max(axis=1, keepdims=True)
+        peaked[2::3] = v[2::3]
+        assert np.array_equal(unit_rows(v),
+                              peaked / np.linalg.norm(peaked, axis=1, keepdims=True))
 
 
 class TestOperatorNorm:
