@@ -36,6 +36,7 @@ from .embeddings import (
 )
 from .fingerprint import (
     FingerprintProtocol,
+    exact_pair_errors,
     protocol_from_embedding,
     protocol_from_margin,
     required_repetitions,

@@ -119,6 +119,7 @@ def cmd_simulate(args, argv) -> int:
             "qubits_per_copy": protocol.qubits_per_copy,
             "total_qubits": protocol.total_qubits,
             "max_error": report.max_error,
+            "exact_error": report.exact_error,
             "per_pair_error": _nan_to_none(report.per_pair_error),
         },
         args,
@@ -232,7 +233,8 @@ def build_parser() -> _Parser:
                    help="also search for a max-margin witness")
     p.set_defaults(func=cmd_margin)
 
-    p = sub.add_parser("simulate", help="Monte-Carlo run of a fingerprinting protocol")
+    p = sub.add_parser("simulate", help="exact error law and Monte-Carlo run of a "
+                                        "fingerprinting protocol")
     common(p)
     p.add_argument("--embedding", default=None, help="embedding document")
     p.add_argument("--eps", type=float, default=1.0 / 3.0)

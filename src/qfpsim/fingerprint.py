@@ -1,5 +1,5 @@
-"""Swap-test acceptance law, Monte-Carlo repeated fingerprinting, and the
-referee's threshold decision."""
+"""Swap-test acceptance law, the referee's threshold decision, and the exact
+error law of repeated fingerprinting with a Monte-Carlo estimate beside it."""
 
 from __future__ import annotations
 
@@ -101,42 +101,105 @@ def protocol_from_margin(m: SignMatrix, r: Realization, eps: float) -> Fingerpri
     return protocol_from_embedding(realization_to_embedding(r), eps)
 
 
-@dataclass(frozen=True)
-class ProtocolRunReport:
-    per_pair_error: np.ndarray = field(repr=False)  # NaN on promise-excluded pairs
-    max_error: float
+# Entries of the (distinct P0) x (r + 1) pmf table that binomial_tails builds
+# per step, as linalg._NORM_CHUNK bounds unit_rows.
+_PMF_CHUNK = 1 << 16
 
 
-def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> ProtocolRunReport:
-    """Monte-Carlo error estimate of a protocol on every non-promise pair.
+def referee_threshold(r: int, theta: float) -> int:
+    """k*: the least count of zero outcomes among r that ``referee_rule`` maps
+    to 1, or r + 1 if it maps none.  The rule is evaluated on every count
+    0..r, so its clip and its ties-to-1 carry over exactly; the rule is
+    nondecreasing in the count, so it says 1 exactly from k* on."""
+    says_one = referee_rule(np.arange(r + 1) / r, theta)
+    return int(says_one.argmax()) if says_one.any() else r + 1
 
-    The referee sees only how many of the r swap tests gave 0, and that count
-    is Bin(r, P0) with P0 = 1/2 + <alpha_x, beta_y>^2 / 2. So each trial draws
-    that count instead of r outcome bits; the law is that of r independent
-    swap tests. All P0 come from one inner-product matrix, with no per-state
-    check: ``ThresholdEmbedding`` already holds its rows to unit norm at the
-    tolerance ``swap_test_prob`` checks. One PCG64 stream from ``seed`` draws
-    the counts one row of M at a time, so memory stays at cols x trials.
+
+def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
+    """(P[K >= k], P[K < k]) for K ~ Bin(r, p), at each p in (0, 1] of the
+    1-d ``probs``.
+
+    Each tail sums its own pmf terms exp(log C(r, j) + j log p +
+    (r - j) log(1 - p)), with log C from ``math.lgamma``, so a small tail is
+    never 1 minus the other.  At j = r the last term is 0, not 0 * log 0, so
+    p = 1 gives pmf exactly 1 at j = r and 0 elsewhere.  The table is built
+    at most ``_PMF_CHUNK`` entries at a time."""
+    probs = np.asarray(probs, dtype=np.float64)
+    j = np.arange(r + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(r + 1)])
+    log_comb = log_fact[r] - log_fact - log_fact[::-1]
+    upper, lower = np.empty(probs.size), np.empty(probs.size)
+    step = max(1, _PMF_CHUNK // (r + 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, probs.size, step):
+            p = probs[start:start + step, None]
+            pmf = np.exp(log_comb + j * np.log(p)
+                         + np.where(j == r, 0.0, (r - j) * np.log1p(-p)))
+            upper[start:start + step] = pmf[:, k:].sum(axis=1)
+            lower[start:start + step] = pmf[:, :k].sum(axis=1)
+    return np.minimum(upper, 1.0), np.minimum(lower, 1.0)
+
+
+def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
+    """The probability that protocol p's referee errs on each pair of M, NaN
+    on promise-excluded pairs.
+
+    The referee sees K ~ Bin(r, P0) zero outcomes, P0 = 1/2 +
+    <alpha_x, beta_y>^2 / 2, and says 1 iff K >= k* (``referee_threshold``).
+    So the error is P[K >= k*] on f = 0 pairs and P[K < k*] on f = 1 pairs.
+    The tails are computed once per distinct P0 (EQ has 2, HAM(5, 2) has 6).
+    All P0 come from one inner-product matrix, with no per-state check:
+    ``ThresholdEmbedding`` already holds its rows to unit norm at the
+    tolerance ``swap_test_prob`` checks.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     report = verify_threshold_embedding(p.embedding, m)
     if not report.valid:
         raise ValueError(
             f"embedding is not valid for M (worst f=0 side {report.worst_zero_side}, "
             f"worst f=1 side {report.worst_one_side})"
         )
+    support = m.entries != 0
+    inner = (p.embedding.alphas @ p.embedding.betas.T)[support]
+    # Identical unit states can give <a, a>^2 = 1 + ulp; P0 is a probability.
+    p_zero = np.minimum(0.5 + inner**2 / 2.0, 1.0)
+    # sorted(set(...)), not np.sort, which would also page in numpy's
+    # vectorized sort code: ~0.25 MiB more RSS per process.
+    values = np.array(sorted(set(p_zero.tolist())))
+    which = np.searchsorted(values, p_zero)
     r = p.repetitions
-    # Identical unit states can give <a, a>^2 = 1 + ulp, and binomial refuses p > 1.
-    p_zero = np.minimum(0.5 + (p.embedding.alphas @ p.embedding.betas.T) ** 2 / 2.0, 1.0)
-    rng = generator(seed)
-    errors = np.full((m.rows, m.cols), np.nan)
-    for x in range(m.rows):
-        cols = np.flatnonzero(m.entries[x])
-        zeros = rng.binomial(r, p_zero[x, cols][:, None], size=(cols.size, trials))
-        expected = m.entries[x, cols] == -1  # -1 encodes f(x,y)=1
-        errors[x, cols] = (referee_rule(zeros / r, p.theta) != expected[:, None]).mean(axis=1)
+    upper, lower = binomial_tails(r, referee_threshold(r, p.theta), values)
+    errors = np.full(m.entries.shape, np.nan)
+    # -1 encodes f(x, y) = 1
+    errors[support] = np.where(m.entries[support] == -1, lower[which], upper[which])
+    return errors
+
+
+@dataclass(frozen=True)
+class ProtocolRunReport:
+    per_pair_error: np.ndarray = field(repr=False)  # NaN on promise-excluded pairs
+    max_error: float
+    exact_error: float  # the worst pair's exact error, which max_error estimates
+
+
+def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> ProtocolRunReport:
+    """Monte-Carlo error estimate of a protocol on every non-promise pair,
+    beside the exact worst-pair error.
+
+    Over ``trials`` independent runs of the protocol, the number of runs in
+    which the referee errs on a pair is Bin(trials, q), where q is the pair's
+    exact error (``exact_pair_errors``).  So each pair takes one draw of
+    that count, which has the law of ``trials`` runs of r swap tests each;
+    ``per_pair_error`` is the count over ``trials``.  One PCG64 stream from
+    ``seed`` makes the draws in row-major pair order.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    exact = exact_pair_errors(p, m)
+    support = m.entries != 0
+    errors = np.full(exact.shape, np.nan)
+    errors[support] = generator(seed).binomial(trials, exact[support]) / trials
     return ProtocolRunReport(
         per_pair_error=errors,
-        max_error=float(np.nanmax(errors)),
+        max_error=float(errors[support].max()),
+        exact_error=float(exact[support].max()),
     )

@@ -308,7 +308,10 @@ def _vectors(payload: dict, name: str, renormalize: bool) -> np.ndarray:
     zero = np.flatnonzero(~vectors.any(axis=1))
     if zero.size:
         raise DocumentError(f"field {name!r} row {zero[0]} has norm 0 and cannot be renormalized")
-    return unit_rows(vectors)
+    # A palette block or a nested list decodes to a new array, scaled here in
+    # place; a raw or zlib block is a read-only view of the document's bytes.
+    owned = vectors.flags.writeable and not isinstance(payload[name], np.ndarray)
+    return unit_rows(vectors, out=vectors if owned else None)
 
 
 def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -23,11 +23,12 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def unit_rows(v) -> np.ndarray:
+def unit_rows(v, out=None) -> np.ndarray:
     """The rows of ``v`` scaled to unit norm; a zero row stays zero.  A row
     whose sum of squares leaves the normal float64 range (lost to subnormals,
     or overflowed) is first divided by its largest entry.  Norms are taken over
-    chunks of rows, each row with the same arithmetic as in one call."""
+    chunks of rows, each row with the same arithmetic as in one call.  The
+    result goes to ``out`` if given, which may be ``v`` itself."""
     v = np.asarray(v, dtype=np.float64)
     step = max(1, _NORM_CHUNK // max(v.shape[1], 1))
     norms = np.empty((v.shape[0], 1))
@@ -37,11 +38,14 @@ def unit_rows(v) -> np.ndarray:
                                                        keepdims=True)
     odd = ~((_SAFE_NORM_MIN < norms) & (norms < _SAFE_NORM_MAX))[:, 0]
     if odd.any():
-        v = v.copy()
         peak = np.abs(v[odd]).max(axis=1, keepdims=True)
-        v[odd] /= np.where(peak > 0.0, peak, 1.0)
-        norms[odd] = np.linalg.norm(v[odd], axis=1, keepdims=True)
-    return v / np.where(norms > 0.0, norms, 1.0)
+        rescaled = v[odd] / np.where(peak > 0.0, peak, 1.0)
+        norms[odd] = np.linalg.norm(rescaled, axis=1, keepdims=True)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    out = np.divide(v, safe, out=out)
+    if odd.any():
+        out[odd] = rescaled / safe[odd]
+    return out
 
 
 def operator_norm(m) -> float:

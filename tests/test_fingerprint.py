@@ -1,19 +1,48 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qfpsim._rng import generator
+from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding
 from qfpsim.fingerprint import (
     FingerprintProtocol,
+    binomial_tails,
+    exact_pair_errors,
+    protocol_from_embedding,
     protocol_from_margin,
     referee_rule,
+    referee_threshold,
     required_repetitions,
     run_protocol,
     swap_test_prob,
 )
-from qfpsim.problems import eq_matrix
+from qfpsim.problems import eq_matrix, eq_parity_protocol, ham_matrix, ham_parity_embedding
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
+
+
+def reference_run(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> np.ndarray:
+    """Monte-Carlo reference for the protocol's per-pair error, independent of
+    the exact law: each trial draws the referee's count of zero outcomes,
+    Bin(r, P0) with P0 = 1/2 + <alpha_x, beta_y>^2 / 2, and applies
+    ``referee_rule`` to it.  NaN on promise pairs."""
+    r = p.repetitions
+    p_zero = np.minimum(0.5 + (p.embedding.alphas @ p.embedding.betas.T) ** 2 / 2.0, 1.0)
+    rng = generator(seed)
+    errors = np.full((m.rows, m.cols), np.nan)
+    for x in range(m.rows):
+        cols = np.flatnonzero(m.entries[x])
+        zeros = rng.binomial(r, p_zero[x, cols][:, None], size=(cols.size, trials))
+        expected = m.entries[x, cols] == -1  # -1 encodes f(x,y)=1
+        errors[x, cols] = (referee_rule(zeros / r, p.theta) != expected[:, None]).mean(axis=1)
+    return errors
+
+
+def eq_states(n: int) -> tuple[ThresholdEmbedding, SignMatrix]:
+    m = eq_matrix(n)
+    return assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(n)), m), m
 
 
 class TestSwapTestProb:
@@ -122,6 +151,10 @@ class TestRunProtocol:
         # x == y pairs have inner product 1: the swap test is deterministic
         assert report.per_pair_error[0, 0] == 0.0
         assert report.per_pair_error[1, 1] == 0.0
+        # P0 = 1/2 off the diagonal, where one copy errs iff the test gives 0
+        exact = exact_pair_errors(p, m)
+        assert exact[0, 0] == exact[1, 1] == 0.0
+        assert exact[0, 1] == exact[1, 0] == report.exact_error == 0.5
 
     def test_deterministic(self):
         m = eq_matrix(1)
@@ -129,6 +162,7 @@ class TestRunProtocol:
         a = run_protocol(p, m, trials=50, seed=9)
         b = run_protocol(p, m, trials=50, seed=9)
         assert np.array_equal(a.per_pair_error, b.per_pair_error)
+        assert a.exact_error == b.exact_error
 
     def test_invalid_embedding_rejected(self):
         m = eq_matrix(1)
@@ -152,6 +186,7 @@ class TestRunProtocol:
         se = math.sqrt(exact * (1 - exact) / (off.sum() * trials))
         assert abs(mean - exact) <= 3 * se
         assert np.all(report.per_pair_error[np.eye(4, dtype=bool)] == 0.0)
+        assert report.exact_error == pytest.approx(exact, abs=1e-15)
 
     def test_inner_product_overshoot_does_not_raise(self):
         # A unit state whose computed <a, a>^2 is 1 + ulp gives P0 > 1, which
@@ -175,3 +210,151 @@ class TestRunProtocol:
         report = run_protocol(p, m, trials=20, seed=0)
         assert np.isnan(report.per_pair_error[0, 1])
         assert np.isnan(report.per_pair_error[1, 0])
+        exact = exact_pair_errors(p, m)
+        assert np.array_equal(np.isnan(exact), m.entries == 0)
+        assert report.exact_error == 0.0
+
+    def test_seed_moves_the_draws_not_the_exact_error(self):
+        e, m = eq_states(3)
+        p = protocol_from_embedding(e, 1 / 3)
+        a = run_protocol(p, m, trials=50, seed=4)
+        b = run_protocol(p, m, trials=50, seed=5)
+        assert a.exact_error == b.exact_error
+        assert not np.array_equal(a.per_pair_error, b.per_pair_error)
+
+
+def exact_pmf(r: int, p: float) -> list[Fraction]:
+    """The Bin(r, p) pmf in exact rational arithmetic."""
+    q = Fraction(p)
+    return [math.comb(r, j) * q**j * (1 - q) ** (r - j) for j in range(r + 1)]
+
+
+class TestExactLaw:
+    def test_tails_match_exact_arithmetic(self):
+        rng = np.random.default_rng(3)
+        for r in list(range(1, 8)) + [int(v) for v in rng.integers(8, 41, 8)] + [40]:
+            probs = np.concatenate([[0.5, 1.0], rng.uniform(0.5, 1.0, 4)])
+            pmfs = [exact_pmf(r, float(prob)) for prob in probs]
+            # k = 0 and k = r + 1 are the thresholds where one tail is empty
+            for k in range(r + 2):
+                upper, lower = binomial_tails(r, k, probs)
+                for i, pmf in enumerate(pmfs):
+                    assert abs(upper[i] - sum(pmf[k:], Fraction(0))) <= 1e-12, (r, k, probs[i])
+                    assert abs(lower[i] - sum(pmf[:k], Fraction(0))) <= 1e-12, (r, k, probs[i])
+
+    def test_tails_at_the_edges_are_exact(self):
+        r = 30
+        upper, lower = binomial_tails(r, 0, [0.5, 0.8, 1.0])
+        assert upper.tolist() == pytest.approx([1.0] * 3, abs=1e-15)
+        assert lower.tolist() == [0.0] * 3
+        upper, lower = binomial_tails(r, r + 1, [0.5, 0.8, 1.0])
+        assert upper.tolist() == [0.0] * 3
+        # P0 = 1: every swap test gives 0, so K = r exactly
+        upper, lower = binomial_tails(r, r, [1.0])
+        assert (upper[0], lower[0]) == (1.0, 0.0)
+
+    def test_tails_chunks_agree_with_one_row(self):
+        probs = np.linspace(0.5, 1.0, 200)
+        upper, lower = binomial_tails(2603, 1400, probs)  # 26 rows per chunk
+        for i in (0, 25, 26, 117, 199):
+            one_upper, one_lower = binomial_tails(2603, 1400, probs[i:i + 1])
+            assert (upper[i], lower[i]) == (one_upper[0], one_lower[0])
+
+    @pytest.mark.parametrize("r", [1, 2, 7, 40, 408])
+    @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.1, 0.15625, 0.5, 0.75, 1.0, 1.5])
+    def test_threshold_is_the_rule_on_every_count(self, r, theta):
+        k = referee_threshold(r, theta)
+        says_one = [bool(referee_rule(j / r, theta)) for j in range(r + 1)]
+        assert says_one == [j >= k for j in range(r + 1)]
+        if theta <= 0.0:
+            assert k == 0  # the clip lifts every estimate to 0 >= theta
+        if theta > 1.0:
+            assert k == r + 1
+
+    def test_threshold_tie_goes_to_one(self):
+        # 3 of 4 zeros estimate exactly 1/2
+        assert referee_threshold(4, 0.5) == 3
+
+
+def eq_worst_error(r: int) -> float:
+    """Worst-pair error of the EQ protocol, (delta0, delta1) = (1/16, 1/4),
+    theta at the midpoint, with r copies."""
+    k = referee_threshold(r, (1 / 16 + 1 / 4) / 2)
+    upper, lower = binomial_tails(r, k, [0.5 + 1 / 32, 0.5 + 1 / 8])
+    return max(upper[0], lower[1])
+
+
+class TestExactEqCounts:
+    def test_error_at_the_hoeffding_count(self):
+        assert required_repetitions(1 / 16, 1 / 4, 1 / 3) == 408
+        assert eq_worst_error(408) == pytest.approx(0.0312, abs=1e-4)
+        e, m = eq_states(3)
+        report = run_protocol(protocol_from_embedding(e, 1 / 3), m, trials=10, seed=0)
+        assert report.exact_error == pytest.approx(eq_worst_error(408), abs=1e-12)
+
+    def test_error_is_not_monotone_in_copies(self):
+        errors = [eq_worst_error(r) for r in (25, 26, 27)]
+        assert errors == pytest.approx([0.317, 0.375, 0.329], abs=5e-4)
+
+    @pytest.mark.parametrize("eps, hoeffding, least, stable", [
+        (1 / 3, 408, 25, 39),
+        (0.1, 682, 184, 205),
+        (0.01, 1206, 604, 627),
+    ])
+    def test_least_and_stable_counts(self, eps, hoeffding, least, stable):
+        # Hoeffding's bound holds at every r >= its count, so the scan stops there.
+        assert required_repetitions(1 / 16, 1 / 4, eps) == hoeffding
+        safe = [eq_worst_error(r) <= eps for r in range(1, hoeffding + 1)]
+        assert safe.index(True) + 1 == least
+        assert len(safe) - safe[::-1].index(False) + 1 == stable
+
+
+def _one_copy_cases():
+    # The 1x1 protocols of acceptance criterion 9: one copy of random states.
+    rng = np.random.default_rng(7)
+    cases = []
+    for _ in range(3):
+        d = int(rng.integers(2, 10))
+        alpha, beta = rng.standard_normal(d), rng.standard_normal(d)
+        alpha /= np.linalg.norm(alpha)
+        beta /= np.linalg.norm(beta)
+        delta0 = float(alpha @ beta) ** 2
+        e = ThresholdEmbedding(alpha[None, :], beta[None, :], delta0, 1.0)
+        cases.append((FingerprintProtocol(e, 1, (delta0 + 1.0) / 2.0), SignMatrix([[1]])))
+    return cases
+
+
+def _law_case(kind: str, i: int):
+    if kind == "eq":
+        e, m = eq_states(i)
+        return protocol_from_embedding(e, 1 / 3), m, 200
+    if kind == "ham":
+        ham = ham_parity_embedding(5, 2).embedding
+        return protocol_from_embedding(ham, 1 / 3), ham_matrix(5, 2), 100
+    return (*_one_copy_cases()[i], 100_000)
+
+
+@pytest.mark.parametrize("kind, i", [*(("eq", n) for n in range(2, 7)), ("ham", 0),
+                                     *(("one-copy", i) for i in range(3))])
+def test_exact_law_within_3se_of_reference_sampler(kind, i):
+    """Pairs with the same exact error q are pooled; the reference sampler's
+    and run_protocol's error frequencies over each pool lie within 3 standard
+    errors of q, and exactly 0 where q is 0."""
+    p, m, trials = _law_case(kind, i)
+    exact = exact_pair_errors(p, m)
+    reference = reference_run(p, m, trials, seed=11)
+    run = run_protocol(p, m, trials, seed=11)
+    support = m.entries != 0
+    assert np.array_equal(np.isnan(exact), ~support)
+    assert run.exact_error == np.nanmax(exact)
+    if kind == "one-copy":
+        # one copy errs on [[+1]] exactly when the swap test gives 0
+        alpha, beta = p.embedding.alphas[0], p.embedding.betas[0]
+        assert exact[0, 0] == pytest.approx(swap_test_prob(alpha, beta), abs=1e-12)
+    pools = np.round(exact[support], 12)
+    for q in sorted(set(pools.tolist())):
+        pool = pools == q
+        se = math.sqrt(q * (1 - q) / (pool.sum() * trials))
+        for sampled in (reference, run.per_pair_error):
+            freq = float(sampled[support][pool].mean())
+            assert abs(freq - q) <= 3 * se, (kind, i, q, freq, se)

@@ -259,6 +259,29 @@ class TestDocuments:
         assert got.shape == (1, count) and (got == 0.5).all()
         assert peak < 9 * count + (1 << 20)  # the codes and the array
 
+    def test_renormalizing_load_scales_palette_blocks_in_place(self, tmp_path):
+        # EQ-9 holds two 512 x 2048 palette blocks (8 MiB each as floats).
+        # Each decoded block is scaled in place, so no third block is alive.
+        path = tmp_path / "eq9.json"
+        assert main(["compile", "--builtin", "eq", "--n", "9", "--out", str(path)]) == 0
+        doc = io.load(str(path))
+        assert doc["payload"]["alphas"]["codec"] == "zlib-palette"
+        tracemalloc.start()
+        try:
+            got = io.parse_embedding(doc, renormalize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 << 20
+        plain = io.parse_embedding(doc)
+        assert np.array_equal(got.alphas, plain.alphas / np.linalg.norm(
+            plain.alphas, axis=1, keepdims=True))
+        # a zlib block decodes to a read-only view of its bytes, so it is copied
+        recode(doc["payload"]["betas"], "zlib")
+        betas = block_array(doc["payload"]["betas"])
+        assert np.array_equal(io.parse_embedding(doc, renormalize=True).betas,
+                              betas / np.linalg.norm(betas, axis=1, keepdims=True))
+
     @pytest.mark.parametrize("distinct", [1, 255, 256, 257])
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
@@ -621,6 +644,9 @@ class TestCliPipelines:
                      "--seed", "1", "--out", str(sim)]) == 0
         payload = read_doc(sim)["payload"]
         assert payload["max_error"] <= 1.0
+        # the exact worst-pair error of EQ's states at the Hoeffding count, 408
+        assert payload["copies"] == 408
+        assert payload["exact_error"] == pytest.approx(0.0312, abs=1e-4)
         assert payload["total_qubits"] == 2 * payload["qubits_per_copy"] * payload["copies"]
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e200])

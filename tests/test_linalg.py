@@ -61,6 +61,10 @@ class TestUnitRows:
         peaked[2::3] = v[2::3]
         assert np.array_equal(unit_rows(v),
                               peaked / np.linalg.norm(peaked, axis=1, keepdims=True))
+        # in place, into the rows themselves, the result is the same
+        w = v.copy()
+        assert unit_rows(w, out=w) is w
+        assert np.array_equal(w, unit_rows(v))
 
 
 class TestOperatorNorm:
