@@ -49,13 +49,15 @@ def linf_to_l1_enum(m: np.ndarray) -> float:
     return best
 
 
-def margin_ascent(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo):
+def margin_ascent(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo,
+                  target=np.inf):
     """Soft-min gradient ascent for max-margin arrangements.
 
     Maximizes a softmin surrogate of min over nonzero (x,y) of
     M[x,y] * <alpha_x, beta_y> over unit vectors, renormalizing every step.
     Returns ``(alphas, betas, margin)`` for the best arrangement seen, judged
-    by its exact margin.
+    by its exact margin, as soon as that margin is >= ``target`` (stopping at
+    step k returns what ``iterations`` = k would at the same temperatures).
 
     Pairs with M[x,y] = 0 carry an offset of +inf, so they never set the
     minimum and their soft-min weight comes out exactly 0; the other pairs
@@ -74,6 +76,8 @@ def margin_ascent(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo)
         worst = np.minimum.reduce(margins, None)
         if worst > best:
             best, best_a, best_b = worst, alphas, betas
+            if best >= target:
+                break
         w = np.exp((worst - margins) / temp)
         wm = (w / np.add.reduce(w, None)) * m
         new_a = alphas + step * (wm @ betas)

@@ -17,9 +17,9 @@ from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm, unit_rows
 # keeps outputs reproducible.
 GROTHENDIECK_K = 1.7822139781
 
-# The witness ascent's fixed schedule: iterations, step, step decay, and the
+# The witness ascent's schedule: iterations, step, step decay, and the
 # soft-min temperature annealed from the first value to the second.
-ASCENT_SCHEDULE = (2000, 0.05, 0.999, 1.0, 0.01)
+ASCENT_SCHEDULE = (500, 0.2, 0.999**4, 1.0, 0.01)
 
 
 def forster_bound(m: SignMatrix) -> float:
@@ -74,15 +74,28 @@ def dot_allowance(d: int) -> float:
     return (d + 2) * math.ulp(1.0)
 
 
+def exit_allowance(d: int) -> float:
+    """How far below the computed Forster bound the witness ascent may stop, at
+    dimension d = n + 1, n = min(|X|, |Y|): ``dot_allowance(d)`` plus Forster's
+    error.  A sign matrix's Gram matrix is exact, LAPACK's top eigenvalue errs
+    by <= p(n)*u*||G|| (p(n) taken as n), the square root halves that and five
+    roundings add 5u: (n/2 + 5)*u <= (d + 3)*eps.  Too small only stops later."""
+    return dot_allowance(d) + (d + 3) * math.ulp(1.0)
+
+
 def maximize_margin_heuristic(m: SignMatrix) -> Realization:
     """Max-margin witness by one soft-min gradient ascent from the factored
     start, renormalizing to unit vectors each step.  The witness depends on M
     alone and lives in dimension min(|X|, |Y|) + 1.  Its gamma is the computed
     margin of the best arrangement seen less ``dot_allowance`` of that
-    dimension, so it never exceeds the exact margin of the returned vectors;
-    no optimality is claimed.  Raises when no separating arrangement is found."""
+    dimension, so it never exceeds the exact margin of the returned vectors.
+    The ascent stops at ``forster_bound`` less ``exit_allowance``, which only
+    rounding can beat; below that no optimality is claimed.  Raises when no
+    separating arrangement is found."""
     md = np.ascontiguousarray(m.dense())
-    alphas, betas, achieved = margin_ascent(md, *_factored_start(md), *ASCENT_SCHEDULE)
+    start = _factored_start(md)
+    target = forster_bound(m) - exit_allowance(start[0].shape[1])
+    alphas, betas, achieved = margin_ascent(md, *start, *ASCENT_SCHEDULE, target)
     gamma = achieved - dot_allowance(alphas.shape[1])
     if gamma <= 0.0:
         raise RuntimeError(

@@ -162,10 +162,14 @@ def _worst_sides(sq: np.ndarray, m: SignMatrix):
             _worst_pair(sq, m.one_pairs()) or (1.0, None))
 
 
-def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix) -> EmbeddingReport:
-    """Check the threshold inequalities on every non-promise pair of M."""
+def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
+                               squared: np.ndarray | None = None) -> EmbeddingReport:
+    """Check the threshold inequalities on every non-promise pair of M, from
+    ``squared`` = (e.alphas @ e.betas.T) ** 2 if the caller has formed it."""
     _check_counts(e.alphas, e.betas, m)
-    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides((e.alphas @ e.betas.T) ** 2, m)
+    if squared is None:
+        squared = (e.alphas @ e.betas.T) ** 2
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(squared, m)
     valid = worst_zero <= e.delta0 + VERIFY_TOL and worst_one >= e.delta1 - VERIFY_TOL
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
 

@@ -148,20 +148,20 @@ def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
     <alpha_x, beta_y>^2 / 2, and says 1 iff K >= k* (``referee_threshold``).
     So the error is P[K >= k*] on f = 0 pairs and P[K < k*] on f = 1 pairs.
     The tails are computed once per distinct P0 (EQ has 2, HAM(5, 2) has 6).
-    All P0 come from one inner-product matrix, with no per-state check:
-    ``ThresholdEmbedding`` already holds its rows to unit norm at the
-    tolerance ``swap_test_prob`` checks.
+    All P0 come from the one squared inner-product matrix the verifier checks,
+    with no per-state check: ``ThresholdEmbedding`` already holds its rows to
+    unit norm at the tolerance ``swap_test_prob`` checks.
     """
-    report = verify_threshold_embedding(p.embedding, m)
+    squared = (p.embedding.alphas @ p.embedding.betas.T) ** 2
+    report = verify_threshold_embedding(p.embedding, m, squared)
     if not report.valid:
         raise ValueError(
             f"embedding is not valid for M (worst f=0 side {report.worst_zero_side}, "
             f"worst f=1 side {report.worst_one_side})"
         )
     support = m.entries != 0
-    inner = (p.embedding.alphas @ p.embedding.betas.T)[support]
     # Identical unit states can give <a, a>^2 = 1 + ulp; P0 is a probability.
-    p_zero = np.minimum(0.5 + inner**2 / 2.0, 1.0)
+    p_zero = np.minimum(0.5 + squared[support] / 2.0, 1.0)
     # sorted(set(...)), not np.sort, which would also page in numpy's
     # vectorized sort code: ~0.25 MiB more RSS per process.
     values = np.array(sorted(set(p_zero.tolist())))

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfpsim._kernels import margin_ascent
 from qfpsim.bounds import (
     GROTHENDIECK_K,
     _factored_start,
     dot_allowance,
+    exit_allowance,
     forster_bound,
     linial_bound,
     margin_report,
@@ -226,6 +228,48 @@ class TestHeuristic:
         assert report.valid and report.achieved_margin >= r.gamma
         assert r.gamma <= forster_bound(m)
         assert r.gamma <= linial_bound(m)
+
+
+def promise_12x12(seed):
+    """A seeded 12x12 sign matrix, +-1 with about 20% of pairs in the promise."""
+    rng = np.random.default_rng(seed)
+    entries = rng.choice(np.array([-1, 1], dtype=np.int8), size=(12, 12))
+    entries[rng.random((12, 12)) < 0.2] = 0
+    return SignMatrix(entries)
+
+
+class TestAscentSchedule:
+    # The schedule before it was cut to 500 steps: the same step times
+    # iterations and the same final step fraction, in 4x the steps.
+    OLD_SCHEDULE = (2000, 0.05, 0.999, 1.0, 0.01)
+
+    @pytest.mark.parametrize("m", [
+        pytest.param(ham_matrix(5, 2), id="ham-5-2"),
+        pytest.param(ham_matrix(4, 1), id="ham-4-1"),
+        pytest.param(eq_matrix(2), id="eq-2"),
+        pytest.param(eq_matrix(3), id="eq-3"),
+    ] + [pytest.param(promise_12x12(seed), id=f"promise-12x12-{seed}") for seed in range(8)])
+    def test_no_worse_than_the_old_schedule(self, m):
+        """The witness margin is at least the old schedule's, unless the
+        ascent stopped at the Forster exit, which only rounding can beat."""
+        md = np.ascontiguousarray(m.dense())
+        start = _factored_start(md)
+        d = start[0].shape[1]
+        old = margin_ascent(md, *start, *self.OLD_SCHEDULE)[2]
+        target = forster_bound(m) - exit_allowance(d)
+        assert maximize_margin_heuristic(m).gamma >= min(old, target) - dot_allowance(d)
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_ip_stops_at_the_start_certified(self, k):
+        m = ip_matrix(k)
+        rep = margin_report(m, heuristic=True)
+        d = min(m.rows, m.cols) + 1
+        assert 0.0 <= rep.upper - rep.heuristic_lower <= exit_allowance(d)
+        # the factored start already meets Forster, so it is the witness
+        witness = maximize_margin_heuristic(m)
+        start = _factored_start(np.ascontiguousarray(m.dense()))
+        assert np.array_equal(witness.alphas, start[0])
+        assert np.array_equal(witness.betas, start[1])
 
 
 class TestAsymptoticLowerBounds:

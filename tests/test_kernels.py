@@ -215,3 +215,50 @@ def test_ascent_keeps_the_sign_of_a_zero_margin():
     m = np.array([[-1.0]])
     args = (m, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 0, 0.1, 1.0, 1.0, 0.5)
     assert _bits(_margin_ascent_where(*args)[2]) == _bits(margin_ascent(*args)[2]) == _bits(-0.0)
+
+
+def _random_ascent_case(seed, rows, cols, d, iterations):
+    rng = np.random.default_rng(seed)
+    m = rng.choice([-1.0, 0.0, 1.0], size=(rows, cols))
+    m[rng.integers(rows), rng.integers(cols)] = rng.choice([-1.0, 1.0])
+    a0 = unit_rows(rng.standard_normal((rows, d)))
+    b0 = unit_rows(rng.standard_normal((cols, d)))
+    temp = rng.uniform(0.05, 2.0)
+    # temp_hi == temp_lo: the temperature is the same at every step whatever
+    # the iteration count, so a shorter run follows the same iterates
+    schedule = (iterations, rng.uniform(0.01, 0.5), rng.uniform(0.9, 1.0), temp, temp)
+    return rng, m, a0, b0, schedule
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8), st.integers(1, 9),
+       st.integers(0, 30))
+def test_ascent_with_an_unreached_target_matches_both_oracles(seed, rows, cols, d, iterations):
+    _, m, a0, b0, schedule = _random_ascent_case(seed, rows, cols, d, iterations)
+    a1, b1, g1 = _margin_ascent_where(m, a0, b0, *schedule)
+    a2, b2, g2 = _margin_ascent_loop(m, a0, b0, *schedule)
+    # the least target above every margin the run sees, and one far above
+    for target in (np.nextafter(g1, np.inf), 2.0):
+        a, b, g = margin_ascent(m, a0, b0, *schedule, target)
+        assert _bits(g) == _bits(g1) and _bits(a) == _bits(a1) and _bits(b) == _bits(b1)
+        # the scalar loop sums in another order: the tolerance of
+        # test_ascent_implementations_agree
+        assert g == pytest.approx(g2, abs=1e-9)
+        np.testing.assert_allclose(a, a2, atol=1e-9)
+        np.testing.assert_allclose(b, b2, atol=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 8), st.integers(1, 9),
+       st.integers(1, 30))
+def test_ascent_stops_where_the_target_is_first_reached(seed, rows, cols, d, iterations):
+    rng, m, a0, b0, schedule = _random_ascent_case(seed, rows, cols, d, iterations)
+    rest = schedule[1:]
+    # the best margin after each step, as runs of every shorter length see it
+    prefix = [margin_ascent(m, a0, b0, j, *rest)[2] for j in range(iterations + 1)]
+    for target in (prefix[rng.integers(iterations + 1)], prefix[-1], prefix[0]):
+        k = next(j for j, g in enumerate(prefix) if g >= target)
+        got = margin_ascent(m, a0, b0, *schedule, target)
+        want = margin_ascent(m, a0, b0, k, *rest)
+        assert all(_bits(x) == _bits(y) for x, y in zip(got, want))
+        assert got[2] >= target
