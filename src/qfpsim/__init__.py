@@ -21,7 +21,6 @@ from .compiler import (
     classical_projection_protocol,
     compile_one_way,
     compile_smp,
-    pad_to_states,
     reduce_embedding_dimension,
 )
 from .embeddings import (

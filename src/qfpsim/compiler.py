@@ -182,14 +182,6 @@ def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
     return out
 
 
-def pad_to_states(v: VectorSystem, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Junk-pad the r-th slice into unit states on dim+2 coordinates, with
-    <alpha_x, beta_y> = <a(x), b(y)> / L^2."""
-    if not (0 <= r < v.num_rand):
-        raise ValueError(f"random-string index {r} out of range [0, {v.num_rand})")
-    return _junk_pad(v.a[r], 0, v.norm_bound), _junk_pad(v.b[r], 1, v.norm_bound)
-
-
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
     """Superpose all junk-padded per-r states into block vectors on
     |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly.

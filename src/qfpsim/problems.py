@@ -3,7 +3,6 @@ Hamming-distance threshold problem with its biased-parity sketch embedding."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +12,7 @@ from .compiler import MIN_GAP, ClassicalSMPProtocol, OneWayProtocol
 from .embeddings import SignMatrix, ThresholdEmbedding
 
 MAX_BITS = 12
-MAX_EXACT_HAM_BITS = 8
+MAX_EXACT_HAM_BITS = 9
 
 def _check_bits(name: str, n: int) -> None:
     if not (1 <= n <= MAX_BITS):
@@ -101,13 +100,9 @@ class HamEmbeddingReport:
     embedding: ThresholdEmbedding
     margin_lower_bound: float
     bit_bias: float
-    exact: bool
-    construction: str = "biased-parity sketch (substituted message functions)"
 
 
-def ham_parity_embedding(
-    n: int, d: int, num_r: int | None = None, seed=0
-) -> HamEmbeddingReport:
+def ham_parity_embedding(n: int, d: int) -> HamEmbeddingReport:
     """Fingerprint states for the Hamming threshold problem from biased
     parity sketches, with the implied margin lower bound.
 
@@ -120,47 +115,31 @@ def ham_parity_embedding(
     (delta1-delta0)/(2+delta1+delta0) follows from the embedding-to-
     realization conversion.
 
-    With ``num_r=None`` (n <= 8) the full string set is enumerated with
-    Bernoulli weights, making every pairwise inner product exactly the
-    analytic collision probability; otherwise ``num_r`` strings are sampled
-    and inner products match within Monte-Carlo error.
+    Every n-bit string s is enumerated with its Bernoulli weight, so each
+    pairwise inner product is exactly the analytic collision probability
+    and the embedding verifies; n is capped at ``MAX_EXACT_HAM_BITS``.
     """
     _check_bits("n", n)
-    if not (1 <= d < n / 2):
-        raise ValueError(f"d must satisfy 1 <= d < n/2, got d={d} at n={n}")
+    if not (2 <= d < n / 2):
+        raise ValueError(
+            f"d must satisfy 2 <= d < n/2 (at d = 1 the bit bias is 1/2 and every "
+            f"collision probability is 1/2), got d={d} at n={n}"
+        )
+    if n > MAX_EXACT_HAM_BITS:
+        raise ValueError(f"the exact sketch is capped at n <= {MAX_EXACT_HAM_BITS}, got n={n}")
     p = 1.0 / (2.0 * d)
     delta1 = collision_probability(d, p) ** 2
     delta0 = collision_probability(d + 1, p) ** 2
     if delta1 - delta0 < MIN_GAP:
-        raise ValueError(f"collision gap {delta1 - delta0} below 1e-6")
+        raise ValueError(f"collision gap {delta1 - delta0} below {MIN_GAP}")
     margin = (delta1 - delta0) / (2.0 + delta1 + delta0)
 
-    if num_r is None:
-        if n > MAX_EXACT_HAM_BITS:
-            raise ValueError(
-                f"exact enumeration is capped at n <= {MAX_EXACT_HAM_BITS}; pass num_r"
-            )
-        strings = np.arange(1 << n)
-        weights = np.bitwise_count(strings).astype(np.float64)
-        amps = np.sqrt(p**weights * (1.0 - p) ** (n - weights))
-        exact = True
-    else:
-        rng = generator(seed)
-        # independent Bernoulli(p) entries per string
-        bits = (rng.random((num_r, n)) < p).astype(np.int64)
-        strings = (bits << np.arange(n)).sum(axis=1)
-        amps = np.full(num_r, 1.0 / math.sqrt(num_r))
-        exact = False
-
-    parities = _parity_table(n, strings)  # (2^n, |S|)
     size = 1 << n
-    vectors = np.zeros((size, 2 * len(strings)))
-    cols = 2 * np.arange(len(strings))
-    vectors[np.arange(size)[:, None], cols[None, :] + parities] = amps[None, :]
+    strings = np.arange(size)
+    weights = np.bitwise_count(strings).astype(np.float64)
+    amps = np.sqrt(p**weights * (1.0 - p) ** (n - weights))
+    parities = _parity_table(n, strings)  # (2^n, 2^n)
+    vectors = np.zeros((size, 2 * size))
+    vectors[strings[:, None], 2 * strings[None, :] + parities] = amps[None, :]
     embedding = ThresholdEmbedding(vectors, vectors, delta0, delta1)
-    return HamEmbeddingReport(
-        embedding=embedding,
-        margin_lower_bound=margin,
-        bit_bias=p,
-        exact=exact,
-    )
+    return HamEmbeddingReport(embedding=embedding, margin_lower_bound=margin, bit_bias=p)

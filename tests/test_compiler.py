@@ -17,7 +17,6 @@ from qfpsim.compiler import (
     classical_projection_protocol,
     compile_one_way,
     compile_smp,
-    pad_to_states,
     reduce_embedding_dimension,
 )
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
@@ -28,13 +27,6 @@ from qfpsim.problems import (
     eq_parity_protocol,
 )
 from tests.test_embeddings import eq_orthonormal_embedding
-
-
-def per_slice_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The block states built one random string at a time from pad_to_states."""
-    scale = 1.0 / np.sqrt(v.num_rand)
-    slices = [pad_to_states(v, r) for r in range(v.num_rand)]
-    return tuple(np.hstack([scale * pair[side] for pair in slices]) for side in (0, 1))
 
 
 def previous_junk_pad(a: np.ndarray, b: np.ndarray, big_l: float):
@@ -51,6 +43,14 @@ def previous_junk_pad(a: np.ndarray, b: np.ndarray, big_l: float):
         return out / big_l
 
     return pad(a, 0), pad(b, 1)
+
+
+def per_slice_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The block states built one random string at a time: each slice padded
+    by ``previous_junk_pad``, scaled by 1/sqrt(|R|) and laid side by side."""
+    scale = 1.0 / np.sqrt(v.num_rand)
+    slices = [previous_junk_pad(v.a[r], v.b[r], v.norm_bound) for r in range(v.num_rand)]
+    return tuple(np.hstack([scale * pair[side] for pair in slices]) for side in (0, 1))
 
 
 def previous_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -225,19 +225,15 @@ class TestVectorSystem:
 
 class TestPadToStates:
     def test_unit_norm_and_exact_inner_products(self):
+        # the per-slice reference pads each slice into unit states
         v = compile_smp(eq_parity_protocol(2))
         for r in range(v.num_rand):
-            a, b = pad_to_states(v, r)
+            a, b = previous_junk_pad(v.a[r], v.b[r], v.norm_bound)
             np.testing.assert_allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(np.linalg.norm(b, axis=1), 1.0, atol=1e-12)
             np.testing.assert_allclose(
                 a @ b.T, (v.a[r] @ v.b[r].T) / v.norm_bound**2, atol=1e-12
             )
-
-    def test_index_out_of_range(self):
-        v = compile_smp(eq_parity_protocol(1))
-        with pytest.raises(ValueError):
-            pad_to_states(v, v.num_rand)
 
 
 class TestAssemble:

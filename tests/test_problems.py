@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from qfpsim.compiler import compile_smp
+from qfpsim.compiler import MIN_GAP, compile_smp
 from qfpsim.embeddings import verify_threshold_embedding
 from qfpsim.problems import (
+    MAX_EXACT_HAM_BITS,
     collision_probability,
     eq_matrix,
     eq_parity_protocol,
@@ -95,7 +96,6 @@ class TestHamParityEmbedding:
     def test_exact_inner_products(self):
         n, d = 6, 2
         rep = ham_parity_embedding(n, d)
-        assert rep.exact
         ips = rep.embedding.alphas @ rep.embedding.betas.T
         idx = np.arange(1 << n)
         dist = np.bitwise_xor.outer(idx, idx)
@@ -114,29 +114,24 @@ class TestHamParityEmbedding:
             (e.delta1 - e.delta0) / (2 + e.delta1 + e.delta0), abs=1e-15
         )
 
-    def test_exact_embedding_verifies(self):
-        n, d = 7, 3
+    @pytest.mark.parametrize("n, d", [
+        (n, d) for n in range(1, MAX_EXACT_HAM_BITS + 1) for d in range(2, n) if d < n / 2
+    ])
+    def test_exact_embedding_verifies(self, n, d):
+        # every admissible (n, d) up to the cap
         rep = ham_parity_embedding(n, d)
-        assert verify_threshold_embedding(rep.embedding, ham_matrix(n, d)).valid
-
-    def test_sampled_mode_verifies_large_n(self):
-        n, d = 12, 3
-        rep = ham_parity_embedding(n, d, num_r=256, seed=0)
-        assert not rep.exact
-        assert rep.margin_lower_bound > 0.0
-        # Sampled inner products drift, so check diagonal exactness only.
-        diag = np.einsum(
-            "ij,ij->i", rep.embedding.alphas, rep.embedding.betas
-        )
-        np.testing.assert_allclose(diag, 1.0, atol=1e-9)
+        e = rep.embedding
+        assert verify_threshold_embedding(e, ham_matrix(n, d)).valid
+        assert e.delta1 - e.delta0 >= MIN_GAP
+        assert rep.margin_lower_bound == (e.delta1 - e.delta0) / (2 + e.delta1 + e.delta0)
 
     def test_exact_mode_capped(self):
-        with pytest.raises(ValueError, match="num_r"):
-            ham_parity_embedding(12, 3)
+        with pytest.raises(ValueError, match=f"capped at n <= {MAX_EXACT_HAM_BITS}"):
+            ham_parity_embedding(MAX_EXACT_HAM_BITS + 1, 3)
 
     def test_degenerate_bias_rejected(self):
         # d = 1 puts the bit bias at 1/2, which kills the collision gap.
-        with pytest.raises(ValueError, match="gap"):
+        with pytest.raises(ValueError, match="2 <= d < n/2"):
             ham_parity_embedding(4, 1)
 
     def test_margin_scaling_with_d(self):
