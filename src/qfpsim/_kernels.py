@@ -4,10 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Always False: the kernels are plain numpy.  Kept because
-# ``perfbench/run.py`` records ``qfpsim.USING_NUMBA`` in its environment block.
-USING_NUMBA = False
-
 # Free signs on the low side of the meet-in-the-middle split, and the float64
 # count a block of sums aims at (512 KiB, well inside a core's L2 cache).
 _LOW_BITS = 10

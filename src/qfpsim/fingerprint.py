@@ -18,6 +18,7 @@ from .embeddings import (
     verify_realization,
     verify_threshold_embedding,
 )
+from .linalg import CHUNK
 
 
 @dataclass(frozen=True)
@@ -101,11 +102,6 @@ def protocol_from_margin(m: SignMatrix, r: Realization, eps: float) -> Fingerpri
     return protocol_from_embedding(realization_to_embedding(r), eps)
 
 
-# Entries of the (distinct P0) x (r + 1) pmf table that binomial_tails builds
-# per step, as linalg._NORM_CHUNK bounds unit_rows.
-_PMF_CHUNK = 1 << 16
-
-
 def referee_threshold(r: int, theta: float) -> int:
     """k*: the least count of zero outcomes among r that ``referee_rule`` maps
     to 1, or r + 1 if it maps none.  The rule is evaluated on every count
@@ -123,13 +119,13 @@ def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
     (r - j) log(1 - p)), with log C from ``math.lgamma``, so a small tail is
     never 1 minus the other.  At j = r the last term is 0, not 0 * log 0, so
     p = 1 gives pmf exactly 1 at j = r and 0 elsewhere.  The table is built
-    at most ``_PMF_CHUNK`` entries at a time."""
+    at most ``CHUNK`` entries at a time."""
     probs = np.asarray(probs, dtype=np.float64)
     j = np.arange(r + 1)
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(r + 1)])
     log_comb = log_fact[r] - log_fact - log_fact[::-1]
     upper, lower = np.empty(probs.size), np.empty(probs.size)
-    step = max(1, _PMF_CHUNK // (r + 1))
+    step = max(1, CHUNK // (r + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, probs.size, step):
             p = probs[start:start + step, None]

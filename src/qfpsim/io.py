@@ -31,22 +31,24 @@ import json
 import math
 import sys
 import zlib
+from itertools import chain
 
 import numpy as np
 
 from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding
-from .linalg import unit_rows
+from .linalg import CHUNK, unit_rows
 
 FORMAT_VERSION = "1.3"
 FLOAT_DTYPE = "<f8"
 CODEC = "zlib"
 PALETTE_CODEC = "zlib-palette"
 PALETTE_MAX = 256
-# Entries per step of the palette scan: its sort and search temporaries stay
-# small, and the only block-sized buffer is the one-byte code array.
-_CHUNK = 1 << 16
+# The leaf rule: an integer field takes JSON integers only, a number field JSON
+# integers or floats.  true, false, strings and null never pass: the types are
+# compared exactly, and type(True) is bool, not int.
+_JSON_TYPES = {"integer": (int,), "number": (int, float)}
 
 KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
 
@@ -116,8 +118,8 @@ def _palette(bits: np.ndarray) -> np.ndarray | None:
     None if there are none or more than PALETTE_MAX.  Each chunk is merged in
     by a plain sort: np.unique would import numpy.ma, 6-7 ms of CLI start-up."""
     palette = bits[:0]
-    for start in range(0, bits.size, _CHUNK):
-        merged = np.sort(np.concatenate([palette, bits[start:start + _CHUNK]]))
+    for start in range(0, bits.size, CHUNK):
+        merged = np.sort(np.concatenate([palette, bits[start:start + CHUNK]]))
         palette = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
         if palette.size > PALETTE_MAX:
             return None
@@ -127,8 +129,8 @@ def _palette(bits: np.ndarray) -> np.ndarray | None:
 def _codes(bits: np.ndarray, palette: np.ndarray) -> np.ndarray:
     """Each entry of ``bits`` as the uint8 index of its value in ``palette``."""
     codes = np.empty(bits.size, dtype=np.uint8)
-    for start in range(0, bits.size, _CHUNK):
-        codes[start:start + _CHUNK] = np.searchsorted(palette, bits[start:start + _CHUNK])
+    for start in range(0, bits.size, CHUNK):
+        codes[start:start + CHUNK] = np.searchsorted(palette, bits[start:start + CHUNK])
     return codes
 
 
@@ -174,7 +176,7 @@ def _palette_field(value: dict, name: str) -> np.ndarray:
     palette = value.get("palette")
     if not (isinstance(palette, list) and 1 <= len(palette) <= PALETTE_MAX):
         raise DocumentError(f"field {name!r} has no palette of 1 to {PALETTE_MAX} entries")
-    if not all(type(v) in (int, float) for v in palette):
+    if not all(type(v) in _JSON_TYPES["number"] for v in palette):
         raise DocumentError(f"field {name!r} has a palette entry that is not a number")
     try:
         palette = np.array(palette, dtype=np.float64)
@@ -223,13 +225,30 @@ def _decoded(value, name: str):
     return palette[codes].reshape(shape)
 
 
-def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
+def _leaves_are(values: list, leaves: str) -> bool:
+    """Whether every leaf of the nested lists ``values`` is a JSON ``leaves``
+    ("integer" or "number"), one level of the nesting at a time."""
+    allowed = {list, *_JSON_TYPES[leaves]}
+    while values:
+        kinds = set(map(type, values))
+        if not kinds <= allowed:
+            return False
+        values = [] if list not in kinds else list(
+            chain.from_iterable(v for v in values if type(v) is list))
+    return True
+
+
+def _array(payload: dict, name: str, dtype=None, leaves: str = "number") -> np.ndarray:
     """Field ``name`` as an array, from a float block or a nested list; a
-    ragged, non-numeric or non-finite list is malformed."""
+    ragged or non-finite list, or one with a leaf that is not a JSON
+    ``leaves``, is malformed."""
+    value = _field(payload, name)
+    if isinstance(value, list) and not _leaves_are(value, leaves):
+        raise DocumentError(f"field {name!r} has an entry that is not a JSON {leaves}")
     try:
-        arr = np.asarray(_decoded(_field(payload, name), name), dtype=dtype)
+        arr = np.asarray(_decoded(value, name), dtype=dtype)
         finite = bool(np.isfinite(arr).all())
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
     if not finite:
         raise DocumentError(f"field {name!r} has a non-finite entry")
@@ -238,7 +257,7 @@ def _array(payload: dict, name: str, dtype=None) -> np.ndarray:
 
 def _integers(payload: dict, name: str) -> np.ndarray:
     """Field ``name`` as an array of JSON integers; anything else is malformed."""
-    arr = _array(payload, name)
+    arr = _array(payload, name, leaves="integer")
     if arr.dtype.kind not in "iu":
         raise DocumentError(f"field {name!r} is not an array of integers")
     return arr
@@ -247,20 +266,20 @@ def _integers(payload: dict, name: str) -> np.ndarray:
 def _integer(payload: dict, name: str) -> int:
     """Field ``name`` as an int; anything but a JSON integer is malformed."""
     value = _field(payload, name)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentError(f"field {name!r} is not an integer: {value!r}")
+    if type(value) not in _JSON_TYPES["integer"]:
+        raise DocumentError(f"field {name!r} is not a JSON integer: {value!r}")
     return value
 
 
 def _scalar(payload: dict, name: str) -> float:
-    """Field ``name`` as a float; a non-numeric or non-finite value is malformed."""
-    try:
-        value = float(_field(payload, name))
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"field {name!r} is not a number: {exc}") from exc
-    if not math.isfinite(value):
-        raise DocumentError(f"field {name!r} is not finite: {value!r}")
-    return value
+    """Field ``name`` as a float; anything but a finite JSON number is malformed."""
+    value = _field(payload, name)
+    if type(value) not in _JSON_TYPES["number"]:
+        raise DocumentError(f"field {name!r} is not a JSON number: {value!r}")
+    # false for NaN, for an infinity and for an int too large for a float64
+    if not abs(value) <= sys.float_info.max:
+        raise DocumentError(f"field {name!r} is not a finite float64")
+    return float(value)
 
 
 def _build(what: str, cls, *args, **kwargs):
@@ -280,8 +299,8 @@ def sign_matrix_payload(m: SignMatrix) -> dict:
 
 def parse_sign_matrix(doc: dict) -> SignMatrix:
     payload = _payload(doc, "sign_matrix")
-    m = _build("sign matrix", SignMatrix, np.asarray(_field(payload, "entries")))
-    if m.rows != _field(payload, "rows") or m.cols != _field(payload, "cols"):
+    m = _build("sign matrix", SignMatrix, _integers(payload, "entries"))
+    if m.rows != _integer(payload, "rows") or m.cols != _integer(payload, "cols"):
         raise DocumentError("declared sign matrix shape does not match the entries")
     return m
 

@@ -9,9 +9,9 @@ from ._kernels import linf_to_l1_enum
 MAX_ENUM_COLS = 25
 # Norms whose squares stay well inside the normal float64 range.
 _SAFE_NORM_MIN, _SAFE_NORM_MAX = 1e-150, 1e150
-# Entries per step of unit_rows: the squares np.linalg.norm forms stay small
-# next to the rows themselves.
-_NORM_CHUNK = 1 << 16
+# Entries per step of every chunked pass (unit_rows, binomial_tails, the
+# palette scan): a pass's temporaries stay small next to its input.
+CHUNK = 1 << 16
 
 
 def as_matrix(m) -> np.ndarray:
@@ -30,7 +30,7 @@ def unit_rows(v, out=None) -> np.ndarray:
     chunks of rows, each row with the same arithmetic as in one call.  The
     result goes to ``out`` if given, which may be ``v`` itself."""
     v = np.asarray(v, dtype=np.float64)
-    step = max(1, _NORM_CHUNK // max(v.shape[1], 1))
+    step = max(1, CHUNK // max(v.shape[1], 1))
     norms = np.empty((v.shape[0], 1))
     with np.errstate(over="ignore"):
         for start in range(0, v.shape[0], step):

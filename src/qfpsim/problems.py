@@ -31,9 +31,7 @@ def eq_matrix(n: int) -> SignMatrix:
 def ip_matrix(k: int) -> SignMatrix:
     """Inner product mod 2 on k-bit strings: M_{xy} = (-1)^{<x,y>}."""
     _check_bits("k", k)
-    idx = np.arange(1 << k)
-    parities = np.bitwise_count(np.bitwise_and.outer(idx, idx)) & 1
-    return SignMatrix(1 - 2 * parities.astype(np.int8))
+    return SignMatrix(1 - 2 * _parity_table(k, np.arange(1 << k)))
 
 
 def ham_matrix(n: int, d: int) -> SignMatrix:
@@ -49,7 +47,7 @@ def ham_matrix(n: int, d: int) -> SignMatrix:
 def _parity_table(n: int, rand_strings: np.ndarray) -> np.ndarray:
     """parities[x, j] = <x, s_j> mod 2 for all n-bit x."""
     xs = np.arange(1 << n)
-    return (np.bitwise_count(np.bitwise_and.outer(xs, rand_strings)) & 1).astype(np.int64)
+    return (np.bitwise_count(np.bitwise_and.outer(xs, rand_strings)) & 1).astype(np.int8)
 
 
 def _rand_set(n: int, num_r: int | None, seed) -> np.ndarray:
@@ -70,7 +68,8 @@ def eq_parity_protocol(n: int, num_r: int | None = None, seed=0) -> ClassicalSMP
     """
     _check_bits("n", n)
     rand = _rand_set(n, num_r, seed)
-    table = _parity_table(n, rand)
+    # int64 here, or the protocol copies the table to int64 once per party
+    table = _parity_table(n, rand).astype(np.int64)
     accept = np.eye(2, dtype=np.int8)
     return ClassicalSMPProtocol(
         n=n,

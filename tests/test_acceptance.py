@@ -9,7 +9,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qfpsim.bounds import (
     GROTHENDIECK_K,

@@ -624,6 +624,43 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "input error" in err and f"'{field}'" in err and "Traceback" not in err
 
+    # One leaf rule for every numeric field: an integer field takes JSON
+    # integers only, a number field JSON integers or floats, and true, false,
+    # strings and null pass neither.  Each document is valid but for its edit,
+    # and each edit but the 10**400 ones would be valid if its strings and
+    # booleans were read as numbers: only the JSON types are wrong.
+    @pytest.mark.parametrize("kind, field, value", [
+        ("sign_matrix", "entries", [[True, False]]),
+        ("sign_matrix", "entries", [[1.0, -1.0]]),
+        ("sign_matrix", "entries", [["1", "-1"]]),
+        ("sign_matrix", "rows", True),
+        ("sign_matrix", "cols", 2.0),
+        ("embedding", "delta0", "0.0"),
+        ("embedding", "delta1", True),
+        ("embedding", "delta1", 10**400),
+        ("embedding", "alphas", [["1.0", 0.0], [0.0, 1.0]]),
+        ("embedding", "alphas", [[10**400, 0], [0, 1]]),
+        ("embedding", "betas", [[True, False], [False, True]]),
+        ("protocol", "alice_messages", [[0, True], [True, 0]]),
+    ], ids=["entries-bool", "entries-float", "entries-string", "rows-bool", "cols-float",
+            "delta0-string", "delta1-bool", "delta1-huge-int", "alphas-string",
+            "alphas-huge-int", "betas-bool", "alice-messages-bool"])
+    def test_non_json_number_exits_1(self, tmp_path, capsys, kind, field, value):
+        if kind == "sign_matrix":
+            payload = io.sign_matrix_payload(SignMatrix([[1, -1]]))
+            argv = ["margin", "--matrix"]
+        elif kind == "embedding":
+            payload = io.embedding_payload(eq_orthonormal_embedding(2))
+            argv = ["verify", "--builtin", "eq", "--n", "1", "--embedding"]
+        else:
+            payload = io.protocol_payload(eq_parity_protocol(1))
+            argv = ["compile", "--builtin", "eq", "--n", "1", "--protocol"]
+        payload[field] = value
+        path = write_doc(tmp_path / "doc.json", kind, payload)
+        assert main([*argv, path]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and f"'{field}'" in err and "Traceback" not in err
+
 
 class TestCliPipelines:
     def test_compile_then_verify_then_simulate(self, tmp_path):
