@@ -188,11 +188,9 @@ def cmd_project(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     m = _load_matrix(args)
-    # Vectors are renormalized before checking, so corrupted entries show up
-    # as inequality violations (with the offending pair named) rather than as
-    # parse failures.
+    # Rows are read as written, as in simulate: a non-unit row is an input error.
     if args.embedding is not None:
-        embedding = io.parse_embedding(io.load(args.embedding), renormalize=True)
+        embedding = io.parse_embedding(io.load(args.embedding))
         report = verify_threshold_embedding(embedding, m)
         payload = {
             "report": "verify_embedding",
@@ -201,7 +199,7 @@ def cmd_verify(args, argv) -> int:
             "delta1": embedding.delta1,
         }
     else:
-        realization = io.parse_realization(io.load(args.realization), renormalize=True)
+        realization = io.parse_realization(io.load(args.realization))
         report = verify_realization(realization, m)
         payload = {
             "report": "verify_realization",

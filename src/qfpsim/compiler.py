@@ -24,14 +24,17 @@ QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
 
 def _integers(name: str, values) -> np.ndarray:
-    """``values`` as int64; an entry that is not an integer is refused, not
-    truncated."""
+    """``values`` as an integer array: an integer array as it is, a bool one as
+    int8 (a bool index would mask, not index), integral floats as int64; an
+    entry that is not an integer is refused, not truncated."""
     arr = np.asarray(values)
-    integral = arr.dtype.kind in "biu" or (
-        arr.dtype.kind == "f" and np.all(np.abs(arr) < 2.0**63) and np.all(arr == np.trunc(arr)))
-    if not integral:
-        raise ValueError(f"{name} has an entry that is not an integer")
-    return arr.astype(np.int64, copy=False)
+    if arr.dtype.kind in "iu":
+        return arr
+    if arr.dtype.kind == "b":
+        return arr.astype(np.int8)
+    if arr.dtype.kind == "f" and np.all(np.abs(arr) < 2.0**63) and np.all(arr == np.trunc(arr)):
+        return arr.astype(np.int64)
+    raise ValueError(f"{name} has an entry that is not an integer")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__ as VERSION
 from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding
-from .linalg import CHUNK, unit_rows
+from .linalg import CHUNK
 
 FORMAT_VERSION = "1.3"
 FLOAT_DTYPE = "<f8"
@@ -318,30 +318,19 @@ def embedding_payload(e: ThresholdEmbedding) -> dict:
     }
 
 
-def _vectors(payload: dict, name: str, renormalize: bool) -> np.ndarray:
+def _vectors(payload: dict, name: str) -> np.ndarray:
+    """Field ``name`` as a 2-d float array, read as written."""
     vectors = _array(payload, name, np.float64)
     if vectors.ndim != 2:
         raise DocumentError(f"field {name!r} is not a 2-d array: shape {vectors.shape}")
-    if not renormalize:
-        return vectors
-    zero = np.flatnonzero(~vectors.any(axis=1))
-    if zero.size:
-        raise DocumentError(f"field {name!r} row {zero[0]} has norm 0 and cannot be renormalized")
-    # A palette block or a nested list decodes to a new array, scaled here in
-    # place; a raw or zlib block is a read-only view of the document's bytes.
-    owned = vectors.flags.writeable and not isinstance(payload[name], np.ndarray)
-    return unit_rows(vectors, out=vectors if owned else None)
+    return vectors
 
 
-def _vector_pair(payload: dict, renormalize: bool) -> tuple[np.ndarray, np.ndarray]:
-    return _vectors(payload, "alphas", renormalize), _vectors(payload, "betas", renormalize)
-
-
-def parse_embedding(doc: dict, renormalize: bool = False) -> ThresholdEmbedding:
+def parse_embedding(doc: dict) -> ThresholdEmbedding:
     payload = _payload(doc, "embedding")
-    alphas, betas = _vector_pair(payload, renormalize)
-    return _build("embedding", ThresholdEmbedding, alphas, betas,
-                  _scalar(payload, "delta0"), _scalar(payload, "delta1"))
+    return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas"),
+                  _vectors(payload, "betas"), _scalar(payload, "delta0"),
+                  _scalar(payload, "delta1"))
 
 
 def realization_payload(r: Realization) -> dict:
@@ -353,10 +342,10 @@ def realization_payload(r: Realization) -> dict:
     }
 
 
-def parse_realization(doc: dict, renormalize: bool = False) -> Realization:
+def parse_realization(doc: dict) -> Realization:
     payload = _payload(doc, "realization")
-    alphas, betas = _vector_pair(payload, renormalize)
-    return _build("realization", Realization, alphas, betas, _scalar(payload, "gamma"))
+    return _build("realization", Realization, _vectors(payload, "alphas"),
+                  _vectors(payload, "betas"), _scalar(payload, "gamma"))
 
 
 # --- vector systems --------------------------------------------------------
@@ -427,8 +416,4 @@ def vectors_payload(vectors: np.ndarray) -> dict:
 
 
 def parse_vectors(doc: dict) -> np.ndarray:
-    payload = _payload(doc, "vectors")
-    arr = _array(payload, "vectors", np.float64)
-    if arr.ndim != 2:
-        raise DocumentError("vectors payload must be a list of equal-length vectors")
-    return arr
+    return _vectors(_payload(doc, "vectors"), "vectors")

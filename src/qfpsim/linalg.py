@@ -7,10 +7,8 @@ import numpy as np
 from ._kernels import linf_to_l1_enum
 
 MAX_ENUM_COLS = 25
-# Norms whose squares stay well inside the normal float64 range.
-_SAFE_NORM_MIN, _SAFE_NORM_MAX = 1e-150, 1e150
-# Entries per step of every chunked pass (unit_rows, binomial_tails, the
-# palette scan): a pass's temporaries stay small next to its input.
+# Entries per step of every chunked pass (binomial_tails, the palette scan and
+# coding): a pass's temporaries stay small next to its input.
 CHUNK = 1 << 16
 
 
@@ -23,29 +21,13 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def unit_rows(v, out=None) -> np.ndarray:
-    """The rows of ``v`` scaled to unit norm; a zero row stays zero.  A row
-    whose sum of squares leaves the normal float64 range (lost to subnormals,
-    or overflowed) is first divided by its largest entry.  Norms are taken over
-    chunks of rows, each row with the same arithmetic as in one call.  The
-    result goes to ``out`` if given, which may be ``v`` itself."""
+def unit_rows(v) -> np.ndarray:
+    """The rows of ``v`` scaled to unit norm; a zero row stays zero.  Nothing
+    guards a squared norm that underflows or overflows: the callers' rows (the
+    factored margin start, JL projections of unit rows) stay far from both."""
     v = np.asarray(v, dtype=np.float64)
-    step = max(1, CHUNK // max(v.shape[1], 1))
-    norms = np.empty((v.shape[0], 1))
-    with np.errstate(over="ignore"):
-        for start in range(0, v.shape[0], step):
-            norms[start:start + step] = np.linalg.norm(v[start:start + step], axis=1,
-                                                       keepdims=True)
-    odd = ~((_SAFE_NORM_MIN < norms) & (norms < _SAFE_NORM_MAX))[:, 0]
-    if odd.any():
-        peak = np.abs(v[odd]).max(axis=1, keepdims=True)
-        rescaled = v[odd] / np.where(peak > 0.0, peak, 1.0)
-        norms[odd] = np.linalg.norm(rescaled, axis=1, keepdims=True)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    out = np.divide(v, safe, out=out)
-    if odd.any():
-        out[odd] = rescaled / safe[odd]
-    return out
+    norms = np.linalg.norm(v, axis=1, keepdims=True)
+    return v / np.where(norms > 0.0, norms, 1.0)
 
 
 def operator_norm(m) -> float:

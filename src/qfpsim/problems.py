@@ -68,8 +68,7 @@ def eq_parity_protocol(n: int, num_r: int | None = None, seed=0) -> ClassicalSMP
     """
     _check_bits("n", n)
     rand = _rand_set(n, num_r, seed)
-    # int64 here, or the protocol copies the table to int64 once per party
-    table = _parity_table(n, rand).astype(np.int64)
+    table = _parity_table(n, rand)
     accept = np.eye(2, dtype=np.int8)
     return ClassicalSMPProtocol(
         n=n,

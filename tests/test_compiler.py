@@ -154,6 +154,15 @@ class TestCompile:
         assert p.rand_strings == (1,) and p.alice_messages.dtype == np.int64
         assert p.alice_messages.tolist() == [[1], [0]]
 
+    def test_integer_tables_keep_their_dtype(self):
+        # an int16 table is held as given, not copied; a bool one is read as 0/1
+        # messages (as a bool index it would mask instead)
+        table = np.array([[1], [0]], dtype=np.int16)
+        p = ClassicalSMPProtocol(1, 1, (0,), table, np.array([[False], [True]]), np.eye(2))
+        assert p.alice_messages.dtype == np.int16 and np.shares_memory(p.alice_messages, table)
+        assert p.bob_messages.dtype == np.int8 and p.bob_messages.tolist() == [[0], [1]]
+        assert compile_one_way(p).acceptance_matrix().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
 
 @st.composite
 def smp_protocols(draw):
@@ -184,8 +193,10 @@ def float_systems(draw):
                           elements=st.floats(-1.0, 1.0, allow_subnormal=False)))
         rows = raw * (big_l / np.sqrt(dim))
         rows[0, 0] = 0.0
-        top = unit_rows(raw[-1, -1:])[0]
-        rows[-1, -1] = big_l * (top if np.any(top) else np.eye(dim)[0])
+        # scaled by its peak first, since unit_rows wants squares in the normal range
+        peak = np.abs(raw[-1, -1]).max()
+        top = unit_rows(raw[-1, -1:] / peak)[0] if peak else np.eye(dim)[0]
+        rows[-1, -1] = big_l * top
         return rows
 
     return VectorSystem(side(), side(), big_l)

@@ -68,6 +68,10 @@ class TestEqParityProtocol:
         p2 = eq_parity_protocol(2, num_r=16, seed=9)
         assert p1.rand_strings == p2.rand_strings
 
+    def test_parties_share_one_int8_table(self):
+        p = eq_parity_protocol(9)
+        assert p.alice_messages.dtype == np.int8 and p.bob_messages is p.alice_messages
+
 
 class TestCollisionProbability:
     def test_edge_values(self):
