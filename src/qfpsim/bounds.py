@@ -5,11 +5,11 @@ lower bounds."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._kernels import margin_ascent
+from ._record import Record
 from .embeddings import Realization, SignMatrix
 from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm, unit_rows
 
@@ -105,8 +105,7 @@ def maximize_margin_heuristic(m: SignMatrix) -> Realization:
     return Realization(alphas, betas, min(gamma, 1.0))
 
 
-@dataclass(frozen=True)
-class MarginReport:
+class MarginReport(Record):
     forster: float
     linial: float | None
     upper: float

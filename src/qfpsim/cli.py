@@ -8,13 +8,13 @@ full provenance in its output document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import shlex
 import sys
 
-import numpy as np
-
-from . import bounds, compiler, fingerprint, io, problems, projections
+# compiler, problems, fingerprint and projections are imported by the commands
+# that run them.  bounds stays here: perfbench's traced pass wraps it from
+# sys.modules after importing only this module and its workloads' modules.
+from . import bounds, io
 from .embeddings import (
     SignMatrix,
     verify_realization,
@@ -42,6 +42,7 @@ def _refuse(args, reason: str, *names: str) -> None:
 
 
 def _builtin_matrix(args) -> SignMatrix:
+    from . import problems
     params = _BUILTIN_PARAMS[args.builtin]
     if any(getattr(args, p) is None for p in params):
         raise io.DocumentError(
@@ -68,7 +69,7 @@ def _emit(kind: str, payload: dict, args, argv: list[str]) -> None:
     io.dump(doc, args.out)
 
 
-def _nan_to_none(matrix: np.ndarray) -> list:
+def _nan_to_none(matrix) -> list:
     return [[None if v != v else v for v in row] for row in matrix.tolist()]
 
 
@@ -81,7 +82,7 @@ def cmd_margin(args, argv) -> int:
             "report": "margin",
             "rows": m.rows,
             "cols": m.cols,
-            **dataclasses.asdict(report),
+            **report._asdict(),
             "note": "qent/repetition bounds are asymptotic, constant omitted",
         },
         args,
@@ -96,6 +97,7 @@ def _simulation_inputs(args):
         m = _load_matrix(args)
         return embedding, m
     if args.builtin == "eq":
+        from . import compiler, problems
         m = _builtin_matrix(args)
         system = compiler.compile_one_way(problems.eq_parity_protocol(args.n))
         return compiler.assemble_shared_randomness_states(system, m), m
@@ -103,6 +105,7 @@ def _simulation_inputs(args):
 
 
 def cmd_simulate(args, argv) -> int:
+    from . import fingerprint
     embedding, m = _simulation_inputs(args)
     protocol = fingerprint.protocol_from_embedding(embedding, args.eps)
     report = fingerprint.run_protocol(protocol, m, args.trials, args.seed)
@@ -129,6 +132,7 @@ def cmd_simulate(args, argv) -> int:
 
 
 def cmd_compile(args, argv) -> int:
+    from . import compiler
     if not args.reduce:
         _refuse(args, "requires --reduce", "target_dim")
     if args.no_assemble:
@@ -138,6 +142,7 @@ def cmd_compile(args, argv) -> int:
         protocol = io.parse_protocol(io.load(args.protocol))
         m = _load_matrix(args)
     elif args.builtin == "eq":
+        from . import problems
         m = _builtin_matrix(args)
         if args.model == "one-way":
             protocol = problems.eq_parity_one_way_protocol(args.n, args.num_r, args.seed)
@@ -167,6 +172,7 @@ def cmd_compile(args, argv) -> int:
 
 
 def cmd_project(args, argv) -> int:
+    from . import projections
     vectors = io.parse_vectors(io.load(args.vectors))
     projected = projections.project_vectors(vectors, args.dim, args.seed)
     report = projections.verify_distortion(vectors, projected, args.eps)
@@ -177,7 +183,7 @@ def cmd_project(args, argv) -> int:
             "source_dim": vectors.shape[1],
             "target_dim": args.dim,
             "eps": args.eps,
-            **dataclasses.asdict(report),
+            **report._asdict(),
             "projected": projected.tolist(),
         },
         args,
@@ -194,7 +200,7 @@ def cmd_verify(args, argv) -> int:
         report = verify_threshold_embedding(embedding, m)
         payload = {
             "report": "verify_embedding",
-            **dataclasses.asdict(report),
+            **report._asdict(),
             "delta0": embedding.delta0,
             "delta1": embedding.delta1,
         }
@@ -203,7 +209,7 @@ def cmd_verify(args, argv) -> int:
         report = verify_realization(realization, m)
         payload = {
             "report": "verify_realization",
-            **dataclasses.asdict(report),
+            **report._asdict(),
             "gamma": realization.gamma,
         }
     _emit("report", payload, args, argv)

@@ -4,15 +4,15 @@ shared-randomness projection estimator."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import projections
+from ._record import Record
 from ._rng import generator
 from .embeddings import (
     SignMatrix,
     ThresholdEmbedding,
+    _frozen_array,
     _jl_reduce,
     _worst_sides,
     verify_threshold_embedding,
@@ -24,12 +24,12 @@ QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
 
 def _integers(name: str, values) -> np.ndarray:
-    """``values`` as an integer array: an integer array as it is, a bool one as
+    """``values`` as a new integer array: an integer array copied, a bool one as
     int8 (a bool index would mask, not index), integral floats as int64; an
     entry that is not an integer is refused, not truncated."""
     arr = np.asarray(values)
     if arr.dtype.kind in "iu":
-        return arr
+        return arr.copy()
     if arr.dtype.kind == "b":
         return arr.astype(np.int8)
     if arr.dtype.kind == "f" and np.all(np.abs(arr) < 2.0**63) and np.all(arr == np.trunc(arr)):
@@ -37,8 +37,7 @@ def _integers(name: str, values) -> np.ndarray:
     raise ValueError(f"{name} has an entry that is not an integer")
 
 
-@dataclass(frozen=True)
-class _Protocol:
+class _Protocol(Record):
     """Shared randomness ``rand_strings`` and Alice's messages as a truth table
     ``alice_messages[x, r]`` in [2^c]."""
 
@@ -52,24 +51,23 @@ class _Protocol:
         if rand.ndim != 1 or rand.size < 1:
             raise ValueError("the shared-randomness set must be a nonempty list")
         object.__setattr__(self, "rand_strings", tuple(int(r) for r in rand))
-        object.__setattr__(self, "alice_messages",
-                           self._messages("alice_messages", self.alice_messages))
+        self._set_messages("alice_messages")
 
-    def _messages(self, name: str, table) -> np.ndarray:
-        """A truth table of messages in [2^c], one column per random string."""
-        arr = _integers(name, table)
+    def _set_messages(self, name: str) -> None:
+        """Hold field ``name``, a truth table of messages in [2^c] with one
+        column per random string, as a checked read-only copy."""
+        arr = _integers(name, getattr(self, name))
         if arr.ndim != 2 or arr.shape[1] != self.num_rand:
             raise ValueError(f"{name} must be a 2-d truth table (inputs x random strings)")
         if arr.min() < 0 or arr.max() >= (1 << self.c):
             raise ValueError(f"{name} contains a message outside [0, 2^{self.c})")
-        return arr
+        _frozen_array(self, name, arr)
 
     @property
     def num_rand(self) -> int:
         return len(self.rand_strings)
 
 
-@dataclass(frozen=True)
 class ClassicalSMPProtocol(_Protocol):
     """Classical SMP protocol: Bob's messages ``bob_messages[y, r]`` in [2^c]
     and a referee predicate ``accept[m_a, m_b]``."""
@@ -79,11 +77,11 @@ class ClassicalSMPProtocol(_Protocol):
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "bob_messages", self._messages("bob_messages", self.bob_messages))
+        self._set_messages("bob_messages")
         acc = np.asarray(self.accept)
         if acc.shape != (1 << self.c, 1 << self.c) or not np.isin(acc, (0, 1)).all():
             raise ValueError("accept must be a 2^c x 2^c 0/1 table")
-        object.__setattr__(self, "accept", acc.astype(np.int8))
+        _frozen_array(self, "accept", acc.astype(np.int8))
 
     @property
     def bob_accept(self) -> np.ndarray:
@@ -92,7 +90,6 @@ class ClassicalSMPProtocol(_Protocol):
         return self.accept[:, self.bob_messages]
 
 
-@dataclass(frozen=True)
 class OneWayProtocol(_Protocol):
     """Classical one-way protocol: Bob's decision ``bob_accept[m_a, y, r]``."""
 
@@ -104,11 +101,10 @@ class OneWayProtocol(_Protocol):
         if (acc.ndim != 3 or acc.shape[0] != 1 << self.c or acc.shape[2] != self.num_rand
                 or not np.isin(acc, (0, 1)).all()):
             raise ValueError("bob_accept must be a 2^c x |Y| x |R| 0/1 table")
-        object.__setattr__(self, "bob_accept", acc.astype(np.int8))
+        _frozen_array(self, "bob_accept", acc.astype(np.int8))
 
 
-@dataclass(frozen=True)
-class VectorSystem:
+class VectorSystem(Record):
     """Per-random-string vectors a_r(x), b_r(y) with a common norm bound L.
 
     The derived acceptance matrix is P(x,y) = (1/|R|) sum_r <a_r(x), b_r(y)>.

@@ -3,12 +3,9 @@ conversions between the two representations (both directions)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import projections
-from ._rng import spawn
+from ._record import Record
 from .linalg import unit_rows
 
 UNIT_TOL = 1e-9
@@ -31,8 +28,7 @@ def _frozen_array(obj, field: str, arr: np.ndarray) -> None:
     object.__setattr__(obj, field, arr)
 
 
-@dataclass(frozen=True)
-class SignMatrix:
+class SignMatrix(Record):
     """A {-1, 0, +1} matrix: +1 for f=0, -1 for f=1, 0 for promise-excluded pairs."""
 
     entries: np.ndarray
@@ -67,8 +63,7 @@ class SignMatrix:
         return self.entries.astype(np.float64)
 
 
-@dataclass(frozen=True)
-class _UnitPair:
+class _UnitPair(Record):
     """Unit row vectors alpha_x and beta_y in one common dimension."""
 
     alphas: np.ndarray
@@ -89,7 +84,6 @@ class _UnitPair:
         return self.alphas.shape[1]
 
 
-@dataclass(frozen=True)
 class ThresholdEmbedding(_UnitPair):
     """Unit vectors alpha_x, beta_y with squared-inner-product thresholds
     delta0 (upper bound on f=0 pairs) < delta1 (lower bound on f=1 pairs)."""
@@ -105,7 +99,6 @@ class ThresholdEmbedding(_UnitPair):
             )
 
 
-@dataclass(frozen=True)
 class Realization(_UnitPair):
     """Unit vectors with signed inner products >= gamma on f=0 pairs and
     <= -gamma on f=1 pairs."""
@@ -118,8 +111,7 @@ class Realization(_UnitPair):
             raise ValueError(f"margin must lie in (0, 1], got {self.gamma}")
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Record):
     valid: bool
     worst_zero_side: float  # max squared inner product over f=0 pairs
     worst_one_side: float  # min squared inner product over f=1 pairs
@@ -127,8 +119,7 @@ class EmbeddingReport:
     worst_one_pair: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(Record):
     valid: bool
     achieved_margin: float
     worst_pair: tuple[int, int] | None
@@ -219,6 +210,9 @@ def _jl_reduce(pair: _UnitPair, target: int, seed, rebuild, valid) -> _UnitPair:
     child of ``seed`` in turn; return the first ``rebuild(alphas, betas)`` that
     passes ``valid`` (a ValueError from ``rebuild`` skips the child), or
     ``pair`` itself when it is no wider than ``target``."""
+    # imported here (and below) so that commands that do not reduce never load them
+    from . import projections
+    from ._rng import spawn
     if target >= pair.dimension:
         return pair
     stacked = np.vstack([pair.alphas, pair.betas])
@@ -238,6 +232,7 @@ def reduce_realization_dimension(r: Realization, m: SignMatrix, seed) -> Realiza
     """Random-project a realization to roughly O(n/gamma^2) dimensions at half
     the margin, retrying fresh seeds until the projected arrangement verifies.
     """
+    from . import projections
     report = verify_realization(r, m)
     if not report.valid:
         raise ValueError(

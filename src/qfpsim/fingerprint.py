@@ -4,10 +4,10 @@ error law of repeated fingerprinting with a Monte-Carlo estimate beside it."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from ._rng import generator
 from .embeddings import (
     Realization,
@@ -21,8 +21,7 @@ from .embeddings import (
 from .linalg import CHUNK
 
 
-@dataclass(frozen=True)
-class FingerprintProtocol:
+class FingerprintProtocol(Record):
     """A repeated-fingerprinting protocol: r parallel swap tests on copies of
     the embedding's states, thresholded at theta by the referee."""
 
@@ -170,9 +169,8 @@ def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
     return errors
 
 
-@dataclass(frozen=True)
-class ProtocolRunReport:
-    per_pair_error: np.ndarray = field(repr=False)  # NaN on promise-excluded pairs
+class ProtocolRunReport(Record):
+    per_pair_error: np.ndarray  # NaN on promise-excluded pairs
     max_error: float
     exact_error: float  # the worst pair's exact error, which max_error estimates
 

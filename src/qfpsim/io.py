@@ -32,14 +32,17 @@ import math
 import sys
 import zlib
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__ as VERSION
-from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 from .embeddings import Realization, SignMatrix, ThresholdEmbedding
 from .linalg import CHUNK
 
+# imported where used, so reading other kinds of document never loads the compiler
+if TYPE_CHECKING:
+    from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
 FORMAT_VERSION = "1.3"
 FLOAT_DTYPE = "<f8"
 CODEC = "zlib"
@@ -356,6 +359,7 @@ def vector_system_payload(v: VectorSystem) -> dict:
 
 
 def parse_vector_system(doc: dict) -> VectorSystem:
+    from .compiler import VectorSystem
     payload = _payload(doc, "vector_system")
     return _build(
         "vector system",
@@ -370,6 +374,7 @@ def parse_vector_system(doc: dict) -> VectorSystem:
 
 
 def protocol_payload(p: ClassicalSMPProtocol | OneWayProtocol) -> dict:
+    from .compiler import ClassicalSMPProtocol
     base = {
         "n": p.n,
         "c": p.c,
@@ -387,6 +392,7 @@ def protocol_payload(p: ClassicalSMPProtocol | OneWayProtocol) -> dict:
 
 
 def parse_protocol(doc: dict) -> ClassicalSMPProtocol | OneWayProtocol:
+    from .compiler import ClassicalSMPProtocol, OneWayProtocol
     payload = _payload(doc, "protocol")
     model = _field(payload, "model")
     if model not in ("smp", "one_way"):

@@ -3,10 +3,9 @@ Hamming-distance threshold problem with its biased-parity sketch embedding."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import Record
 from ._rng import generator
 from .compiler import MIN_GAP, ClassicalSMPProtocol, OneWayProtocol
 from .embeddings import SignMatrix, ThresholdEmbedding
@@ -93,8 +92,7 @@ def collision_probability(delta: int, p: float) -> float:
     return (1.0 + (1.0 - 2.0 * p) ** delta) / 2.0
 
 
-@dataclass(frozen=True)
-class HamEmbeddingReport:
+class HamEmbeddingReport(Record):
     embedding: ThresholdEmbedding
     margin_lower_bound: float
     bit_bias: float

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record
 from ._rng import generator
 
 
@@ -36,8 +36,7 @@ def project_vectors(vectors, d: int, seed) -> np.ndarray:
     return arr @ g.T
 
 
-@dataclass(frozen=True)
-class DistortionReport:
+class DistortionReport(Record):
     ok: bool
     worst_pair: tuple[int, int]
     max_distortion: float

@@ -8,15 +8,19 @@ a refactor that drops or moves one fails in the library's tests, not only in
 the benchmark.
 """
 
-import dataclasses
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import qfpsim
 from qfpsim import (_kernels, _rng, bounds, cli, compiler, embeddings, fingerprint, io, linalg,
                     problems)
+from tests.test_io_cli import child_env
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def load_spans():
@@ -32,6 +36,23 @@ def test_every_span_function_exists_in_its_module():
         mod = importlib.import_module(module)
         for name in functions:
             assert callable(getattr(mod, name, None)), f"{span}: {module}.{name}"
+
+
+def test_the_traced_pass_finds_every_span_module_loaded():
+    # The traced pass imports qfpsim.cli and workloads.py, then wraps each
+    # LAYERS module from sys.modules; the commands import the rest lazily.
+    child = (
+        "import importlib.util, json, sys\n"
+        "import qfpsim.cli\n"
+        "spec = importlib.util.spec_from_file_location('workloads', sys.argv[1])\n"
+        "sys.modules['workloads'] = module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child, str(PERFBENCH / "workloads.py")],
+                         env=child_env(), capture_output=True, text=True, check=True)
+    modules = set(json.loads(out.stdout))
+    assert {module for module, _ in load_spans().LAYERS.values()} <= modules
 
 
 def test_using_numba_is_false():
@@ -55,7 +76,7 @@ def test_cross_module_bindings_the_wrappers_reach():
 
 
 def test_margin_report_has_the_fields_check_margin_reads():
-    fields = {f.name for f in dataclasses.fields(bounds.MarginReport)}
+    fields = set(bounds.MarginReport._fields)
     assert {"forster", "upper", "heuristic_lower", "gamma_source",
             "repetition_lower"} <= fields
 

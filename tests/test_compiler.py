@@ -155,13 +155,30 @@ class TestCompile:
         assert p.alice_messages.tolist() == [[1], [0]]
 
     def test_integer_tables_keep_their_dtype(self):
-        # an int16 table is held as given, not copied; a bool one is read as 0/1
-        # messages (as a bool index it would mask instead)
+        # an int16 table is held in its dtype, as a read-only copy that leaves
+        # the caller's table writable; a bool one is read as 0/1 messages (as a
+        # bool index it would mask instead)
         table = np.array([[1], [0]], dtype=np.int16)
         p = ClassicalSMPProtocol(1, 1, (0,), table, np.array([[False], [True]]), np.eye(2))
-        assert p.alice_messages.dtype == np.int16 and np.shares_memory(p.alice_messages, table)
+        assert p.alice_messages.dtype == np.int16 and not np.shares_memory(p.alice_messages, table)
+        assert table.flags.writeable
         assert p.bob_messages.dtype == np.int8 and p.bob_messages.tolist() == [[0], [1]]
         assert compile_one_way(p).acceptance_matrix().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_a_write_to_the_callers_table_leaves_the_protocol_unchanged(self):
+        # a message of 5 written after construction would be outside [0, 2)
+        table = np.array([[1], [0]], dtype=np.int16)
+        p = ClassicalSMPProtocol(1, 1, (0,), table, table, np.eye(2))
+        table[0, 0] = 5
+        assert p.alice_messages.tolist() == [[1], [0]] and p.bob_messages.tolist() == [[1], [0]]
+        assert compile_one_way(p).acceptance_matrix().tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_every_table_is_read_only(self):
+        smp = ClassicalSMPProtocol(1, 1, (0,), [[1], [0]], [[0], [1]], np.eye(2))
+        one_way = OneWayProtocol(1, 1, (0,), [[1], [0]], np.ones((2, 2, 1)))
+        for arr in (smp.alice_messages, smp.bob_messages, smp.accept, one_way.bob_accept):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 @st.composite

@@ -68,9 +68,11 @@ class TestEqParityProtocol:
         p2 = eq_parity_protocol(2, num_r=16, seed=9)
         assert p1.rand_strings == p2.rand_strings
 
-    def test_parties_share_one_int8_table(self):
+    def test_parties_hold_equal_read_only_int8_tables(self):
         p = eq_parity_protocol(9)
-        assert p.alice_messages.dtype == np.int8 and p.bob_messages is p.alice_messages
+        for table in (p.alice_messages, p.bob_messages):
+            assert table.dtype == np.int8 and not table.flags.writeable
+        assert np.array_equal(p.alice_messages, p.bob_messages)
 
 
 class TestCollisionProbability:

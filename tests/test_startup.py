@@ -1,0 +1,66 @@
+"""Which modules a CLI job loads: each command imports only the modules it
+runs, checked in a fresh interpreter per command."""
+
+import json
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from qfpsim import io
+from qfpsim.problems import eq_matrix
+from tests.test_embeddings import eq_orthonormal_embedding
+from tests.test_io_cli import child_env
+
+CHILD = """
+import json, sys
+from qfpsim import cli
+status = cli.main(json.loads(sys.argv[1]))
+print(json.dumps({"status": status, "dataclasses": "dataclasses" in sys.modules,
+                  "modules": sorted(n for n in sys.modules if n.partition(".")[0] == "qfpsim")}))
+"""
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """A directory holding m.json (EQ-3), e.json (states for it) and v.json."""
+    vectors = np.random.default_rng(0).standard_normal((6, 8))
+    documents = {
+        "m.json": ("sign_matrix", io.sign_matrix_payload(eq_matrix(3))),
+        "e.json": ("embedding", io.embedding_payload(eq_orthonormal_embedding(8))),
+        "v.json": ("vectors", io.vectors_payload(vectors)),
+    }
+    for name, (kind, payload) in documents.items():
+        io.dump(io.document(kind, payload), str(tmp_path / name))
+    return tmp_path
+
+
+def loaded(argv, cwd):
+    """The qfpsim modules, without the package prefix, that running
+    ``cli.main(argv)`` in a fresh interpreter loads, and whether it loaded
+    ``dataclasses``."""
+    out = subprocess.run([sys.executable, "-c", CHILD, json.dumps([*argv, "--out", "out.json"])],
+                         cwd=cwd, env=child_env(), capture_output=True, text=True, check=True)
+    result = json.loads(out.stdout)
+    assert result["status"] == 0, out.stderr
+    return {n.removeprefix("qfpsim.") for n in result["modules"]}, result["dataclasses"]
+
+
+def test_margin_loads_only_the_bounds_path(inputs):
+    modules, dataclasses = loaded(["margin", "--matrix", "m.json"], inputs)
+    assert modules == {"qfpsim", "cli", "io", "embeddings", "linalg", "_kernels", "_record",
+                       "bounds"}
+    assert not dataclasses
+
+
+@pytest.mark.parametrize("argv, runs, skipped", [
+    (["project", "--vectors", "v.json", "--dim", "4"], "projections",
+     {"compiler", "problems", "fingerprint"}),
+    (["compile", "--builtin", "eq", "--n", "3"], "compiler", {"fingerprint"}),
+    (["simulate", "--embedding", "e.json", "--matrix", "m.json"], "fingerprint",
+     {"compiler", "problems"}),
+], ids=["project", "compile", "simulate-embedding"])
+def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped):
+    modules, _ = loaded(argv, inputs)
+    assert runs in modules and not modules & skipped
