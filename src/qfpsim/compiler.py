@@ -6,12 +6,15 @@ from __future__ import annotations
 
 import numpy as np
 
+# projections stays imported here: perfbench's traced pass wraps it from
+# sys.modules, where only this module's import puts it.
 from . import projections
 from ._record import Record
-from ._rng import generator
 from .embeddings import (
+    MIN_GAP,
     SignMatrix,
     ThresholdEmbedding,
+    _entries_in,
     _frozen_array,
     _jl_reduce,
     _worst_sides,
@@ -19,7 +22,6 @@ from .embeddings import (
 )
 
 NORM_TOL = 1e-9
-MIN_GAP = 1e-6
 QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
 
@@ -79,7 +81,7 @@ class ClassicalSMPProtocol(_Protocol):
         super().__post_init__()
         self._set_messages("bob_messages")
         acc = np.asarray(self.accept)
-        if acc.shape != (1 << self.c, 1 << self.c) or not np.isin(acc, (0, 1)).all():
+        if acc.shape != (1 << self.c, 1 << self.c) or not _entries_in(acc, (0, 1)):
             raise ValueError("accept must be a 2^c x 2^c 0/1 table")
         _frozen_array(self, "accept", acc.astype(np.int8))
 
@@ -99,7 +101,7 @@ class OneWayProtocol(_Protocol):
         super().__post_init__()
         acc = np.asarray(self.bob_accept)
         if (acc.ndim != 3 or acc.shape[0] != 1 << self.c or acc.shape[2] != self.num_rand
-                or not np.isin(acc, (0, 1)).all()):
+                or not _entries_in(acc, (0, 1))):
             raise ValueError("bob_accept must be a 2^c x |Y| x |R| 0/1 table")
         _frozen_array(self, "bob_accept", acc.astype(np.int8))
 
@@ -108,6 +110,9 @@ class VectorSystem(Record):
     """Per-random-string vectors a_r(x), b_r(y) with a common norm bound L.
 
     The derived acceptance matrix is P(x,y) = (1/|R|) sum_r <a_r(x), b_r(y)>.
+    Integer arrays (a compiled protocol's int8 indicators) are held exactly;
+    others become float64.  Every reader accumulates in float64, so nothing
+    wraps and an integer system reads exactly as its float64 cast.
     """
 
     a: np.ndarray  # (|R|, |X|, dim)
@@ -115,14 +120,14 @@ class VectorSystem(Record):
     norm_bound: float
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=np.float64)
-        b = np.asarray(self.b, dtype=np.float64)
+        a, b = (np.asarray(v) for v in (self.a, self.b))
+        a, b = (v if v.dtype.kind in "iu" else v.astype(np.float64, copy=False) for v in (a, b))
         if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
             raise ValueError("a and b must be (|R|, count, dim) arrays sharing |R| and dim")
         if self.norm_bound <= 0:
             raise ValueError("norm bound must be positive")
         for name, arr in (("a", a), ("b", b)):
-            worst = float(np.sqrt(np.einsum("rxd,rxd->rx", arr, arr).max()))
+            worst = float(np.sqrt(np.einsum("rxd,rxd->rx", arr, arr, dtype=np.float64).max()))
             if not worst <= self.norm_bound + NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"{name} vector norm {worst} exceeds the bound {self.norm_bound}")
         object.__setattr__(self, "a", a)
@@ -137,8 +142,9 @@ class VectorSystem(Record):
         return self.a.shape[2]
 
     def acceptance_matrix(self) -> np.ndarray:
-        # one (|X|, |R| dim) x (|R| dim, |Y|) product sums over r and d at once
-        p = _by_input(self.a) @ _by_input(self.b).T
+        # one (|X|, |R| dim) x (|R| dim, |Y|) float64 product sums over r and d at once
+        a, b = (_by_input(v.astype(np.float64, copy=False)) for v in (self.a, self.b))
+        p = a @ b.T
         p /= self.num_rand
         return p
 
@@ -151,10 +157,11 @@ def _by_input(arr: np.ndarray) -> np.ndarray:
 def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
     """Indicator-vector compilation: a_r(x) is the one-hot of Alice's message,
     b_r(y) the indicator set of the messages Bob accepts, both in
-    {0,1}^(2^c).  An SMP protocol compiles through its one-way form."""
+    {0,1}^(2^c), held as int8.  An SMP protocol compiles through its one-way
+    form."""
     dim = 1 << p.c
-    a = np.eye(dim)[p.alice_messages].transpose(1, 0, 2)  # (|R|, |X|, 2^c)
-    b = p.bob_accept.astype(np.float64).transpose(2, 1, 0)  # (|R|, |Y|, 2^c)
+    a = np.eye(dim, dtype=np.int8)[p.alice_messages].transpose(1, 0, 2)  # (|R|, |X|, 2^c)
+    b = p.bob_accept.transpose(2, 1, 0)  # (|R|, |Y|, 2^c), the int8 table itself
     return VectorSystem(a, b, float(np.sqrt(dim)))
 
 
@@ -166,10 +173,13 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
 def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
     """Pad rows (..., dim) of norm <= big_l to norm big_l on junk coordinate
     dim + junk of dim+2 (0 for alphas, 1 for betas) and divide by big_l: unit
-    states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The slack
-    column is computed, and its squares freed, before the output is
-    allocated; the output is then filled in place."""
-    slack = np.add.reduce(rows * rows, axis=-1)
+    states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  Integer
+    rows sum their squares exactly in float64, with no array of squares; float
+    rows' squares are freed before the output is allocated and filled in place."""
+    if rows.dtype.kind in "iu":
+        slack = np.einsum("...d,...d->...", rows, rows, dtype=np.float64)
+    else:
+        slack = np.add.reduce(rows * rows, axis=-1)
     np.subtract(big_l**2, slack, out=slack)
     np.maximum(slack, 0.0, out=slack)
     np.sqrt(slack, out=slack)
@@ -272,6 +282,7 @@ def classical_projection_protocol(
         raise ValueError("k and reps must be >= 1")
     if precision_bits < 2:
         raise ValueError("precision_bits must be >= 2")
+    from ._rng import generator  # only this estimator draws; compiling loads no RNG
     x, y = pair
     alpha = e.alphas[x]
     beta = e.betas[y]

@@ -10,6 +10,7 @@ from .linalg import unit_rows
 
 UNIT_TOL = 1e-9
 VERIFY_TOL = 1e-9
+MIN_GAP = 1e-6  # the smallest threshold gap a reduction or a sketch accepts
 MAX_TENSOR_DIM = 64
 REDUCTION_RETRIES = 20
 
@@ -20,6 +21,15 @@ def _require_unit_rows(name: str, arr: np.ndarray) -> None:
     if np.any(bad):
         idx = int(np.argmax(bad))
         raise ValueError(f"{name}[{idx}] is not a unit vector (norm {float(norms[idx])})")
+
+
+def _entries_in(arr: np.ndarray, values: tuple[int, ...]) -> bool:
+    """Whether every entry of ``arr`` equals one of ``values``.  Compared in
+    ``arr``'s own dtype: ``np.isin`` would first copy ``arr`` to int64."""
+    ok = arr == values[0]
+    for value in values[1:]:
+        ok |= arr == value
+    return bool(ok.all())
 
 
 def _frozen_array(obj, field: str, arr: np.ndarray) -> None:
@@ -37,7 +47,7 @@ class SignMatrix(Record):
         arr = np.asarray(self.entries)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"sign matrix must be 2-d and nonempty, got shape {arr.shape}")
-        if not np.isin(arr, (-1, 0, 1)).all():
+        if not _entries_in(arr, (-1, 0, 1)):
             raise ValueError("sign matrix entries must be -1, 0 or +1")
         if not np.any(arr):
             raise ValueError("sign matrix must have at least one nonzero entry")

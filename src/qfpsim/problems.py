@@ -3,12 +3,17 @@ Hamming-distance threshold problem with its biased-parity sketch embedding."""
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ._record import Record
 from ._rng import generator
-from .compiler import MIN_GAP, ClassicalSMPProtocol, OneWayProtocol
-from .embeddings import SignMatrix, ThresholdEmbedding
+from .embeddings import MIN_GAP, SignMatrix, ThresholdEmbedding
+
+# imported where used, so that a sign matrix alone never loads the compiler
+if TYPE_CHECKING:
+    from .compiler import ClassicalSMPProtocol, OneWayProtocol
 
 MAX_BITS = 12
 MAX_EXACT_HAM_BITS = 9
@@ -38,15 +43,17 @@ def ham_matrix(n: int, d: int) -> SignMatrix:
     _check_bits("n", n)
     if not (0 <= d < n):
         raise ValueError(f"d must lie in [0, {n - 1}], got {d}")
-    idx = np.arange(1 << n)
-    dist = np.bitwise_count(np.bitwise_xor.outer(idx, idx))
-    return SignMatrix(np.where(dist <= d, -1, 1).astype(np.int8))
+    idx = np.arange(1 << n, dtype=np.uint16)  # uint16 holds every n <= MAX_BITS
+    near = np.bitwise_count(np.bitwise_xor.outer(idx, idx)) <= d
+    return SignMatrix(np.where(near, np.int8(-1), np.int8(1)))
 
 
 def _parity_table(n: int, rand_strings: np.ndarray) -> np.ndarray:
-    """parities[x, j] = <x, s_j> mod 2 for all n-bit x."""
-    xs = np.arange(1 << n)
-    return (np.bitwise_count(np.bitwise_and.outer(xs, rand_strings)) & 1).astype(np.int8)
+    """parities[x, j] = <x, s_j> mod 2 for all n-bit x, as int8."""
+    # uint16 holds every n <= MAX_BITS; the AND and its bit count stay 2 and 1 bytes
+    xs = np.arange(1 << n, dtype=np.uint16)
+    counts = np.bitwise_count(np.bitwise_and.outer(xs, rand_strings.astype(np.uint16)))
+    return np.bitwise_and(counts, 1, out=counts).view(np.int8)
 
 
 def _rand_set(n: int, num_r: int | None, seed) -> np.ndarray:
@@ -65,6 +72,7 @@ def eq_parity_protocol(n: int, num_r: int | None = None, seed=0) -> ClassicalSMP
     probability is exactly 1 on x=y and 1/2 on x!=y.  ``num_r`` caps the set
     by a seeded uniform sample instead (the Newman-style alternative).
     """
+    from .compiler import ClassicalSMPProtocol
     _check_bits("n", n)
     rand = _rand_set(n, num_r, seed)
     table = _parity_table(n, rand)
@@ -82,6 +90,7 @@ def eq_parity_protocol(n: int, num_r: int | None = None, seed=0) -> ClassicalSMP
 def eq_parity_one_way_protocol(n: int, num_r: int | None = None, seed=0) -> OneWayProtocol:
     """The same parity check expressed one-way: Bob accepts iff Alice's bit
     equals <y, r>."""
+    from .compiler import OneWayProtocol
     smp = eq_parity_protocol(n, num_r, seed)
     return OneWayProtocol(smp.n, smp.c, smp.rand_strings, smp.alice_messages, smp.bob_accept)
 

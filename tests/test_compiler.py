@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfpsim import compiler
+from qfpsim import compiler, io
 from qfpsim.compiler import (
     ClassicalSMPProtocol,
     OneWayProtocol,
@@ -149,6 +149,15 @@ class TestCompile:
             else:
                 OneWayProtocol(**fields, bob_accept=np.ones((2, 2, 1)))
 
+    @pytest.mark.parametrize("bad", [2, 0.5, np.nan, -1])
+    @pytest.mark.parametrize("model", ["smp", "one-way"])
+    def test_rejects_accept_entries_other_than_0_and_1(self, model, bad):
+        with pytest.raises(ValueError, match="0/1 table"):
+            if model == "smp":
+                ClassicalSMPProtocol(1, 1, (0,), [[1], [0]], [[0], [1]], [[1, 0], [0, bad]])
+            else:
+                OneWayProtocol(1, 1, (0,), [[1], [0]], [[[1], [0]], [[0], [bad]]])
+
     def test_integral_floats_are_accepted(self):
         p = ClassicalSMPProtocol(1, 1, (1.0,), [[1.0], [0.0]], [[0], [1]], np.eye(2))
         assert p.rand_strings == (1,) and p.alice_messages.dtype == np.int64
@@ -219,6 +228,17 @@ def float_systems(draw):
     return VectorSystem(side(), side(), big_l)
 
 
+@st.composite
+def integer_systems(draw):
+    """An int8 vector system with entries in [-127, 127], dim 1-9, |R| 1-4
+    and 1-6 inputs per side, its norm bound at least its longest row."""
+    dim, nr = draw(st.integers(1, 9)), draw(st.integers(1, 4))
+    a, b = (draw(arrays(np.int8, (nr, draw(st.integers(1, 6)), dim),
+                        elements=st.integers(-127, 127))) for _ in range(2))
+    longest = max(float(np.linalg.norm(side.astype(np.float64), axis=-1).max()) for side in (a, b))
+    return VectorSystem(a, b, max(longest, 1.0) * draw(st.floats(1.0, 2.0)))
+
+
 class TestOneProtocolPath:
     @settings(max_examples=60, deadline=None)
     @given(smp_protocols())
@@ -249,6 +269,27 @@ class TestVectorSystem:
     def test_norm_within_tolerance_accepted(self):
         a = np.full((1, 1, 1), 1.0 + 0.5e-9)
         assert VectorSystem(a, -a, 1.0).acceptance_matrix()[0, 0] < 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(integer_systems())
+    def test_integer_systems_read_as_their_float_cast(self, v8):
+        # in int8, 12^2 already wraps: every reader must accumulate in float64
+        v64 = VectorSystem(v8.a.astype(np.int64), v8.b.astype(np.int64), v8.norm_bound)
+        vf = VectorSystem(v8.a.astype(np.float64), v8.b.astype(np.float64), v8.norm_bound)
+        assert (v8.a.dtype, v64.a.dtype, vf.a.dtype) == (np.int8, np.int64, np.float64)
+        accept = vf.acceptance_matrix()
+        sq = (accept / vf.norm_bound**2) ** 2
+        entries = np.where(sq < (sq.min() + sq.max()) / 2, 1, -1)
+        assume(sq.max() <= 1.0 and np.any(entries == -1) and np.any(entries == 1))
+        m = SignMatrix(entries)
+        want = assemble_shared_randomness_states(vf, m)
+        for v in (v8, v64):
+            assert np.array_equal(bits(v.acceptance_matrix()), bits(accept))
+            e = assemble_shared_randomness_states(v, m)
+            assert np.array_equal(bits(e.alphas), bits(want.alphas))
+            assert np.array_equal(bits(e.betas), bits(want.betas))
+            assert (e.delta0, e.delta1) == (want.delta0, want.delta1)
+            assert io.vector_system_payload(v) == io.vector_system_payload(vf)
 
 
 class TestPadToStates:
@@ -325,6 +366,21 @@ class TestAssemble:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (e.alphas.nbytes + e.betas.nbytes)
+
+    def test_compiled_system_holds_one_byte_per_entry(self):
+        # EQ-9: the two state blocks take 16 MiB; the int8 system 1 MiB (8 MiB
+        # as float64), so the traced peak of compile plus assembly is the
+        # states plus the system, not the states plus a float64 system
+        p, m = eq_parity_protocol(9), eq_matrix(9)
+        tracemalloc.start()
+        try:
+            v = compile_one_way(p)
+            e = assemble_shared_randomness_states(v, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert v.a.dtype == v.b.dtype == np.int8
+        assert peak <= 1.25 * (e.alphas.nbytes + e.betas.nbytes + v.a.size + v.b.size)
 
     def test_non_separating_system_rejected(self):
         # A protocol that always accepts cannot sign-separate anything.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,8 +58,20 @@ class TestSignMatrix:
             SignMatrix(np.zeros((2, 2)))
 
     def test_rejects_other_values(self):
-        with pytest.raises(ValueError):
-            SignMatrix([[2, 1], [1, 1]])
+        for bad in (2, 0.5, np.nan, -2):
+            with pytest.raises(ValueError, match="entries must be -1, 0 or"):
+                SignMatrix([[bad, 1], [1, 1]])
+
+    def test_check_allocates_no_wide_copy(self):
+        # np.isin would copy a 4096^2 int8 matrix to int64: 8x its bytes
+        entries = np.ones((4096, 4096), dtype=np.int8)
+        tracemalloc.start()
+        try:
+            SignMatrix(entries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * entries.nbytes
 
     def test_masks(self):
         m = SignMatrix([[1, 0], [-1, 1]])

@@ -3,9 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from qfpsim.compiler import MIN_GAP, compile_smp
-from qfpsim.embeddings import verify_threshold_embedding
+from qfpsim.compiler import compile_smp
+from qfpsim.embeddings import MIN_GAP, verify_threshold_embedding
 from qfpsim.problems import (
+    MAX_BITS,
     MAX_EXACT_HAM_BITS,
     collision_probability,
     eq_matrix,
@@ -38,6 +39,14 @@ class TestMatrices:
         for x, y in itertools.product(range(16), repeat=2):
             dist = bin(x ^ y).count("1")
             assert m.entries[x, y] == (-1 if dist <= 1 else 1)
+
+    def test_widest_inputs_sampled(self):
+        # at MAX_BITS the high bits of x and y reach every entry
+        ip, ham = ip_matrix(MAX_BITS), ham_matrix(MAX_BITS, 5)
+        rng = np.random.default_rng(0)
+        for x, y in rng.integers(0, 1 << MAX_BITS, (200, 2)):
+            assert ip.entries[x, y] == (-1) ** bin(x & y).count("1")
+            assert ham.entries[x, y] == (-1 if bin(x ^ y).count("1") <= 5 else 1)
 
     def test_ham_d0_is_eq(self):
         np.testing.assert_array_equal(ham_matrix(3, 0).entries, eq_matrix(3).entries)

@@ -60,7 +60,10 @@ def test_margin_loads_only_the_bounds_path(inputs):
     (["compile", "--builtin", "eq", "--n", "3"], "compiler", {"fingerprint"}),
     (["simulate", "--embedding", "e.json", "--matrix", "m.json"], "fingerprint",
      {"compiler", "problems"}),
-], ids=["project", "compile", "simulate-embedding"])
+    (["margin", "--builtin", "ip", "--k", "2"], "problems", {"compiler", "projections"}),
+    (["verify", "--builtin", "eq", "--n", "3", "--embedding", "e.json"], "problems",
+     {"compiler", "projections"}),
+], ids=["project", "compile", "simulate-embedding", "margin-builtin", "verify-builtin"])
 def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped):
     modules, _ = loaded(argv, inputs)
     assert runs in modules and not modules & skipped
