@@ -157,6 +157,7 @@ def cmd_compile(args, argv) -> int:
         return 0
 
     embedding = compiler.assemble_shared_randomness_states(system, m)
+    del protocol, system  # not read again: their tables need not outlive encoding
     stages = [{"stage": "assembled", "dimension": embedding.dimension,
                "delta0": embedding.delta0, "delta1": embedding.delta1}]
     if args.reduce:

@@ -17,6 +17,7 @@ from .embeddings import (
     _entries_in,
     _frozen_array,
     _jl_reduce,
+    _row_blocks,
     _worst_sides,
     verify_threshold_embedding,
 )
@@ -111,8 +112,9 @@ class VectorSystem(Record):
 
     The derived acceptance matrix is P(x,y) = (1/|R|) sum_r <a_r(x), b_r(y)>.
     Integer arrays (a compiled protocol's int8 indicators) are held exactly;
-    others become float64.  Every reader accumulates in float64, so nothing
-    wraps and an integer system reads exactly as its float64 cast.
+    others become float64.  Every reader accumulates in float64, or in float32
+    where each partial sum is an integer below 2^24, so nothing wraps or
+    rounds and an integer system reads exactly as its float64 cast.
     """
 
     a: np.ndarray  # (|R|, |X|, dim)
@@ -127,7 +129,10 @@ class VectorSystem(Record):
         if self.norm_bound <= 0:
             raise ValueError("norm bound must be positive")
         for name, arr in (("a", a), ("b", b)):
-            worst = float(np.sqrt(np.einsum("rxd,rxd->rx", arr, arr, dtype=np.float64).max()))
+            # np.max, not max: a NaN norm in any block must reach the check
+            worst = float(np.sqrt(np.max([
+                np.einsum("rxd,rxd->rx", arr[:, s], arr[:, s], dtype=np.float64).max()
+                for s in _row_blocks(arr.shape[1], arr.shape[0] * arr.shape[2])])))
             if not worst <= self.norm_bound + NORM_TOL:  # a NaN norm fails too
                 raise ValueError(f"{name} vector norm {worst} exceeds the bound {self.norm_bound}")
         object.__setattr__(self, "a", a)
@@ -142,16 +147,27 @@ class VectorSystem(Record):
         return self.a.shape[2]
 
     def acceptance_matrix(self) -> np.ndarray:
-        # one (|X|, |R| dim) x (|R| dim, |Y|) float64 product sums over r and d at once
-        a, b = (_by_input(v.astype(np.float64, copy=False)) for v in (self.a, self.b))
-        p = a @ b.T
+        # (|X|, |R| dim) x (|R| dim, |Y|) products, one block of rows at a time, sum
+        # over r and d at once.  When max|a| max|b| |R| dim <= 2^24 every partial sum
+        # is an integer float32 holds exactly, so an integer system multiplies in it.
+        a, b, width = self.a, self.b, self.num_rand * self.dim
+        dtype = np.float64
+        if a.dtype.kind in "iu" and b.dtype.kind in "iu":
+            # from min and max as Python ints: np.abs(int8 -128) wraps to -128
+            big_a, big_b = (max(-int(v.min()), int(v.max())) for v in (a, b))
+            if big_a * big_b * width <= 1 << 24:
+                dtype = np.float32
+        bt = _by_input(b, dtype).T
+        p = np.empty((a.shape[1], b.shape[1]))
+        for s in _row_blocks(a.shape[1], width):
+            p[s] = _by_input(a[:, s], dtype) @ bt
         p /= self.num_rand
         return p
 
 
-def _by_input(arr: np.ndarray) -> np.ndarray:
-    """(|R|, count, k) -> (count, |R| k): each input's slices side by side."""
-    return arr.transpose(1, 0, 2).reshape(arr.shape[1], -1)
+def _by_input(arr: np.ndarray, dtype) -> np.ndarray:
+    """(|R|, count, k) -> (count, |R| k) in ``dtype``: each input's slices side by side."""
+    return np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=dtype).reshape(arr.shape[1], -1)
 
 
 def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
@@ -173,20 +189,22 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
 def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
     """Pad rows (..., dim) of norm <= big_l to norm big_l on junk coordinate
     dim + junk of dim+2 (0 for alphas, 1 for betas) and divide by big_l: unit
-    states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  Integer
-    rows sum their squares exactly in float64, with no array of squares; float
-    rows' squares are freed before the output is allocated and filled in place."""
-    if rows.dtype.kind in "iu":
-        slack = np.einsum("...d,...d->...", rows, rows, dtype=np.float64)
-    else:
-        slack = np.add.reduce(rows * rows, axis=-1)
-    np.subtract(big_l**2, slack, out=slack)
-    np.maximum(slack, 0.0, out=slack)
-    np.sqrt(slack, out=slack)
+    states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The output
+    is allocated once and filled one block of rows at a time; integer rows sum
+    their squares exactly in float64, with no array of squares."""
     dim = rows.shape[-1]
     out = np.zeros(rows.shape[:-1] + (dim + 2,))
-    out[..., :dim] = rows
-    out[..., dim + junk] = slack
+    for s in _row_blocks(rows.shape[0], rows[:1].size):
+        block = rows[s]
+        if block.dtype.kind in "iu":
+            slack = np.einsum("...d,...d->...", block, block, dtype=np.float64)
+        else:
+            slack = np.add.reduce(block * block, axis=-1)
+        np.subtract(big_l**2, slack, out=slack)
+        np.maximum(slack, 0.0, out=slack)
+        np.sqrt(slack, out=slack)
+        out[s, ..., :dim] = block
+        out[s, ..., dim + junk] = slack
     out /= big_l
     return out
 
@@ -199,19 +217,22 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
     the f=0 and f=1 pairs of the supplied sign matrix; errors out when the
     system does not separate the two sides.
 
-    Allocation order: the acceptance matrix, the thresholds and the
-    separation check come first and are dropped.  Then, one side at a time,
-    the slack column is computed from the (|X|, |R|, dim) view of ``v.a`` or
-    ``v.b``, and only then is that side's (|X|, |R|, dim+2) state block
-    allocated and filled in place.  Each block is allocated once, so the peak
-    is about the two blocks plus one slack column.
+    Allocation order: the acceptance matrix is squared in place, searched
+    for the thresholds one block of rows at a time and dropped.  Then each
+    side's (|X|, |R|, dim+2) state block is allocated once and filled from the
+    (|X|, |R|, dim) view of ``v.a`` or ``v.b`` one block of rows at a time, so
+    the peak is the two state blocks and the system.
     """
     if (v.a.shape[1], v.b.shape[1]) != (m.rows, m.cols):
         raise ValueError(
             f"vector system is {v.a.shape[1]}x{v.b.shape[1]} but the sign matrix is "
             f"{m.rows}x{m.cols}"
         )
-    (delta0, _), (delta1, _) = _worst_sides((v.acceptance_matrix() / v.norm_bound**2) ** 2, m)
+    sq = v.acceptance_matrix()
+    sq /= v.norm_bound**2
+    sq **= 2
+    (delta0, _), (delta1, _) = _worst_sides(sq.__getitem__, m)
+    del sq
     if delta0 >= delta1:
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"

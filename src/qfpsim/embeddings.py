@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .linalg import unit_rows
+from .linalg import CHUNK, unit_rows
 
 UNIT_TOL = 1e-9
 VERIFY_TOL = 1e-9
@@ -155,22 +155,43 @@ def _worst_pair(
     return float(values[pair]), pair
 
 
-def _worst_sides(sq: np.ndarray, m: SignMatrix):
-    """The largest squared inner product ``sq`` over the f=0 pairs of M (0.0
-    when there are none) and the smallest over its f=1 pairs (1.0 when none),
-    each as (value, pair)."""
-    return (_worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None),
-            _worst_pair(sq, m.one_pairs()) or (1.0, None))
+def _row_blocks(count: int, width: int):
+    """Slices cutting ``count`` rows of ``width`` entries into blocks of <= ``CHUNK`` entries."""
+    step = max(1, CHUNK // max(1, width))
+    return (slice(x, x + step) for x in range(0, count, step))
+
+
+def _worst_sides(rows, m: SignMatrix):
+    """The largest squared inner product over the f=0 pairs of M (0.0 when
+    there are none) and the smallest over its f=1 pairs (1.0 when none), each
+    as (value, pair), ties going to the first pair in row-major order.
+    ``rows(s)`` returns the rows ``s`` of the squared matrix; it is asked for
+    one block of at most ``CHUNK`` entries at a time."""
+    worst = [None, None]
+    for s in _row_blocks(m.rows, m.cols):
+        block, signs = rows(s), m.entries[s]
+        for side, (sign, pick) in enumerate(((1, np.argmax), (-1, np.argmin))):
+            found = _worst_pair(block, signs == sign, largest=sign == 1)
+            # pick keeps the earlier block on a tie, as it keeps the first entry
+            if found and (worst[side] is None or pick([worst[side][0], found[0]]) == 1):
+                worst[side] = found[0], (found[1][0] + s.start, found[1][1])
+    return worst[0] or (0.0, None), worst[1] or (1.0, None)
 
 
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
                                squared: np.ndarray | None = None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    ``squared`` = (e.alphas @ e.betas.T) ** 2 if the caller has formed it."""
+    ``squared`` = (e.alphas @ e.betas.T) ** 2 if the caller has formed it, else
+    from that matrix formed one block of rows at a time."""
     _check_counts(e.alphas, e.betas, m)
-    if squared is None:
-        squared = (e.alphas @ e.betas.T) ** 2
-    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(squared, m)
+
+    def squared_rows(s: slice) -> np.ndarray:
+        block = e.alphas[s] @ e.betas.T
+        block **= 2  # in place: the same square as ** 2, without a second block
+        return block
+
+    rows = squared_rows if squared is None else squared.__getitem__
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(rows, m)
     valid = worst_zero <= e.delta0 + VERIFY_TOL and worst_one >= e.delta1 - VERIFY_TOL
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
 

@@ -14,11 +14,11 @@ from .embeddings import (
     SignMatrix,
     ThresholdEmbedding,
     _require_unit_rows,
+    _row_blocks,
     realization_to_embedding,
     verify_realization,
     verify_threshold_embedding,
 )
-from .linalg import CHUNK
 
 
 class FingerprintProtocol(Record):
@@ -124,14 +124,13 @@ def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(r + 1)])
     log_comb = log_fact[r] - log_fact - log_fact[::-1]
     upper, lower = np.empty(probs.size), np.empty(probs.size)
-    step = max(1, CHUNK // (r + 1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, probs.size, step):
-            p = probs[start:start + step, None]
+        for s in _row_blocks(probs.size, r + 1):
+            p = probs[s, None]
             pmf = np.exp(log_comb + j * np.log(p)
                          + np.where(j == r, 0.0, (r - j) * np.log1p(-p)))
-            upper[start:start + step] = pmf[:, k:].sum(axis=1)
-            lower[start:start + step] = pmf[:, :k].sum(axis=1)
+            upper[s] = pmf[:, k:].sum(axis=1)
+            lower[s] = pmf[:, :k].sum(axis=1)
     return np.minimum(upper, 1.0), np.minimum(lower, 1.0)
 
 

@@ -51,6 +51,8 @@ def verify_distortion(vectors, projected, eps: float) -> DistortionReport:
     by the polarization identity <u,v> = (|u|^2 + |v|^2 - |u-v|^2)/2 it is
     controlled by the same distortion.
     """
+    if not 0.0 < eps < math.inf:  # a NaN eps fails too
+        raise ValueError(f"eps must be a finite positive number, got {eps}")
     v = np.asarray(vectors, dtype=np.float64)
     pv = np.asarray(projected, dtype=np.float64)
     if v.ndim != 2 or pv.ndim != 2 or v.shape[0] != pv.shape[0]:

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfpsim import compiler, io
+from qfpsim import compiler, embeddings, io
 from qfpsim.compiler import (
     ClassicalSMPProtocol,
     OneWayProtocol,
@@ -60,6 +60,15 @@ def previous_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
     scale = 1.0 / np.sqrt(v.num_rand)
     return tuple(scale * padded.reshape(side.shape[1], -1)
                  for padded, side in zip(previous_junk_pad(*rows, v.norm_bound), (v.a, v.b)))
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def bits(arr: np.ndarray) -> np.ndarray:
@@ -292,6 +301,48 @@ class TestVectorSystem:
             assert io.vector_system_payload(v) == io.vector_system_payload(vf)
 
 
+def int8_column(num_rand: int, value: int, first: int | None = None) -> np.ndarray:
+    """An int8 (|R|, 1, 1) system side of ``value``, its first entry ``first``."""
+    side = np.full((num_rand, 1, 1), value, dtype=np.int8)
+    if first is not None:
+        side[0] = first
+    return side
+
+
+class TestFloat32Products:
+    # float32 holds every integer up to 2^24 = 16 777 216 exactly, and no odd one above
+    @pytest.mark.parametrize("a, b, bound", [
+        pytest.param(int8_column(1040, 127), int8_column(1040, 127), 127.0,
+                     id="at-the-bound"),  # 1040 * 127^2 = 16 774 160
+        pytest.param(int8_column(1041, 127), int8_column(1041, 127), 127.0,
+                     id="past-the-bound"),  # 16 790 289: float32 would round it
+        # np.abs(int8 -128) is -128, which would pass the bound
+        pytest.param(int8_column(1100, -128, first=1), int8_column(1100, 127), 128.0,
+                     id="minus-128"),
+    ])
+    def test_acceptance_is_the_float64_einsum(self, a, b, bound):
+        want = np.einsum("rxd,ryd->xy", a, b, dtype=np.float64) / a.shape[0]
+        assert np.array_equal(bits(VectorSystem(a, b, bound).acceptance_matrix()), bits(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(integer_systems(), float_systems(), st.integers(1, 40))
+    def test_row_blocks_change_no_bit(self, v8, vf, chunk):
+        # at CHUNK = 1 each block of the products, the norm check and the pad
+        # holds one input
+        accept = v8.acceptance_matrix()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "CHUNK", chunk)
+            v = VectorSystem(v8.a, v8.b, v8.norm_bound)
+            assert np.array_equal(bits(v.acceptance_matrix()), bits(accept))
+            # the reference squares int8 entries in int8, so it reads v8's float cast
+            cast = VectorSystem(v8.a.astype(np.float64), v8.b.astype(np.float64), v8.norm_bound)
+            for v, reference in ((v8, cast), (vf, vf)):
+                scale = 1.0 / np.sqrt(v.num_rand)
+                for junk, (side, want) in enumerate(zip((v.a, v.b), per_slice_states(reference))):
+                    got = compiler._junk_pad(side.transpose(1, 0, 2), junk, v.norm_bound)
+                    assert np.array_equal(bits(scale * got.reshape(want.shape)), bits(want))
+
+
 class TestPadToStates:
     def test_unit_norm_and_exact_inner_products(self):
         # the per-slice reference pads each slice into unit states
@@ -370,17 +421,16 @@ class TestAssemble:
     def test_compiled_system_holds_one_byte_per_entry(self):
         # EQ-9: the two state blocks take 16 MiB; the int8 system 1 MiB (8 MiB
         # as float64), so the traced peak of compile plus assembly is the
-        # states plus the system, not the states plus a float64 system
+        # states plus the system, with every other temporary one block of rows
         p, m = eq_parity_protocol(9), eq_matrix(9)
-        tracemalloc.start()
-        try:
+
+        def compile_and_assemble():
             v = compile_one_way(p)
-            e = assemble_shared_randomness_states(v, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return v, assemble_shared_randomness_states(v, m)
+
+        (v, e), peak = traced_peak(compile_and_assemble)
         assert v.a.dtype == v.b.dtype == np.int8
-        assert peak <= 1.25 * (e.alphas.nbytes + e.betas.nbytes + v.a.size + v.b.size)
+        assert peak <= 1.06 * (e.alphas.nbytes + e.betas.nbytes + v.a.size + v.b.size)
 
     def test_non_separating_system_rejected(self):
         # A protocol that always accepts cannot sign-separate anything.
@@ -399,6 +449,39 @@ class TestAssemble:
         v = compile_smp(eq_parity_protocol(2))
         with pytest.raises(ValueError):
             assemble_shared_randomness_states(v, eq_matrix(1))
+
+
+class TestEq9Temporaries:
+    """Each temporary of EQ-9's compile, acceptance product and verification
+    is a block of at most CHUNK entries, or the system's float32 copy of b."""
+
+    MiB = 1 << 20
+
+    @pytest.fixture(scope="class")
+    def eq9(self):
+        p, m = eq_parity_protocol(9), eq_matrix(9)
+        v = compile_one_way(p)
+        return p, m, v, assemble_shared_randomness_states(v, m)
+
+    def test_compile(self, eq9):
+        p = eq9[0]
+        _, peak = traced_peak(lambda: compile_one_way(p))
+        assert peak <= 1.5 * self.MiB
+
+    def test_acceptance_matrix(self, eq9):
+        accept, peak = traced_peak(eq9[2].acceptance_matrix)
+        assert peak <= accept.nbytes + 2.5 * self.MiB
+
+    def test_verify(self, eq9):
+        _, m, _, e = eq9
+        report, peak = traced_peak(lambda: verify_threshold_embedding(e, m))
+        assert peak <= 1.5 * self.MiB
+        # every off-diagonal pair ties, as every diagonal one does, across the
+        # four row blocks of 128: the first pair of each side is reported
+        assert report.valid
+        assert (report.worst_zero_pair, report.worst_one_pair) == ((0, 1), (0, 0))
+        assert report.worst_zero_side == pytest.approx(1 / 16, rel=1e-12)
+        assert report.worst_one_side == pytest.approx(1 / 4, rel=1e-12)
 
 
 class TestReduceEmbeddingDimension:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfpsim import embeddings
 from qfpsim.embeddings import (
     Realization,
     SignMatrix,
@@ -144,7 +145,54 @@ def sign_matrices_with_unit_vectors(draw):
     return SignMatrix(entries), alphas, betas
 
 
+def previous_worst_sides(sq: np.ndarray, m: SignMatrix):
+    """The whole-matrix worst-pair search that the row-blocked one replaced,
+    copied verbatim: the reference for values, pairs and ties."""
+    return (embeddings._worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None),
+            embeddings._worst_pair(sq, m.one_pairs()) or (1.0, None))
+
+
+@st.composite
+def squared_levels_with_signs(draw):
+    """A {-1, 0, +1} matrix and squared values drawn from at most three levels,
+    so that ties are common, with a block size of a few entries."""
+    rows, cols = draw(st.integers(1, 9)), draw(st.integers(1, 7))
+    entries = np.array(draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=rows * cols,
+                                     max_size=rows * cols))).reshape(rows, cols)
+    if not entries.any():
+        entries[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = -1
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    sq = np.array(draw(st.lists(st.sampled_from(levels), min_size=rows * cols,
+                                max_size=rows * cols))).reshape(rows, cols)
+    return SignMatrix(entries), sq, draw(st.integers(1, 3 * cols))
+
+
 class TestWorstPairSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(squared_levels_with_signs())
+    def test_row_blocks_match_the_whole_matrix_search(self, case):
+        m, sq, chunk = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(embeddings, "CHUNK", chunk)
+            assert embeddings._worst_sides(sq.__getitem__, m) == previous_worst_sides(sq, m)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 6, 1 << 16])
+    def test_ties_across_blocks_go_to_the_first_pair(self, chunk, monkeypatch):
+        # rows 1 and 3 tie on both sides; at chunk <= 2 they sit in different blocks
+        sq = np.array([[0.1, 0.2], [0.5, 0.0], [0.3, 0.4], [0.5, 0.0]])
+        m = SignMatrix([[-1, -1], [1, -1], [1, 1], [1, -1]])
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        assert embeddings._worst_sides(sq.__getitem__, m) == ((0.5, (1, 0)), (0.0, (1, 1)))
+
+    @pytest.mark.parametrize("sign, expected", [
+        (-1, ((0.0, None), (0.25, (0, 0)))),
+        (1, ((0.25, (0, 0)), (1.0, None))),
+    ])
+    def test_a_side_without_pairs(self, sign, expected, monkeypatch):
+        monkeypatch.setattr(embeddings, "CHUNK", 2)
+        sq, m = np.full((3, 2), 0.25), SignMatrix(np.full((3, 2), sign))
+        assert embeddings._worst_sides(sq.__getitem__, m) == expected
+
     @settings(max_examples=200, deadline=None)
     @given(sign_matrices_with_unit_vectors())
     def test_verifiers_match_row_major_brute_force(self, case):

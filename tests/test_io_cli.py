@@ -489,6 +489,13 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "eps must lie in (0, 1/2)" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
+    def test_project_refuses_an_eps_that_is_not_finite_and_positive(self, eps, tmp_path, capsys):
+        vec = write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(np.eye(4)))
+        assert main(["project", "--vectors", vec, "--dim", "2", "--eps", eps]) == 2
+        err = capsys.readouterr().err
+        assert "eps must be a finite positive number" in err and "Traceback" not in err
+
     def test_margin_of_promise_matrix(self, tmp_path):
         m = SignMatrix([[1, 0], [1, -1]])
         path = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))
