@@ -152,21 +152,26 @@ def cmd_compile(args, argv) -> int:
         raise io.DocumentError("compile needs --protocol plus a matrix, or --builtin eq")
 
     system = compiler.compile_one_way(protocol)
+    del protocol  # not read again: its tables need not outlive compilation
     if args.no_assemble:
         _emit("vector_system", io.vector_system_payload(system), args, argv)
         return 0
 
-    embedding = compiler.assemble_shared_randomness_states(system, m)
-    del protocol, system  # not read again: their tables need not outlive encoding
-    stages = [{"stage": "assembled", "dimension": embedding.dimension,
-               "delta0": embedding.delta0, "delta1": embedding.delta1}]
     if args.reduce:
-        embedding = compiler.reduce_embedding_dimension(
-            embedding, m, args.seed, target_dim=args.target_dim
-        )
-        stages.append({"stage": "reduced", "dimension": embedding.dimension,
-                       "delta0": embedding.delta0, "delta1": embedding.delta1})
-    payload = io.embedding_payload(embedding)
+        assembled = compiler.assemble_shared_randomness_states(system, m)
+        del system
+        embedding = compiler.reduce_embedding_dimension(assembled, m, args.seed,
+                                                        target_dim=args.target_dim)
+        stages = [{"stage": name, "dimension": e.dimension, "delta0": e.delta0, "delta1": e.delta1}
+                  for name, e in (("assembled", assembled), ("reduced", embedding))]
+        del assembled
+        payload = io.embedding_payload(embedding)
+    else:
+        # One side at a time: each is built, checked and encoded before the other.
+        payload = io.states_payload(lambda side: compiler.shared_randomness_side(system, side),
+                                    *compiler.shared_randomness_thresholds(system, m))
+        stages = [{"stage": "assembled",
+                   **{key: payload[key] for key in ("dimension", "delta0", "delta1")}}]
     payload["stages"] = stages
     _emit("embedding", payload, args, argv)
     return 0
@@ -177,11 +182,13 @@ def cmd_project(args, argv) -> int:
     vectors = io.parse_vectors(io.load(args.vectors))
     projected = projections.project_vectors(vectors, args.dim, args.seed)
     report = projections.verify_distortion(vectors, projected, args.eps)
+    source_dim = vectors.shape[1]
+    del vectors  # not read again: the input need not outlive serializing
     _emit(
         "report",
         {
             "report": "projection",
-            "source_dim": vectors.shape[1],
+            "source_dim": source_dim,
             "target_dim": args.dim,
             "eps": args.eps,
             **report._asdict(),
@@ -197,7 +204,7 @@ def cmd_verify(args, argv) -> int:
     m = _load_matrix(args)
     # Rows are read as written, as in simulate: a non-unit row is an input error.
     if args.embedding is not None:
-        embedding = io.parse_embedding(io.load(args.embedding))
+        embedding = io.parse_embedding_by_rows(io.load(args.embedding))
         report = verify_threshold_embedding(embedding, m)
         payload = {
             "report": "verify_embedding",

@@ -17,6 +17,7 @@ from .embeddings import (
     _entries_in,
     _frozen_array,
     _jl_reduce,
+    _require_unit_rows,
     _row_blocks,
     _worst_sides,
     verify_threshold_embedding,
@@ -209,20 +210,11 @@ def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
     return out
 
 
-def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
-    """Superpose all junk-padded per-r states into block vectors on
-    |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly.
-
-    delta0 / delta1 are set to the exact extremal values of (P/L^2)^2 over
-    the f=0 and f=1 pairs of the supplied sign matrix; errors out when the
-    system does not separate the two sides.
-
-    Allocation order: the acceptance matrix is squared in place, searched
-    for the thresholds one block of rows at a time and dropped.  Then each
-    side's (|X|, |R|, dim+2) state block is allocated once and filled from the
-    (|X|, |R|, dim) view of ``v.a`` or ``v.b`` one block of rows at a time, so
-    the peak is the two state blocks and the system.
-    """
+def shared_randomness_thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
+    """delta0 and delta1 of the assembled states: the exact extremal values of
+    (P/L^2)^2 over the f=0 and f=1 pairs of M, from the acceptance matrix
+    squared in place and searched one block of rows at a time.  Errors out
+    when the system does not separate the two sides."""
     if (v.a.shape[1], v.b.shape[1]) != (m.rows, m.cols):
         raise ValueError(
             f"vector system is {v.a.shape[1]}x{v.b.shape[1]} but the sign matrix is "
@@ -232,18 +224,30 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
     sq /= v.norm_bound**2
     sq **= 2
     (delta0, _), (delta1, _) = _worst_sides(sq.__getitem__, m)
-    del sq
     if delta0 >= delta1:
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"
         )
-    # Block r of input x holds slice r's padded state, scaled by 1/sqrt(|R|).
-    scale = 1.0 / np.sqrt(v.num_rand)
-    alphas = _junk_pad(v.a.transpose(1, 0, 2), 0, v.norm_bound)
-    betas = _junk_pad(v.b.transpose(1, 0, 2), 1, v.norm_bound)
-    alphas *= scale
-    betas *= scale
-    return ThresholdEmbedding(alphas.reshape(m.rows, -1), betas.reshape(m.cols, -1),
+    return delta0, delta1
+
+
+def shared_randomness_side(v: VectorSystem, side: int) -> np.ndarray:
+    """The unit-checked alphas (side 0, from ``v.a``) or betas (side 1, from
+    ``v.b``) of the assembled states, one row per input: block r of a row is
+    slice r's junk-padded state scaled by 1/sqrt(|R|)."""
+    vectors = (v.a, v.b)[side]
+    states = _junk_pad(vectors.transpose(1, 0, 2), side, v.norm_bound).reshape(vectors.shape[1], -1)
+    states *= 1.0 / np.sqrt(v.num_rand)
+    _require_unit_rows(("alphas", "betas")[side], states)
+    return states
+
+
+def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
+    """Superpose all junk-padded per-r states into block vectors on
+    |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly,
+    both sides at once (``compile`` encodes one side at a time)."""
+    delta0, delta1 = shared_randomness_thresholds(v, m)
+    return ThresholdEmbedding(shared_randomness_side(v, 0), shared_randomness_side(v, 1),
                               delta0, delta1)
 
 

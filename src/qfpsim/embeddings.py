@@ -15,12 +15,12 @@ MAX_TENSOR_DIM = 64
 REDUCTION_RETRIES = 20
 
 
-def _require_unit_rows(name: str, arr: np.ndarray) -> None:
+def _require_unit_rows(name: str, arr: np.ndarray, start: int = 0) -> None:
     norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
     bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise ValueError(f"{name}[{idx}] is not a unit vector (norm {float(norms[idx])})")
+        raise ValueError(f"{name}[{start + idx}] is not a unit vector (norm {float(norms[idx])})")
 
 
 def _entries_in(arr: np.ndarray, values: tuple[int, ...]) -> bool:
@@ -179,19 +179,20 @@ def _worst_sides(rows, m: SignMatrix):
 
 
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
-                               squared: np.ndarray | None = None) -> EmbeddingReport:
+                               out: np.ndarray | None = None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    ``squared`` = (e.alphas @ e.betas.T) ** 2 if the caller has formed it, else
-    from that matrix formed one block of rows at a time."""
+    (e.alphas @ e.betas.T) ** 2 formed from slices of rows of ``e.alphas``, one
+    block at a time; an (m.rows, m.cols) array ``out`` receives each block."""
     _check_counts(e.alphas, e.betas, m)
 
     def squared_rows(s: slice) -> np.ndarray:
         block = e.alphas[s] @ e.betas.T
         block **= 2  # in place: the same square as ** 2, without a second block
+        if out is not None:
+            out[s] = block
         return block
 
-    rows = squared_rows if squared is None else squared.__getitem__
-    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(rows, m)
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(squared_rows, m)
     valid = worst_zero <= e.delta0 + VERIFY_TOL and worst_one >= e.delta1 - VERIFY_TOL
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
 

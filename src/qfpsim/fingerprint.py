@@ -142,12 +142,12 @@ def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
     <alpha_x, beta_y>^2 / 2, and says 1 iff K >= k* (``referee_threshold``).
     So the error is P[K >= k*] on f = 0 pairs and P[K < k*] on f = 1 pairs.
     The tails are computed once per distinct P0 (EQ has 2, HAM(5, 2) has 6).
-    All P0 come from the one squared inner-product matrix the verifier checks,
-    with no per-state check: ``ThresholdEmbedding`` already holds its rows to
-    unit norm at the tolerance ``swap_test_prob`` checks.
+    All P0 come from the squared inner-product blocks the verifier forms and
+    checks, so they match ``verify`` to the bit, with no per-state check:
+    ``ThresholdEmbedding`` holds its rows to the unit-norm tolerance too.
     """
-    squared = (p.embedding.alphas @ p.embedding.betas.T) ** 2
-    report = verify_threshold_embedding(p.embedding, m, squared)
+    squared = np.empty(m.entries.shape)
+    report = verify_threshold_embedding(p.embedding, m, out=squared)
     if not report.valid:
         raise ValueError(
             f"embedding is not valid for M (worst f=0 side {report.worst_zero_side}, "

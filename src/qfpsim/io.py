@@ -32,12 +32,13 @@ import math
 import sys
 import zlib
 from itertools import chain
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__ as VERSION
-from .embeddings import Realization, SignMatrix, ThresholdEmbedding
+from .embeddings import Realization, SignMatrix, ThresholdEmbedding, _require_unit_rows
 from .linalg import CHUNK
 
 # imported where used, so reading other kinds of document never loads the compiler
@@ -129,28 +130,25 @@ def _palette(bits: np.ndarray) -> np.ndarray | None:
     return palette if palette.size else None
 
 
-def _codes(bits: np.ndarray, palette: np.ndarray) -> np.ndarray:
-    """Each entry of ``bits`` as the uint8 index of its value in ``palette``."""
-    codes = np.empty(bits.size, dtype=np.uint8)
-    for start in range(0, bits.size, CHUNK):
-        codes[start:start + CHUNK] = np.searchsorted(palette, bits[start:start + CHUNK])
-    return codes
-
-
 def _float_block(arr: np.ndarray) -> dict:
     """``arr`` as one little-endian float64 block, zlib-compressed, in base64:
-    palette-coded when it holds at most PALETTE_MAX distinct bit patterns."""
+    palette-coded when it holds at most PALETTE_MAX distinct bit patterns.
+    Entries are checked, coded and deflated one ``CHUNK`` at a time."""
     arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
-    if not np.isfinite(arr).all():
-        raise ValueError("float array has a non-finite entry")
     bits = arr.reshape(-1).view("<u8")
+    chunks = [slice(start, start + CHUNK) for start in range(0, bits.size, CHUNK)]
+    if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
+        raise ValueError("float array has a non-finite entry")
     block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC}
-    data = bits.view(np.uint8)
+    data = (bits[s].view(np.uint8) for s in chunks)
     palette = _palette(bits)
     if palette is not None:
         block.update(codec=PALETTE_CODEC, palette=palette.view(FLOAT_DTYPE).tolist())
-        data = _codes(bits, palette)
-    block["b64"] = base64.b64encode(zlib.compress(data, 1)).decode("ascii")
+        data = (np.searchsorted(palette, bits[s]).astype(np.uint8) for s in chunks)
+    # one stream deflated chunk by chunk: the bytes of zlib.compress(all data, 1)
+    deflater = zlib.compressobj(1)
+    block["b64"] = base64.b64encode(b"".join(
+        [*map(deflater.compress, data), deflater.flush()])).decode("ascii")
     return block
 
 
@@ -190,8 +188,9 @@ def _palette_field(value: dict, name: str) -> np.ndarray:
     return palette
 
 
-def _decoded(value, name: str):
-    """A float block as an array; any other value is returned as it is."""
+def _decoded(value, name: str, coded: bool = False):
+    """A float block as an array; any other value is returned as it is.  With
+    ``coded``, a palette block is returned as its palette and its codes."""
     if not isinstance(value, dict):
         return value
     if value.get("dtype") != FLOAT_DTYPE:
@@ -224,6 +223,8 @@ def _decoded(value, name: str):
     if codes.size and codes.max() >= palette.size:
         raise DocumentError(f"field {name!r} has code {codes.max()}, "
                             f"its palette has {palette.size} entries")
+    if coded:
+        return palette, codes.reshape(shape)
     # Indexing, not np.take: np.take would copy the codes to intp first.
     return palette[codes].reshape(shape)
 
@@ -312,13 +313,16 @@ def parse_sign_matrix(doc: dict) -> SignMatrix:
 
 
 def embedding_payload(e: ThresholdEmbedding) -> dict:
-    return {
-        "dimension": e.dimension,
-        "delta0": e.delta0,
-        "delta1": e.delta1,
-        "alphas": _float_block(e.alphas),
-        "betas": _float_block(e.betas),
-    }
+    return states_payload((e.alphas, e.betas).__getitem__, e.delta0, e.delta1)
+
+
+def states_payload(side, delta0: float, delta1: float) -> dict:
+    """The payload of the embedding whose alphas and betas are ``side(0)`` and
+    ``side(1)``: each is encoded before the other is asked for."""
+    alphas = _float_block(side(0))
+    betas = _float_block(side(1))
+    return {"dimension": alphas["shape"][1], "delta0": delta0, "delta1": delta1,
+            "alphas": alphas, "betas": betas}
 
 
 def _vectors(payload: dict, name: str) -> np.ndarray:
@@ -334,6 +338,37 @@ def parse_embedding(doc: dict) -> ThresholdEmbedding:
     return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas"),
                   _vectors(payload, "betas"), _scalar(payload, "delta0"),
                   _scalar(payload, "delta1"))
+
+
+class _CodedRows:
+    """The rows of a 2-d palette block, decoded from its codes one slice of
+    rows at a time and unit-checked as they are read: a non-unit row is an
+    input error naming its index in the whole block."""
+
+    def __init__(self, palette: np.ndarray, codes: np.ndarray):
+        self.palette, self.codes, self.shape = palette, codes, codes.shape
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        block = self.palette[self.codes[rows]]
+        _build("embedding", _require_unit_rows, "alphas", block, rows.start)
+        return block
+
+
+def parse_embedding_by_rows(doc: dict):
+    """``parse_embedding(doc)`` as ``verify_threshold_embedding`` reads it: a
+    palette-coded ``alphas`` block stays as its codes, 1 byte an entry, read
+    one block of rows at a time; the rest is checked as ``ThresholdEmbedding``
+    checks it.  Other documents parse whole."""
+    payload = _payload(doc, "embedding")
+    block = _field(payload, "alphas")
+    if not (isinstance(block, dict) and block.get("codec") == PALETTE_CODEC):
+        return parse_embedding(doc)
+    alphas = _CodedRows(*_decoded(block, "alphas", coded=True))
+    if len(alphas.shape) != 2:
+        raise DocumentError(f"field 'alphas' is not a 2-d array: shape {alphas.shape}")
+    e = _build("embedding", ThresholdEmbedding, np.empty((0, alphas.shape[1])),
+               _vectors(payload, "betas"), _scalar(payload, "delta0"), _scalar(payload, "delta1"))
+    return SimpleNamespace(alphas=alphas, betas=e.betas, delta0=e.delta0, delta1=e.delta1)
 
 
 def realization_payload(r: Realization) -> dict:

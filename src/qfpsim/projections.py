@@ -8,6 +8,7 @@ import numpy as np
 
 from ._record import Record
 from ._rng import generator
+from .embeddings import _row_blocks
 
 
 def jl_dimension(n: int, eps: float) -> int:
@@ -32,7 +33,8 @@ def project_vectors(vectors, d: int, seed) -> np.ndarray:
     big_d = arr.shape[1]
     if not (1 <= d <= big_d):
         raise ValueError(f"target dimension {d} must lie in [1, {big_d}]")
-    g = generator(seed).standard_normal((d, big_d)) / math.sqrt(d)
+    g = generator(seed).standard_normal((d, big_d))
+    g /= math.sqrt(d)
     return arr @ g.T
 
 
@@ -57,17 +59,18 @@ def verify_distortion(vectors, projected, eps: float) -> DistortionReport:
     pv = np.asarray(projected, dtype=np.float64)
     if v.ndim != 2 or pv.ndim != 2 or v.shape[0] != pv.shape[0]:
         raise ValueError("vector lists must be 2-d and of equal length")
-    v = np.vstack([v, np.zeros(v.shape[1])])
-    pv = np.vstack([pv, np.zeros(pv.shape[1])])
 
-    gv, gp = v @ v.T, pv @ pv.T
+    def distances(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the Gram matrix and squared distances of a's rows and the zero vector;
+        # squares are summed a block of rows at a time and a's copy is dropped
+        a = np.vstack([a, np.zeros(a.shape[1])])
+        sq = np.concatenate([(a[s] * a[s]).sum(axis=1) for s in _row_blocks(*a.shape)])
+        gram = a @ a.T
+        del a
+        return gram, np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
 
-    def pairwise_sq(a: np.ndarray, gram: np.ndarray) -> np.ndarray:
-        sq = (a * a).sum(axis=1)
-        return np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
-
-    dv, dp = pairwise_sq(v, gv), pairwise_sq(pv, gp)
-    iu = np.triu_indices(v.shape[0], k=1)
+    (gv, dv), (gp, dp) = distances(v), distances(pv)
+    iu = np.triu_indices(dv.shape[0], k=1)
     ratios = np.ones(len(iu[0]))
     nondegenerate = dv[iu] > 0.0  # coincident pairs are skipped
     ratios[nondegenerate] = dp[iu][nondegenerate] / dv[iu][nondegenerate]

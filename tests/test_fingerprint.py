@@ -6,7 +6,7 @@ import pytest
 
 from qfpsim._rng import generator
 from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
-from qfpsim.embeddings import SignMatrix, ThresholdEmbedding
+from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
 from qfpsim.fingerprint import (
     FingerprintProtocol,
     binomial_tails,
@@ -19,6 +19,7 @@ from qfpsim.fingerprint import (
     run_protocol,
     swap_test_prob,
 )
+from qfpsim.linalg import unit_rows
 from qfpsim.problems import eq_matrix, eq_parity_protocol, ham_matrix, ham_parity_embedding
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 
@@ -221,6 +222,29 @@ class TestRunProtocol:
         b = run_protocol(p, m, trials=50, seed=5)
         assert a.exact_error == b.exact_error
         assert not np.array_equal(a.per_pair_error, b.per_pair_error)
+
+    def test_worst_sides_are_the_verifiers_to_the_bit(self):
+        # 300 x 300 float states: 90 000 pairs, which the verifier squares in
+        # row blocks of 218.  A whole float64 product can differ from those
+        # blocks in the last bit (with OpenBLAS's Haswell kernels it does at
+        # this seed's extremes), so simulate must read the verifier's blocks.
+        rng = np.random.default_rng(25)
+
+        def states():
+            rows = rng.standard_normal((300, 8)) * 0.1
+            rows[:, 0] = 2.0 * rng.random(300)
+            return unit_rows(rows)
+
+        alphas, betas = states(), states()
+        squared = (alphas @ betas.T) ** 2
+        m = SignMatrix(np.where(squared < 0.1, 1, np.where(squared > 0.5, -1, 0)))
+        # thresholds that the states miss, so that the error names the worst sides
+        e = ThresholdEmbedding(alphas, betas, 0.05, 0.55)
+        report = verify_threshold_embedding(e, m)
+        with pytest.raises(ValueError) as exc:
+            exact_pair_errors(protocol_from_embedding(e, 1 / 3), m)
+        assert (f"(worst f=0 side {report.worst_zero_side}, "
+                f"worst f=1 side {report.worst_one_side})") in str(exc.value)
 
 
 def exact_pmf(r: int, p: float) -> list[Fraction]:

@@ -20,9 +20,19 @@ from hypothesis.extra.numpy import arrays
 import qfpsim
 from qfpsim import io
 from qfpsim.cli import main
-from qfpsim.compiler import VectorSystem, compile_smp
-from qfpsim.embeddings import Realization, SignMatrix, ThresholdEmbedding
-from qfpsim.problems import eq_matrix, eq_parity_protocol
+from qfpsim.compiler import (
+    VectorSystem,
+    assemble_shared_randomness_states,
+    compile_one_way,
+    compile_smp,
+)
+from qfpsim.embeddings import (
+    Realization,
+    SignMatrix,
+    ThresholdEmbedding,
+    verify_threshold_embedding,
+)
+from qfpsim.problems import eq_matrix, eq_parity_one_way_protocol, eq_parity_protocol
 from qfpsim.projections import project_vectors, verify_distortion
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 
@@ -285,6 +295,23 @@ class TestDocuments:
         doc = json.loads(json.dumps(io.document("vectors", {"vectors": block})))
         for got in (io.parse_vectors(doc), block_array(doc["payload"]["vectors"])):
             assert np.array_equal(got.view(np.uint64), sent.view(np.uint64))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 330])
+    def test_chunked_encoder_writes_the_one_shot_stream(self, monkeypatch, chunk):
+        # _float_block checks, codes and deflates one CHUNK of entries at a
+        # time; its stream is zlib.compress(all of the data, 1) at any CHUNK
+        monkeypatch.setattr(io, "CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        for arr in (rng.standard_normal((30, 11)), rng.choice([0.5, -0.25, 0.0], (30, 11))):
+            block = io._float_block(arr)
+            data = arr.reshape(-1).view("<u8")
+            if block["codec"] == "zlib-palette":
+                data = np.searchsorted(np.array(block["palette"]).view("<u8"), data)
+                data = data.astype(np.uint8)
+            assert base64.b64decode(block["b64"]) == zlib.compress(data.tobytes(), 1)
+            arr[-1, -1] = np.inf
+            with pytest.raises(ValueError, match="non-finite"):
+                io._float_block(arr)
 
     def test_empty_block_is_zlib(self):
         block = io.vectors_payload(np.zeros((0, 3)))["vectors"]
@@ -801,6 +828,104 @@ class TestCliPipelines:
         payload = read_doc(out)["payload"]
         assert payload["valid"] is True
         assert payload["achieved_margin"] == pytest.approx(1 / 3, abs=1e-12)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MiB = 1 << 20
+
+
+class TestOneStateBlockAtATime:
+    """compile builds, checks and encodes one side of the states at a time,
+    and verify reads palette-coded alphas one verifier row block at a time;
+    neither writes a byte that the whole-embedding path would not."""
+
+    @pytest.fixture(scope="class")
+    def eq9(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("eq9") / "eq9.json"
+        assert main(["compile", "--builtin", "eq", "--n", "9", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("model", ["smp", "one-way"])
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_compile_writes_the_assembled_payload(self, tmp_path, n, model):
+        out = tmp_path / "e.json"
+        assert main(["compile", "--builtin", "eq", "--n", str(n), "--model", model,
+                     "--out", str(out)]) == 0
+        payload = read_doc(out)["payload"]
+        stages = payload.pop("stages")
+        protocol = (eq_parity_protocol if model == "smp" else eq_parity_one_way_protocol)(n)
+        e = assemble_shared_randomness_states(compile_one_way(protocol), eq_matrix(n))
+        assert json.dumps(payload) == json.dumps(io.embedding_payload(e))
+        assert stages == [{"stage": "assembled", "dimension": e.dimension,
+                           "delta0": e.delta0, "delta1": e.delta1}]
+
+    @pytest.mark.parametrize("codec", ["zlib-palette", "zlib", None, "lists"])
+    def test_verify_reports_what_the_whole_embedding_gives(self, tmp_path, codec):
+        # 300 x 600 pairs: three verifier row blocks of 109 rows.  The states
+        # take six distinct values, so the writer palette-codes them.
+        rng = np.random.default_rng(3)
+        states = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0.5, 0.5, 0.5, 0.5],
+                           [0.5, -0.5, 0.5, -0.5], [0.6, 0.8, 0, 0], [0, 0, -0.8, 0.6]])
+        e = ThresholdEmbedding(states[rng.integers(0, 6, 300)],
+                               states[rng.integers(0, 6, 600)], 0.2, 0.7)
+        m = SignMatrix(rng.integers(-1, 2, (300, 600)))
+        payload = io.embedding_payload(e)
+        assert payload["alphas"]["codec"] == "zlib-palette"
+        for name in ("alphas", "betas"):
+            if codec == "lists":
+                as_lists(payload, name)
+            else:
+                recode(payload[name], codec)
+        emb = write_doc(tmp_path / "e.json", "embedding", payload)
+        mat = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))
+        out = tmp_path / "r.json"
+        assert main(["verify", "--matrix", mat, "--embedding", emb, "--out", str(out)]) == 0
+        parsed = io.parse_embedding(io.load(emb))
+        expected = {"report": "verify_embedding",
+                    **verify_threshold_embedding(parsed, m)._asdict(),
+                    "delta0": parsed.delta0, "delta1": parsed.delta1}
+        assert read_doc(out)["payload"] == json.loads(json.dumps(expected))
+
+    def test_doubled_row_in_the_last_block_names_its_index(self, tmp_path, capsys, eq9):
+        # EQ-9's verifier reads its 512 alphas in four blocks of 128 rows; row
+        # 511 is the last row of the last block.
+        doc = read_doc(eq9)
+        alphas = block_array(doc["payload"]["alphas"]).copy()
+        alphas[511] *= 2
+        doc["payload"]["alphas"] = io._float_block(alphas)
+        path = tmp_path / "eq9x2.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for command in ("verify", "simulate"):
+            code = main([command, "--builtin", "eq", "--n", "9", "--embedding", str(path)])
+            err = capsys.readouterr().err
+            assert code == 1 and err == ("qfpsim: input error: invalid embedding: "
+                                         "alphas[511] is not a unit vector (norm 2.0)\n")
+
+    def test_compile_holds_one_state_block(self, tmp_path):
+        # EQ-8: each side's states are a 256 x 1024 float64 block, 2 MiB.
+        # Beside one of them compile holds the int8 system (0.25 MiB) and
+        # the encoder's temporaries of a few CHUNKs; 2.5 MiB covers them.
+        argv = ["compile", "--builtin", "eq", "--n", "8", "--out", str(tmp_path / "e.json")]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and peak <= 2 * MiB + 2.5 * MiB
+
+    def test_verify_holds_one_state_block(self, eq9):
+        # EQ-9, whose alphas span four verifier row blocks (at EQ-8 one block
+        # of 256 rows is all of them): beside the 8 MiB betas, verify holds
+        # the alphas' codes (1 MiB), one row block of alphas (2 MiB) and the
+        # worst-pair search over its 128 x 512 squares; 5 MiB covers them.
+        argv = ["verify", "--builtin", "eq", "--n", "9", "--embedding", str(eq9)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and peak <= 8 * MiB + 5 * MiB
 
 
 class TestDeterminism:
