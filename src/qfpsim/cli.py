@@ -167,9 +167,12 @@ def cmd_compile(args, argv) -> int:
         del assembled
         payload = io.embedding_payload(embedding)
     else:
-        # One side at a time: each is built, checked and encoded before the other.
-        payload = io.states_payload(lambda side: compiler.shared_randomness_side(system, side),
-                                    *compiler.shared_randomness_thresholds(system, m))
+        # One side at a time: each is built, checked and encoded before the other,
+        # as palette and codes where the system allows, else as float64 states.
+        payload = io.states_payload(
+            lambda side: (compiler.shared_randomness_codes(system, side)
+                          or compiler.shared_randomness_side(system, side)),
+            *compiler.shared_randomness_thresholds(system, m))
         stages = [{"stage": "assembled",
                    **{key: payload[key] for key in ("dimension", "delta0", "delta1")}}]
     payload["stages"] = stages
@@ -192,7 +195,7 @@ def cmd_project(args, argv) -> int:
             "target_dim": args.dim,
             "eps": args.eps,
             **report._asdict(),
-            "projected": projected.tolist(),
+            "projected": projected,  # io.dump writes it one row at a time
         },
         args,
         argv,
@@ -205,7 +208,7 @@ def cmd_verify(args, argv) -> int:
     # Rows are read as written, as in simulate: a non-unit row is an input error.
     if args.embedding is not None:
         embedding = io.parse_embedding_by_rows(io.load(args.embedding))
-        report = verify_threshold_embedding(embedding, m)
+        report = verify_threshold_embedding(embedding, m, check=io.check_unit_rows)
         payload = {
             "report": "verify_embedding",
             **report._asdict(),

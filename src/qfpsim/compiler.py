@@ -12,9 +12,11 @@ from . import projections
 from ._record import Record
 from .embeddings import (
     MIN_GAP,
+    PALETTE_MAX,
     SignMatrix,
     ThresholdEmbedding,
     _entries_in,
+    _CodedRows,
     _frozen_array,
     _jl_reduce,
     _require_unit_rows,
@@ -240,6 +242,56 @@ def shared_randomness_side(v: VectorSystem, side: int) -> np.ndarray:
     states *= 1.0 / np.sqrt(v.num_rand)
     _require_unit_rows(("alphas", "betas")[side], states)
     return states
+
+
+def shared_randomness_codes(v: VectorSystem, side: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """``shared_randomness_side(v, side)`` as a unit-checked (palette, codes)
+    pair, one uint8 code per entry, built from an integer system without a
+    float64 state block.  Each value is computed once, in the arithmetic of
+    ``_junk_pad`` and the scaling by c = 1/sqrt(|R|): an entry u as
+    (u / L) * c, a junk entry as (sqrt(L^2 - S) / L) * c from its slice's
+    exact squared norm S, so ``palette[codes]`` is that side to the bit.
+    The palette is in ascending order of bit patterns, as io's writer orders
+    it.  None for a float system, or when the entries may take more than
+    PALETTE_MAX values: the float path alone builds those."""
+    vectors = (v.a, v.b)[side]
+    if vectors.dtype.kind not in "iu":
+        return None
+    num_rand, count, dim = vectors.shape
+    lo, hi = int(vectors.min()), int(vectors.max())
+    s_max = max(-lo, hi) ** 2 * dim  # no slice's S exceeds it
+    # u and S find their codes in tables indexed by u - lo and by S
+    if hi - lo >= PALETTE_MAX or s_max > PALETTE_MAX**2:
+        return None
+    blocks = list(_row_blocks(count, num_rand * dim))
+
+    def offsets(s: slice) -> np.ndarray:  # u - lo of rows s, as (x, r, d)
+        return np.subtract(vectors[:, s].transpose(1, 0, 2), lo, dtype=np.intp)
+
+    def squares(s: slice) -> np.ndarray:  # S of rows s, as (x, r)
+        return np.einsum("rxd,rxd->xr", vectors[:, s], vectors[:, s], dtype=np.intp)
+
+    seen_u, seen_s = np.zeros(hi - lo + 1, bool), np.zeros(s_max + 1, bool)
+    for s in blocks:
+        seen_u[offsets(s)] = True
+        seen_s[squares(s)] = True
+    u, big_s = np.flatnonzero(seen_u), np.flatnonzero(seen_s)
+    scale, big_l = 1.0 / np.sqrt(num_rand), v.norm_bound
+    values = (u + lo) / big_l * scale, np.sqrt(np.maximum(big_l**2 - big_s, 0.0)) / big_l * scale
+    palette = np.array(sorted({*np.concatenate([*values, [0.0]]).view(np.uint64).tolist()}),
+                       dtype=np.uint64)
+    if palette.size > PALETTE_MAX:
+        return None
+    code_u, code_s = np.zeros(seen_u.size, np.uint8), np.zeros(seen_s.size, np.uint8)
+    code_u[u], code_s[big_s] = (np.searchsorted(palette, x.view(np.uint64)) for x in values)
+    codes = np.empty((count, num_rand, dim + 2), np.uint8)
+    codes[..., dim + 1 - side] = np.searchsorted(palette, 0)  # the other junk coordinate
+    for s in blocks:
+        codes[s, :, :dim] = code_u[offsets(s)]
+        codes[s, :, dim + side] = code_s[squares(s)]
+    palette, codes = palette.view(np.float64), codes.reshape(count, -1)
+    _require_unit_rows(("alphas", "betas")[side], _CodedRows(palette, codes))
+    return palette, codes
 
 
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:

@@ -15,12 +15,43 @@ MAX_TENSOR_DIM = 64
 REDUCTION_RETRIES = 20
 
 
-def _require_unit_rows(name: str, arr: np.ndarray, start: int = 0) -> None:
-    norms = np.sqrt(np.einsum("ij,ij->i", arr, arr))
-    bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ValueError(f"{name}[{start + idx}] is not a unit vector (norm {float(norms[idx])})")
+def _require_unit_rows(name: str, rows, start: int = 0) -> None:
+    """Refuse the first row of ``rows`` (a 2-d array or ``_CodedRows``) whose
+    norm is not 1, reading one block of rows at a time; row i is named
+    ``name[start + i]``."""
+    for s in _row_blocks(*rows.shape):
+        block = rows[s]
+        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
+        bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
+        if np.any(bad):
+            idx = int(np.argmax(bad))
+            raise ValueError(f"{name}[{start + s.start + idx}] is not a unit vector "
+                             f"(norm {float(norms[idx])})")
+
+
+PALETTE_MAX = 256  # the values a uint8 code tells apart
+
+
+class _CodedRows:
+    """A 2-d float64 array held as ``palette[codes]``, one uint8 code per
+    entry, whose rows are decoded a slice at a time: 1 byte an entry where
+    the decoded rows take 8.  Each read decodes into one buffer, which the
+    next read reuses: a block read stays valid until the next read."""
+
+    def __init__(self, palette: np.ndarray, codes: np.ndarray):
+        self.palette, self.codes, self.shape = palette, codes, codes.shape
+        self._buffer = np.empty((0, codes.shape[1]))
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        codes = self.codes[rows]
+        if codes.shape[0] > self._buffer.shape[0]:
+            self._buffer = np.empty(codes.shape)
+        out = self._buffer[:codes.shape[0]]
+        # np.take copies its indices to intp, so it gets at most CHUNK codes at
+        # a time; into a given out it runs twice as fast as palette[codes].
+        for s in _row_blocks(*codes.shape):
+            np.take(self.palette, codes[s], out=out[s], mode="clip")
+        return out
 
 
 def _entries_in(arr: np.ndarray, values: tuple[int, ...]) -> bool:
@@ -179,14 +210,36 @@ def _worst_sides(rows, m: SignMatrix):
 
 
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
-                               out: np.ndarray | None = None) -> EmbeddingReport:
+                               out: np.ndarray | None = None, check=None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    (e.alphas @ e.betas.T) ** 2 formed from slices of rows of ``e.alphas``, one
-    block at a time; an (m.rows, m.cols) array ``out`` receives each block."""
+    (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time.  The
+    alphas and betas are 2-d arrays or ``_CodedRows``: each block's products
+    are taken one tile of betas at a time, as tall as the block, so coded
+    rows are decoded a tile at a time.  An (m.rows, m.cols) array ``out``
+    receives each block.
+
+    ``check(name, rows, start)``, if given, vets rows that nothing has
+    checked yet, once each, as they are read: each block of alphas, then the
+    betas as the last block reads them, so every alpha is vetted before any
+    beta.  When the counts do not match M, every row is vetted before the
+    count error is raised."""
+    if check is not None and (e.alphas.shape[0], e.betas.shape[0]) != (m.rows, m.cols):
+        for name, rows in (("alphas", e.alphas), ("betas", e.betas)):
+            check(name, rows, 0)
     _check_counts(e.alphas, e.betas, m)
+    tiles = list(_row_blocks(m.cols, m.cols))
 
     def squared_rows(s: slice) -> np.ndarray:
-        block = e.alphas[s] @ e.betas.T
+        alphas = e.alphas[s]
+        if check is not None:
+            check("alphas", alphas, s.start)
+        vet_betas = check is not None and s.stop >= m.rows  # in the last block
+        block = np.empty((alphas.shape[0], m.cols))
+        for t in tiles:
+            betas = e.betas[t]
+            if vet_betas:
+                check("betas", betas, t.start)
+            np.matmul(alphas, betas.T, out=block[:, t])
         block **= 2  # in place: the same square as ** 2, without a second block
         if out is not None:
             out[s] = block

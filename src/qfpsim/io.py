@@ -38,7 +38,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__ as VERSION
-from .embeddings import Realization, SignMatrix, ThresholdEmbedding, _require_unit_rows
+from .embeddings import (
+    PALETTE_MAX,
+    Realization,
+    SignMatrix,
+    ThresholdEmbedding,
+    _CodedRows,
+    _require_unit_rows,
+)
 from .linalg import CHUNK
 
 # imported where used, so reading other kinds of document never loads the compiler
@@ -48,7 +55,6 @@ FORMAT_VERSION = "1.3"
 FLOAT_DTYPE = "<f8"
 CODEC = "zlib"
 PALETTE_CODEC = "zlib-palette"
-PALETTE_MAX = 256
 # The leaf rule: an integer field takes JSON integers only, a number field JSON
 # integers or floats.  true, false, strings and null never pass: the types are
 # compared exactly, and type(True) is bool, not int.
@@ -72,17 +78,45 @@ def document(kind: str, payload: dict, command: str = "", seed=None) -> dict:
     }
 
 
+# What dump's encoder writes in place of each 2-d array leaf, whose rows go there.
+_ROWS_SLOT = "\0rows\0"
+
+
 def dump(doc: dict, path: str | None = None) -> None:
+    """Write ``doc`` as one line of JSON to ``path`` (default: stdout).  A 2-d
+    ndarray leaf is written as its ``.tolist()`` would be, one row at a time,
+    so neither the nested lists nor their text is ever whole."""
+    arrays = []
+
+    def rows_slot(value):
+        if not (isinstance(value, np.ndarray) and value.ndim == 2):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        if not np.isfinite(value).all():  # refused before a byte is written
+            raise ValueError("Out of range float values are not JSON compliant")
+        arrays.append(value)
+        return _ROWS_SLOT
+
     # No indent: with one, json falls back from its C encoder to pure Python.
-    text = json.dumps(doc, allow_nan=False)
-    # The newline goes in its own write: text + "\n" would copy the document.
+    pieces = json.dumps(doc, allow_nan=False, default=rows_slot).split(json.dumps(_ROWS_SLOT))
+    if len(pieces) != len(arrays) + 1:
+        raise ValueError(f"a string of the document equals {_ROWS_SLOT!r}")
     if path is None:
-        sys.stdout.write(text)
-        sys.stdout.write("\n")
+        _write(sys.stdout, pieces, arrays)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.write("\n")
+            _write(fh, pieces, arrays)
+
+
+def _write(fh, pieces: list[str], arrays: list[np.ndarray]) -> None:
+    """``pieces`` with the rows of each array between two of them, and a newline."""
+    fh.write(pieces[0])
+    for arr, piece in zip(arrays, pieces[1:]):
+        fh.write("[")
+        for i, row in enumerate(arr):
+            fh.write((", " if i else "") + json.dumps(row.tolist()))
+        fh.write("]")
+        fh.write(piece)  # not "]" + piece: that would copy the rest of the document
+    fh.write("\n")
 
 
 def load(path: str) -> dict:
@@ -130,21 +164,34 @@ def _palette(bits: np.ndarray) -> np.ndarray | None:
     return palette if palette.size else None
 
 
-def _float_block(arr: np.ndarray) -> dict:
+def _float_block(arr) -> dict:
     """``arr`` as one little-endian float64 block, zlib-compressed, in base64:
     palette-coded when it holds at most PALETTE_MAX distinct bit patterns.
-    Entries are checked, coded and deflated one ``CHUNK`` at a time."""
-    arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
-    bits = arr.reshape(-1).view("<u8")
-    chunks = [slice(start, start + CHUNK) for start in range(0, bits.size, CHUNK)]
-    if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
-        raise ValueError("float array has a non-finite entry")
-    block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC}
-    data = (bits[s].view(np.uint8) for s in chunks)
-    palette = _palette(bits)
+    Entries are checked, coded and deflated one ``CHUNK`` at a time.  ``arr``
+    may also be a (palette, codes) pair, palette-coded already: float64
+    entries in ascending order of their bit patterns and one uint8 code per
+    entry, written as the array ``palette[codes]`` would be."""
+    if isinstance(arr, tuple):
+        palette, codes = arr
+        shape, codes = codes.shape, codes.reshape(-1)
+        if not np.isfinite(palette).all():
+            raise ValueError("float array has a non-finite entry")
+        data = (codes[start:start + CHUNK] for start in range(0, codes.size, CHUNK))
+    else:
+        arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
+        shape, bits = arr.shape, arr.reshape(-1).view("<u8")
+        chunks = [slice(start, start + CHUNK) for start in range(0, bits.size, CHUNK)]
+        if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
+            raise ValueError("float array has a non-finite entry")
+        palette_bits = _palette(bits)
+        if palette_bits is None:
+            palette, data = None, (bits[s].view(np.uint8) for s in chunks)
+        else:
+            palette = palette_bits.view(FLOAT_DTYPE)
+            data = (np.searchsorted(palette_bits, bits[s]).astype(np.uint8) for s in chunks)
+    block = {"dtype": FLOAT_DTYPE, "shape": list(shape), "codec": CODEC}
     if palette is not None:
-        block.update(codec=PALETTE_CODEC, palette=palette.view(FLOAT_DTYPE).tolist())
-        data = (np.searchsorted(palette, bits[s]).astype(np.uint8) for s in chunks)
+        block.update(codec=PALETTE_CODEC, palette=palette.tolist())
     # one stream deflated chunk by chunk: the bytes of zlib.compress(all data, 1)
     deflater = zlib.compressobj(1)
     block["b64"] = base64.b64encode(b"".join(
@@ -340,35 +387,38 @@ def parse_embedding(doc: dict) -> ThresholdEmbedding:
                   _scalar(payload, "delta1"))
 
 
-class _CodedRows:
-    """The rows of a 2-d palette block, decoded from its codes one slice of
-    rows at a time and unit-checked as they are read: a non-unit row is an
-    input error naming its index in the whole block."""
-
-    def __init__(self, palette: np.ndarray, codes: np.ndarray):
-        self.palette, self.codes, self.shape = palette, codes, codes.shape
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        block = self.palette[self.codes[rows]]
-        _build("embedding", _require_unit_rows, "alphas", block, rows.start)
-        return block
+def _rows(payload: dict, name: str):
+    """Field ``name`` as 2-d rows: a palette block as its codes, in a
+    ``_CodedRows``, anything else as an array."""
+    value = _field(payload, name)
+    if not (isinstance(value, dict) and value.get("codec") == PALETTE_CODEC):
+        return _vectors(payload, name)
+    palette, codes = _decoded(value, name, coded=True)
+    if codes.ndim != 2:
+        raise DocumentError(f"field {name!r} is not a 2-d array: shape {codes.shape}")
+    return _CodedRows(palette, codes)
 
 
 def parse_embedding_by_rows(doc: dict):
-    """``parse_embedding(doc)`` as ``verify_threshold_embedding`` reads it: a
-    palette-coded ``alphas`` block stays as its codes, 1 byte an entry, read
-    one block of rows at a time; the rest is checked as ``ThresholdEmbedding``
-    checks it.  Other documents parse whole."""
+    """``parse_embedding(doc)`` as ``verify_threshold_embedding`` reads it,
+    with ``check=check_unit_rows``: a palette-coded ``alphas`` or ``betas``
+    block stays as its codes, 1 byte an entry, and is decoded one block of
+    rows at a time.  The rows are not unit-checked here: the verifier vets
+    each row once as it reads it, alphas before betas, and before it refuses
+    counts that do not match M.  Shapes and thresholds are checked here, as
+    ``ThresholdEmbedding`` checks them."""
     payload = _payload(doc, "embedding")
-    block = _field(payload, "alphas")
-    if not (isinstance(block, dict) and block.get("codec") == PALETTE_CODEC):
-        return parse_embedding(doc)
-    alphas = _CodedRows(*_decoded(block, "alphas", coded=True))
-    if len(alphas.shape) != 2:
-        raise DocumentError(f"field 'alphas' is not a 2-d array: shape {alphas.shape}")
+    alphas, betas = _rows(payload, "alphas"), _rows(payload, "betas")
     e = _build("embedding", ThresholdEmbedding, np.empty((0, alphas.shape[1])),
-               _vectors(payload, "betas"), _scalar(payload, "delta0"), _scalar(payload, "delta1"))
-    return SimpleNamespace(alphas=alphas, betas=e.betas, delta0=e.delta0, delta1=e.delta1)
+               np.empty((0, betas.shape[1])), _scalar(payload, "delta0"),
+               _scalar(payload, "delta1"))
+    return SimpleNamespace(alphas=alphas, betas=betas, delta0=e.delta0, delta1=e.delta1)
+
+
+def check_unit_rows(name: str, rows, start: int) -> None:
+    """Rows ``start, ...`` of field ``name``: a row that is not a unit vector
+    is malformed input, named by its index in the field."""
+    _build("embedding", _require_unit_rows, name, rows, start)
 
 
 def realization_payload(r: Realization) -> dict:

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -449,6 +450,84 @@ class TestAssemble:
         v = compile_smp(eq_parity_protocol(2))
         with pytest.raises(ValueError):
             assemble_shared_randomness_states(v, eq_matrix(1))
+
+
+def random_one_way(c: int, seed: int) -> OneWayProtocol:
+    """A seeded one-way protocol with 2^c messages: Bob accepts a random set of
+    them, of any size, so the betas' slack takes several values."""
+    rng = np.random.default_rng(seed)
+    nx, ny, nr = 12, 10, 5
+    return OneWayProtocol(n=4, c=c, rand_strings=tuple(range(nr)),
+                          alice_messages=rng.integers(0, 1 << c, (nx, nr)),
+                          bob_accept=rng.integers(0, 2, (1 << c, ny, nr)))
+
+
+def states_payload(v: VectorSystem) -> str:
+    """The state payload ``compile`` writes for ``v``, as JSON text: each
+    side from its codes where ``v`` allows, else from its float states."""
+    def side(s: int):
+        return compiler.shared_randomness_codes(v, s) or compiler.shared_randomness_side(v, s)
+
+    return json.dumps(io.states_payload(side, 0.0625, 0.25))
+
+
+def float_cast(v: VectorSystem) -> VectorSystem:
+    return VectorSystem(v.a.astype(np.float64), v.b.astype(np.float64), v.norm_bound)
+
+
+class TestCodedStates:
+    """An integer system's sides are written from palettes and codes built
+    from its indicators, byte for byte as the float path writes them."""
+
+    @pytest.mark.parametrize("system", [
+        *(pytest.param(lambda n=n: compile_one_way(eq_parity_protocol(n)), id=f"eq{n}-smp")
+          for n in range(3, 8)),
+        *(pytest.param(lambda n=n: compile_one_way(eq_parity_one_way_protocol(n)),
+                       id=f"eq{n}-one-way") for n in range(3, 8)),
+        pytest.param(lambda: compile_one_way(eq_parity_protocol(6, 23, 4)), id="eq6-num-r"),
+        pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(7, 9, 1)),
+                     id="eq7-one-way-num-r"),
+        *(pytest.param(lambda c=c, seed=seed: compile_one_way(random_one_way(c, seed)),
+                       id=f"random-c{c}-seed{seed}") for c in (2, 3) for seed in (0, 1)),
+    ])
+    def test_codes_write_the_float_states(self, system):
+        v = system()
+        assert v.a.dtype == v.b.dtype == np.int8
+        for side in (0, 1):
+            palette, codes = compiler.shared_randomness_codes(v, side)
+            assert np.array_equal(bits(palette[codes]),
+                                  bits(compiler.shared_randomness_side(v, side)))
+        f = float_cast(v)
+        assert compiler.shared_randomness_codes(f, 0) is None
+        assert states_payload(v) == states_payload(f)
+
+    def test_random_protocols_have_several_slack_values(self):
+        v = compile_one_way(random_one_way(3, 0))
+        assert len(np.unique(np.einsum("rxd,rxd->rx", v.b, v.b))) >= 4
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(np.arange(-150, 151), id="range-over-256"),
+        pytest.param(np.arange(0, 200), id="values-and-slacks-over-256"),
+    ])
+    def test_more_than_256_values_take_the_float_path(self, values):
+        # one slice, one input per value; the second coordinate varies the
+        # squared norm, so the junk entries take many values too
+        a = np.stack([values, values[::-1]], axis=1)[None]
+        big_l = float(np.sqrt(np.einsum("rxd,rxd->rx", a, a).max()))
+        v = VectorSystem(a, a[:, :3], big_l)
+        assert compiler.shared_randomness_codes(v, 0) is None
+        text = states_payload(v)
+        assert json.loads(text)["alphas"]["codec"] == "zlib"
+        assert text == states_payload(float_cast(v))
+
+    def test_non_unit_rows_are_refused_as_by_the_float_path(self):
+        # L^2 underflows to 0, so the zero rows get no slack and stay zero
+        zeros = np.zeros((2, 3, 2), dtype=np.int8)
+        v = VectorSystem(zeros, zeros, 1e-200)
+        with pytest.raises(ValueError) as float_error:
+            compiler.shared_randomness_side(v, 1)
+        with pytest.raises(ValueError, match=re.escape(str(float_error.value))):
+            compiler.shared_randomness_codes(v, 1)
 
 
 class TestEq9Temporaries:

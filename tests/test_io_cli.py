@@ -844,8 +844,9 @@ MiB = 1 << 20
 
 class TestOneStateBlockAtATime:
     """compile builds, checks and encodes one side of the states at a time,
-    and verify reads palette-coded alphas one verifier row block at a time;
-    neither writes a byte that the whole-embedding path would not."""
+    from codes where it can, and verify reads palette-coded alphas and betas
+    one block of rows at a time; neither writes a byte that the
+    whole-embedding path would not."""
 
     @pytest.fixture(scope="class")
     def eq9(self, tmp_path_factory):
@@ -894,13 +895,14 @@ class TestOneStateBlockAtATime:
                     "delta0": parsed.delta0, "delta1": parsed.delta1}
         assert read_doc(out)["payload"] == json.loads(json.dumps(expected))
 
-    def test_doubled_row_in_the_last_block_names_its_index(self, tmp_path, capsys, eq9):
-        # EQ-9's verifier reads its 512 alphas in four blocks of 128 rows; row
-        # 511 is the last row of the last block.
+    @staticmethod
+    def doubled_row_511(tmp_path, capsys, eq9, side):
+        # EQ-9's verifier reads its 512 alphas in four blocks of 128 rows, and
+        # the betas in four tiles of 128; row 511 ends the last of each.
         doc = read_doc(eq9)
-        alphas = block_array(doc["payload"]["alphas"]).copy()
-        alphas[511] *= 2
-        doc["payload"]["alphas"] = io._float_block(alphas)
+        rows = block_array(doc["payload"][side]).copy()
+        rows[511] *= 2
+        doc["payload"][side] = io._float_block(rows)
         path = tmp_path / "eq9x2.json"
         with open(path, "w") as fh:
             json.dump(doc, fh)
@@ -908,24 +910,126 @@ class TestOneStateBlockAtATime:
             code = main([command, "--builtin", "eq", "--n", "9", "--embedding", str(path)])
             err = capsys.readouterr().err
             assert code == 1 and err == ("qfpsim: input error: invalid embedding: "
-                                         "alphas[511] is not a unit vector (norm 2.0)\n")
+                                         f"{side}[511] is not a unit vector (norm 2.0)\n")
+
+    def test_doubled_row_in_the_last_block_names_its_index(self, tmp_path, capsys, eq9):
+        self.doubled_row_511(tmp_path, capsys, eq9, "alphas")
+
+    def test_doubled_beta_in_the_last_tile_names_its_index(self, tmp_path, capsys, eq9):
+        self.doubled_row_511(tmp_path, capsys, eq9, "betas")
+
+    def test_alphas_of_later_blocks_are_named_before_betas(self, tmp_path, capsys, eq9):
+        # the first block reads every tile of betas, beta row 0 among them,
+        # before the last block reads alpha row 511: the alpha is still named
+        doc = read_doc(eq9)
+        for side, row in (("alphas", 511), ("betas", 0)):
+            rows = block_array(doc["payload"][side]).copy()
+            rows[row] *= 2
+            doc["payload"][side] = io._float_block(rows)
+        path = tmp_path / "eq9x2.json"
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        code = main(["verify", "--builtin", "eq", "--n", "9", "--embedding", str(path)])
+        assert code == 1 and capsys.readouterr().err == (
+            "qfpsim: input error: invalid embedding: alphas[511] is not a unit vector (norm 2.0)\n")
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("scaled, named", [
+        ({"alphas": 5}, "alphas[5]"),
+        ({"betas": 2}, "betas[2]"),
+        ({"alphas": 5, "betas": 2}, "alphas[5]"),
+        ({"alphas": 7, "betas": 0}, "alphas[7]"),
+    ])
+    def test_non_unit_rows_are_named_before_anything_else(self, tmp_path, capsys, n, scaled,
+                                                          named):
+        # EQ-3's states: against EQ-4 the counts are wrong too, but a non-unit
+        # row is named first, alphas before betas: exit 1, not 2
+        e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
+                                              eq_matrix(3))
+        payload = io.embedding_payload(e)
+        for side, row in scaled.items():
+            rows = getattr(e, side).copy()
+            rows[row] *= 2
+            payload[side] = io._float_block(rows)
+            assert payload[side]["codec"] == "zlib-palette"
+        path = write_doc(tmp_path / "e.json", "embedding", payload)
+        code = main(["verify", "--builtin", "eq", "--n", str(n), "--embedding", path])
+        assert code == 1 and capsys.readouterr().err.startswith(
+            f"qfpsim: input error: invalid embedding: {named} is not a unit vector (norm ")
 
     def test_compile_holds_one_state_block(self, tmp_path):
-        # EQ-8: each side's states are a 256 x 1024 float64 block, 2 MiB.
-        # Beside one of them compile holds the int8 system (0.25 MiB) and
-        # the encoder's temporaries of a few CHUNKs; 2.5 MiB covers them.
+        # EQ-8: each side's states would be a 256 x 1024 float64 block, 2 MiB.
+        # compile builds one side's codes (0.25 MiB) from the int8 system
+        # (0.25 MiB); its peak is the 256 x 256 acceptance matrix (0.5 MiB)
+        # and its float32 product's temporaries, within 2.5 MiB in all.
         argv = ["compile", "--builtin", "eq", "--n", "8", "--out", str(tmp_path / "e.json")]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 2 * MiB + 2.5 * MiB
+        assert code == 0 and peak <= 2.5 * MiB
 
     def test_verify_holds_one_state_block(self, eq9):
-        # EQ-9, whose alphas span four verifier row blocks (at EQ-8 one block
-        # of 256 rows is all of them): beside the 8 MiB betas, verify holds
-        # the alphas' codes (1 MiB), one row block of alphas (2 MiB) and the
-        # worst-pair search over its 128 x 512 squares; 5 MiB covers them.
+        # EQ-9, whose sides span four verifier row blocks (at EQ-8 one block
+        # of 256 rows is all of them): verify holds both sides' codes (2 MiB),
+        # one block of 128 alphas and one tile of 128 betas (2 MiB each) and
+        # the worst-pair search over its 128 x 512 squares; 8.5 MiB covers them.
         argv = ["verify", "--builtin", "eq", "--n", "9", "--embedding", str(eq9)]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 8 * MiB + 5 * MiB
+        assert code == 0 and peak <= 8.5 * MiB
+
+    def test_project_holds_the_input_and_blocks(self, tmp_path):
+        # 256 EQ-8 states (2 MiB) projected to 256 dimensions (0.5 MiB): the
+        # map is drawn, and the pairwise check formed, one block of rows at a
+        # time, and the report is written one row at a time; 4.5 MiB covers
+        # them and the generator.
+        e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(8)),
+                                              eq_matrix(8))
+        vectors = write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(e.alphas))
+        out = tmp_path / "p.json"
+        argv = ["project", "--vectors", vectors, "--dim", "256", "--out", str(out)]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and peak <= 4.5 * MiB
+        assert np.array_equal(read_doc(out)["payload"]["projected"],
+                              project_vectors(e.alphas, 256, 0))
+
+
+class TestDumpRows:
+    """io.dump writes a 2-d ndarray leaf as nested lists, one row at a time:
+    the bytes json writes for the leaf's .tolist()."""
+
+    @staticmethod
+    def doc():
+        rng = np.random.default_rng(2)
+        return io.document("report", {
+            "report": "projection", "projected": rng.standard_normal((5, 4)),
+            "nested": {"ints": np.arange(6).reshape(2, 3), "empty": np.zeros((0, 3)),
+                       "flat": np.zeros((2, 0)), "tiny": np.array([[-0.0, 5e-324]])},
+            "after": [1.5, "text"]})
+
+    @staticmethod
+    def listed(value):
+        if isinstance(value, dict):
+            return {k: TestDumpRows.listed(v) for k, v in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    def test_file_holds_the_lists_text(self, tmp_path):
+        doc = self.doc()
+        io.dump(doc, str(tmp_path / "d.json"))
+        assert (tmp_path / "d.json").read_text() == json.dumps(self.listed(doc)) + "\n"
+
+    def test_stdout_holds_the_lists_text(self, capsys):
+        doc = self.doc()
+        io.dump(doc)
+        assert capsys.readouterr().out == json.dumps(self.listed(doc)) + "\n"
+
+    def test_non_finite_entry_refused_before_writing(self, tmp_path):
+        doc = self.doc()
+        doc["payload"]["projected"][4, 3] = np.nan
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            io.dump(doc, str(tmp_path / "d.json"))
+        assert not (tmp_path / "d.json").exists()
+
+    def test_other_arrays_are_not_serializable(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            io.dump({"v": np.zeros(3)})
 
 
 class TestDeterminism:

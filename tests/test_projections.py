@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfpsim import embeddings
+from qfpsim._rng import generator
 from qfpsim.projections import jl_dimension, project_vectors, verify_distortion
 
 
@@ -27,6 +29,33 @@ class TestJlDimension:
             jl_dimension(100, 0.0)
         with pytest.raises(ValueError):
             jl_dimension(100, 1.5)
+
+
+def dense_distortion(vectors, projected, eps):
+    """The whole-matrix check that the row-blocked one replaced, copied
+    verbatim: both point sets stacked with the zero vector, their full Gram
+    and distance matrices, and the pairs in triu order."""
+    v = np.asarray(vectors, dtype=np.float64)
+    pv = np.asarray(projected, dtype=np.float64)
+
+    def distances(a):
+        a = np.vstack([a, np.zeros(a.shape[1])])
+        sq = (a * a).sum(axis=1)
+        gram = a @ a.T
+        return gram, np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+
+    (gv, dv), (gp, dp) = distances(v), distances(pv)
+    iu = np.triu_indices(dv.shape[0], k=1)
+    ratios = np.ones(len(iu[0]))
+    nondegenerate = dv[iu] > 0.0
+    ratios[nondegenerate] = dp[iu][nondegenerate] / dv[iu][nondegenerate]
+    distortions = np.abs(ratios - 1.0)
+    worst = int(np.argmax(distortions))
+    max_distortion = float(distortions[worst])
+    return {"ok": max_distortion <= eps + 1e-12,
+            "worst_pair": (int(iu[0][worst]), int(iu[1][worst])),
+            "max_distortion": max_distortion,
+            "max_inner_product_error": float(np.abs(gp - gv).max())}
 
 
 class TestProjectVectors:
@@ -93,3 +122,82 @@ class TestVerifyDistortion:
         rep = verify_distortion(v, w, eps=1.0)
         assert rep.max_inner_product_error >= 0.0
         assert rep.max_distortion >= 0.0
+
+
+class TestRowBlockedDistortion:
+    """verify_distortion forms its pairwise matrices one block of rows at a
+    time.  On integer points every Gram entry and distance is exact in any
+    order of summation, so the report must equal the dense one exactly."""
+
+    @staticmethod
+    def points(seed, count, dim, spread):
+        rng = np.random.default_rng(seed)
+        v = rng.integers(-spread, spread + 1, (count, dim)).astype(np.float64)
+        v[count // 3] = v[count // 2]  # two coincident points
+        v[-1] = 0.0  # a point on the appended zero vector
+        p = v + rng.integers(-1, 2, (count, dim))
+        p[count // 3] = p[count // 2]
+        return v, p
+
+    @pytest.mark.parametrize("count, dim, spread", [(300, 5, 3), (130, 3, 1), (64, 2, 2)])
+    @pytest.mark.parametrize("chunk", [1 << 16, 512, 1])
+    def test_blocks_report_what_the_dense_check_reports(self, monkeypatch, count, dim, spread,
+                                                        chunk):
+        # at CHUNK = 2^16 the 300 points are cut into 12 blocks of 27 rows;
+        # smaller CHUNKs cut every size into blocks down to one row
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        for seed in range(3):
+            v, p = self.points(seed, count, dim, spread)
+            assert verify_distortion(v, p, 0.3)._asdict() == dense_distortion(v, p, 0.3)
+
+    def test_norms_are_checked_through_the_zero_vector(self, monkeypatch):
+        # a translation keeps every distance between points and moves their
+        # norms: only pairs with the appended zero vector distort
+        monkeypatch.setattr(embeddings, "CHUNK", 512)
+        v, _ = self.points(0, 64, 3, 2)
+        report = verify_distortion(v, v + 1.0, 0.3)
+        assert report._asdict() == dense_distortion(v, v + 1.0, 0.3)
+        assert report.worst_pair[1] == 64 and report.max_distortion > 0.3
+
+    def test_ties_go_to_the_first_pair(self, monkeypatch):
+        # every pair distorts by 3 (all distances double): the first pair of
+        # triu order, (0, 1), is reported, though it is in the first block
+        monkeypatch.setattr(embeddings, "CHUNK", 64)
+        v = np.eye(40)
+        report = verify_distortion(v, 2.0 * v, 0.5)
+        assert report._asdict() == dense_distortion(v, 2.0 * v, 0.5)
+        assert report.worst_pair == (0, 1) and report.max_distortion == 3.0
+
+    def test_coincident_points_are_skipped(self):
+        # points 0 and 1 coincide, so their pair is skipped though the images
+        # part; every norm is kept, so nothing distorts
+        v = np.array([[1.0, 2.0], [1.0, 2.0]])
+        p = np.array([[2.0, 1.0], [1.0, 2.0]])
+        report = verify_distortion(v, p, 0.1)
+        assert report._asdict() == dense_distortion(v, p, 0.1)
+        assert report.ok and report.max_distortion == 0.0 and report.worst_pair == (0, 1)
+
+    def test_float_points_agree_with_the_dense_check(self):
+        # row blocks change the order of BLAS sums, so float reports may
+        # differ from the dense ones in the last bits only
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((300, 40))
+        p = project_vectors(v, 30, 1)
+        got, want = verify_distortion(v, p, 0.5)._asdict(), dense_distortion(v, p, 0.5)
+        for key in ("max_distortion", "max_inner_product_error"):
+            assert got[key] == pytest.approx(want[key], rel=1e-12)
+
+    def test_refuses_empty_point_sets(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            verify_distortion(np.zeros((0, 3)), np.zeros((0, 2)), 0.5)
+
+
+class TestBlockedMap:
+    @pytest.mark.parametrize("chunk", [1 << 16, 100, 1])
+    def test_map_is_one_draw_of_the_stream(self, monkeypatch, chunk):
+        # projecting the identity reads the map back exactly: drawn a block
+        # of rows at a time, it is the map one d x D draw gives
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        d, big_d = 7, 30
+        g = generator(11).standard_normal((d, big_d)) / np.sqrt(d)
+        assert np.array_equal(project_vectors(np.eye(big_d), d, 11), g.T)
