@@ -207,8 +207,8 @@ def cmd_verify(args, argv) -> int:
     m = _load_matrix(args)
     # Rows are read as written, as in simulate: a non-unit row is an input error.
     if args.embedding is not None:
-        embedding = io.parse_embedding_by_rows(io.load(args.embedding))
-        report = verify_threshold_embedding(embedding, m, check=io.check_unit_rows)
+        embedding = io.parse_embedding(io.load(args.embedding))
+        report = verify_threshold_embedding(embedding, m)
         payload = {
             "report": "verify_embedding",
             **report._asdict(),

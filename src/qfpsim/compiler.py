@@ -131,6 +131,9 @@ class VectorSystem(Record):
             raise ValueError("a and b must be (|R|, count, dim) arrays sharing |R| and dim")
         if self.norm_bound <= 0:
             raise ValueError("norm bound must be positive")
+        big_l = float(self.norm_bound)
+        if not np.isfinite(big_l * big_l):  # readers square L; big_l**2 would raise OverflowError
+            raise ValueError(f"norm bound {self.norm_bound} must have a finite float64 square")
         for name, arr in (("a", a), ("b", b)):
             # np.max, not max: a NaN norm in any block must reach the check
             worst = float(np.sqrt(np.max([
@@ -193,16 +196,13 @@ def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
     """Pad rows (..., dim) of norm <= big_l to norm big_l on junk coordinate
     dim + junk of dim+2 (0 for alphas, 1 for betas) and divide by big_l: unit
     states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The output
-    is allocated once and filled one block of rows at a time; integer rows sum
-    their squares exactly in float64, with no array of squares."""
+    is allocated once and filled one block of rows at a time, each block cast
+    to float64 on its own."""
     dim = rows.shape[-1]
     out = np.zeros(rows.shape[:-1] + (dim + 2,))
     for s in _row_blocks(rows.shape[0], rows[:1].size):
-        block = rows[s]
-        if block.dtype.kind in "iu":
-            slack = np.einsum("...d,...d->...", block, block, dtype=np.float64)
-        else:
-            slack = np.add.reduce(block * block, axis=-1)
+        block = rows[s].astype(np.float64, copy=False)
+        slack = np.add.reduce(block * block, axis=-1)
         np.subtract(big_l**2, slack, out=slack)
         np.maximum(slack, 0.0, out=slack)
         np.sqrt(slack, out=slack)
@@ -236,7 +236,12 @@ def shared_randomness_thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float,
 def shared_randomness_side(v: VectorSystem, side: int) -> np.ndarray:
     """The unit-checked alphas (side 0, from ``v.a``) or betas (side 1, from
     ``v.b``) of the assembled states, one row per input: block r of a row is
-    slice r's junk-padded state scaled by 1/sqrt(|R|)."""
+    slice r's junk-padded state scaled by 1/sqrt(|R|).  Decoded from
+    ``shared_randomness_codes`` where it builds them, else padded by
+    ``_junk_pad``."""
+    coded = shared_randomness_codes(v, side, decode=True)
+    if coded is not None:
+        return coded[1]
     vectors = (v.a, v.b)[side]
     states = _junk_pad(vectors.transpose(1, 0, 2), side, v.norm_bound).reshape(vectors.shape[1], -1)
     states *= 1.0 / np.sqrt(v.num_rand)
@@ -244,16 +249,19 @@ def shared_randomness_side(v: VectorSystem, side: int) -> np.ndarray:
     return states
 
 
-def shared_randomness_codes(v: VectorSystem, side: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """``shared_randomness_side(v, side)`` as a unit-checked (palette, codes)
-    pair, one uint8 code per entry, built from an integer system without a
-    float64 state block.  Each value is computed once, in the arithmetic of
-    ``_junk_pad`` and the scaling by c = 1/sqrt(|R|): an entry u as
-    (u / L) * c, a junk entry as (sqrt(L^2 - S) / L) * c from its slice's
-    exact squared norm S, so ``palette[codes]`` is that side to the bit.
-    The palette is in ascending order of bit patterns, as io's writer orders
-    it.  None for a float system, or when the entries may take more than
-    PALETTE_MAX values: the float path alone builds those."""
+def shared_randomness_codes(v: VectorSystem, side: int,
+                            decode: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
+    """``shared_randomness_side(v, side)`` of an integer system as a
+    unit-checked (palette, codes) pair, one uint8 code per entry, built
+    without a float64 state block.  Each value is computed once, in the
+    arithmetic of ``_junk_pad`` and the scaling by c = 1/sqrt(|R|): an entry
+    u as (u / L) * c, a junk entry as (sqrt(L^2 - S) / L) * c from its
+    slice's exact squared norm S, so ``palette[codes]`` is that side of the
+    float64 cast to the bit.  The palette is in ascending order of bit
+    patterns, as io's writer orders it.  With ``decode``, each block of
+    rows is decoded as it is coded, giving (palette, palette[codes]) with
+    no whole array of codes.  None for a float system, or when the entries
+    may take more than PALETTE_MAX values: ``_junk_pad`` pads those."""
     vectors = (v.a, v.b)[side]
     if vectors.dtype.kind not in "iu":
         return None
@@ -263,7 +271,7 @@ def shared_randomness_codes(v: VectorSystem, side: int) -> tuple[np.ndarray, np.
     # u and S find their codes in tables indexed by u - lo and by S
     if hi - lo >= PALETTE_MAX or s_max > PALETTE_MAX**2:
         return None
-    blocks = list(_row_blocks(count, num_rand * dim))
+    blocks = list(_row_blocks(count, num_rand * (dim + 2)))
 
     def offsets(s: slice) -> np.ndarray:  # u - lo of rows s, as (x, r, d)
         return np.subtract(vectors[:, s].transpose(1, 0, 2), lo, dtype=np.intp)
@@ -284,14 +292,16 @@ def shared_randomness_codes(v: VectorSystem, side: int) -> tuple[np.ndarray, np.
         return None
     code_u, code_s = np.zeros(seen_u.size, np.uint8), np.zeros(seen_s.size, np.uint8)
     code_u[u], code_s[big_s] = (np.searchsorted(palette, x.view(np.uint64)) for x in values)
-    codes = np.empty((count, num_rand, dim + 2), np.uint8)
-    codes[..., dim + 1 - side] = np.searchsorted(palette, 0)  # the other junk coordinate
+    palette, zero = palette.view(np.float64), np.searchsorted(palette, 0)
+    rows = np.empty((count, num_rand * (dim + 2)), np.float64 if decode else np.uint8)
     for s in blocks:
-        codes[s, :, :dim] = code_u[offsets(s)]
-        codes[s, :, dim + side] = code_s[squares(s)]
-    palette, codes = palette.view(np.float64), codes.reshape(count, -1)
-    _require_unit_rows(("alphas", "betas")[side], _CodedRows(palette, codes))
-    return palette, codes
+        codes = np.full((len(rows[s]), num_rand, dim + 2), zero, np.uint8)
+        codes[..., :dim] = code_u[offsets(s)]
+        codes[..., dim + side] = code_s[squares(s)]
+        codes = codes.reshape(len(codes), -1)
+        rows[s] = palette[codes] if decode else codes
+    _require_unit_rows(("alphas", "betas")[side], rows if decode else _CodedRows(palette, rows))
+    return palette, rows
 
 
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:

@@ -1,5 +1,9 @@
 """Threshold embeddings, margin realizations, their verifiers, and the exact
-conversions between the two representations (both directions)."""
+conversions between the two representations (both directions).
+
+Each side of an embedding is a float64 array or ``_CodedRows``, palette-coded
+rows as ``io.parse_embedding`` reads them, which the unit check and the
+verifier decode one block of rows at a time."""
 
 from __future__ import annotations
 
@@ -15,17 +19,16 @@ MAX_TENSOR_DIM = 64
 REDUCTION_RETRIES = 20
 
 
-def _require_unit_rows(name: str, rows, start: int = 0) -> None:
+def _require_unit_rows(name: str, rows) -> None:
     """Refuse the first row of ``rows`` (a 2-d array or ``_CodedRows``) whose
-    norm is not 1, reading one block of rows at a time; row i is named
-    ``name[start + i]``."""
+    norm is not 1, named ``name[i]``, reading one block of rows at a time."""
     for s in _row_blocks(*rows.shape):
         block = rows[s]
         norms = np.sqrt(np.einsum("ij,ij->i", block, block))
         bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
         if np.any(bad):
             idx = int(np.argmax(bad))
-            raise ValueError(f"{name}[{start + s.start + idx}] is not a unit vector "
+            raise ValueError(f"{name}[{s.start + idx}] is not a unit vector "
                              f"(norm {float(norms[idx])})")
 
 
@@ -36,14 +39,23 @@ class _CodedRows:
     """A 2-d float64 array held as ``palette[codes]``, one uint8 code per
     entry, whose rows are decoded a slice at a time: 1 byte an entry where
     the decoded rows take 8.  Each read decodes into one buffer, which the
-    next read reuses: a block read stays valid until the next read."""
+    next read reuses: a block read stays valid until the next read.  One row
+    read by its index, and ``np.asarray`` of all rows, decode into a new
+    array."""
 
     def __init__(self, palette: np.ndarray, codes: np.ndarray):
         self.palette, self.codes, self.shape = palette, codes, codes.shape
-        self._buffer = np.empty((0, codes.shape[1]))
+        self._buffer = np.empty((0, *codes.shape[1:]))
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def __array__(self, dtype=None, copy=None):
+        # Indexing, not np.take: np.take would copy the codes to intp first.
+        # A 1-d index: a 2-d one takes ~0.15 MiB more peak RSS.
+        return np.asarray(self.palette[self.codes.reshape(-1)].reshape(self.shape), dtype=dtype)
+
+    def __getitem__(self, rows: slice | int) -> np.ndarray:
         codes = self.codes[rows]
+        if codes.ndim == 1:
+            return self.palette[codes]
         if codes.shape[0] > self._buffer.shape[0]:
             self._buffer = np.empty(codes.shape)
         out = self._buffer[:codes.shape[0]]
@@ -105,20 +117,24 @@ class SignMatrix(Record):
 
 
 class _UnitPair(Record):
-    """Unit row vectors alpha_x and beta_y in one common dimension."""
+    """Unit row vectors alpha_x and beta_y in one common dimension.  Each side
+    is a float64 array, or ``_CodedRows`` held as they are; every row is
+    unit-checked once, one block of rows at a time, alphas before betas."""
 
-    alphas: np.ndarray
-    betas: np.ndarray
+    alphas: np.ndarray | _CodedRows
+    betas: np.ndarray | _CodedRows
 
     def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=np.float64)
-        b = np.asarray(self.betas, dtype=np.float64)
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
+        a, b = (v if isinstance(v, _CodedRows) else np.asarray(v, dtype=np.float64)
+                for v in (self.alphas, self.betas))
+        if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[1]:
             raise ValueError("alphas and betas must be 2-d with a common dimension")
-        _require_unit_rows("alphas", a)
-        _require_unit_rows("betas", b)
-        _frozen_array(self, "alphas", a)
-        _frozen_array(self, "betas", b)
+        for name, rows in (("alphas", a), ("betas", b)):
+            _require_unit_rows(name, rows)
+            if isinstance(rows, _CodedRows):
+                object.__setattr__(self, name, rows)
+            else:
+                _frozen_array(self, name, rows)
 
     @property
     def dimension(self) -> int:
@@ -210,36 +226,20 @@ def _worst_sides(rows, m: SignMatrix):
 
 
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
-                               out: np.ndarray | None = None, check=None) -> EmbeddingReport:
+                               out: np.ndarray | None = None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time.  The
-    alphas and betas are 2-d arrays or ``_CodedRows``: each block's products
-    are taken one tile of betas at a time, as tall as the block, so coded
-    rows are decoded a tile at a time.  An (m.rows, m.cols) array ``out``
-    receives each block.
-
-    ``check(name, rows, start)``, if given, vets rows that nothing has
-    checked yet, once each, as they are read: each block of alphas, then the
-    betas as the last block reads them, so every alpha is vetted before any
-    beta.  When the counts do not match M, every row is vetted before the
-    count error is raised."""
-    if check is not None and (e.alphas.shape[0], e.betas.shape[0]) != (m.rows, m.cols):
-        for name, rows in (("alphas", e.alphas), ("betas", e.betas)):
-            check(name, rows, 0)
+    (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time.  Each
+    block's products are taken one tile of betas at a time, as tall as the
+    block, so ``_CodedRows`` sides are decoded a tile at a time.  An
+    (m.rows, m.cols) array ``out`` receives each block."""
     _check_counts(e.alphas, e.betas, m)
     tiles = list(_row_blocks(m.cols, m.cols))
 
     def squared_rows(s: slice) -> np.ndarray:
         alphas = e.alphas[s]
-        if check is not None:
-            check("alphas", alphas, s.start)
-        vet_betas = check is not None and s.stop >= m.rows  # in the last block
         block = np.empty((alphas.shape[0], m.cols))
         for t in tiles:
-            betas = e.betas[t]
-            if vet_betas:
-                check("betas", betas, t.start)
-            np.matmul(alphas, betas.T, out=block[:, t])
+            np.matmul(alphas, e.betas[t].T, out=block[:, t])
         block **= 2  # in place: the same square as ** 2, without a second block
         if out is not None:
             out[s] = block

@@ -22,6 +22,12 @@ also accepts blocks without ``codec``, holding the raw bytes (the 1.1 form),
 and arrays as nested lists (the 1.0 form).  Scalars and the remaining lists
 are written in Python's shortest round-trip repr.  The compressed bytes may
 differ between zlib builds; the decoded arrays do not.
+
+``parse_embedding`` is the one reader of embedding documents, for every
+command that takes one: it keeps a palette block of ``alphas`` or ``betas``
+as its codes (``_CodedRows``, 1 byte an entry) and reads every other form as
+a float64 array, and the ``ThresholdEmbedding`` it builds unit-checks each
+row once.
 """
 
 from __future__ import annotations
@@ -32,7 +38,6 @@ import math
 import sys
 import zlib
 from itertools import chain
-from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +49,6 @@ from .embeddings import (
     SignMatrix,
     ThresholdEmbedding,
     _CodedRows,
-    _require_unit_rows,
 )
 from .linalg import CHUNK
 
@@ -235,9 +239,9 @@ def _palette_field(value: dict, name: str) -> np.ndarray:
     return palette
 
 
-def _decoded(value, name: str, coded: bool = False):
-    """A float block as an array; any other value is returned as it is.  With
-    ``coded``, a palette block is returned as its palette and its codes."""
+def _decoded(value, name: str):
+    """A float block as an array, a palette block as its codes in a
+    ``_CodedRows``; any other value is returned as it is."""
     if not isinstance(value, dict):
         return value
     if value.get("dtype") != FLOAT_DTYPE:
@@ -270,10 +274,7 @@ def _decoded(value, name: str, coded: bool = False):
     if codes.size and codes.max() >= palette.size:
         raise DocumentError(f"field {name!r} has code {codes.max()}, "
                             f"its palette has {palette.size} entries")
-    if coded:
-        return palette, codes.reshape(shape)
-    # Indexing, not np.take: np.take would copy the codes to intp first.
-    return palette[codes].reshape(shape)
+    return _CodedRows(palette, codes.reshape(shape))
 
 
 def _leaves_are(values: list, leaves: str) -> bool:
@@ -289,15 +290,20 @@ def _leaves_are(values: list, leaves: str) -> bool:
     return True
 
 
-def _array(payload: dict, name: str, dtype=None, leaves: str = "number") -> np.ndarray:
-    """Field ``name`` as an array, from a float block or a nested list; a
-    ragged or non-finite list, or one with a leaf that is not a JSON
-    ``leaves``, is malformed."""
+def _array(payload: dict, name: str, dtype=None, leaves: str = "number",
+           coded: bool = False) -> np.ndarray | _CodedRows:
+    """Field ``name`` as an array, from a float block or a nested list; with
+    ``coded``, a palette block stays as its ``_CodedRows``.  A ragged or
+    non-finite list, or one with a leaf that is not a JSON ``leaves``, is
+    malformed."""
     value = _field(payload, name)
     if isinstance(value, list) and not _leaves_are(value, leaves):
         raise DocumentError(f"field {name!r} has an entry that is not a JSON {leaves}")
+    arr = _decoded(value, name)
+    if coded and isinstance(arr, _CodedRows):
+        return arr  # its palette is finite: _palette_field checked it
     try:
-        arr = np.asarray(_decoded(value, name), dtype=dtype)
+        arr = np.asarray(arr, dtype=dtype)
         finite = bool(np.isfinite(arr).all())
     except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(f"field {name!r} is not a numeric array: {exc}") from exc
@@ -372,53 +378,25 @@ def states_payload(side, delta0: float, delta1: float) -> dict:
             "alphas": alphas, "betas": betas}
 
 
-def _vectors(payload: dict, name: str) -> np.ndarray:
-    """Field ``name`` as a 2-d float array, read as written."""
-    vectors = _array(payload, name, np.float64)
-    if vectors.ndim != 2:
+def _vectors(payload: dict, name: str, coded: bool = False) -> np.ndarray | _CodedRows:
+    """Field ``name`` as a 2-d float array, read as written; with ``coded``, a
+    palette block is held as its codes, in a ``_CodedRows``."""
+    vectors = _array(payload, name, np.float64, coded=coded)
+    if len(vectors.shape) != 2:
         raise DocumentError(f"field {name!r} is not a 2-d array: shape {vectors.shape}")
     return vectors
 
 
 def parse_embedding(doc: dict) -> ThresholdEmbedding:
+    """The embedding ``doc`` holds.  A palette-coded ``alphas`` or ``betas``
+    block stays as its codes, 1 byte an entry, decoded one block of rows at
+    a time by whoever reads it.  ``ThresholdEmbedding`` unit-checks each row
+    once as it is built, alphas before betas: a row that is not a unit
+    vector is malformed input, named by its index."""
     payload = _payload(doc, "embedding")
-    return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas"),
-                  _vectors(payload, "betas"), _scalar(payload, "delta0"),
+    return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas", coded=True),
+                  _vectors(payload, "betas", coded=True), _scalar(payload, "delta0"),
                   _scalar(payload, "delta1"))
-
-
-def _rows(payload: dict, name: str):
-    """Field ``name`` as 2-d rows: a palette block as its codes, in a
-    ``_CodedRows``, anything else as an array."""
-    value = _field(payload, name)
-    if not (isinstance(value, dict) and value.get("codec") == PALETTE_CODEC):
-        return _vectors(payload, name)
-    palette, codes = _decoded(value, name, coded=True)
-    if codes.ndim != 2:
-        raise DocumentError(f"field {name!r} is not a 2-d array: shape {codes.shape}")
-    return _CodedRows(palette, codes)
-
-
-def parse_embedding_by_rows(doc: dict):
-    """``parse_embedding(doc)`` as ``verify_threshold_embedding`` reads it,
-    with ``check=check_unit_rows``: a palette-coded ``alphas`` or ``betas``
-    block stays as its codes, 1 byte an entry, and is decoded one block of
-    rows at a time.  The rows are not unit-checked here: the verifier vets
-    each row once as it reads it, alphas before betas, and before it refuses
-    counts that do not match M.  Shapes and thresholds are checked here, as
-    ``ThresholdEmbedding`` checks them."""
-    payload = _payload(doc, "embedding")
-    alphas, betas = _rows(payload, "alphas"), _rows(payload, "betas")
-    e = _build("embedding", ThresholdEmbedding, np.empty((0, alphas.shape[1])),
-               np.empty((0, betas.shape[1])), _scalar(payload, "delta0"),
-               _scalar(payload, "delta1"))
-    return SimpleNamespace(alphas=alphas, betas=betas, delta0=e.delta0, delta1=e.delta1)
-
-
-def check_unit_rows(name: str, rows, start: int) -> None:
-    """Rows ``start, ...`` of field ``name``: a row that is not a unit vector
-    is malformed input, named by its index in the field."""
-    _build("embedding", _require_unit_rows, name, rows, start)
 
 
 def realization_payload(r: Realization) -> dict:

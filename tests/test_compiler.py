@@ -480,10 +480,14 @@ class TestCodedStates:
     from its indicators, byte for byte as the float path writes them."""
 
     @pytest.mark.parametrize("system", [
+        # compile's byte-identical set: EQ-3 to EQ-9 under both models, and
+        # --num-r 64 at n = 9 and 12
         *(pytest.param(lambda n=n: compile_one_way(eq_parity_protocol(n)), id=f"eq{n}-smp")
-          for n in range(3, 8)),
+          for n in range(3, 10)),
         *(pytest.param(lambda n=n: compile_one_way(eq_parity_one_way_protocol(n)),
-                       id=f"eq{n}-one-way") for n in range(3, 8)),
+                       id=f"eq{n}-one-way") for n in range(3, 10)),
+        *(pytest.param(lambda n=n: compile_one_way(eq_parity_protocol(n, 64)),
+                       id=f"eq{n}-num-r-64") for n in (9, 12)),
         pytest.param(lambda: compile_one_way(eq_parity_protocol(6, 23, 4)), id="eq6-num-r"),
         pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(7, 9, 1)),
                      id="eq7-one-way-num-r"),
@@ -491,13 +495,15 @@ class TestCodedStates:
                        id=f"random-c{c}-seed{seed}") for c in (2, 3) for seed in (0, 1)),
     ])
     def test_codes_write_the_float_states(self, system):
+        # the float cast takes _junk_pad: the one reference outside the codes
         v = system()
+        f = float_cast(v)
         assert v.a.dtype == v.b.dtype == np.int8
         for side in (0, 1):
             palette, codes = compiler.shared_randomness_codes(v, side)
-            assert np.array_equal(bits(palette[codes]),
-                                  bits(compiler.shared_randomness_side(v, side)))
-        f = float_cast(v)
+            want = bits(compiler.shared_randomness_side(f, side))
+            assert np.array_equal(bits(palette[codes]), want)
+            assert np.array_equal(bits(compiler.shared_randomness_side(v, side)), want)
         assert compiler.shared_randomness_codes(f, 0) is None
         assert states_payload(v) == states_payload(f)
 
@@ -525,9 +531,28 @@ class TestCodedStates:
         zeros = np.zeros((2, 3, 2), dtype=np.int8)
         v = VectorSystem(zeros, zeros, 1e-200)
         with pytest.raises(ValueError) as float_error:
-            compiler.shared_randomness_side(v, 1)
-        with pytest.raises(ValueError, match=re.escape(str(float_error.value))):
-            compiler.shared_randomness_codes(v, 1)
+            compiler.shared_randomness_side(float_cast(v), 1)
+        for build in (compiler.shared_randomness_side, compiler.shared_randomness_codes):
+            with pytest.raises(ValueError, match=re.escape(str(float_error.value))):
+                build(v, 1)
+
+    @pytest.mark.parametrize("bound", [1e200, 1.35e154, math.inf, math.nan])
+    def test_a_bound_without_a_finite_square_is_refused(self, bound):
+        # 1e200 ** 2 raises OverflowError on a Python float, and on an inf or
+        # NaN bound no state is a unit vector: refused before any state is built
+        zeros = np.zeros((2, 3, 2), dtype=np.int8)
+        for a in (zeros, zeros.astype(np.float64)):
+            with pytest.raises(ValueError, match="must have a finite float64 square"):
+                VectorSystem(a, a, bound)
+        assert VectorSystem(zeros, zeros, 1.3e154).norm_bound == 1.3e154
+
+    def test_a_document_with_such_a_bound_is_malformed(self):
+        zeros = np.zeros((2, 3, 2))
+        doc = io.document("vector_system", {"norm_bound": 1e200, "a": io._float_block(zeros),
+                                            "b": io._float_block(zeros)})
+        with pytest.raises(io.DocumentError,
+                           match="^invalid vector system: norm bound 1e"):
+            io.parse_vector_system(json.loads(json.dumps(doc)))
 
 
 class TestEq9Temporaries:

@@ -205,6 +205,52 @@ class TestWorstPairSearch:
         assert (r.achieved_margin, r.worst_pair) == signed
 
 
+def coded(rows: np.ndarray) -> embeddings._CodedRows:
+    """``rows`` held as a palette of their distinct values and uint8 codes."""
+    palette, codes = np.unique(rows, return_inverse=True)
+    return embeddings._CodedRows(palette, codes.reshape(rows.shape).astype(np.uint8))
+
+
+class TestCodedSides:
+    """A ThresholdEmbedding holds palette-coded sides as their codes, and
+    every reader sees the decoded arrays."""
+
+    STATES = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0.5, 0.5, 0.5, 0.5],
+                       [0.5, -0.5, 0.5, -0.5], [0.6, 0.8, 0, 0], [0, 0, -0.8, 0.6]])
+
+    def pair(self, rows: int, cols: int):
+        rng = np.random.default_rng(rows)
+        alphas, betas = (self.STATES[rng.integers(0, 6, k)] for k in (rows, cols))
+        whole = ThresholdEmbedding(alphas, betas, 0.2, 0.7)
+        return ThresholdEmbedding(coded(alphas), coded(betas), 0.2, 0.7), whole
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_readers_see_the_decoded_arrays(self, monkeypatch, chunk):
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        e, whole = self.pair(30, 40)
+        m = SignMatrix(np.random.default_rng(1).integers(-1, 2, (30, 40)))
+        assert isinstance(e.alphas, embeddings._CodedRows) and e.dimension == 4
+        assert verify_threshold_embedding(e, m) == verify_threshold_embedding(whole, m)
+        assert np.array_equal(np.asarray(e.betas), whole.betas)
+        assert np.array_equal(e.alphas[7], whole.alphas[7])
+        assert np.array_equal(e.alphas[3:9], whole.alphas[3:9])
+        lifted, want = embed_to_realization(e), embed_to_realization(whole)
+        assert np.array_equal(lifted.alphas, want.alphas) and lifted.gamma == want.gamma
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_the_first_non_unit_row_is_named_alphas_first(self, monkeypatch, chunk):
+        # each block of rows is checked as the embedding is built
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        _, whole = self.pair(30, 40)
+        alphas, betas = whole.alphas.copy(), whole.betas.copy()
+        alphas[23] *= 2
+        betas[4] *= 2
+        with pytest.raises(ValueError, match=r"^alphas\[23\] is not a unit vector \(norm 2.0\)"):
+            ThresholdEmbedding(coded(alphas), coded(betas), 0.2, 0.7)
+        with pytest.raises(ValueError, match=r"^betas\[4\] is not a unit vector \(norm 2.0\)"):
+            ThresholdEmbedding(whole.alphas, coded(betas), 0.2, 0.7)
+
+
 class TestVerifyThresholdEmbedding:
     def test_eq_orthonormal_valid(self):
         m = eq_matrix(2)

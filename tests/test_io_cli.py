@@ -129,7 +129,7 @@ def float_kind_case(kind, draw):
         shape = (draw(st.integers(1, 3)), rows, cols)
         a = draw(float_arrays(shape, 1e150, TINY))
         b = draw(float_arrays((shape[0], other, cols), 1e150, TINY))
-        return (io.vector_system_payload(VectorSystem(a, b, 1e160)), io.parse_vector_system,
+        return (io.vector_system_payload(VectorSystem(a, b, 1e154)), io.parse_vector_system,
                 {"a": (a, attrgetter("a")), "b": (b, attrgetter("b"))})
     alphas, betas = draw(unit_rows(rows, cols)), draw(unit_rows(other, cols))
     if kind == "embedding":
@@ -198,7 +198,9 @@ class TestDocuments:
         parsed = parse(json.loads(json.dumps(io.document(kind, payload))))
         for name, (sent, read) in fields.items():
             assert "b64" in payload[name]
-            assert np.array_equal(sent.view(np.uint64), read(parsed).view(np.uint64))
+            # np.asarray decodes an embedding's palette-coded rows
+            got = np.asarray(read(parsed))
+            assert np.array_equal(sent.view(np.uint64), got.view(np.uint64))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -919,19 +921,25 @@ class TestOneStateBlockAtATime:
         self.doubled_row_511(tmp_path, capsys, eq9, "betas")
 
     def test_alphas_of_later_blocks_are_named_before_betas(self, tmp_path, capsys, eq9):
-        # the first block reads every tile of betas, beta row 0 among them,
-        # before the last block reads alpha row 511: the alpha is still named
-        doc = read_doc(eq9)
-        for side, row in (("alphas", 511), ("betas", 0)):
-            rows = block_array(doc["payload"][side]).copy()
-            rows[row] *= 2
-            doc["payload"][side] = io._float_block(rows)
-        path = tmp_path / "eq9x2.json"
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-        code = main(["verify", "--builtin", "eq", "--n", "9", "--embedding", str(path)])
-        assert code == 1 and capsys.readouterr().err == (
-            "qfpsim: input error: invalid embedding: alphas[511] is not a unit vector (norm 2.0)\n")
+        # the verifier's first block reads every tile of betas, beta row 0
+        # among them, before its last block reads alpha row 511: the alpha is
+        # still named, as the reader checks every alpha before any beta, from
+        # palette and raw zlib blocks alike, for verify and simulate alike
+        for codec in ("zlib-palette", "zlib"):
+            doc = read_doc(eq9)
+            for side, row in (("alphas", 511), ("betas", 0)):
+                rows = block_array(doc["payload"][side]).copy()
+                rows[row] *= 2
+                doc["payload"][side] = io._float_block(rows)
+                recode(doc["payload"][side], codec)
+            path = tmp_path / "eq9x2.json"
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            for command in ("verify", "simulate"):
+                code = main([command, "--builtin", "eq", "--n", "9", "--embedding", str(path)])
+                assert code == 1 and capsys.readouterr().err == (
+                    "qfpsim: input error: invalid embedding: "
+                    "alphas[511] is not a unit vector (norm 2.0)\n"), (codec, command)
 
     @pytest.mark.parametrize("n", [3, 4])
     @pytest.mark.parametrize("scaled, named", [
@@ -943,19 +951,24 @@ class TestOneStateBlockAtATime:
     def test_non_unit_rows_are_named_before_anything_else(self, tmp_path, capsys, n, scaled,
                                                           named):
         # EQ-3's states: against EQ-4 the counts are wrong too, but a non-unit
-        # row is named first, alphas before betas: exit 1, not 2
+        # row is named first, alphas before betas: exit 1, not 2; from palette
+        # and raw zlib blocks alike, for verify and simulate alike
         e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
                                               eq_matrix(3))
-        payload = io.embedding_payload(e)
-        for side, row in scaled.items():
-            rows = getattr(e, side).copy()
-            rows[row] *= 2
-            payload[side] = io._float_block(rows)
-            assert payload[side]["codec"] == "zlib-palette"
-        path = write_doc(tmp_path / "e.json", "embedding", payload)
-        code = main(["verify", "--builtin", "eq", "--n", str(n), "--embedding", path])
-        assert code == 1 and capsys.readouterr().err.startswith(
-            f"qfpsim: input error: invalid embedding: {named} is not a unit vector (norm ")
+        for codec in ("zlib-palette", "zlib"):
+            payload = io.embedding_payload(e)
+            for side, row in scaled.items():
+                rows = getattr(e, side).copy()
+                rows[row] *= 2
+                payload[side] = io._float_block(rows)
+                assert payload[side]["codec"] == "zlib-palette"
+                recode(payload[side], codec)
+            path = write_doc(tmp_path / "e.json", "embedding", payload)
+            for command in ("verify", "simulate"):
+                code = main([command, "--builtin", "eq", "--n", str(n), "--embedding", path])
+                assert code == 1 and capsys.readouterr().err.startswith(
+                    f"qfpsim: input error: invalid embedding: {named} is not a unit vector "
+                    "(norm "), (codec, command)
 
     def test_compile_holds_one_state_block(self, tmp_path):
         # EQ-8: each side's states would be a 256 x 1024 float64 block, 2 MiB.
