@@ -157,25 +157,16 @@ def cmd_compile(args, argv) -> int:
         _emit("vector_system", io.vector_system_payload(system), args, argv)
         return 0
 
+    embedding = compiler.assemble_shared_randomness_states(system, m)
+    del system
+    stages = [("assembled", embedding)]
     if args.reduce:
-        assembled = compiler.assemble_shared_randomness_states(system, m)
-        del system
-        embedding = compiler.reduce_embedding_dimension(assembled, m, args.seed,
+        embedding = compiler.reduce_embedding_dimension(embedding, m, args.seed,
                                                         target_dim=args.target_dim)
-        stages = [{"stage": name, "dimension": e.dimension, "delta0": e.delta0, "delta1": e.delta1}
-                  for name, e in (("assembled", assembled), ("reduced", embedding))]
-        del assembled
-        payload = io.embedding_payload(embedding)
-    else:
-        # One side at a time: each is built, checked and encoded before the other,
-        # as palette and codes where the system allows, else as float64 states.
-        payload = io.states_payload(
-            lambda side: (compiler.shared_randomness_codes(system, side)
-                          or compiler.shared_randomness_side(system, side)),
-            *compiler.shared_randomness_thresholds(system, m))
-        stages = [{"stage": "assembled",
-                   **{key: payload[key] for key in ("dimension", "delta0", "delta1")}}]
-    payload["stages"] = stages
+        stages.append(("reduced", embedding))
+    payload = io.embedding_payload(embedding)
+    payload["stages"] = [{"stage": name, "dimension": e.dimension, "delta0": e.delta0,
+                          "delta1": e.delta1} for name, e in stages]
     _emit("embedding", payload, args, argv)
     return 0
 

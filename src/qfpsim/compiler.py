@@ -19,7 +19,6 @@ from .embeddings import (
     _CodedRows,
     _frozen_array,
     _jl_reduce,
-    _require_unit_rows,
     _row_blocks,
     _worst_sides,
     verify_threshold_embedding,
@@ -212,7 +211,7 @@ def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
     return out
 
 
-def shared_randomness_thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
+def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
     """delta0 and delta1 of the assembled states: the exact extremal values of
     (P/L^2)^2 over the f=0 and f=1 pairs of M, from the acceptance matrix
     squared in place and searched one block of rows at a time.  Errors out
@@ -233,35 +232,30 @@ def shared_randomness_thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float,
     return delta0, delta1
 
 
-def shared_randomness_side(v: VectorSystem, side: int) -> np.ndarray:
-    """The unit-checked alphas (side 0, from ``v.a``) or betas (side 1, from
-    ``v.b``) of the assembled states, one row per input: block r of a row is
-    slice r's junk-padded state scaled by 1/sqrt(|R|).  Decoded from
-    ``shared_randomness_codes`` where it builds them, else padded by
-    ``_junk_pad``."""
-    coded = shared_randomness_codes(v, side, decode=True)
+def _side(v: VectorSystem, side: int) -> np.ndarray | _CodedRows:
+    """The alphas (side 0, from ``v.a``) or betas (side 1, from ``v.b``) of
+    the assembled states, one row per input: block r of a row is slice r's
+    junk-padded state scaled by 1/sqrt(|R|).  Coded by ``_coded_side`` where
+    it builds them, else padded in float64 by ``_junk_pad``."""
+    coded = _coded_side(v, side)
     if coded is not None:
-        return coded[1]
+        return coded
     vectors = (v.a, v.b)[side]
     states = _junk_pad(vectors.transpose(1, 0, 2), side, v.norm_bound).reshape(vectors.shape[1], -1)
     states *= 1.0 / np.sqrt(v.num_rand)
-    _require_unit_rows(("alphas", "betas")[side], states)
     return states
 
 
-def shared_randomness_codes(v: VectorSystem, side: int,
-                            decode: bool = False) -> tuple[np.ndarray, np.ndarray] | None:
-    """``shared_randomness_side(v, side)`` of an integer system as a
-    unit-checked (palette, codes) pair, one uint8 code per entry, built
-    without a float64 state block.  Each value is computed once, in the
-    arithmetic of ``_junk_pad`` and the scaling by c = 1/sqrt(|R|): an entry
-    u as (u / L) * c, a junk entry as (sqrt(L^2 - S) / L) * c from its
-    slice's exact squared norm S, so ``palette[codes]`` is that side of the
-    float64 cast to the bit.  The palette is in ascending order of bit
-    patterns, as io's writer orders it.  With ``decode``, each block of
-    rows is decoded as it is coded, giving (palette, palette[codes]) with
-    no whole array of codes.  None for a float system, or when the entries
-    may take more than PALETTE_MAX values: ``_junk_pad`` pads those."""
+def _coded_side(v: VectorSystem, side: int) -> _CodedRows | None:
+    """``_side(v, side)`` of an integer system as ``_CodedRows``, one uint8
+    code per entry, built without a float64 state block.  Each value is
+    computed once, in the arithmetic of ``_junk_pad`` and the scaling by
+    c = 1/sqrt(|R|): an entry u as (u / L) * c, a junk entry as
+    (sqrt(L^2 - S) / L) * c from its slice's exact squared norm S, so the
+    decoded rows are that side of the float64 cast to the bit.  The palette
+    is in ascending order of bit patterns, as io's writer orders it.  None
+    for a float system, or when the entries may take more than PALETTE_MAX
+    values: ``_junk_pad`` pads those."""
     vectors = (v.a, v.b)[side]
     if vectors.dtype.kind not in "iu":
         return None
@@ -292,25 +286,21 @@ def shared_randomness_codes(v: VectorSystem, side: int,
         return None
     code_u, code_s = np.zeros(seen_u.size, np.uint8), np.zeros(seen_s.size, np.uint8)
     code_u[u], code_s[big_s] = (np.searchsorted(palette, x.view(np.uint64)) for x in values)
-    palette, zero = palette.view(np.float64), np.searchsorted(palette, 0)
-    rows = np.empty((count, num_rand * (dim + 2)), np.float64 if decode else np.uint8)
+    codes = np.full((count, num_rand, dim + 2), np.searchsorted(palette, 0), np.uint8)
     for s in blocks:
-        codes = np.full((len(rows[s]), num_rand, dim + 2), zero, np.uint8)
-        codes[..., :dim] = code_u[offsets(s)]
-        codes[..., dim + side] = code_s[squares(s)]
-        codes = codes.reshape(len(codes), -1)
-        rows[s] = palette[codes] if decode else codes
-    _require_unit_rows(("alphas", "betas")[side], rows if decode else _CodedRows(palette, rows))
-    return palette, rows
+        codes[s, :, :dim] = code_u[offsets(s)]
+        codes[s, :, dim + side] = code_s[squares(s)]
+    return _CodedRows(palette.view(np.float64), codes.reshape(count, -1))
 
 
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
     """Superpose all junk-padded per-r states into block vectors on
-    |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly,
-    both sides at once (``compile`` encodes one side at a time)."""
-    delta0, delta1 = shared_randomness_thresholds(v, m)
-    return ThresholdEmbedding(shared_randomness_side(v, 0), shared_randomness_side(v, 1),
-                              delta0, delta1)
+    |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly.
+    An integer system's sides whose entries take at most PALETTE_MAX values
+    are held as ``_CodedRows``, 1 byte an entry, as ``compile`` writes them;
+    any other side is a float64 array."""
+    delta0, delta1 = _thresholds(v, m)
+    return ThresholdEmbedding(_side(v, 0), _side(v, 1), delta0, delta1)
 
 
 def reduce_embedding_dimension(

@@ -2,8 +2,9 @@
 conversions between the two representations (both directions).
 
 Each side of an embedding is a float64 array or ``_CodedRows``, palette-coded
-rows as ``io.parse_embedding`` reads them, which the unit check and the
-verifier decode one block of rows at a time."""
+rows as ``compiler.assemble_shared_randomness_states`` builds them and
+``io.parse_embedding`` reads them, which the unit check and the verifier
+decode one block of rows at a time."""
 
 from __future__ import annotations
 
@@ -45,18 +46,23 @@ class _CodedRows:
 
     def __init__(self, palette: np.ndarray, codes: np.ndarray):
         self.palette, self.codes, self.shape = palette, codes, codes.shape
-        self._buffer = np.empty((0, *codes.shape[1:]))
+        self._buffer = None
 
     def __array__(self, dtype=None, copy=None):
         # Indexing, not np.take: np.take would copy the codes to intp first.
         # A 1-d index: a 2-d one takes ~0.15 MiB more peak RSS.
         return np.asarray(self.palette[self.codes.reshape(-1)].reshape(self.shape), dtype=dtype)
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes held: the palette and the codes, not the decoded rows."""
+        return self.palette.nbytes + self.codes.nbytes
+
     def __getitem__(self, rows: slice | int) -> np.ndarray:
         codes = self.codes[rows]
         if codes.ndim == 1:
             return self.palette[codes]
-        if codes.shape[0] > self._buffer.shape[0]:
+        if self._buffer is None or codes.shape[0] > self._buffer.shape[0]:
             self._buffer = np.empty(codes.shape)
         out = self._buffer[:codes.shape[0]]
         # np.take copies its indices to intp, so it gets at most CHUNK codes at
@@ -132,6 +138,7 @@ class _UnitPair(Record):
         for name, rows in (("alphas", a), ("betas", b)):
             _require_unit_rows(name, rows)
             if isinstance(rows, _CodedRows):
+                rows._buffer = None  # the check's block: a reader decodes into its own
                 object.__setattr__(self, name, rows)
             else:
                 _frozen_array(self, name, rows)

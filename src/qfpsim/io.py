@@ -171,16 +171,24 @@ def _palette(bits: np.ndarray) -> np.ndarray | None:
 def _float_block(arr) -> dict:
     """``arr`` as one little-endian float64 block, zlib-compressed, in base64:
     palette-coded when it holds at most PALETTE_MAX distinct bit patterns.
-    Entries are checked, coded and deflated one ``CHUNK`` at a time.  ``arr``
-    may also be a (palette, codes) pair, palette-coded already: float64
-    entries in ascending order of their bit patterns and one uint8 code per
-    entry, written as the array ``palette[codes]`` would be."""
-    if isinstance(arr, tuple):
-        palette, codes = arr
-        shape, codes = codes.shape, codes.reshape(-1)
-        if not np.isfinite(palette).all():
+    Entries are checked, coded and deflated one ``CHUNK`` at a time.  A
+    ``_CodedRows`` is recoded from its own codes, its palette cut to the
+    entries they use in ascending order of bit patterns, so it is written as
+    ``np.asarray(arr)`` would be without being decoded."""
+    if isinstance(arr, _CodedRows):
+        shape, codes = arr.shape, arr.codes.reshape(-1)
+        chunks = [codes[start:start + CHUNK] for start in range(0, codes.size, CHUNK)]
+        used = np.zeros(arr.palette.size, bool)
+        for chunk in chunks:
+            used |= np.bincount(chunk, minlength=used.size) > 0
+        if not np.isfinite(arr.palette[used]).all():
             raise ValueError("float array has a non-finite entry")
-        data = (codes[start:start + CHUNK] for start in range(0, codes.size, CHUNK))
+        bits = np.ascontiguousarray(arr.palette, dtype=FLOAT_DTYPE).view("<u8")
+        palette_bits = _palette(bits[used])  # None only when there are no codes
+        # each code's new code; an unused code's is never read
+        recode = np.searchsorted(bits[used] if palette_bits is None else palette_bits,
+                                 bits).astype(np.uint8)
+        data = (np.take(recode, chunk) for chunk in chunks)
     else:
         arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
         shape, bits = arr.shape, arr.reshape(-1).view("<u8")
@@ -188,11 +196,9 @@ def _float_block(arr) -> dict:
         if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
             raise ValueError("float array has a non-finite entry")
         palette_bits = _palette(bits)
-        if palette_bits is None:
-            palette, data = None, (bits[s].view(np.uint8) for s in chunks)
-        else:
-            palette = palette_bits.view(FLOAT_DTYPE)
-            data = (np.searchsorted(palette_bits, bits[s]).astype(np.uint8) for s in chunks)
+        data = (bits[s].view(np.uint8) if palette_bits is None else
+                np.searchsorted(palette_bits, bits[s]).astype(np.uint8) for s in chunks)
+    palette = None if palette_bits is None else palette_bits.view(FLOAT_DTYPE)
     block = {"dtype": FLOAT_DTYPE, "shape": list(shape), "codec": CODEC}
     if palette is not None:
         block.update(codec=PALETTE_CODEC, palette=palette.tolist())
@@ -366,16 +372,8 @@ def parse_sign_matrix(doc: dict) -> SignMatrix:
 
 
 def embedding_payload(e: ThresholdEmbedding) -> dict:
-    return states_payload((e.alphas, e.betas).__getitem__, e.delta0, e.delta1)
-
-
-def states_payload(side, delta0: float, delta1: float) -> dict:
-    """The payload of the embedding whose alphas and betas are ``side(0)`` and
-    ``side(1)``: each is encoded before the other is asked for."""
-    alphas = _float_block(side(0))
-    betas = _float_block(side(1))
-    return {"dimension": alphas["shape"][1], "delta0": delta0, "delta1": delta1,
-            "alphas": alphas, "betas": betas}
+    return {"dimension": e.dimension, "delta0": e.delta0, "delta1": e.delta1,
+            "alphas": _float_block(e.alphas), "betas": _float_block(e.betas)}
 
 
 def _vectors(payload: dict, name: str, coded: bool = False) -> np.ndarray | _CodedRows:

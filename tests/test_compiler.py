@@ -21,7 +21,7 @@ from qfpsim.compiler import (
     reduce_embedding_dimension,
 )
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
-from qfpsim.linalg import unit_rows
+from qfpsim.linalg import CHUNK, unit_rows
 from qfpsim.problems import (
     eq_matrix,
     eq_parity_one_way_protocol,
@@ -61,6 +61,9 @@ def previous_states(v: VectorSystem) -> tuple[np.ndarray, np.ndarray]:
     scale = 1.0 / np.sqrt(v.num_rand)
     return tuple(scale * padded.reshape(side.shape[1], -1)
                  for padded, side in zip(previous_junk_pad(*rows, v.norm_bound), (v.a, v.b)))
+
+
+MiB = 1 << 20
 
 
 def traced_peak(call):
@@ -373,7 +376,8 @@ class TestAssemble:
         v = compile_smp(eq_parity_protocol(2))
         e = assemble_shared_randomness_states(v, eq_matrix(2))
         np.testing.assert_allclose(
-            e.alphas @ e.betas.T, v.acceptance_matrix() / v.norm_bound**2, atol=1e-12
+            np.asarray(e.alphas) @ np.asarray(e.betas).T, v.acceptance_matrix() / v.norm_bound**2,
+            atol=1e-12
         )
 
     @pytest.mark.parametrize("system", [
@@ -408,21 +412,23 @@ class TestAssemble:
         pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(8)), id="one-way"),
     ])
     def test_peak_memory_is_about_the_states(self, system):
-        # Each state block is allocated once; the only other array live at
-        # the peak is one slack column, 1/(dim+2) of a block.
+        # Each side's codes are allocated once, 1 byte an entry (0.25 MiB of
+        # the 2 MiB its float64 states would take).  Beside them, the unit
+        # check decodes one block of CHUNK entries (0.5 MiB) through a
+        # CHUNK-long intp copy of its codes (0.5 MiB); the acceptance product
+        # before them takes no more.
         v = system()
-        tracemalloc.start()
-        try:
-            e = assemble_shared_randomness_states(v, eq_matrix(8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * (e.alphas.nbytes + e.betas.nbytes)
+        e, peak = traced_peak(lambda: assemble_shared_randomness_states(v, eq_matrix(8)))
+        assert e.alphas.nbytes + e.betas.nbytes < e.alphas.codes.size + e.betas.codes.size + 4096
+        assert peak <= e.alphas.nbytes + e.betas.nbytes + 2.5 * CHUNK * 8
 
     def test_compiled_system_holds_one_byte_per_entry(self):
-        # EQ-9: the two state blocks take 16 MiB; the int8 system 1 MiB (8 MiB
-        # as float64), so the traced peak of compile plus assembly is the
-        # states plus the system, with every other temporary one block of rows
+        # EQ-9: the int8 system takes 1 MiB (8 MiB as float64) and the states'
+        # codes 2 MiB (16 MiB as float64 states).  The traced peak of compile
+        # plus assembly is the system and the acceptance product, taken before
+        # any state is built: its 2 MiB result and the temporaries
+        # TestEq9Temporaries.test_acceptance_matrix allows beside it (2.5 MiB).
+        # The codes, with one decoded block and its intp codes, stay below it.
         p, m = eq_parity_protocol(9), eq_matrix(9)
 
         def compile_and_assemble():
@@ -431,7 +437,20 @@ class TestAssemble:
 
         (v, e), peak = traced_peak(compile_and_assemble)
         assert v.a.dtype == v.b.dtype == np.int8
-        assert peak <= 1.06 * (e.alphas.nbytes + e.betas.nbytes + v.a.size + v.b.size)
+        assert e.alphas.nbytes + e.betas.nbytes < e.alphas.codes.size + e.betas.codes.size + 4096
+        assert peak <= v.a.size + v.b.size + 512 * 512 * 8 + 2.5 * MiB
+
+    def test_each_state_is_unit_checked_once(self, monkeypatch):
+        checked = []
+
+        def recording_check(name, rows):
+            checked.append(name)
+            return check(name, rows)
+
+        check = embeddings._require_unit_rows
+        monkeypatch.setattr(embeddings, "_require_unit_rows", recording_check)
+        assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)), eq_matrix(3))
+        assert checked == ["alphas", "betas"]
 
     def test_non_separating_system_rejected(self):
         # A protocol that always accepts cannot sign-separate anything.
@@ -462,50 +481,56 @@ def random_one_way(c: int, seed: int) -> OneWayProtocol:
                           bob_accept=rng.integers(0, 2, (1 << c, ny, nr)))
 
 
-def states_payload(v: VectorSystem) -> str:
-    """The state payload ``compile`` writes for ``v``, as JSON text: each
-    side from its codes where ``v`` allows, else from its float states."""
-    def side(s: int):
-        return compiler.shared_randomness_codes(v, s) or compiler.shared_randomness_side(v, s)
-
-    return json.dumps(io.states_payload(side, 0.0625, 0.25))
+def separated_by(v: VectorSystem) -> SignMatrix:
+    """A sign matrix ``v`` separates: f = 0 where (P/L^2)^2 is below the
+    midpoint of its range, f = 1 where it is above."""
+    sq = (v.acceptance_matrix() / v.norm_bound**2) ** 2
+    cut = (sq.min() + sq.max()) / 2
+    return SignMatrix(np.where(sq < cut, 1, np.where(sq > cut, -1, 0)))
 
 
 def float_cast(v: VectorSystem) -> VectorSystem:
     return VectorSystem(v.a.astype(np.float64), v.b.astype(np.float64), v.norm_bound)
 
 
+def payload_text(e: ThresholdEmbedding) -> str:
+    return json.dumps(io.embedding_payload(e))
+
+
 class TestCodedStates:
-    """An integer system's sides are written from palettes and codes built
-    from its indicators, byte for byte as the float path writes them."""
+    """An integer system's sides are assembled as palettes and codes built
+    from its indicators, which decode and write byte for byte as the float
+    path's states."""
 
     @pytest.mark.parametrize("system", [
         # compile's byte-identical set: EQ-3 to EQ-9 under both models, and
         # --num-r 64 at n = 9 and 12
-        *(pytest.param(lambda n=n: compile_one_way(eq_parity_protocol(n)), id=f"eq{n}-smp")
-          for n in range(3, 10)),
-        *(pytest.param(lambda n=n: compile_one_way(eq_parity_one_way_protocol(n)),
+        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n)), eq_matrix(n)),
+                       id=f"eq{n}-smp") for n in range(3, 10)),
+        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_one_way_protocol(n)), eq_matrix(n)),
                        id=f"eq{n}-one-way") for n in range(3, 10)),
-        *(pytest.param(lambda n=n: compile_one_way(eq_parity_protocol(n, 64)),
+        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n, 64)), eq_matrix(n)),
                        id=f"eq{n}-num-r-64") for n in (9, 12)),
-        pytest.param(lambda: compile_one_way(eq_parity_protocol(6, 23, 4)), id="eq6-num-r"),
-        pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(7, 9, 1)),
-                     id="eq7-one-way-num-r"),
-        *(pytest.param(lambda c=c, seed=seed: compile_one_way(random_one_way(c, seed)),
+        pytest.param(lambda: (compile_one_way(eq_parity_protocol(6, 23, 4)), eq_matrix(6)),
+                     id="eq6-num-r"),
+        # 9 random strings leave some x != y with every parity equal: not EQ
+        pytest.param(lambda: (v := compile_one_way(eq_parity_one_way_protocol(7, 9, 1)),
+                              separated_by(v)), id="eq7-one-way-num-r"),
+        *(pytest.param(lambda c=c, seed=seed: (v := compile_one_way(random_one_way(c, seed)),
+                                               separated_by(v)),
                        id=f"random-c{c}-seed{seed}") for c in (2, 3) for seed in (0, 1)),
     ])
     def test_codes_write_the_float_states(self, system):
         # the float cast takes _junk_pad: the one reference outside the codes
-        v = system()
-        f = float_cast(v)
+        v, m = system()
         assert v.a.dtype == v.b.dtype == np.int8
-        for side in (0, 1):
-            palette, codes = compiler.shared_randomness_codes(v, side)
-            want = bits(compiler.shared_randomness_side(f, side))
-            assert np.array_equal(bits(palette[codes]), want)
-            assert np.array_equal(bits(compiler.shared_randomness_side(v, side)), want)
-        assert compiler.shared_randomness_codes(f, 0) is None
-        assert states_payload(v) == states_payload(f)
+        e, want = (assemble_shared_randomness_states(x, m) for x in (v, float_cast(v)))
+        for side in ("alphas", "betas"):
+            assert isinstance(getattr(e, side), embeddings._CodedRows)
+            assert isinstance(getattr(want, side), np.ndarray)
+            assert np.array_equal(bits(getattr(e, side)), bits(getattr(want, side)))
+        assert (e.delta0, e.delta1) == (want.delta0, want.delta1)
+        assert payload_text(e) == payload_text(want)
 
     def test_random_protocols_have_several_slack_values(self):
         v = compile_one_way(random_one_way(3, 0))
@@ -515,26 +540,41 @@ class TestCodedStates:
         pytest.param(np.arange(-150, 151), id="range-over-256"),
         pytest.param(np.arange(0, 200), id="values-and-slacks-over-256"),
     ])
-    def test_more_than_256_values_take_the_float_path(self, values):
+    def test_more_than_256_values_take_the_float_path(self, values, monkeypatch):
         # one slice, one input per value; the second coordinate varies the
         # squared norm, so the junk entries take many values too
         a = np.stack([values, values[::-1]], axis=1)[None]
         big_l = float(np.sqrt(np.einsum("rxd,rxd->rx", a, a).max()))
         v = VectorSystem(a, a[:, :3], big_l)
-        assert compiler.shared_randomness_codes(v, 0) is None
-        text = states_payload(v)
+        m = separated_by(v)
+        scans = []
+
+        def recording_coded_side(v, side):
+            scans.append(side)
+            return coded_side(v, side)
+
+        coded_side = compiler._coded_side
+        monkeypatch.setattr(compiler, "_coded_side", recording_coded_side)
+        e = assemble_shared_randomness_states(v, m)
+        assert scans == [0, 1]  # each side's values are scanned once
+        assert isinstance(e.alphas, np.ndarray)
+        text = payload_text(e)
         assert json.loads(text)["alphas"]["codec"] == "zlib"
-        assert text == states_payload(float_cast(v))
+        assert text == payload_text(assemble_shared_randomness_states(float_cast(v), m))
 
     def test_non_unit_rows_are_refused_as_by_the_float_path(self):
-        # L^2 underflows to 0, so the zero rows get no slack and stay zero
+        # L^2 underflows to 0, so the zero rows get no slack and stay zero.
+        # Such a system separates nothing, so its sides are built on their
+        # own, and ThresholdEmbedding, the one unit check, refuses both forms
         zeros = np.zeros((2, 3, 2), dtype=np.int8)
         v = VectorSystem(zeros, zeros, 1e-200)
-        with pytest.raises(ValueError) as float_error:
-            compiler.shared_randomness_side(float_cast(v), 1)
-        for build in (compiler.shared_randomness_side, compiler.shared_randomness_codes):
-            with pytest.raises(ValueError, match=re.escape(str(float_error.value))):
-                build(v, 1)
+        assert isinstance(compiler._side(v, 0), embeddings._CodedRows)
+        errors = []
+        for system in (float_cast(v), v):
+            with pytest.raises(ValueError) as error:
+                ThresholdEmbedding(compiler._side(system, 0), compiler._side(system, 1), 0.0, 1.0)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1] == "alphas[0] is not a unit vector (norm 0.0)"
 
     @pytest.mark.parametrize("bound", [1e200, 1.35e154, math.inf, math.nan])
     def test_a_bound_without_a_finite_square_is_refused(self, bound):
@@ -559,8 +599,6 @@ class TestEq9Temporaries:
     """Each temporary of EQ-9's compile, acceptance product and verification
     is a block of at most CHUNK entries, or the system's float32 copy of b."""
 
-    MiB = 1 << 20
-
     @pytest.fixture(scope="class")
     def eq9(self):
         p, m = eq_parity_protocol(9), eq_matrix(9)
@@ -570,16 +608,20 @@ class TestEq9Temporaries:
     def test_compile(self, eq9):
         p = eq9[0]
         _, peak = traced_peak(lambda: compile_one_way(p))
-        assert peak <= 1.5 * self.MiB
+        assert peak <= 1.5 * MiB
 
     def test_acceptance_matrix(self, eq9):
         accept, peak = traced_peak(eq9[2].acceptance_matrix)
-        assert peak <= accept.nbytes + 2.5 * self.MiB
+        assert peak <= accept.nbytes + 2.5 * MiB
 
     def test_verify(self, eq9):
-        _, m, _, e = eq9
+        # float64 states: verifying the assembled codes, which decodes blocks,
+        # has its own budget in test_verify_holds_one_state_block
+        _, m, _, coded = eq9
+        e = ThresholdEmbedding(np.asarray(coded.alphas), np.asarray(coded.betas), coded.delta0,
+                               coded.delta1)
         report, peak = traced_peak(lambda: verify_threshold_embedding(e, m))
-        assert peak <= 1.5 * self.MiB
+        assert peak <= 1.5 * MiB
         # every off-diagonal pair ties, as every diagonal one does, across the
         # four row blocks of 128: the first pair of each side is reported
         assert report.valid

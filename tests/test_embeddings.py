@@ -250,6 +250,15 @@ class TestCodedSides:
         with pytest.raises(ValueError, match=r"^betas\[4\] is not a unit vector \(norm 2.0\)"):
             ThresholdEmbedding(whole.alphas, coded(betas), 0.2, 0.7)
 
+    def test_nbytes_is_the_palette_and_codes(self):
+        # 30 x 4 entries: 8 bytes per distinct value and 120 of codes, where
+        # the decoded rows take 960
+        e, whole = self.pair(30, 40)
+        assert e.alphas.nbytes == 8 * np.unique(whole.alphas).size + 30 * 4
+        assert whole.alphas.nbytes == 30 * 4 * 8
+        # each read decodes into a buffer the embedding does not hold when built
+        assert e.alphas._buffer is None and e.betas._buffer is None
+
 
 class TestVerifyThresholdEmbedding:
     def test_eq_orthonormal_valid(self):

@@ -30,7 +30,8 @@ def reference_run(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> n
     Bin(r, P0) with P0 = 1/2 + <alpha_x, beta_y>^2 / 2, and applies
     ``referee_rule`` to it.  NaN on promise pairs."""
     r = p.repetitions
-    p_zero = np.minimum(0.5 + (p.embedding.alphas @ p.embedding.betas.T) ** 2 / 2.0, 1.0)
+    alphas, betas = np.asarray(p.embedding.alphas), np.asarray(p.embedding.betas)
+    p_zero = np.minimum(0.5 + (alphas @ betas.T) ** 2 / 2.0, 1.0)
     rng = generator(seed)
     errors = np.full((m.rows, m.cols), np.nan)
     for x in range(m.rows):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qfpsim
-from qfpsim import io
+from qfpsim import embeddings, io
 from qfpsim.cli import main
 from qfpsim.compiler import (
     VectorSystem,
@@ -314,6 +314,31 @@ class TestDocuments:
             arr[-1, -1] = np.inf
             with pytest.raises(ValueError, match="non-finite"):
                 io._float_block(arr)
+
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    def test_coded_rows_write_as_their_decoded_array(self, monkeypatch, chunk):
+        # _CodedRows are recoded from their codes, and written as
+        # np.asarray of them would be: whatever the order of the palette, and
+        # whichever of its entries the codes use
+        monkeypatch.setattr(io, "CHUNK", chunk)
+        e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(5)),
+                                              eq_matrix(5))
+        palette, codes = e.alphas.palette, e.alphas.codes
+        last = palette.size - 1
+        cases = {
+            "as-built": (palette, codes),
+            "reversed": (palette[::-1].copy(), last - codes),
+            "unused-entry-first": (np.insert(palette, 0, 0.75), codes + 1),
+            "unused-non-finite-entry": (np.append(palette, np.inf), codes),
+            "repeated-entry": (np.append(palette, palette[0]),
+                               np.where(codes[::2] == 0, last + 1, codes[::2]).astype(np.uint8)),
+            "no-rows": (palette, codes[:0]),
+        }
+        for name, (p, c) in cases.items():
+            rows = embeddings._CodedRows(p, c)
+            assert io._float_block(rows) == io._float_block(np.asarray(rows)), name
+        with pytest.raises(ValueError, match="non-finite"):
+            io._float_block(embeddings._CodedRows(np.append(palette, np.nan), codes + 1))
 
     def test_empty_block_is_zlib(self):
         block = io.vectors_payload(np.zeros((0, 3)))["vectors"]
@@ -869,6 +894,13 @@ class TestOneStateBlockAtATime:
         assert json.dumps(payload) == json.dumps(io.embedding_payload(e))
         assert stages == [{"stage": "assembled", "dimension": e.dimension,
                            "delta0": e.delta0, "delta1": e.delta1}]
+        # one form: the reader holds the palette and codes assembly returns
+        parsed = io.parse_embedding(read_doc(out))
+        for side in ("alphas", "betas"):
+            got, want = getattr(parsed, side), getattr(e, side)
+            assert isinstance(got, embeddings._CodedRows) and isinstance(want, embeddings._CodedRows)
+            assert np.array_equal(got.palette.view(np.uint64), want.palette.view(np.uint64))
+            assert np.array_equal(got.codes, want.codes)
 
     @pytest.mark.parametrize("codec", ["zlib-palette", "zlib", None, "lists"])
     def test_verify_reports_what_the_whole_embedding_gives(self, tmp_path, codec):
@@ -958,7 +990,7 @@ class TestOneStateBlockAtATime:
         for codec in ("zlib-palette", "zlib"):
             payload = io.embedding_payload(e)
             for side, row in scaled.items():
-                rows = getattr(e, side).copy()
+                rows = np.array(getattr(e, side))
                 rows[row] *= 2
                 payload[side] = io._float_block(rows)
                 assert payload[side]["codec"] == "zlib-palette"
@@ -978,6 +1010,15 @@ class TestOneStateBlockAtATime:
         argv = ["compile", "--builtin", "eq", "--n", "8", "--out", str(tmp_path / "e.json")]
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= 2.5 * MiB
+
+    def test_simulate_holds_the_codes(self, tmp_path):
+        # EQ-9's states are held as their codes (2 MiB), not as float64 states
+        # (16 MiB).  The rest is the exact law's 512 x 512 per-pair values and
+        # the report of them, as nested lists and as JSON text; 24 MiB covers
+        # them (32 MiB at float64 states).
+        argv = ["simulate", "--builtin", "eq", "--n", "9", "--out", str(tmp_path / "s.json")]
+        code, peak = traced_peak(lambda: main(argv))
+        assert code == 0 and peak <= 24 * MiB
 
     def test_verify_holds_one_state_block(self, eq9):
         # EQ-9, whose sides span four verifier row blocks (at EQ-8 one block
