@@ -191,23 +191,26 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
     return compile_one_way(p)
 
 
-def _junk_pad(rows: np.ndarray, junk: int, big_l: float) -> np.ndarray:
-    """Pad rows (..., dim) of norm <= big_l to norm big_l on junk coordinate
-    dim + junk of dim+2 (0 for alphas, 1 for betas) and divide by big_l: unit
-    states with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The output
-    is allocated once and filled one block of rows at a time, each block cast
+def _padded(entries, squares, big_l: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The padding rule, the one place it is written: an entry u of a row of
+    squared norm S <= big_l^2 becomes (u / big_l) * scale, and the row's junk
+    entry (sqrt(big_l^2 - S) / big_l) * scale, so the padded row has norm
+    ``scale``."""
+    return entries / big_l * scale, np.sqrt(np.maximum(big_l**2 - squares, 0.0)) / big_l * scale
+
+
+def _junk_pad(rows: np.ndarray, junk: int, big_l: float, scale: float = 1.0) -> np.ndarray:
+    """Pad rows (..., dim) of norm <= big_l by ``_padded`` on junk coordinate
+    dim + junk of dim+2 (0 for alphas, 1 for betas): at scale 1, unit states
+    with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The output is
+    allocated once and filled one block of rows at a time, each block cast
     to float64 on its own."""
     dim = rows.shape[-1]
     out = np.zeros(rows.shape[:-1] + (dim + 2,))
     for s in _row_blocks(rows.shape[0], rows[:1].size):
         block = rows[s].astype(np.float64, copy=False)
-        slack = np.add.reduce(block * block, axis=-1)
-        np.subtract(big_l**2, slack, out=slack)
-        np.maximum(slack, 0.0, out=slack)
-        np.sqrt(slack, out=slack)
-        out[s, ..., :dim] = block
-        out[s, ..., dim + junk] = slack
-    out /= big_l
+        out[s, ..., :dim], out[s, ..., dim + junk] = _padded(
+            block, np.add.reduce(block * block, axis=-1), big_l, scale)
     return out
 
 
@@ -234,71 +237,52 @@ def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
 
 def _side(v: VectorSystem, side: int) -> np.ndarray | _CodedRows:
     """The alphas (side 0, from ``v.a``) or betas (side 1, from ``v.b``) of
-    the assembled states, one row per input: block r of a row is slice r's
-    junk-padded state scaled by 1/sqrt(|R|).  Coded by ``_coded_side`` where
-    it builds them, else padded in float64 by ``_junk_pad``."""
+    the assembled states, one row per input: block r of a row is slice r
+    padded by ``_padded`` at scale 1/sqrt(|R|).  Coded by ``_coded_side``
+    where it builds them, else padded in float64 by ``_junk_pad``."""
     coded = _coded_side(v, side)
     if coded is not None:
         return coded
     vectors = (v.a, v.b)[side]
-    states = _junk_pad(vectors.transpose(1, 0, 2), side, v.norm_bound).reshape(vectors.shape[1], -1)
-    states *= 1.0 / np.sqrt(v.num_rand)
-    return states
+    return _junk_pad(vectors.transpose(1, 0, 2), side, v.norm_bound,
+                     1.0 / np.sqrt(v.num_rand)).reshape(vectors.shape[1], -1)
 
 
 def _coded_side(v: VectorSystem, side: int) -> _CodedRows | None:
     """``_side(v, side)`` of an integer system as ``_CodedRows``, one uint8
-    code per entry, built without a float64 state block.  Each value is
-    computed once, in the arithmetic of ``_junk_pad`` and the scaling by
-    c = 1/sqrt(|R|): an entry u as (u / L) * c, a junk entry as
-    (sqrt(L^2 - S) / L) * c from its slice's exact squared norm S, so the
-    decoded rows are that side of the float64 cast to the bit.  The palette
-    is in ascending order of bit patterns, as io's writer orders it.  None
-    for a float system, or when the entries may take more than PALETTE_MAX
-    values: ``_junk_pad`` pads those."""
+    code per entry, built in one pass without a float64 state block.  The
+    palette is ``_padded`` of every candidate value: each u in [lo, hi],
+    then each S in [0, S_max], then 0.0, the other side's junk entry.  So an
+    entry u is coded u - lo and a junk entry hi - lo + 1 + S from its slice's
+    exact squared norm S, and the decoded rows are ``_junk_pad``'s to the
+    bit.  None for a float system, or when the candidates take more than
+    PALETTE_MAX entries: ``_junk_pad`` pads those."""
     vectors = (v.a, v.b)[side]
     if vectors.dtype.kind not in "iu":
         return None
     num_rand, count, dim = vectors.shape
     lo, hi = int(vectors.min()), int(vectors.max())
     s_max = max(-lo, hi) ** 2 * dim  # no slice's S exceeds it
-    # u and S find their codes in tables indexed by u - lo and by S
-    if hi - lo >= PALETTE_MAX or s_max > PALETTE_MAX**2:
+    junk = hi - lo + 1  # the code of a junk entry of S = 0
+    zero = junk + s_max + 1  # the code of 0.0, the palette's last entry
+    if zero >= PALETTE_MAX:
         return None
-    blocks = list(_row_blocks(count, num_rand * (dim + 2)))
-
-    def offsets(s: slice) -> np.ndarray:  # u - lo of rows s, as (x, r, d)
-        return np.subtract(vectors[:, s].transpose(1, 0, 2), lo, dtype=np.intp)
-
-    def squares(s: slice) -> np.ndarray:  # S of rows s, as (x, r)
-        return np.einsum("rxd,rxd->xr", vectors[:, s], vectors[:, s], dtype=np.intp)
-
-    seen_u, seen_s = np.zeros(hi - lo + 1, bool), np.zeros(s_max + 1, bool)
-    for s in blocks:
-        seen_u[offsets(s)] = True
-        seen_s[squares(s)] = True
-    u, big_s = np.flatnonzero(seen_u), np.flatnonzero(seen_s)
-    scale, big_l = 1.0 / np.sqrt(num_rand), v.norm_bound
-    values = (u + lo) / big_l * scale, np.sqrt(np.maximum(big_l**2 - big_s, 0.0)) / big_l * scale
-    palette = np.array(sorted({*np.concatenate([*values, [0.0]]).view(np.uint64).tolist()}),
-                       dtype=np.uint64)
-    if palette.size > PALETTE_MAX:
-        return None
-    code_u, code_s = np.zeros(seen_u.size, np.uint8), np.zeros(seen_s.size, np.uint8)
-    code_u[u], code_s[big_s] = (np.searchsorted(palette, x.view(np.uint64)) for x in values)
-    codes = np.full((count, num_rand, dim + 2), np.searchsorted(palette, 0), np.uint8)
-    for s in blocks:
-        codes[s, :, :dim] = code_u[offsets(s)]
-        codes[s, :, dim + side] = code_s[squares(s)]
-    return _CodedRows(palette.view(np.float64), codes.reshape(count, -1))
+    values = _padded(np.arange(lo, hi + 1), np.arange(s_max + 1), v.norm_bound,
+                     1.0 / np.sqrt(num_rand))
+    codes = np.full((count, num_rand, dim + 2), zero, np.uint8)
+    for s in _row_blocks(count, num_rand * (dim + 2)):
+        block = vectors[:, s]
+        codes[s, :, :dim] = np.subtract(block, lo, dtype=np.intp).transpose(1, 0, 2)
+        codes[s, :, dim + side] = np.einsum("rxd,rxd->xr", block, block, dtype=np.intp) + junk
+    return _CodedRows(np.concatenate([*values, [0.0]]), codes.reshape(count, -1))
 
 
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
     """Superpose all junk-padded per-r states into block vectors on
     |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly.
-    An integer system's sides whose entries take at most PALETTE_MAX values
-    are held as ``_CodedRows``, 1 byte an entry, as ``compile`` writes them;
-    any other side is a float64 array."""
+    An integer system's sides whose candidate values fit in PALETTE_MAX
+    palette entries are held as ``_CodedRows``, 1 byte an entry, as
+    ``compile`` writes them; any other side is a float64 array."""
     delta0, delta1 = _thresholds(v, m)
     return ThresholdEmbedding(_side(v, 0), _side(v, 1), delta0, delta1)
 

@@ -489,6 +489,24 @@ def separated_by(v: VectorSystem) -> SignMatrix:
     return SignMatrix(np.where(sq < cut, 1, np.where(sq > cut, -1, 0)))
 
 
+def signed_system(seed: int) -> VectorSystem:
+    """A seeded int8 system of one coordinate per slice, entries in [-7, 5]
+    and both ends taken: the largest square is lo's, not hi's."""
+    rng = np.random.default_rng(seed)
+    a, b = (rng.integers(-7, 6, (4, count, 1), dtype=np.int8) for count in (6, 5))
+    a[0, :2, 0] = b[0, :2, 0] = -7, 5
+    return VectorSystem(a, b, 7.0)
+
+
+def indicator_system(dim: int, seed: int) -> VectorSystem:
+    """A seeded 0/1 system of ``dim`` coordinates per slice: one-hot alphas
+    and betas of random indicators, under the bound sqrt(dim)."""
+    rng = np.random.default_rng(seed)
+    a = np.eye(dim, dtype=np.int8)[rng.integers(0, dim, (3, 6))]
+    b = rng.integers(0, 2, (3, 5, dim), dtype=np.int8)
+    return VectorSystem(a, b, float(np.sqrt(dim)))
+
+
 def float_cast(v: VectorSystem) -> VectorSystem:
     return VectorSystem(v.a.astype(np.float64), v.b.astype(np.float64), v.norm_bound)
 
@@ -502,31 +520,37 @@ class TestCodedStates:
     from its indicators, which decode and write byte for byte as the float
     path's states."""
 
-    @pytest.mark.parametrize("system", [
+    @pytest.mark.parametrize("system, coded", [
         # compile's byte-identical set: EQ-3 to EQ-9 under both models, and
         # --num-r 64 at n = 9 and 12
-        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n)), eq_matrix(n)),
+        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n)), eq_matrix(n)), True,
                        id=f"eq{n}-smp") for n in range(3, 10)),
         *(pytest.param(lambda n=n: (compile_one_way(eq_parity_one_way_protocol(n)), eq_matrix(n)),
-                       id=f"eq{n}-one-way") for n in range(3, 10)),
+                       True, id=f"eq{n}-one-way") for n in range(3, 10)),
         *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n, 64)), eq_matrix(n)),
-                       id=f"eq{n}-num-r-64") for n in (9, 12)),
-        pytest.param(lambda: (compile_one_way(eq_parity_protocol(6, 23, 4)), eq_matrix(6)),
+                       True, id=f"eq{n}-num-r-64") for n in (9, 12)),
+        pytest.param(lambda: (compile_one_way(eq_parity_protocol(6, 23, 4)), eq_matrix(6)), True,
                      id="eq6-num-r"),
         # 9 random strings leave some x != y with every parity equal: not EQ
         pytest.param(lambda: (v := compile_one_way(eq_parity_one_way_protocol(7, 9, 1)),
-                              separated_by(v)), id="eq7-one-way-num-r"),
+                              separated_by(v)), True, id="eq7-one-way-num-r"),
         *(pytest.param(lambda c=c, seed=seed: (v := compile_one_way(random_one_way(c, seed)),
-                                               separated_by(v)),
+                                               separated_by(v)), True,
                        id=f"random-c{c}-seed{seed}") for c in (2, 3) for seed in (0, 1)),
+        # entries below zero: an entry u is coded u - lo
+        pytest.param(lambda: (v := signed_system(0), separated_by(v)), True, id="signed-dim1"),
+        # 2 entry values, 0..dim squared norms and 0.0: dim 252 fills the 256
+        # palette entries, and dim 253 takes the float path
+        *(pytest.param(lambda dim=dim: (v := indicator_system(dim, 0), separated_by(v)),
+                       dim == 252, id=f"indicators-dim{dim}") for dim in (252, 253)),
     ])
-    def test_codes_write_the_float_states(self, system):
+    def test_codes_write_the_float_states(self, system, coded):
         # the float cast takes _junk_pad: the one reference outside the codes
         v, m = system()
         assert v.a.dtype == v.b.dtype == np.int8
         e, want = (assemble_shared_randomness_states(x, m) for x in (v, float_cast(v)))
         for side in ("alphas", "betas"):
-            assert isinstance(getattr(e, side), embeddings._CodedRows)
+            assert isinstance(getattr(e, side), embeddings._CodedRows if coded else np.ndarray)
             assert isinstance(getattr(want, side), np.ndarray)
             assert np.array_equal(bits(getattr(e, side)), bits(getattr(want, side)))
         assert (e.delta0, e.delta1) == (want.delta0, want.delta1)
