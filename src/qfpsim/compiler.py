@@ -272,8 +272,11 @@ def _coded_side(v: VectorSystem, side: int) -> _CodedRows | None:
     codes = np.full((count, num_rand, dim + 2), zero, np.uint8)
     for s in _row_blocks(count, num_rand * (dim + 2)):
         block = vectors[:, s]
-        codes[s, :, :dim] = np.subtract(block, lo, dtype=np.intp).transpose(1, 0, 2)
-        codes[s, :, dim + side] = np.einsum("rxd,rxd->xr", block, block, dtype=np.intp) + junk
+        # an unsafe cast only for uint64, and exact: zero < PALETTE_MAX bounds |u| by 15
+        codes[s, :, :dim] = np.subtract(block, lo, dtype=np.intp,
+                                        casting="unsafe").transpose(1, 0, 2)
+        codes[s, :, dim + side] = np.einsum("rxd,rxd->xr", block, block, dtype=np.intp,
+                                            casting="unsafe") + junk
     return _CodedRows(np.concatenate([*values, [0.0]]), codes.reshape(count, -1))
 
 

@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from ._rng import generator
+from ._rng import uniforms
 from .embeddings import (
     Realization,
     SignMatrix,
@@ -19,6 +19,7 @@ from .embeddings import (
     verify_realization,
     verify_threshold_embedding,
 )
+from .linalg import CHUNK
 
 
 class FingerprintProtocol(Record):
@@ -110,42 +111,115 @@ def referee_threshold(r: int, theta: float) -> int:
     return int(says_one.argmax()) if says_one.any() else r + 1
 
 
-def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
-    """(P[K >= k], P[K < k]) for K ~ Bin(r, p), at each p in (0, 1] of the
-    1-d ``probs``.
+# The sampler takes CHUNK / MIN_RUN draws at a time, so that each step's
+# table has room for at least MIN_RUN entries a group.
+MIN_RUN = 16
 
-    Each tail sums its own pmf terms exp(log C(r, j) + j log p +
-    (r - j) log(1 - p)), with log C from ``math.lgamma``, so a small tail is
-    never 1 minus the other.  At j = r the last term is 0, not 0 * log 0, so
-    p = 1 gives pmf exactly 1 at j = r and 0 elsewhere.  The table is built
-    at most ``CHUNK`` entries at a time."""
-    probs = np.asarray(probs, dtype=np.float64)
-    j = np.arange(r + 1)
-    log_fact = np.array([math.lgamma(i + 1.0) for i in range(r + 1)])
-    log_comb = log_fact[r] - log_fact - log_fact[::-1]
-    upper, lower = np.empty(probs.size), np.empty(probs.size)
+
+def _log_factorials(r: int) -> np.ndarray:
+    """log i! for i = 0..r, from ``math.lgamma``."""
+    return np.fromiter(map(math.lgamma, range(1, r + 2)), np.float64, r + 1)
+
+
+def _binomial_pmf(log_fact: np.ndarray, p: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """P[K = j] for K ~ Bin(r, p), r = log_fact.size - 1, at each p of the
+    (n, 1) column ``p`` and each count j in [start, stop), from the log
+    factorials 0..r (``_log_factorials``).
+
+    Each term is exp(log C(r, j) + j log p + (r - j) log(1 - p)).  At j = 0
+    and at j = r the term of exponent 0 is 0, not 0 * log 0, so p = 0 and
+    p = 1 put pmf exactly 1 on j = 0 and j = r."""
+    r = log_fact.size - 1
+    j = np.arange(start, stop)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for s in _row_blocks(probs.size, r + 1):
-            p = probs[s, None]
-            pmf = np.exp(log_comb + j * np.log(p)
-                         + np.where(j == r, 0.0, (r - j) * np.log1p(-p)))
-            upper[s] = pmf[:, k:].sum(axis=1)
-            lower[s] = pmf[:, :k].sum(axis=1)
+        successes = j * np.log(p)
+        failures = (r - j) * np.log1p(-p)
+    if start == 0:
+        successes[:, 0] = 0.0
+    if stop == r + 1:
+        failures[:, -1] = 0.0
+    return np.exp(log_fact[r] - log_fact[j] - log_fact[r - j] + successes + failures)
+
+
+def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
+    """(P[K >= k], P[K < k]) for K ~ Bin(r, p), at each p in [0, 1] of the
+    1-d ``probs``.  Each tail sums its own terms of ``_binomial_pmf``, so a
+    small tail is never 1 minus the other.  The pmf table is built at most
+    ``CHUNK`` entries at a time."""
+    probs = np.asarray(probs, dtype=np.float64)
+    log_fact = _log_factorials(r)
+    upper, lower = np.empty(probs.size), np.empty(probs.size)
+    for s in _row_blocks(probs.size, r + 1):
+        pmf = _binomial_pmf(log_fact, probs[s, None], 0, r + 1)
+        upper[s] = pmf[:, k:].sum(axis=1)
+        lower[s] = pmf[:, :k].sum(axis=1)
     return np.minimum(upper, 1.0), np.minimum(lower, 1.0)
 
 
-def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
-    """The probability that protocol p's referee errs on each pair of M, NaN
-    on promise-excluded pairs.
+def _binomial_draws(trials: int, q: np.ndarray, group: np.ndarray, order: np.ndarray,
+                    u: np.ndarray) -> np.ndarray:
+    """Draw i of Bin(trials, q[group[i]]), by inverting its CDF F at u[i] in
+    [0, 1): the number of counts k < trials with F(k) <= u[i].  So q = 0
+    gives 0, q = 1 gives ``trials``, and no rounding of F gives trials + 1.
+    ``order`` lists the draws by group.
+
+    This is inversion by sequential search, a run of counts at a time, over
+    the draws in slices of CHUNK / MIN_RUN.  Each step extends F, a running
+    sum of ``_binomial_pmf`` terms (so its bits do not depend on the run),
+    for the groups of the draws that have passed every count so far, and
+    each of those draws bisects its group's run.  A run and the sum before
+    it fill a power-of-two row, as wide as the step's groups leave room for
+    in CHUNK entries and no wider than the counts left need: so few groups
+    take one step, and many groups pay only for the counts they reach."""
+    log_fact = _log_factorials(trials)
+    counts = np.empty(group.size, dtype=np.intp)
+    carry = np.empty(q.size)  # F(c - 1) of each group at step c
+    for s in _row_blocks(group.size, MIN_RUN):
+        draws = order[s]
+        ids, target = group[draws], u[draws]
+        found = np.zeros(draws.size, dtype=np.intp)
+        live = np.arange(draws.size)  # the draws of at least c
+        c = 0
+        while c < trials and live.size:
+            live_ids = ids[live]  # nondecreasing, as ``order`` is by group
+            new = np.concatenate([[True], live_ids[1:] != live_ids[:-1]])
+            rows = live_ids[new]
+            width = 1 << min((CHUNK // rows.size).bit_length() - 1, (trials - c).bit_length())
+            stop = min(c + width - 1, trials)
+            # F(c - 1 .. stop - 1), then inf: no count from trials on is passed
+            cdf = np.full((rows.size, width), np.inf)
+            cdf[:, 0] = carry[rows] if c else 0.0
+            cdf[:, 1:stop - c + 1] = _binomial_pmf(log_fact, q[rows, None], c, stop)
+            np.cumsum(cdf, axis=1, out=cdf)
+            carry[rows] = cdf[:, stop - c]
+            # each draw starts on its group's F(c - 1) <= u and moves right
+            # while the entry ahead is <= u
+            flat, pos, bar = cdf.ravel(), (np.cumsum(new) - 1) * width, target[live]
+            step = width // 2
+            while step:
+                pos += step * (flat[pos + step] <= bar)
+                step //= 2
+            passed = pos % width
+            found[live] = c + passed
+            live = live[passed == stop - c]
+            c = stop
+        counts[draws] = found
+    return counts
+
+
+def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
+    """(support, group, order, q): the mask of M's pairs outside the
+    promise; the group of each such pair, in row-major order; those pairs
+    listed by group; and each group's exact error.
 
     The referee sees K ~ Bin(r, P0) zero outcomes, P0 = 1/2 +
     <alpha_x, beta_y>^2 / 2, and says 1 iff K >= k* (``referee_threshold``).
-    So the error is P[K >= k*] on f = 0 pairs and P[K < k*] on f = 1 pairs.
-    The tails are computed once per distinct P0 (EQ has 2, HAM(5, 2) has 6).
-    All P0 come from the squared inner-product blocks the verifier forms and
+    A group is one distinct signed P0: +P0 for f = 0 pairs, which err with
+    P[K >= k*], and -P0 for f = 1 pairs, which err with P[K < k*].  So the
+    tails are computed once per group (EQ has 2, HAM(5, 2) has 6).  All P0
+    come from the squared inner-product blocks the verifier forms and
     checks, so they match ``verify`` to the bit, with no per-state check:
-    ``ThresholdEmbedding`` holds its rows to the unit-norm tolerance too.
-    """
+    ``ThresholdEmbedding`` holds its rows to the unit-norm tolerance too."""
     squared = np.empty(m.entries.shape)
     report = verify_threshold_embedding(p.embedding, m, out=squared)
     if not report.valid:
@@ -156,15 +230,27 @@ def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
     support = m.entries != 0
     # Identical unit states can give <a, a>^2 = 1 + ulp; P0 is a probability.
     p_zero = np.minimum(0.5 + squared[support] / 2.0, 1.0)
-    # sorted(set(...)), not np.sort, which would also page in numpy's
-    # vectorized sort code: ~0.25 MiB more RSS per process.
-    values = np.array(sorted(set(p_zero.tolist())))
-    which = np.searchsorted(values, p_zero)
+    # -1 encodes f(x, y) = 1; P0 >= 1/2, so the sign is exact and tells f
+    key = np.where(m.entries[support] == -1, -p_zero, p_zero)
+    order = np.argsort(key, kind="stable")  # stable: EQ's long runs of equal keys sort fast
+    listed = key[order]
+    new = listed[1:] != listed[:-1]
+    group = np.empty(key.size, dtype=np.intp)
+    group[order] = np.concatenate([[0], np.cumsum(new)])
+    keys = listed[np.concatenate([[True], new])]
     r = p.repetitions
-    upper, lower = binomial_tails(r, referee_threshold(r, p.theta), values)
+    upper, lower = binomial_tails(r, referee_threshold(r, p.theta), np.abs(keys))
+    return support, group, order, np.where(keys < 0, lower, upper)
+
+
+def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
+    """The probability that protocol p's referee errs on each pair of M, NaN
+    on promise-excluded pairs: P[K >= k*] on f = 0 pairs and P[K < k*] on
+    f = 1 pairs, for the referee's count K of zero outcomes
+    (``_pair_groups``)."""
+    support, group, _, q = _pair_groups(p, m)
     errors = np.full(m.entries.shape, np.nan)
-    # -1 encodes f(x, y) = 1
-    errors[support] = np.where(m.entries[support] == -1, lower[which], upper[which])
+    errors[support] = q[group]
     return errors
 
 
@@ -182,17 +268,18 @@ def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> Pr
     which the referee errs on a pair is Bin(trials, q), where q is the pair's
     exact error (``exact_pair_errors``).  So each pair takes one draw of
     that count, which has the law of ``trials`` runs of r swap tests each;
-    ``per_pair_error`` is the count over ``trials``.  One PCG64 stream from
-    ``seed`` makes the draws in row-major pair order.
+    ``per_pair_error`` is the count over ``trials``.  The draws invert the
+    exact law's own binomial CDF (``_binomial_draws``), one per pair in
+    row-major pair order, each at one double of ``_rng.uniforms(seed, n)``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    exact = exact_pair_errors(p, m)
-    support = m.entries != 0
-    errors = np.full(exact.shape, np.nan)
-    errors[support] = generator(seed).binomial(trials, exact[support]) / trials
+    support, group, order, q = _pair_groups(p, m)
+    counts = _binomial_draws(trials, q, group, order, uniforms(seed, group.size))
+    errors = np.full(m.entries.shape, np.nan)
+    errors[support] = counts / trials
     return ProtocolRunReport(
         per_pair_error=errors,
-        max_error=float(errors[support].max()),
-        exact_error=float(exact[support].max()),
+        max_error=float(counts.max() / trials),
+        exact_error=float(q.max()),  # every group holds a pair
     )

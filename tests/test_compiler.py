@@ -556,6 +556,21 @@ class TestCodedStates:
         assert (e.delta0, e.delta1) == (want.delta0, want.delta1)
         assert payload_text(e) == payload_text(want)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64,
+                                       np.int8, np.int16, np.int32, np.int64])
+    def test_every_integer_dtype_codes_the_float_states(self, dtype):
+        # VectorSystem holds any integer dtype as it is; the coder casts each
+        # block to intp, which uint64 reaches only by an unsafe (here exact) cast
+        v8 = indicator_system(4, 0)
+        v = VectorSystem(v8.a.astype(dtype), v8.b.astype(dtype), v8.norm_bound)
+        m = separated_by(v8)
+        e, want = (assemble_shared_randomness_states(x, m) for x in (v, float_cast(v8)))
+        assert v.a.dtype == v.b.dtype == dtype
+        for side in ("alphas", "betas"):
+            assert isinstance(getattr(e, side), embeddings._CodedRows)
+            assert np.array_equal(bits(getattr(e, side)), bits(getattr(want, side)))
+        assert payload_text(e) == payload_text(want)
+
     def test_random_protocols_have_several_slack_values(self):
         v = compile_one_way(random_one_way(3, 0))
         assert len(np.unique(np.einsum("rxd,rxd->rx", v.b, v.b))) >= 4

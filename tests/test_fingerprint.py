@@ -4,11 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qfpsim._rng import generator
+from qfpsim import embeddings, fingerprint
+from qfpsim._rng import generator, uniforms
 from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
 from qfpsim.fingerprint import (
     FingerprintProtocol,
+    _binomial_draws,
+    _binomial_pmf,
+    _log_factorials,
     binomial_tails,
     exact_pair_errors,
     protocol_from_embedding,
@@ -219,10 +223,9 @@ class TestRunProtocol:
     def test_seed_moves_the_draws_not_the_exact_error(self):
         e, m = eq_states(3)
         p = protocol_from_embedding(e, 1 / 3)
-        a = run_protocol(p, m, trials=50, seed=4)
-        b = run_protocol(p, m, trials=50, seed=5)
-        assert a.exact_error == b.exact_error
-        assert not np.array_equal(a.per_pair_error, b.per_pair_error)
+        runs = [run_protocol(p, m, trials=50, seed=seed) for seed in range(10)]
+        assert len({run.exact_error for run in runs}) == 1
+        assert len({run.per_pair_error.tobytes() for run in runs}) == 10
 
     def test_worst_sides_are_the_verifiers_to_the_bit(self):
         # 300 x 300 float states: 90 000 pairs, which the verifier squares in
@@ -299,6 +302,62 @@ class TestExactLaw:
     def test_threshold_tie_goes_to_one(self):
         # 3 of 4 zeros estimate exactly 1/2
         assert referee_threshold(4, 0.5) == 3
+
+
+def reference_draws(trials: int, q, group, u) -> np.ndarray:
+    """Inversion of each group's whole CDF row: the number of k < trials
+    with F(k) <= u, F the running sum of the pmf over 0..trials."""
+    log_fact = _log_factorials(trials)
+    rows = np.cumsum(_binomial_pmf(log_fact, np.asarray(q, dtype=float)[:, None], 0, trials + 1),
+                     axis=1)
+    return np.array([np.searchsorted(rows[g, :trials], x, side="right") for g, x in zip(group, u)])
+
+
+class TestBinomialDraws:
+    QS = [0.0, 1e-4, 0.0312, 0.3, 0.5, 0.9, 1.0]
+
+    @pytest.mark.parametrize("trials", [1, 20, 200])
+    def test_counts_follow_the_exact_binomial_pmf(self, trials):
+        # 20 000 draws per q at one seed: every count's frequency lies within
+        # 5 standard errors of the exact pmf plus one draw (a count of pmf
+        # 2e-7 may be drawn once), and is 0 where the pmf is 0; the mean lies
+        # within 5 standard errors of trials * q
+        n = 20_000
+        group = np.repeat(np.arange(len(self.QS)), n)
+        counts = _binomial_draws(trials, np.array(self.QS), group, np.arange(group.size),
+                                 uniforms(2026, group.size))
+        assert counts.min() >= 0 and counts.max() <= trials
+        for g, q in enumerate(self.QS):
+            seen = np.bincount(counts[group == g], minlength=trials + 1)
+            for k, pk in enumerate(exact_pmf(trials, q)):
+                pk = float(pk)
+                assert abs(seen[k] - n * pk) <= 5 * math.sqrt(n * pk * (1 - pk)) + (pk > 0), (q, k)
+            mean = float(counts[group == g].mean())
+            assert abs(mean - trials * q) <= 5 * math.sqrt(trials * q * (1 - q) / n), q
+
+    @pytest.mark.parametrize("trials", [1, 20, 37])
+    def test_extreme_uniforms_stay_in_range(self, trials):
+        # the largest uniform is 1 - 2^-53: q = 1 gives trials, never trials + 1
+        u = np.array([0.0, 1.0 - 2.0**-53] * 3)
+        group = np.repeat(np.arange(3), 2)
+        counts = _binomial_draws(trials, np.array([0.0, 0.5, 1.0]), group, np.arange(6), u)
+        assert counts.tolist() == [0, 0, 0, trials, trials, trials]
+
+    @pytest.mark.parametrize("chunk", [2, 40, 200, 1 << 16])
+    def test_draws_are_whole_row_inversions_at_any_step(self, monkeypatch, chunk):
+        # 41 groups of 0..60 draws each.  CHUNK = 2 takes one draw and one
+        # count a step, 40 two draws and up to 15 or 31 counts, 200 twelve
+        # draws and up to 15..63 counts, and 2^16 every draw and all 37
+        # counts at once: the running sum, carried from run to run and
+        # restarted in each slice, is the whole row's to the bit
+        monkeypatch.setattr(fingerprint, "CHUNK", chunk)
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        rng = np.random.default_rng(8)
+        q = np.concatenate([[0.0, 1.0], rng.random(39)])
+        group = rng.integers(0, q.size, 1200)
+        u = uniforms(9, group.size)
+        counts = _binomial_draws(37, q, group, np.argsort(group, kind="stable"), u)
+        assert np.array_equal(counts, reference_draws(37, q, group, u))
 
 
 def eq_worst_error(r: int) -> float:

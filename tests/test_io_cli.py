@@ -543,6 +543,12 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "eps must lie in (0, 1/2)" in err and "Traceback" not in err
 
+    def test_negative_seed_exits_2(self, capsys):
+        # random.Random seeds with |seed|, so -1 would silently repeat seed 1
+        assert main(["simulate", "--builtin", "eq", "--n", "3", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
     def test_project_refuses_an_eps_that_is_not_finite_and_positive(self, eps, tmp_path, capsys):
         vec = write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(np.eye(4)))

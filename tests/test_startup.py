@@ -1,5 +1,6 @@
 """Which modules a CLI job loads: each command imports only the modules it
-runs, checked in a fresh interpreter per command."""
+runs, and only ``project`` loads numpy.random, checked in a fresh interpreter
+per command."""
 
 import json
 import subprocess
@@ -18,6 +19,7 @@ import json, sys
 from qfpsim import cli
 status = cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"status": status, "dataclasses": "dataclasses" in sys.modules,
+                  "numpy_random": "numpy.random" in sys.modules,
                   "modules": sorted(n for n in sys.modules if n.partition(".")[0] == "qfpsim")}))
 """
 
@@ -39,31 +41,37 @@ def inputs(tmp_path):
 def loaded(argv, cwd):
     """The qfpsim modules, without the package prefix, that running
     ``cli.main(argv)`` in a fresh interpreter loads, and whether it loaded
-    ``dataclasses``."""
+    ``dataclasses`` and ``numpy.random``."""
     out = subprocess.run([sys.executable, "-c", CHILD, json.dumps([*argv, "--out", "out.json"])],
                          cwd=cwd, env=child_env(), capture_output=True, text=True, check=True)
     result = json.loads(out.stdout)
     assert result["status"] == 0, out.stderr
-    return {n.removeprefix("qfpsim.") for n in result["modules"]}, result["dataclasses"]
+    return ({n.removeprefix("qfpsim.") for n in result["modules"]}, result["dataclasses"],
+            result["numpy_random"])
 
 
 def test_margin_loads_only_the_bounds_path(inputs):
-    modules, dataclasses = loaded(["margin", "--matrix", "m.json"], inputs)
+    modules, dataclasses, numpy_random = loaded(["margin", "--matrix", "m.json"], inputs)
     assert modules == {"qfpsim", "cli", "io", "embeddings", "linalg", "_kernels", "_record",
                        "bounds"}
-    assert not dataclasses
+    assert not dataclasses and not numpy_random
 
 
-@pytest.mark.parametrize("argv, runs, skipped", [
+# Only project draws from numpy's PCG64 (``_rng.generator``); simulate's
+# draws come from the standard library (``_rng.uniforms``).
+@pytest.mark.parametrize("argv, runs, skipped, numpy_random", [
     (["project", "--vectors", "v.json", "--dim", "4"], "projections",
-     {"compiler", "problems", "fingerprint"}),
-    (["compile", "--builtin", "eq", "--n", "3"], "compiler", {"fingerprint"}),
+     {"compiler", "problems", "fingerprint"}, True),
+    (["compile", "--builtin", "eq", "--n", "3"], "compiler", {"fingerprint"}, False),
     (["simulate", "--embedding", "e.json", "--matrix", "m.json"], "fingerprint",
-     {"compiler", "problems"}),
-    (["margin", "--builtin", "ip", "--k", "2"], "problems", {"compiler", "projections"}),
+     {"compiler", "problems"}, False),
+    (["simulate", "--builtin", "eq", "--n", "3"], "fingerprint", set(), False),
+    (["margin", "--builtin", "ip", "--k", "2"], "problems", {"compiler", "projections"}, False),
     (["verify", "--builtin", "eq", "--n", "3", "--embedding", "e.json"], "problems",
-     {"compiler", "projections"}),
-], ids=["project", "compile", "simulate-embedding", "margin-builtin", "verify-builtin"])
-def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped):
-    modules, _ = loaded(argv, inputs)
+     {"compiler", "projections"}, False),
+], ids=["project", "compile", "simulate-embedding", "simulate-builtin", "margin-builtin",
+        "verify-builtin"])
+def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped, numpy_random):
+    modules, _, loaded_numpy_random = loaded(argv, inputs)
     assert runs in modules and not modules & skipped
+    assert loaded_numpy_random == numpy_random
