@@ -11,7 +11,7 @@ import numpy as np
 from ._kernels import margin_ascent
 from ._record import Record
 from .embeddings import Realization, SignMatrix
-from .linalg import MAX_ENUM_COLS, linf_to_l1_norm, operator_norm, unit_rows
+from .linalg import MAX_ENUM_COLS, dot_allowance, linf_to_l1_norm, operator_norm, unit_rows
 
 # Krivine's upper bound on Grothendieck's constant; a fixed published value
 # keeps outputs reproducible.
@@ -65,13 +65,6 @@ def _factored_start(md: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = unit_rows(rows)
     rows[~np.concatenate([md.any(axis=1), md.any(axis=0)])] = np.eye(1, rows.shape[1])
     return rows[: md.shape[0]], rows[md.shape[0] :]
-
-
-def dot_allowance(d: int) -> float:
-    """How far a computed margin of d-dimensional unit rows may exceed the exact
-    one: a d-term dot product errs by <= d*u (u = eps/2), and each row's norm
-    is within (d/2 + 2)*u of 1, so (2d + 4)*u = (d + 2)*eps in all."""
-    return (d + 2) * math.ulp(1.0)
 
 
 def exit_allowance(d: int) -> float:

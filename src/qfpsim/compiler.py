@@ -19,12 +19,12 @@ from .embeddings import (
     _CodedRows,
     _frozen_array,
     _jl_reduce,
+    _require_unit_rows,
     _row_blocks,
     _worst_sides,
     verify_threshold_embedding,
 )
 
-NORM_TOL = 1e-9
 QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
 
@@ -134,12 +134,7 @@ class VectorSystem(Record):
         if not np.isfinite(big_l * big_l):  # readers square L; big_l**2 would raise OverflowError
             raise ValueError(f"norm bound {self.norm_bound} must have a finite float64 square")
         for name, arr in (("a", a), ("b", b)):
-            # np.max, not max: a NaN norm in any block must reach the check
-            worst = float(np.sqrt(np.max([
-                np.einsum("rxd,rxd->rx", arr[:, s], arr[:, s], dtype=np.float64).max()
-                for s in _row_blocks(arr.shape[1], arr.shape[0] * arr.shape[2])])))
-            if not worst <= self.norm_bound + NORM_TOL:  # a NaN norm fails too
-                raise ValueError(f"{name} vector norm {worst} exceeds the bound {self.norm_bound}")
+            _require_unit_rows(name, arr.transpose(1, 0, 2), big_l)  # named (input, r)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

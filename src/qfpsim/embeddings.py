@@ -11,26 +11,31 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .linalg import CHUNK, unit_rows
+from .linalg import CHUNK, dot_allowance, unit_allowance, unit_rows
 
-UNIT_TOL = 1e-9
-VERIFY_TOL = 1e-9
 MIN_GAP = 1e-6  # the smallest threshold gap a reduction or a sketch accepts
 MAX_TENSOR_DIM = 64
 REDUCTION_RETRIES = 20
 
 
-def _require_unit_rows(name: str, rows) -> None:
-    """Refuse the first row of ``rows`` (a 2-d array or ``_CodedRows``) whose
-    norm is not 1, named ``name[i]``, reading one block of rows at a time."""
-    for s in _row_blocks(*rows.shape):
+def _require_unit_rows(name: str, rows, bound: float | None = None) -> None:
+    """Refuse the first row of ``rows`` (an array of rows or ``_CodedRows``)
+    whose float64 norm is off 1, or above ``bound``, by more than
+    ``unit_allowance`` (times ``bound``), named by its index in ``name``."""
+    scale = 1.0 if bound is None else bound
+    tol = scale * unit_allowance(rows.shape[-1])
+    for s in _row_blocks(rows.shape[0], int(np.prod(rows.shape[1:]))):
         block = rows[s]
-        norms = np.sqrt(np.einsum("ij,ij->i", block, block))
-        bad = ~(np.abs(norms - 1.0) <= UNIT_TOL)  # a NaN norm fails too
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise ValueError(f"{name}[{s.start + idx}] is not a unit vector "
-                             f"(norm {float(norms[idx])})")
+        off = np.einsum("...d,...d->...", block, block, dtype=np.float64)
+        np.sqrt(off, out=off)
+        off -= scale  # in place; exact near scale (Sterbenz), as is off + scale
+        ok = (np.abs(off) if bound is None else off) <= tol  # a NaN norm fails too
+        if not ok.all():
+            i = np.unravel_index(int(np.argmin(ok)), ok.shape)
+            at, norm = f"{name}[{', '.join(map(str, (s.start + i[0], *i[1:])))}]", off[i] + scale
+            raise ValueError(f"{at} is not a unit vector (norm {norm})" if bound is None
+                             else f"{at} norm {norm} exceeds the bound {bound}")
+        del off, ok  # before the next block's
 
 
 PALETTE_MAX = 256  # the values a uint8 code tells apart
@@ -237,7 +242,8 @@ def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
     """Check the threshold inequalities on every non-promise pair of M, from
     (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time.  Each
     block's products are taken one tile of betas at a time, as tall as the
-    block, so ``_CodedRows`` sides are decoded a tile at a time.  An
+    block, so ``_CodedRows`` sides are decoded a tile at a time.  A side may
+    pass its threshold by ``dot_allowance(dimension, squared=True)``.  An
     (m.rows, m.cols) array ``out`` receives each block."""
     _check_counts(e.alphas, e.betas, m)
     tiles = list(_row_blocks(m.cols, m.cols))
@@ -253,15 +259,17 @@ def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
         return block
 
     (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(squared_rows, m)
-    valid = worst_zero <= e.delta0 + VERIFY_TOL and worst_one >= e.delta1 - VERIFY_TOL
+    tol = dot_allowance(e.dimension, squared=True)
+    valid = worst_zero <= e.delta0 + tol and worst_one >= e.delta1 - tol
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
 
 
 def verify_realization(r: Realization, m: SignMatrix) -> RealizationReport:
-    """Check the signed margin on every non-promise pair of M."""
+    """Check the signed margin on every non-promise pair of M, to within
+    ``dot_allowance`` of the dimension."""
     _check_counts(r.alphas, r.betas, m)
     achieved, pair = _worst_pair(m.dense() * (r.alphas @ r.betas.T), m.entries != 0)
-    return RealizationReport(achieved >= r.gamma - VERIFY_TOL, achieved, pair)
+    return RealizationReport(achieved >= r.gamma - dot_allowance(r.dimension), achieved, pair)
 
 
 def embed_to_realization(e: ThresholdEmbedding) -> Realization:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ._kernels import linf_to_l1_enum
@@ -19,6 +21,22 @@ def as_matrix(m) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
     return arr
+
+
+def unit_allowance(d: int) -> float:
+    """|fl||x|| - 1| for a d-entry row x rounding a unit vector, u = eps/2: u
+    from x, d*u/2 from a d-term sum of squares under the root, u from the root:
+    (d/2 + 2)*u.  A norm bound L scales it by L."""
+    return (d + 4) * math.ulp(1.0) / 4
+
+
+def dot_allowance(d: int, squared: bool = False) -> float:
+    """How far a computed product of d-entry rows may exceed the exact one of
+    their directions: d*u from the sum, (d + 4)*u from two norms within
+    ``unit_allowance`` of 1, so a = (d + 2)*eps.  Squared, |p^2 - q^2| <=
+    a*(2 + a) for |q| <= 1 and the square rounds by u: 2a + eps in all."""
+    a = (d + 2) * math.ulp(1.0)
+    return 2 * a + math.ulp(1.0) if squared else a
 
 
 def unit_rows(v) -> np.ndarray:

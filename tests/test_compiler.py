@@ -276,12 +276,18 @@ class TestVectorSystem:
     def test_vectors_beyond_the_bound_refused(self, side, bad):
         vectors = {"a": np.zeros((2, 3, 2)), "b": np.zeros((2, 4, 2))}
         vectors[side][1, 2, 0] = bad
-        with pytest.raises(ValueError, match=f"^{side} vector norm {re.escape(str(bad))} exceeds"):
+        # the first bad vector is named by its (input, random string) index
+        with pytest.raises(ValueError,
+                           match=rf"^{side}\[2, 1\] norm {re.escape(str(bad))} exceeds the bound 1.0$"):
             VectorSystem(vectors["a"], vectors["b"], 1.0)
 
     def test_norm_within_tolerance_accepted(self):
-        a = np.full((1, 1, 1), 1.0 + 0.5e-9)
+        # at dimension 1 the allowance is unit_allowance(1) = 2.5u: one ulp above
+        # 1 (2u) passes, two (4u) do not
+        a = np.full((1, 1, 1), np.nextafter(1.0, 2.0))
         assert VectorSystem(a, -a, 1.0).acceptance_matrix()[0, 0] < 0.0
+        with pytest.raises(ValueError, match=r"^a\[0, 0\] norm 1.0000000000000004 exceeds"):
+            VectorSystem(a + np.finfo(float).eps, -a, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(integer_systems())

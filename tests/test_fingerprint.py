@@ -67,7 +67,7 @@ class TestSwapTestProb:
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
             swap_test_prob([1, 1], [1, 0])
-        # checked at embeddings.UNIT_TOL = 1e-9, like every unit row
+        # checked within linalg.unit_allowance(2) = 3u of norm 1, like every unit row
         with pytest.raises(ValueError, match="unit"):
             swap_test_prob([1 + 1e-7, 0], [1, 0])
 
