@@ -2,11 +2,10 @@
 
 ``simulate`` takes one stream of doubles, ``uniforms(seed, n)``, from the
 standard library's Mersenne Twister, so it never loads ``numpy.random``.
-``project``, ``compile --reduce``, ``compile --num-r`` and the classical
-estimator (``compiler.classical_projection_protocol``) draw from numpy PCG64
-generators derived from a numpy SeedSequence (``generator``), and
-independent sub-streams are derived by ``spawn``.  Every seed is a
-non-negative integer (or a SeedSequence, for ``generator`` and ``spawn``).
+``project``, ``compile --num-r`` and the classical estimator
+(``compiler.classical_projection_protocol``) draw from numpy PCG64
+generators derived from a numpy SeedSequence (``generator``).  Every seed is
+a non-negative integer (or a SeedSequence, for ``generator``).
 No library code calls ``pair_sequence``; it is kept only because
 ``perfbench/spans.py`` wraps it.
 """
@@ -40,13 +39,10 @@ def generator(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed_sequence(seed)))
 
 
-def spawn(seed, n: int) -> list[np.random.SeedSequence]:
-    return seed_sequence(seed).spawn(n)
-
-
 def pair_sequence(seed, x: int, y: int) -> np.random.SeedSequence:
     """Sub-seed for pair (x, y): the pair index is appended to the parent's
-    spawn key, so pairs of sibling sequences (from ``spawn``) differ too."""
+    spawn key, so pairs of sibling sequences (from ``SeedSequence.spawn``)
+    differ too."""
     base = seed_sequence(seed)
     entropy = base.entropy if base.entropy is not None else 0
     return np.random.SeedSequence(entropy=entropy, spawn_key=base.spawn_key + (x, y))

@@ -133,10 +133,6 @@ def cmd_simulate(args, argv) -> int:
 
 def cmd_compile(args, argv) -> int:
     from . import compiler
-    if not args.reduce:
-        _refuse(args, "requires --reduce", "target_dim")
-    if args.no_assemble:
-        _refuse(args, "conflicts with --no-assemble", "reduce", "target_dim")
     if args.protocol is not None:
         _refuse(args, "conflicts with --protocol", "model", "num_r")
         protocol = io.parse_protocol(io.load(args.protocol))
@@ -159,14 +155,9 @@ def cmd_compile(args, argv) -> int:
 
     embedding = compiler.assemble_shared_randomness_states(system, m)
     del system
-    stages = [("assembled", embedding)]
-    if args.reduce:
-        embedding = compiler.reduce_embedding_dimension(embedding, m, args.seed,
-                                                        target_dim=args.target_dim)
-        stages.append(("reduced", embedding))
     payload = io.embedding_payload(embedding)
-    payload["stages"] = [{"stage": name, "dimension": e.dimension, "delta0": e.delta0,
-                          "delta1": e.delta1} for name, e in stages]
+    payload["stages"] = [{"stage": "assembled", "dimension": embedding.dimension,
+                          "delta0": embedding.delta0, "delta1": embedding.delta1}]
     _emit("embedding", payload, args, argv)
     return 0
 
@@ -255,8 +246,6 @@ def build_parser() -> _Parser:
                    help="sample this many shared random strings instead of enumerating")
     p.add_argument("--no-assemble", action="store_true",
                    help="emit the raw vector system instead of assembled states")
-    p.add_argument("--reduce", action="store_true", help="JL-reduce the embedding dimension")
-    p.add_argument("--target-dim", type=int, default=None, help="with --reduce")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("project", help="random-project a vector list and report distortion")

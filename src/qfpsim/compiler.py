@@ -7,23 +7,23 @@ from __future__ import annotations
 import numpy as np
 
 # projections stays imported here: perfbench's traced pass wraps it from
-# sys.modules, where only this module's import puts it.
+# sys.modules, where only this module's import puts it.  Likewise
+# verify_threshold_embedding, whose binding here perfbench's self-test looks up.
 from . import projections
 from ._record import Record
 from .embeddings import (
-    MIN_GAP,
     PALETTE_MAX,
     SignMatrix,
     ThresholdEmbedding,
     _entries_in,
     _CodedRows,
     _frozen_array,
-    _jl_reduce,
     _require_unit_rows,
     _row_blocks,
     _worst_sides,
     verify_threshold_embedding,
 )
+from .linalg import dot_allowance
 
 QUANT_RANGE = 2.0  # symmetric fixed-point range for projected coordinates
 
@@ -212,8 +212,10 @@ def _junk_pad(rows: np.ndarray, junk: int, big_l: float, scale: float = 1.0) -> 
 def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
     """delta0 and delta1 of the assembled states: the exact extremal values of
     (P/L^2)^2 over the f=0 and f=1 pairs of M, from the acceptance matrix
-    squared in place and searched one block of rows at a time.  Errors out
-    when the system does not separate the two sides."""
+    squared in place and searched one block of rows at a time.  A delta1
+    above 1 by at most ``dot_allowance(dim, squared=True)`` is rounding (L^2
+    may round below sum of squares) and is clipped to 1.  Errors out when the
+    system does not separate the two sides."""
     if (v.a.shape[1], v.b.shape[1]) != (m.rows, m.cols):
         raise ValueError(
             f"vector system is {v.a.shape[1]}x{v.b.shape[1]} but the sign matrix is "
@@ -223,6 +225,8 @@ def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
     sq /= v.norm_bound**2
     sq **= 2
     (delta0, _), (delta1, _) = _worst_sides(sq.__getitem__, m)
+    if delta1 <= 1.0 + dot_allowance(v.dim, squared=True):
+        delta1 = min(delta1, 1.0)
     if delta0 >= delta1:
         raise ValueError(
             f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"
@@ -283,42 +287,6 @@ def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> Thresho
     ``compile`` writes them; any other side is a float64 array."""
     delta0, delta1 = _thresholds(v, m)
     return ThresholdEmbedding(_side(v, 0), _side(v, 1), delta0, delta1)
-
-
-def reduce_embedding_dimension(
-    e: ThresholdEmbedding,
-    m: SignMatrix,
-    seed,
-    target_dim: int | None = None,
-) -> ThresholdEmbedding:
-    """Random-project an embedding to a lower dimension, re-padding to unit
-    norm, at thresholds tightened inward by a quarter of the gap.
-
-    The default target is the JL dimension for distortion (delta1-delta0)/10;
-    at desk scale that often exceeds the current dimension, in which case the
-    embedding is returned unchanged.  Fresh seeds are retried until the
-    verifier passes at the tightened thresholds.
-    """
-    report = verify_threshold_embedding(e, m)
-    if not report.valid:
-        raise ValueError("embedding is not valid for M; refusing to reduce")
-    gap = e.delta1 - e.delta0
-    if gap < MIN_GAP:
-        raise ValueError(f"threshold gap {gap} below {MIN_GAP}; reduction refused")
-    eps = gap / 10.0
-    count = e.alphas.shape[0] + e.betas.shape[0] + 1
-    target = target_dim if target_dim is not None else projections.jl_dimension(count, eps)
-
-    delta0 = e.delta0 + gap / 4.0
-    delta1 = e.delta1 - gap / 4.0
-
-    def rebuild(a: np.ndarray, b: np.ndarray) -> ThresholdEmbedding:
-        big_l = max(1.0, float(np.linalg.norm(np.vstack([a, b]), axis=1).max()))
-        return ThresholdEmbedding(_junk_pad(a, 0, big_l), _junk_pad(b, 1, big_l), delta0, delta1)
-
-    return _jl_reduce(
-        e, target, seed, rebuild, lambda candidate: verify_threshold_embedding(candidate, m).valid
-    )
 
 
 def classical_projection_protocol(

@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import Record
-from .linalg import CHUNK, dot_allowance, unit_allowance, unit_rows
+from .linalg import CHUNK, dot_allowance, unit_allowance
 
-MIN_GAP = 1e-6  # the smallest threshold gap a reduction or a sketch accepts
+MIN_GAP = 1e-6  # the smallest threshold gap a sketch accepts
 MAX_TENSOR_DIM = 64
-REDUCTION_RETRIES = 20
 
 
 def _require_unit_rows(name: str, rows, bound: float | None = None) -> None:
@@ -303,46 +302,3 @@ def realization_to_embedding(r: Realization) -> ThresholdEmbedding:
     delta0 = (1.0 - r.gamma) ** 2 / 4.0
     delta1 = (1.0 + r.gamma) ** 2 / 4.0
     return ThresholdEmbedding(alphas, betas, delta0, delta1)
-
-
-def _jl_reduce(pair: _UnitPair, target: int, seed, rebuild, valid) -> _UnitPair:
-    """Project alphas and betas together to ``target`` dimensions with each
-    child of ``seed`` in turn; return the first ``rebuild(alphas, betas)`` that
-    passes ``valid`` (a ValueError from ``rebuild`` skips the child), or
-    ``pair`` itself when it is no wider than ``target``."""
-    # imported here (and below) so that commands that do not reduce never load them
-    from . import projections
-    from ._rng import spawn
-    if target >= pair.dimension:
-        return pair
-    stacked = np.vstack([pair.alphas, pair.betas])
-    nx = pair.alphas.shape[0]
-    for child in spawn(seed, REDUCTION_RETRIES):
-        projected = projections.project_vectors(stacked, target, child)
-        try:
-            candidate = rebuild(projected[:nx], projected[nx:])
-        except ValueError:
-            continue
-        if valid(candidate):
-            return candidate
-    raise RuntimeError(f"dimension reduction failed after {REDUCTION_RETRIES} retries")
-
-
-def reduce_realization_dimension(r: Realization, m: SignMatrix, seed) -> Realization:
-    """Random-project a realization to roughly O(n/gamma^2) dimensions at half
-    the margin, retrying fresh seeds until the projected arrangement verifies.
-    """
-    from . import projections
-    report = verify_realization(r, m)
-    if not report.valid:
-        raise ValueError(
-            f"input realization does not achieve its claimed margin "
-            f"(achieved {report.achieved_margin}, claimed {r.gamma})"
-        )
-    count = r.alphas.shape[0] + r.betas.shape[0]
-    target = projections.jl_dimension(count + 1, r.gamma / 4.0)
-    return _jl_reduce(
-        r, target, seed,
-        lambda a, b: Realization(unit_rows(a), unit_rows(b), r.gamma / 2.0),
-        lambda candidate: verify_realization(candidate, m).valid,
-    )

@@ -41,8 +41,8 @@ def dot_allowance(d: int, squared: bool = False) -> float:
 
 def unit_rows(v) -> np.ndarray:
     """The rows of ``v`` scaled to unit norm; a zero row stays zero.  Nothing
-    guards a squared norm that underflows or overflows: the callers' rows (the
-    factored margin start, JL projections of unit rows) stay far from both."""
+    guards a squared norm that underflows or overflows: the one caller's rows
+    (the factored margin start) stay far from both."""
     v = np.asarray(v, dtype=np.float64)
     norms = np.linalg.norm(v, axis=1, keepdims=True)
     return v / np.where(norms > 0.0, norms, 1.0)

@@ -18,7 +18,6 @@ from qfpsim.compiler import (
     classical_projection_protocol,
     compile_one_way,
     compile_smp,
-    reduce_embedding_dimension,
 )
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
 from qfpsim.linalg import CHUNK, unit_rows
@@ -673,51 +672,6 @@ class TestEq9Temporaries:
         assert (report.worst_zero_pair, report.worst_one_pair) == ((0, 1), (0, 0))
         assert report.worst_zero_side == pytest.approx(1 / 16, rel=1e-12)
         assert report.worst_one_side == pytest.approx(1 / 4, rel=1e-12)
-
-
-class TestReduceEmbeddingDimension:
-    def test_default_target_is_noop_at_desk_scale(self):
-        m = eq_matrix(2)
-        e = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(2)), m)
-        assert reduce_embedding_dimension(e, m, seed=0) is e
-
-    @staticmethod
-    def wide_eq3_embedding() -> ThresholdEmbedding:
-        base = eq_orthonormal_embedding(8)
-        padded = np.zeros((8, 2000))
-        padded[:, :8] = base.alphas
-        return ThresholdEmbedding(padded, padded.copy(), base.delta0, base.delta1)
-
-    def test_explicit_target_reduces_and_verifies(self):
-        m = eq_matrix(3)
-        wide = self.wide_eq3_embedding()
-        reduced = reduce_embedding_dimension(wide, m, seed=0, target_dim=300)
-        assert reduced.dimension == 302  # target plus two junk coordinates
-        assert verify_threshold_embedding(reduced, m).valid
-        gap = wide.delta1 - wide.delta0
-        assert reduced.delta1 - reduced.delta0 == pytest.approx(gap / 2, abs=1e-12)
-
-    def test_rebuilt_states_equal_the_previous_pad(self, monkeypatch):
-        calls = []
-
-        def recording_pad(rows, junk, big_l):
-            calls.append((rows.copy(), big_l))
-            return pad(rows, junk, big_l)
-
-        pad = compiler._junk_pad
-        monkeypatch.setattr(compiler, "_junk_pad", recording_pad)
-        reduced = reduce_embedding_dimension(self.wide_eq3_embedding(), eq_matrix(3), seed=0,
-                                             target_dim=300)
-        # the returned embedding is the last candidate rebuilt
-        (a, big_l), (b, _) = calls[-2:]
-        alphas, betas = previous_junk_pad(a, b, big_l)
-        assert np.array_equal(bits(reduced.alphas), bits(alphas))
-        assert np.array_equal(bits(reduced.betas), bits(betas))
-
-    def test_invalid_embedding_refused(self):
-        e = eq_orthonormal_embedding(4)
-        with pytest.raises(ValueError, match="refusing"):
-            reduce_embedding_dimension(e, SignMatrix(-eq_matrix(2).dense()), seed=0)
 
 
 class TestClassicalProjectionProtocol:

@@ -13,7 +13,6 @@ from qfpsim.embeddings import (
     ThresholdEmbedding,
     embed_to_realization,
     realization_to_embedding,
-    reduce_realization_dimension,
     verify_realization,
     verify_threshold_embedding,
 )
@@ -369,31 +368,3 @@ class TestConversions:
         back = realization_to_embedding(r)
         assert verify_threshold_embedding(back, m).valid
         assert back.delta1 - back.delta0 == pytest.approx(r.gamma, abs=1e-12)
-
-
-class TestReduceRealizationDimension:
-    def test_noop_when_target_not_smaller(self):
-        m = eq_matrix(2)
-        r = embed_to_realization(eq_orthonormal_embedding(4))
-        assert reduce_realization_dimension(r, m, seed=0) is r
-
-    def test_invalid_input_rejected(self):
-        m = eq_matrix(2)
-        r = eq_explicit_realization(4)
-        bad = Realization(r.alphas, r.betas, 0.9)
-        with pytest.raises(ValueError, match="claimed margin"):
-            reduce_realization_dimension(bad, m, seed=0)
-
-    def test_reduces_high_dimensional_realization(self):
-        m = eq_matrix(2)
-        base = eq_explicit_realization(4)
-        big = 3000
-        alphas = np.zeros((4, big))
-        alphas[:, :5] = base.alphas
-        betas = np.zeros((4, big))
-        betas[:, :5] = base.betas
-        r = Realization(alphas, betas, base.gamma)
-        reduced = reduce_realization_dimension(r, m, seed=0)
-        assert reduced.dimension < big
-        assert reduced.gamma == pytest.approx(base.gamma / 2)
-        assert verify_realization(reduced, m).valid

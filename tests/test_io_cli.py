@@ -498,13 +498,15 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("argv, message", [
         (["compile", "--builtin", "eq", "--n", "2", "--target-dim", "4"],
-         "input error: --target-dim requires --reduce"),
+         "unrecognized arguments: --target-dim 4"),
+        (["compile", "--builtin", "eq", "--n", "2", "--reduce"],
+         "unrecognized arguments: --reduce"),
         (["compile", "--builtin", "eq", "--n", "1", "--protocol", "PROTOCOL", "--num-r", "3"],
          "input error: --num-r conflicts with --protocol"),
         (["compile", "--builtin", "eq", "--n", "1", "--protocol", "PROTOCOL", "--model", "smp"],
          "input error: --model conflicts with --protocol"),
         (["compile", "--builtin", "eq", "--n", "1", "--no-assemble", "--reduce",
-          "--target-dim", "3"], "input error: --reduce, --target-dim conflicts with --no-assemble"),
+          "--target-dim", "3"], "unrecognized arguments: --reduce --target-dim 3"),
         (["margin", "--builtin", "ip", "--k", "1", "--n", "7", "--d", "3"],
          "input error: --n, --d conflicts with --builtin ip"),
         (["margin", "--matrix", "MATRIX", "--k", "2"], "input error: --k conflicts with --matrix"),
@@ -518,10 +520,11 @@ class TestCliExitCodes:
          "argument --realization: not allowed with argument --embedding"),
         (["verify", "--builtin", "eq", "--n", "1"],
          "one of the arguments --embedding --realization is required"),
-    ], ids=["compile-target-dim", "compile-num-r-protocol", "compile-model-protocol",
-            "compile-no-assemble-reduce", "builtin-stray-size", "matrix-stray-size",
-            "builtin-missing-size", "simulate-missing-size", "matrix-and-builtin",
-            "project-matrix", "verify-embedding-and-realization", "verify-neither"])
+    ], ids=["compile-target-dim", "compile-reduce", "compile-num-r-protocol",
+            "compile-model-protocol", "compile-no-assemble-reduce", "builtin-stray-size",
+            "matrix-stray-size", "builtin-missing-size", "simulate-missing-size",
+            "matrix-and-builtin", "project-matrix", "verify-embedding-and-realization",
+            "verify-neither"])
     def test_option_without_effect_exits_1(self, tmp_path, capsys, argv, message):
         docs = {
             "PROTOCOL": write_doc(tmp_path / "p.json", "protocol",
@@ -824,21 +827,6 @@ class TestCliPipelines:
         assert first == run("4", "b.json")
         assert first["dimension"] == 4 * 5
         assert first != run("8", "c.json")
-
-    def test_compile_reduce_at_or_above_dimension_is_unchanged(self, tmp_path):
-        out = tmp_path / "e.json"
-        assert main(["compile", "--builtin", "eq", "--n", "3", "--reduce", "--target-dim", "32",
-                     "--out", str(out)]) == 0
-        assembled, reduced = read_doc(out)["payload"]["stages"]
-        assert (assembled.pop("stage"), reduced.pop("stage")) == ("assembled", "reduced")
-        assert assembled == reduced and reduced["dimension"] == 32
-
-    def test_compile_reduce_exhausts_its_retries(self, capsys):
-        assert main(["compile", "--builtin", "eq", "--n", "6", "--reduce",
-                     "--target-dim", "120"]) == 2
-        err = capsys.readouterr().err
-        assert "dimension reduction failed after 20 retries" in err
-        assert "Traceback" not in err
 
     def test_compile_no_assemble_emits_vector_system(self, tmp_path):
         out = tmp_path / "vs.json"

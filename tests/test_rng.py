@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from qfpsim._rng import generator, pair_sequence, spawn, uniforms
+from qfpsim._rng import generator, pair_sequence, uniforms
 
 
 class TestPairSequence:
@@ -11,7 +11,8 @@ class TestPairSequence:
         assert generator(pair_sequence(0, 0, 0)).random() == 0.5651317655614634
 
     def test_siblings_differ(self):
-        first, second = (generator(pair_sequence(c, 0, 0)).random() for c in spawn(0, 2))
+        first, second = (generator(pair_sequence(c, 0, 0)).random()
+                         for c in np.random.SeedSequence(0).spawn(2))
         assert first != second
 
     def test_pairs_differ(self):

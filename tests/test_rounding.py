@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qfpsim import io
+from qfpsim import compiler, io
 from qfpsim.bounds import maximize_margin_heuristic
 from qfpsim.cli import main
 from qfpsim.compiler import VectorSystem, assemble_shared_randomness_states, compile_one_way
@@ -187,11 +187,11 @@ def check_against_exact(e: ThresholdEmbedding, m: SignMatrix) -> None:
 
 @st.composite
 def zero_one_systems(draw):
-    """A 0/1 int8 vector system of |R| 1-3, dimension 1, 2 or 4 and 1-5 inputs
-    per side at norm bound sqrt(dim), as ``compile_one_way`` sets it, with the
+    """A 0/1 int8 vector system of |R| 1-3, dimension 1-4 and 1-5 inputs per
+    side at norm bound sqrt(dim), as ``compile_one_way`` sets it, with the
     sign matrix that splits its squared acceptance at the midpoint (pairs at
     the midpoint in the promise)."""
-    nr, dim = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 4]))
+    nr, dim = draw(st.integers(1, 3)), draw(st.integers(1, 4))
     a, b = (np.array(draw(st.lists(st.integers(0, 1), min_size=nr * k * dim,
                                    max_size=nr * k * dim)), dtype=np.int8).reshape(nr, k, dim)
             for k in (draw(st.integers(1, 5)), draw(st.integers(1, 5))))
@@ -215,3 +215,17 @@ class TestExactReference:
     def test_random_zero_one_systems(self, case):
         v, m = case
         check_against_exact(assemble_shared_randomness_states(v, m), m)
+
+    def test_delta1_rounding_above_1_is_clipped(self, monkeypatch):
+        # fl(sqrt(3))^2 < 3, so the all-ones pair's squared ratio rounds to
+        # 1.0000000000000004, within dot_allowance(3, squared=True) of 1
+        ones = np.ones((1, 1, 3), dtype=np.int8)
+        v = VectorSystem(ones, np.concatenate([ones, 0 * ones], axis=1), math.sqrt(3))
+        m = SignMatrix(np.array([[-1, 1]], dtype=np.int8))
+        e = assemble_shared_randomness_states(v, m)
+        assert (e.delta0, e.delta1) == (0.0, 1.0)
+        check_against_exact(e, m)
+        # with no allowance the excess is not rounding, and is refused
+        monkeypatch.setattr(compiler, "dot_allowance", lambda d, squared=False: 0.0)
+        with pytest.raises(ValueError, match=r"delta1 <= 1, got \(0.0, 1.0000000000000004\)"):
+            assemble_shared_randomness_states(v, m)
