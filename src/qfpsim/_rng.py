@@ -1,32 +1,17 @@
 """Seeding conventions: where each command's random draws come from.
 
-``simulate`` takes one stream of doubles, ``uniforms(seed, n)``, from the
-standard library's Mersenne Twister, so it never loads ``numpy.random``.
 ``project``, ``compile --num-r`` and the classical estimator
 (``compiler.classical_projection_protocol``) draw from numpy PCG64
 generators derived from a numpy SeedSequence (``generator``).  Every seed is
-a non-negative integer (or a SeedSequence, for ``generator``).
+a non-negative integer or a SeedSequence.  ``simulate`` draws nothing: it
+reports the exact error law, so it never loads ``numpy.random``.
 No library code calls ``pair_sequence``; it is kept only because
 ``perfbench/spans.py`` wraps it.
 """
 
 from __future__ import annotations
 
-import operator
-import random
-
 import numpy as np
-
-
-def uniforms(seed, n: int) -> np.ndarray:
-    """n doubles uniform on [0, 1), one stream per seed: the top 53 bits of
-    each little-endian 64-bit word of ``random.Random(seed).randbytes``.  A
-    negative seed is refused, since ``random.Random`` seeds with |seed|."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    words = np.frombuffer(random.Random(seed).randbytes(8 * n), dtype="<u8")
-    return (words >> 11) * 2.0**-53
 
 
 def seed_sequence(seed) -> np.random.SeedSequence:

@@ -69,10 +69,6 @@ def _emit(kind: str, payload: dict, args, argv: list[str]) -> None:
     io.dump(doc, args.out)
 
 
-def _nan_to_none(matrix) -> list:
-    return [[None if v != v else v for v in row] for row in matrix.tolist()]
-
-
 def cmd_margin(args, argv) -> int:
     m = _load_matrix(args)
     report = bounds.margin_report(m, heuristic=args.heuristic)
@@ -108,7 +104,7 @@ def cmd_simulate(args, argv) -> int:
     from . import fingerprint
     embedding, m = _simulation_inputs(args)
     protocol = fingerprint.protocol_from_embedding(embedding, args.eps)
-    report = fingerprint.run_protocol(protocol, m, args.trials, args.seed)
+    report = fingerprint.run_protocol(protocol, m, args.trials)
     _emit(
         "report",
         {
@@ -121,9 +117,11 @@ def cmd_simulate(args, argv) -> int:
             "copies": protocol.repetitions,
             "qubits_per_copy": protocol.qubits_per_copy,
             "total_qubits": protocol.total_qubits,
-            "max_error": report.max_error,
+            "max_error": report.exact_error,  # kept for readers of the former estimate
             "exact_error": report.exact_error,
-            "per_pair_error": _nan_to_none(report.per_pair_error),
+            "group_error": report.group_error.tolist(),
+            "pair_group": [[None if g < 0 else g for g in row]
+                           for row in report.pair_group.tolist()],
         },
         args,
         argv,
@@ -230,12 +228,13 @@ def build_parser() -> _Parser:
                    help="also search for a max-margin witness")
     p.set_defaults(func=cmd_margin)
 
-    p = sub.add_parser("simulate", help="exact error law and Monte-Carlo run of a "
-                                        "fingerprinting protocol")
+    p = sub.add_parser("simulate", help="exact error law of a fingerprinting protocol")
     common(p)
     p.add_argument("--embedding", default=None, help="embedding document")
     p.add_argument("--eps", type=float, default=1.0 / 3.0)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=int, default=200,
+                   help="echoed as 'trials' for compatibility; must be >= 1, and the "
+                        "exact law does not depend on it")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("compile", help="compile a classical protocol into fingerprint states")

@@ -1,5 +1,5 @@
 """Swap-test acceptance law, the referee's threshold decision, and the exact
-error law of repeated fingerprinting with a Monte-Carlo estimate beside it."""
+error law of repeated fingerprinting."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from ._record import Record
-from ._rng import uniforms
 from .embeddings import (
     Realization,
     SignMatrix,
@@ -19,7 +18,6 @@ from .embeddings import (
     verify_realization,
     verify_threshold_embedding,
 )
-from .linalg import CHUNK
 
 
 class FingerprintProtocol(Record):
@@ -111,33 +109,26 @@ def referee_threshold(r: int, theta: float) -> int:
     return int(says_one.argmax()) if says_one.any() else r + 1
 
 
-# The sampler takes CHUNK / MIN_RUN draws at a time, so that each step's
-# table has room for at least MIN_RUN entries a group.
-MIN_RUN = 16
-
-
 def _log_factorials(r: int) -> np.ndarray:
     """log i! for i = 0..r, from ``math.lgamma``."""
     return np.fromiter(map(math.lgamma, range(1, r + 2)), np.float64, r + 1)
 
 
-def _binomial_pmf(log_fact: np.ndarray, p: np.ndarray, start: int, stop: int) -> np.ndarray:
+def _binomial_pmf(log_fact: np.ndarray, p: np.ndarray) -> np.ndarray:
     """P[K = j] for K ~ Bin(r, p), r = log_fact.size - 1, at each p of the
-    (n, 1) column ``p`` and each count j in [start, stop), from the log
-    factorials 0..r (``_log_factorials``).
+    (n, 1) column ``p`` and each count j in 0..r, from the log factorials
+    0..r (``_log_factorials``).
 
     Each term is exp(log C(r, j) + j log p + (r - j) log(1 - p)).  At j = 0
     and at j = r the term of exponent 0 is 0, not 0 * log 0, so p = 0 and
     p = 1 put pmf exactly 1 on j = 0 and j = r."""
     r = log_fact.size - 1
-    j = np.arange(start, stop)
+    j = np.arange(r + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         successes = j * np.log(p)
         failures = (r - j) * np.log1p(-p)
-    if start == 0:
-        successes[:, 0] = 0.0
-    if stop == r + 1:
-        failures[:, -1] = 0.0
+    successes[:, 0] = 0.0
+    failures[:, -1] = 0.0
     return np.exp(log_fact[r] - log_fact[j] - log_fact[r - j] + successes + failures)
 
 
@@ -150,67 +141,16 @@ def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
     log_fact = _log_factorials(r)
     upper, lower = np.empty(probs.size), np.empty(probs.size)
     for s in _row_blocks(probs.size, r + 1):
-        pmf = _binomial_pmf(log_fact, probs[s, None], 0, r + 1)
+        pmf = _binomial_pmf(log_fact, probs[s, None])
         upper[s] = pmf[:, k:].sum(axis=1)
         lower[s] = pmf[:, :k].sum(axis=1)
     return np.minimum(upper, 1.0), np.minimum(lower, 1.0)
 
 
-def _binomial_draws(trials: int, q: np.ndarray, group: np.ndarray, order: np.ndarray,
-                    u: np.ndarray) -> np.ndarray:
-    """Draw i of Bin(trials, q[group[i]]), by inverting its CDF F at u[i] in
-    [0, 1): the number of counts k < trials with F(k) <= u[i].  So q = 0
-    gives 0, q = 1 gives ``trials``, and no rounding of F gives trials + 1.
-    ``order`` lists the draws by group.
-
-    This is inversion by sequential search, a run of counts at a time, over
-    the draws in slices of CHUNK / MIN_RUN.  Each step extends F, a running
-    sum of ``_binomial_pmf`` terms (so its bits do not depend on the run),
-    for the groups of the draws that have passed every count so far, and
-    each of those draws bisects its group's run.  A run and the sum before
-    it fill a power-of-two row, as wide as the step's groups leave room for
-    in CHUNK entries and no wider than the counts left need: so few groups
-    take one step, and many groups pay only for the counts they reach."""
-    log_fact = _log_factorials(trials)
-    counts = np.empty(group.size, dtype=np.intp)
-    carry = np.empty(q.size)  # F(c - 1) of each group at step c
-    for s in _row_blocks(group.size, MIN_RUN):
-        draws = order[s]
-        ids, target = group[draws], u[draws]
-        found = np.zeros(draws.size, dtype=np.intp)
-        live = np.arange(draws.size)  # the draws of at least c
-        c = 0
-        while c < trials and live.size:
-            live_ids = ids[live]  # nondecreasing, as ``order`` is by group
-            new = np.concatenate([[True], live_ids[1:] != live_ids[:-1]])
-            rows = live_ids[new]
-            width = 1 << min((CHUNK // rows.size).bit_length() - 1, (trials - c).bit_length())
-            stop = min(c + width - 1, trials)
-            # F(c - 1 .. stop - 1), then inf: no count from trials on is passed
-            cdf = np.full((rows.size, width), np.inf)
-            cdf[:, 0] = carry[rows] if c else 0.0
-            cdf[:, 1:stop - c + 1] = _binomial_pmf(log_fact, q[rows, None], c, stop)
-            np.cumsum(cdf, axis=1, out=cdf)
-            carry[rows] = cdf[:, stop - c]
-            # each draw starts on its group's F(c - 1) <= u and moves right
-            # while the entry ahead is <= u
-            flat, pos, bar = cdf.ravel(), (np.cumsum(new) - 1) * width, target[live]
-            step = width // 2
-            while step:
-                pos += step * (flat[pos + step] <= bar)
-                step //= 2
-            passed = pos % width
-            found[live] = c + passed
-            live = live[passed == stop - c]
-            c = stop
-        counts[draws] = found
-    return counts
-
-
 def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
-    """(support, group, order, q): the mask of M's pairs outside the
-    promise; the group of each such pair, in row-major order; those pairs
-    listed by group; and each group's exact error.
+    """(support, group, q): the mask of M's pairs outside the promise; the
+    group of each such pair, in row-major order; and each group's exact
+    error.
 
     The referee sees K ~ Bin(r, P0) zero outcomes, P0 = 1/2 +
     <alpha_x, beta_y>^2 / 2, and says 1 iff K >= k* (``referee_threshold``).
@@ -240,7 +180,7 @@ def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
     keys = listed[np.concatenate([[True], new])]
     r = p.repetitions
     upper, lower = binomial_tails(r, referee_threshold(r, p.theta), np.abs(keys))
-    return support, group, order, np.where(keys < 0, lower, upper)
+    return support, group, np.where(keys < 0, lower, upper)
 
 
 def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
@@ -248,38 +188,30 @@ def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
     on promise-excluded pairs: P[K >= k*] on f = 0 pairs and P[K < k*] on
     f = 1 pairs, for the referee's count K of zero outcomes
     (``_pair_groups``)."""
-    support, group, _, q = _pair_groups(p, m)
+    support, group, q = _pair_groups(p, m)
     errors = np.full(m.entries.shape, np.nan)
     errors[support] = q[group]
     return errors
 
 
 class ProtocolRunReport(Record):
-    per_pair_error: np.ndarray  # NaN on promise-excluded pairs
-    max_error: float
-    exact_error: float  # the worst pair's exact error, which max_error estimates
+    pair_group: np.ndarray  # each pair's index into group_error, -1 on promise pairs
+    group_error: np.ndarray  # the exact error of each group of pairs
+    exact_error: float  # the worst pair's exact error
 
 
-def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> ProtocolRunReport:
-    """Monte-Carlo error estimate of a protocol on every non-promise pair,
-    beside the exact worst-pair error.
+def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int) -> ProtocolRunReport:
+    """The exact error law of a protocol on every non-promise pair, one
+    error per group of pairs (``_pair_groups``): pair (x, y) errs with
+    probability ``group_error[pair_group[x, y]]``, which is
+    ``exact_pair_errors(p, m)[x, y]`` to the bit.
 
-    Over ``trials`` independent runs of the protocol, the number of runs in
-    which the referee errs on a pair is Bin(trials, q), where q is the pair's
-    exact error (``exact_pair_errors``).  So each pair takes one draw of
-    that count, which has the law of ``trials`` runs of r swap tests each;
-    ``per_pair_error`` is the count over ``trials``.  The draws invert the
-    exact law's own binomial CDF (``_binomial_draws``), one per pair in
-    row-major pair order, each at one double of ``_rng.uniforms(seed, n)``.
+    ``trials``, the number of protocol runs that a Monte-Carlo estimate
+    would take, must be >= 1; the exact law does not depend on it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    support, group, order, q = _pair_groups(p, m)
-    counts = _binomial_draws(trials, q, group, order, uniforms(seed, group.size))
-    errors = np.full(m.entries.shape, np.nan)
-    errors[support] = counts / trials
-    return ProtocolRunReport(
-        per_pair_error=errors,
-        max_error=float(counts.max() / trials),
-        exact_error=float(q.max()),  # every group holds a pair
-    )
+    support, group, q = _pair_groups(p, m)
+    pair_group = np.full(m.entries.shape, -1)
+    pair_group[support] = group
+    return ProtocolRunReport(pair_group, q, float(q.max()))  # every group holds a pair

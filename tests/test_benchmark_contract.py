@@ -9,6 +9,7 @@ the benchmark.
 """
 
 import importlib.util
+import inspect
 import json
 import subprocess
 import sys
@@ -64,7 +65,7 @@ def test_cross_module_bindings_the_wrappers_reach():
     # function, so these names must stay bound to the defining module's
     # function.  fingerprint.pair_sequence and fingerprint.generator are left
     # out: no library code imports pair_sequence any more, and simulate draws
-    # from _rng.uniforms, not numpy's generator (known harness failures).
+    # nothing (known harness failures).
     bindings = [
         (bounds, "operator_norm", linalg), (bounds, "linf_to_l1_norm", linalg),
         (bounds, "margin_ascent", _kernels),
@@ -80,6 +81,21 @@ def test_margin_report_has_the_fields_check_margin_reads():
     fields = set(bounds.MarginReport._fields)
     assert {"forster", "upper", "heuristic_lower", "gamma_source",
             "repetition_lower"} <= fields
+
+
+def test_run_protocol_takes_the_parameters_the_spans_bind():
+    # the fingerprint.run_protocol counter binds p, m and trials by name
+    assert {"p", "m", "trials"} <= set(inspect.signature(fingerprint.run_protocol).parameters)
+
+
+def test_simulate_payload_has_the_fields_check_simulate_reads(tmp_path):
+    out = tmp_path / "s.json"
+    assert cli.main(["simulate", "--builtin", "eq", "--n", "3", "--trials", "7",
+                     "--out", str(out)]) == 0
+    p = io.load(str(out))["payload"]
+    assert p["trials"] == 7
+    assert p["copies"] == fingerprint.required_repetitions(p["delta0"], p["delta1"], p["eps"])
+    assert p["max_error"] <= p["eps"]
 
 
 def test_names_the_workloads_call_exist():

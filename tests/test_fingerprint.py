@@ -4,15 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qfpsim import embeddings, fingerprint
-from qfpsim._rng import generator, uniforms
+from qfpsim._rng import generator
 from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
 from qfpsim.fingerprint import (
     FingerprintProtocol,
-    _binomial_draws,
-    _binomial_pmf,
-    _log_factorials,
     binomial_tails,
     exact_pair_errors,
     protocol_from_embedding,
@@ -46,6 +42,27 @@ def reference_run(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> n
     return errors
 
 
+def swap_circuit_zero_prob(alpha, beta) -> float:
+    """P[the ancilla reads 0] in a statevector run of the swap-test circuit
+    on |0>|alpha>|beta>: H on the ancilla, a SWAP of the two registers
+    controlled by it, then H again, which leaves (|alpha beta> + |beta alpha>)/2
+    on ancilla 0.  An oracle for ``swap_test_prob`` that does not use its
+    formula; real states of one dimension."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    state = np.zeros((2, alpha.size, beta.size))  # (ancilla, register 1, register 2)
+    state[0] = np.outer(alpha, beta)
+    state = np.tensordot(h, state, axes=1)
+    state[1] = state[1].T  # where the ancilla is 1, the registers swap
+    state = np.tensordot(h, state, axes=1)
+    return float(np.sum(state[0] ** 2))
+
+
+def report_errors(report) -> np.ndarray:
+    """Each pair's error as a ``run_protocol`` report gives it, NaN on
+    promise pairs."""
+    return np.where(report.pair_group < 0, np.nan, report.group_error[report.pair_group])
+
+
 def eq_states(n: int) -> tuple[ThresholdEmbedding, SignMatrix]:
     m = eq_matrix(n)
     return assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(n)), m), m
@@ -63,6 +80,15 @@ class TestSwapTestProb:
 
     def test_sign_invariant(self):
         assert swap_test_prob([1, 0], [0.6, 0.8]) == swap_test_prob([1, 0], [-0.6, 0.8])
+
+    def test_matches_the_swap_circuit(self):
+        # 30 random real pairs at each dimension 2..8
+        rng = np.random.default_rng(17)
+        for d in range(2, 9):
+            for _ in range(30):
+                alpha, beta = unit_rows(rng.standard_normal((2, d)))
+                circuit = swap_circuit_zero_prob(alpha, beta)
+                assert abs(swap_test_prob(alpha, beta) - circuit) <= 1e-14, (d, alpha, beta)
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError, match="unit"):
@@ -93,7 +119,7 @@ class TestRequiredRepetitions:
 
 class TestRefereeDecide:
     """How the referee decides: ``referee_rule`` on the fraction K/r of zero
-    outcomes, as ``run_protocol`` applies it."""
+    outcomes, as ``referee_threshold`` applies it to every count."""
 
     def test_all_zeros(self):
         assert referee_rule(3 / 3, 0.5)
@@ -143,9 +169,9 @@ class TestRunProtocol:
         emb = eq_orthonormal_embedding(4)
         reps = required_repetitions(0.0, 1.0, 1 / 3)
         p = FingerprintProtocol(emb, reps, 0.5)
-        report = run_protocol(p, m, trials=200, seed=0)
+        report = run_protocol(p, m, trials=200)
         eps = 1 / 3
-        assert report.max_error <= eps + 3 * math.sqrt(eps * (1 - eps) / 200)
+        assert report.exact_error <= eps + 3 * math.sqrt(eps * (1 - eps) / 200)
         assert p.qubits_per_copy == 2
         assert p.total_qubits == 2 * 2 * reps
 
@@ -153,10 +179,10 @@ class TestRunProtocol:
         m = eq_matrix(1)
         emb = eq_orthonormal_embedding(2)
         p = FingerprintProtocol(emb, 1, 0.5)
-        report = run_protocol(p, m, trials=100, seed=1)
+        report = run_protocol(p, m, trials=100)
         # x == y pairs have inner product 1: the swap test is deterministic
-        assert report.per_pair_error[0, 0] == 0.0
-        assert report.per_pair_error[1, 1] == 0.0
+        assert report_errors(report)[0, 0] == 0.0
+        assert report_errors(report)[1, 1] == 0.0
         # P0 = 1/2 off the diagonal, where one copy errs iff the test gives 0
         exact = exact_pair_errors(p, m)
         assert exact[0, 0] == exact[1, 1] == 0.0
@@ -165,9 +191,10 @@ class TestRunProtocol:
     def test_deterministic(self):
         m = eq_matrix(1)
         p = FingerprintProtocol(eq_orthonormal_embedding(2), 20, 0.5)
-        a = run_protocol(p, m, trials=50, seed=9)
-        b = run_protocol(p, m, trials=50, seed=9)
-        assert np.array_equal(a.per_pair_error, b.per_pair_error)
+        a = run_protocol(p, m, trials=50)
+        b = run_protocol(p, m, trials=50)
+        assert np.array_equal(a.pair_group, b.pair_group)
+        assert np.array_equal(a.group_error, b.group_error)
         assert a.exact_error == b.exact_error
 
     def test_invalid_embedding_rejected(self):
@@ -176,27 +203,25 @@ class TestRunProtocol:
         e1[:, 0] = 1.0
         p = FingerprintProtocol(ThresholdEmbedding(e1, e1, 0.3, 0.9), 10, 0.5)
         with pytest.raises(ValueError, match="not valid"):
-            run_protocol(p, m, trials=10, seed=0)
+            run_protocol(p, m, trials=10)
 
     def test_error_matches_exact_binomial_tail(self):
         # Orthogonal states: P0 = 1/2, so K ~ Bin(4, 1/2) and the referee errs
         # (estimate 2K/4 - 1 >= 1/2) iff K >= 3.
         m = eq_matrix(2)
         p = FingerprintProtocol(eq_orthonormal_embedding(4), 4, 0.5)
-        trials = 4000
-        report = run_protocol(p, m, trials=trials, seed=0)
+        report = run_protocol(p, m, trials=4000)
         exact = sum(math.comb(4, k) for k in (3, 4)) / 2**4
         assert exact == 5 / 16
+        errors = report_errors(report)
         off = ~np.eye(4, dtype=bool)
-        mean = float(report.per_pair_error[off].mean())
-        se = math.sqrt(exact * (1 - exact) / (off.sum() * trials))
-        assert abs(mean - exact) <= 3 * se
-        assert np.all(report.per_pair_error[np.eye(4, dtype=bool)] == 0.0)
+        assert errors[off].tolist() == pytest.approx([exact] * 12, abs=1e-15)
+        assert np.all(errors[~off] == 0.0)
         assert report.exact_error == pytest.approx(exact, abs=1e-15)
 
     def test_inner_product_overshoot_does_not_raise(self):
-        # A unit state whose computed <a, a>^2 is 1 + ulp gives P0 > 1, which
-        # the binomial sampler refuses unless P0 is clipped.
+        # A unit state whose computed <a, a>^2 is 1 + ulp gives P0 > 1, whose
+        # log(1 - P0) in the binomial pmf is NaN unless P0 is clipped.
         rng = np.random.default_rng(0)
         for _ in range(10_000):
             a = rng.standard_normal(8)
@@ -206,26 +231,18 @@ class TestRunProtocol:
         else:
             pytest.fail("no unit state with P0 > 1 found")
         p = FingerprintProtocol(ThresholdEmbedding(a, a, 0.0, 1.0), 10, 0.5)
-        report = run_protocol(p, SignMatrix([[-1]]), trials=20, seed=0)
-        assert report.max_error == 0.0
+        report = run_protocol(p, SignMatrix([[-1]]), trials=20)
+        assert report.exact_error == 0.0
 
     def test_promise_pairs_excluded(self):
         m = SignMatrix([[-1, 0], [0, -1]])
         emb = eq_orthonormal_embedding(2)
         p = FingerprintProtocol(emb, 10, 0.5)
-        report = run_protocol(p, m, trials=20, seed=0)
-        assert np.isnan(report.per_pair_error[0, 1])
-        assert np.isnan(report.per_pair_error[1, 0])
+        report = run_protocol(p, m, trials=20)
+        assert np.array_equal(report.pair_group == -1, m.entries == 0)
         exact = exact_pair_errors(p, m)
         assert np.array_equal(np.isnan(exact), m.entries == 0)
         assert report.exact_error == 0.0
-
-    def test_seed_moves_the_draws_not_the_exact_error(self):
-        e, m = eq_states(3)
-        p = protocol_from_embedding(e, 1 / 3)
-        runs = [run_protocol(p, m, trials=50, seed=seed) for seed in range(10)]
-        assert len({run.exact_error for run in runs}) == 1
-        assert len({run.per_pair_error.tobytes() for run in runs}) == 10
 
     def test_worst_sides_are_the_verifiers_to_the_bit(self):
         # 300 x 300 float states: 90 000 pairs, which the verifier squares in
@@ -304,62 +321,6 @@ class TestExactLaw:
         assert referee_threshold(4, 0.5) == 3
 
 
-def reference_draws(trials: int, q, group, u) -> np.ndarray:
-    """Inversion of each group's whole CDF row: the number of k < trials
-    with F(k) <= u, F the running sum of the pmf over 0..trials."""
-    log_fact = _log_factorials(trials)
-    rows = np.cumsum(_binomial_pmf(log_fact, np.asarray(q, dtype=float)[:, None], 0, trials + 1),
-                     axis=1)
-    return np.array([np.searchsorted(rows[g, :trials], x, side="right") for g, x in zip(group, u)])
-
-
-class TestBinomialDraws:
-    QS = [0.0, 1e-4, 0.0312, 0.3, 0.5, 0.9, 1.0]
-
-    @pytest.mark.parametrize("trials", [1, 20, 200])
-    def test_counts_follow_the_exact_binomial_pmf(self, trials):
-        # 20 000 draws per q at one seed: every count's frequency lies within
-        # 5 standard errors of the exact pmf plus one draw (a count of pmf
-        # 2e-7 may be drawn once), and is 0 where the pmf is 0; the mean lies
-        # within 5 standard errors of trials * q
-        n = 20_000
-        group = np.repeat(np.arange(len(self.QS)), n)
-        counts = _binomial_draws(trials, np.array(self.QS), group, np.arange(group.size),
-                                 uniforms(2026, group.size))
-        assert counts.min() >= 0 and counts.max() <= trials
-        for g, q in enumerate(self.QS):
-            seen = np.bincount(counts[group == g], minlength=trials + 1)
-            for k, pk in enumerate(exact_pmf(trials, q)):
-                pk = float(pk)
-                assert abs(seen[k] - n * pk) <= 5 * math.sqrt(n * pk * (1 - pk)) + (pk > 0), (q, k)
-            mean = float(counts[group == g].mean())
-            assert abs(mean - trials * q) <= 5 * math.sqrt(trials * q * (1 - q) / n), q
-
-    @pytest.mark.parametrize("trials", [1, 20, 37])
-    def test_extreme_uniforms_stay_in_range(self, trials):
-        # the largest uniform is 1 - 2^-53: q = 1 gives trials, never trials + 1
-        u = np.array([0.0, 1.0 - 2.0**-53] * 3)
-        group = np.repeat(np.arange(3), 2)
-        counts = _binomial_draws(trials, np.array([0.0, 0.5, 1.0]), group, np.arange(6), u)
-        assert counts.tolist() == [0, 0, 0, trials, trials, trials]
-
-    @pytest.mark.parametrize("chunk", [2, 40, 200, 1 << 16])
-    def test_draws_are_whole_row_inversions_at_any_step(self, monkeypatch, chunk):
-        # 41 groups of 0..60 draws each.  CHUNK = 2 takes one draw and one
-        # count a step, 40 two draws and up to 15 or 31 counts, 200 twelve
-        # draws and up to 15..63 counts, and 2^16 every draw and all 37
-        # counts at once: the running sum, carried from run to run and
-        # restarted in each slice, is the whole row's to the bit
-        monkeypatch.setattr(fingerprint, "CHUNK", chunk)
-        monkeypatch.setattr(embeddings, "CHUNK", chunk)
-        rng = np.random.default_rng(8)
-        q = np.concatenate([[0.0, 1.0], rng.random(39)])
-        group = rng.integers(0, q.size, 1200)
-        u = uniforms(9, group.size)
-        counts = _binomial_draws(37, q, group, np.argsort(group, kind="stable"), u)
-        assert np.array_equal(counts, reference_draws(37, q, group, u))
-
-
 def eq_worst_error(r: int) -> float:
     """Worst-pair error of the EQ protocol, (delta0, delta1) = (1/16, 1/4),
     theta at the midpoint, with r copies."""
@@ -373,7 +334,7 @@ class TestExactEqCounts:
         assert required_repetitions(1 / 16, 1 / 4, 1 / 3) == 408
         assert eq_worst_error(408) == pytest.approx(0.0312, abs=1e-4)
         e, m = eq_states(3)
-        report = run_protocol(protocol_from_embedding(e, 1 / 3), m, trials=10, seed=0)
+        report = run_protocol(protocol_from_embedding(e, 1 / 3), m, trials=10)
         assert report.exact_error == pytest.approx(eq_worst_error(408), abs=1e-12)
 
     def test_error_is_not_monotone_in_copies(self):
@@ -422,15 +383,14 @@ def _law_case(kind: str, i: int):
                                      *(("one-copy", i) for i in range(3))])
 def test_exact_law_within_3se_of_reference_sampler(kind, i):
     """Pairs with the same exact error q are pooled; the reference sampler's
-    and run_protocol's error frequencies over each pool lie within 3 standard
-    errors of q, and exactly 0 where q is 0."""
+    error frequency over each pool lies within 3 standard errors of q, and
+    is exactly 0 where q is 0."""
     p, m, trials = _law_case(kind, i)
     exact = exact_pair_errors(p, m)
     reference = reference_run(p, m, trials, seed=11)
-    run = run_protocol(p, m, trials, seed=11)
     support = m.entries != 0
     assert np.array_equal(np.isnan(exact), ~support)
-    assert run.exact_error == np.nanmax(exact)
+    assert run_protocol(p, m, trials).exact_error == np.nanmax(exact)
     if kind == "one-copy":
         # one copy errs on [[+1]] exactly when the swap test gives 0
         alpha, beta = p.embedding.alphas[0], p.embedding.betas[0]
@@ -439,6 +399,5 @@ def test_exact_law_within_3se_of_reference_sampler(kind, i):
     for q in sorted(set(pools.tolist())):
         pool = pools == q
         se = math.sqrt(q * (1 - q) / (pool.sum() * trials))
-        for sampled in (reference, run.per_pair_error):
-            freq = float(sampled[support][pool].mean())
-            assert abs(freq - q) <= 3 * se, (kind, i, q, freq, se)
+        freq = float(reference[support][pool].mean())
+        assert abs(freq - q) <= 3 * se, (kind, i, q, freq, se)

@@ -32,7 +32,14 @@ from qfpsim.embeddings import (
     ThresholdEmbedding,
     verify_threshold_embedding,
 )
-from qfpsim.problems import eq_matrix, eq_parity_one_way_protocol, eq_parity_protocol
+from qfpsim.fingerprint import exact_pair_errors, protocol_from_embedding
+from qfpsim.problems import (
+    eq_matrix,
+    eq_parity_one_way_protocol,
+    eq_parity_protocol,
+    ham_matrix,
+    ham_parity_embedding,
+)
 from qfpsim.projections import project_vectors, verify_distortion
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 
@@ -546,11 +553,10 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "eps must lie in (0, 1/2)" in err and "Traceback" not in err
 
-    def test_negative_seed_exits_2(self, capsys):
-        # random.Random seeds with |seed|, so -1 would silently repeat seed 1
-        assert main(["simulate", "--builtin", "eq", "--n", "3", "--seed", "-1"]) == 2
+    def test_trials_below_one_exits_2(self, capsys):
+        assert main(["simulate", "--builtin", "eq", "--n", "3", "--trials", "0"]) == 2
         err = capsys.readouterr().err
-        assert "seed must be a non-negative integer, got -1" in err and "Traceback" not in err
+        assert "trials must be >= 1" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
     def test_project_refuses_an_eps_that_is_not_finite_and_positive(self, eps, tmp_path, capsys):
@@ -737,11 +743,49 @@ class TestCliPipelines:
         assert main(["simulate", "--builtin", "eq", "--n", "2", "--trials", "20",
                      "--seed", "1", "--out", str(sim)]) == 0
         payload = read_doc(sim)["payload"]
-        assert payload["max_error"] <= 1.0
+        assert payload["max_error"] == payload["exact_error"]
         # the exact worst-pair error of EQ's states at the Hoeffding count, 408
         assert payload["copies"] == 408
         assert payload["exact_error"] == pytest.approx(0.0312, abs=1e-4)
         assert payload["total_qubits"] == 2 * payload["qubits_per_copy"] * payload["copies"]
+
+    @pytest.mark.parametrize("case", ["eq-3", "ham-5-2", "promise"])
+    def test_simulate_writes_the_exact_law(self, tmp_path, case):
+        # each pair's error, group_error[pair_group[x][y]], is exact_pair_errors'
+        # to the bit, and pair_group is null exactly on the promise pairs
+        if case == "eq-3":
+            m = eq_matrix(3)
+            e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)), m)
+            argv = ["--builtin", "eq", "--n", "3"]
+        else:
+            if case == "ham-5-2":
+                e, m = ham_parity_embedding(5, 2).embedding, ham_matrix(5, 2)
+                argv = ["--builtin", "ham", "--n", "5", "--d", "2"]
+            else:
+                # EQ-3's states on EQ-3 with a seeded third of its pairs left out
+                e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
+                                                      eq_matrix(3))
+                entries = eq_matrix(3).entries.copy()
+                entries[np.random.default_rng(4).random(entries.shape) < 1 / 3] = 0
+                m = SignMatrix(entries)
+                argv = ["--matrix", write_doc(tmp_path / "m.json", "sign_matrix",
+                                              io.sign_matrix_payload(m))]
+            emb = write_doc(tmp_path / "e.json", "embedding", io.embedding_payload(e))
+            e = io.parse_embedding(io.load(emb))
+            argv += ["--embedding", emb]
+        out = tmp_path / "sim.json"
+        assert main(["simulate", *argv, "--out", str(out)]) == 0
+        payload = read_doc(out)["payload"]
+        exact = exact_pair_errors(protocol_from_embedding(e, 1 / 3), m)
+        promise = m.entries == 0
+        assert (case == "promise") == promise.any()
+        pair_group = payload["pair_group"]
+        assert [[g is None for g in row] for row in pair_group] == promise.tolist()
+        written = np.array([payload["group_error"][g] for row in pair_group for g in row
+                            if g is not None])
+        assert np.array_equal(written.view("<u8"), exact[~promise].view("<u8"))
+        assert payload["max_error"] == payload["exact_error"] == np.nanmax(exact)
+        assert payload["exact_error"] == max(payload["group_error"])
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e200])
     def test_verify_renormalizes_rows_at_extreme_scales(self, tmp_path, scale):
@@ -1008,9 +1052,11 @@ class TestOneStateBlockAtATime:
 
     def test_simulate_holds_the_codes(self, tmp_path):
         # EQ-9's states are held as their codes (2 MiB), not as float64 states
-        # (16 MiB).  The rest is the exact law's 512 x 512 per-pair values and
-        # the report of them, as nested lists and as JSON text; 24 MiB covers
-        # them (32 MiB at float64 states).
+        # (16 MiB).  The peak, ~23 MiB, is the exact law's grouping of the
+        # 512 x 512 pairs (their squares, sort keys, order and groups, 2 MiB
+        # each); the report's one group index per pair, as nested lists and as
+        # JSON text, stays below it.  24 MiB covers them (32 MiB at float64
+        # states).
         argv = ["simulate", "--builtin", "eq", "--n", "9", "--out", str(tmp_path / "s.json")]
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= 24 * MiB
@@ -1104,6 +1150,15 @@ class TestDeterminism:
             assert (dirs[0] / out).read_bytes() == (dirs[1] / out).read_bytes()
         # the compared compile output really holds a binary float array
         assert "b64" in json.loads((dirs[0] / "states.json").read_bytes())["payload"]["alphas"]
+
+    def test_simulate_reads_no_seed(self, tmp_path):
+        payloads = []
+        for seed in ("0", "5"):
+            out = tmp_path / f"s{seed}.json"
+            assert main(["simulate", "--builtin", "eq", "--n", "3", "--seed", seed,
+                         "--out", str(out)]) == 0
+            payloads.append(read_doc(out)["payload"])
+        assert payloads[0] == payloads[1]
 
     def test_seed_changes_output(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -57,8 +57,8 @@ def test_margin_loads_only_the_bounds_path(inputs):
     assert not dataclasses and not numpy_random
 
 
-# Only project draws from numpy's PCG64 (``_rng.generator``); simulate's
-# draws come from the standard library (``_rng.uniforms``).
+# Only project draws from numpy's PCG64 (``_rng.generator``); simulate draws
+# nothing, since it writes the exact error law.
 @pytest.mark.parametrize("argv, runs, skipped, numpy_random", [
     (["project", "--vectors", "v.json", "--dim", "4"], "projections",
      {"compiler", "problems", "fingerprint"}, True),
