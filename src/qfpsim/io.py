@@ -4,8 +4,9 @@ systems and protocols.
 Every document carries ``format_version``, a ``kind`` tag, a kind-specific
 ``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
 Float arrays (embedding and realization ``alphas``/``betas``, vector system
-``a``/``b``, ``vectors``) are written as one little-endian float64 block in
-one of two forms, chosen from the block's contents alone (format 1.3):
+``a``/``b``, ``vectors``) and sign matrix ``entries`` are written as one
+little-endian float64 block in one of two forms, chosen from the block's
+contents alone (format 1.3; 1.4 for ``entries``):
 
 - ``{"dtype": "<f8", "shape": [...], "codec": "zlib-palette", "palette":
   [v0, ...], "b64": "..."}`` when the block holds 1 to 256 distinct bit
@@ -19,9 +20,12 @@ The palette is built on the bit patterns, so ``-0.0``, ``+0.0`` and
 subnormals are kept apart and parse(serialize(x)) is bit-identical for
 doubles.  A 1.2 reader rejects a palette block as an unknown codec.  The reader
 also accepts blocks without ``codec``, holding the raw bytes (the 1.1 form),
-and arrays as nested lists (the 1.0 form).  Scalars and the remaining lists
-are written in Python's shortest round-trip repr.  The compressed bytes may
-differ between zlib builds; the decoded arrays do not.
+and arrays as nested lists (the 1.0 form).  Sign matrix ``entries`` hold at
+most 3 values, so they are always palette-coded, one byte an entry; a 1.3
+reader refuses the block, and nested lists of JSON integers are still read.
+Scalars and the remaining lists (protocol tables among them) are written in
+Python's shortest round-trip repr.  The compressed bytes may differ between
+zlib builds; the decoded arrays do not.
 
 ``parse_embedding`` is the one reader of embedding documents, for every
 command that takes one: it keeps a palette block of ``alphas`` or ``betas``
@@ -55,7 +59,7 @@ from .linalg import CHUNK
 # imported where used, so reading other kinds of document never loads the compiler
 if TYPE_CHECKING:
     from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
-FORMAT_VERSION = "1.3"
+FORMAT_VERSION = "1.4"
 FLOAT_DTYPE = "<f8"
 CODEC = "zlib"
 PALETTE_CODEC = "zlib-palette"
@@ -357,14 +361,19 @@ def _build(what: str, cls, *args, **kwargs):
 
 
 def sign_matrix_payload(m: SignMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": m.entries.tolist()}
+    return {"rows": m.rows, "cols": m.cols, "entries": _float_block(m.entries)}
 
 
 def parse_sign_matrix(doc: dict) -> SignMatrix:
+    """``entries`` as a block or nested lists of JSON integers; ``SignMatrix``
+    checks the values either way."""
     payload = _payload(doc, "sign_matrix")
-    m = _build("sign matrix", SignMatrix, _integers(payload, "entries"))
-    if m.rows != _integer(payload, "rows") or m.cols != _integer(payload, "cols"):
-        raise DocumentError("declared sign matrix shape does not match the entries")
+    read = _array if isinstance(_field(payload, "entries"), dict) else _integers
+    m = _build("sign matrix 'entries'", SignMatrix, read(payload, "entries"))
+    shape = [_integer(payload, "rows"), _integer(payload, "cols")]
+    if list(m.entries.shape) != shape:
+        raise DocumentError(f"field 'entries' has shape {list(m.entries.shape)}, "
+                            f"'rows' and 'cols' declare {shape}")
     return m
 
 

@@ -63,7 +63,9 @@ def linf_to_l1_norm(m) -> float:
     The maximum of this convex objective is attained at a vertex, so it is
     computed by exhaustive enumeration of sign vectors (exact, usable as an
     oracle).  Since ||M||_{inf->1} = ||M^T||_{inf->1}, the signs range over
-    the smaller side, and more than ``MAX_ENUM_COLS`` there is refused.
+    the smaller side, and more than ``MAX_ENUM_COLS`` there is refused.  A
+    sign matrix is summed exactly in int8, each total in int16 or int64 (see
+    ``linf_to_l1_enum``); any other matrix in float64.
     """
     a = as_matrix(m)
     if a.shape[0] < a.shape[1]:

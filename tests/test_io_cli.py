@@ -160,12 +160,61 @@ def child_env():
     return env
 
 
+def check_sign_matrix_round_trip(path, m):
+    """Write ``m`` to ``path``: its entries are one palette block with an
+    entry per value, and read back they are ``m``'s own int8 entries."""
+    io.dump(io.document("sign_matrix", io.sign_matrix_payload(m)), str(path))
+    block = read_doc(path)["payload"]["entries"]
+    assert block["codec"] == "zlib-palette" and block["shape"] == [m.rows, m.cols]
+    assert sorted(block["palette"]) == sorted(set(m.entries.reshape(-1).tolist()))
+    assert np.array_equal(block_array(block), m.entries)
+    got = io.parse_sign_matrix(io.load(str(path)))
+    assert got.entries.dtype == np.int8 and got.entries.tobytes() == m.entries.tobytes()
+    assert got.entries.shape == m.entries.shape
+
+
 class TestDocuments:
     def test_sign_matrix_round_trip(self):
         m = eq_matrix(2)
         doc = io.document("sign_matrix", io.sign_matrix_payload(m))
         parsed = io.parse_sign_matrix(json.loads(json.dumps(doc)))
         np.testing.assert_array_equal(parsed.entries, m.entries)
+
+    @pytest.mark.parametrize("entries", [
+        [[1]], [[-1]], np.full((3, 5), -1), np.ones((1, 40)),
+        [[0, 0, 0], [0, 1, -1], [0, -1, 0]],
+    ], ids=["1x1-plus", "1x1-minus", "single-valued", "one-row", "zero-row-and-column"])
+    def test_sign_matrix_block_round_trip(self, tmp_path, entries):
+        check_sign_matrix_round_trip(tmp_path / "m.json", SignMatrix(entries))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sign_matrix_block_round_trip_bit_exact(self, tmp_path_factory, data):
+        shape = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))
+        values = data.draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=1, unique=True))
+        entries = data.draw(arrays(np.int8, shape, elements=st.sampled_from(values)))
+        entries[data.draw(arrays(bool, shape[0])), :] = 0  # whole zero rows and columns
+        entries[:, data.draw(arrays(bool, shape[1]))] = 0
+        if not entries.any():
+            entries[data.draw(st.integers(0, shape[0] - 1)),
+                    data.draw(st.integers(0, shape[1] - 1))] = data.draw(st.sampled_from([-1, 1]))
+        check_sign_matrix_round_trip(tmp_path_factory.mktemp("m") / "m.json", SignMatrix(entries))
+
+    @pytest.mark.parametrize("text", [
+        '{"format_version": "1.3", "kind": "sign_matrix", "payload": {"rows": 2, "cols": 3,'
+        ' "entries": [[1, 0, -1], [-1, 1, 1]]}, "provenance": {"command": "", "seed": null,'
+        ' "version": "0.0.0"}}',
+        # CI's hand-written promise.json: format 1.2 and no provenance
+        '{"format_version": "1.2", "kind": "sign_matrix", "payload": {"rows": 2, "cols": 2,'
+        ' "entries": [[1, 0], [0, -1]]}}',
+    ], ids=["format-1.3", "hand-written-1.2"])
+    def test_list_sign_matrix_document_loads(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text + "\n")
+        m = io.parse_sign_matrix(io.load(str(path)))
+        assert m.entries.dtype == np.int8
+        assert np.array_equal(m.entries, json.loads(text)["payload"]["entries"])
+        assert main(["margin", "--matrix", str(path), "--out", str(tmp_path / "r.json")]) == 0
 
     def test_embedding_round_trip_bit_identical(self):
         e = eq_orthonormal_embedding(3)
@@ -668,6 +717,30 @@ class TestCliExitCodes:
     def test_malformed_palette_block_exits_1(self, tmp_path, capsys, edit):
         check_malformed_alphas_exit_1(tmp_path, capsys, edit, "zlib-palette")
 
+    # Each edit of a valid {-1, 0, 1} block: the values it decodes to, or the
+    # block itself, are what is wrong.
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda block: block["palette"].__setitem__(0, 0.5), id="half-entry"),
+        pytest.param(lambda block: block["palette"].__setitem__(0, 2), id="two-entry"),
+        pytest.param(lambda block: block["palette"].__setitem__(0, float("nan")), id="nan-entry"),
+        pytest.param(lambda block: block.update(shape=[1, 4]), id="shape-not-rows-cols"),
+        pytest.param(lambda block: block.update(shape=[4]), id="one-d-shape"),
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes(4))[:-6])),
+                     id="truncated-zlib"),
+    ])
+    def test_malformed_sign_matrix_block_exits_1(self, tmp_path, capsys, edit):
+        path = write_doc(tmp_path / "m.json", "sign_matrix",
+                         io.sign_matrix_payload(SignMatrix([[1, 0], [-1, 1]])))
+        doc = read_doc(path)
+        block = doc["payload"]["entries"]
+        assert block["codec"] == "zlib-palette" and block["palette"] == [0.0, 1.0, -1.0]
+        edit(block)
+        with open(path, "w") as fh:
+            json.dump(doc, fh)  # Python's json writes a NaN token
+        assert main(["margin", "--matrix", path]) == 1
+        err = capsys.readouterr().err
+        assert "input error" in err and "'entries'" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("field, value", [
         ("n", "abc"),
         ("alice_messages", [[0, 1], [1]]),
@@ -845,7 +918,7 @@ class TestCliPipelines:
         out = tmp_path / "e.json"
         assert main(["compile", "--builtin", "eq", "--n", "7", "--out", str(out)]) == 0
         doc = read_doc(out)
-        assert doc["format_version"] == "1.3"
+        assert doc["format_version"] == "1.4"
         for name in ("alphas", "betas"):
             block = doc["payload"][name]
             assert block["codec"] == "zlib-palette" and len(block["palette"]) == 3

@@ -148,6 +148,66 @@ def test_enumeration_reaches_the_last_high_code():
     assert linf_to_l1_enum(np.outer(np.ones(12), w)) == 12.0 * 14.0
 
 
+
+# The float64 form of ``linf_to_l1_enum`` from before integer matrices were
+# summed in int8, kept verbatim as an oracle: the current one must give the
+# same float bit for bit, Gaussian entries included.
+def _linf_enum_float64(m):
+    def sign_products(m, start, stop):
+        codes = np.arange(start, stop, dtype=np.uint32)
+        signs = 1.0 - 2.0 * ((codes >> np.arange(m.shape[1], dtype=np.uint32)[:, None]) & 1)
+        return m @ signs
+
+    rows, cols = m.shape
+    low = min(cols - 1, 10)
+    lo = sign_products(m[:, :low], 0, 1 << low) + m[:, cols - 1 :]
+    hi_cols = m[:, low : cols - 1]
+    half = 1 << hi_cols.shape[1]
+    block = min(half, max(1, (1 << 16) // lo.size))
+    sums = np.empty((rows, block, lo.shape[1]))
+    best = 0.0
+    for start in range(0, half, block):
+        hi = sign_products(hi_cols, start, min(start + block, half))
+        part = sums[:, : hi.shape[1]]
+        np.add(hi[:, :, None], lo[:, None, :], out=part)
+        np.abs(part, out=part)
+        best = max(best, float(np.add.reduce(part, 0).max()))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 14), st.integers(1, 14),
+       st.sampled_from([0, 1, 9, 12, 40, 127]))
+@example(seed=0, rows=14, cols=14, bound=127)  # int8 sums would wrap: float64
+@example(seed=1, rows=14, cols=14, bound=9)  # row sums up to 126: int8
+@example(seed=2, rows=3, cols=13, bound=0)  # Gaussian, past the split
+def test_enumeration_sums_exactly_in_the_dtype_it_picks(seed, rows, cols, bound):
+    """Integer entries in [-bound, bound], whose row absolute sums fall on
+    both sides of 127, are exact; bound 0 draws Gaussian entries, which must
+    keep the float64 arithmetic.  Both orientations."""
+    rng = np.random.default_rng(seed)
+    if bound:
+        m = rng.integers(-bound, bound + 1, size=(rows, cols)).astype(np.float64)
+    else:
+        m = rng.standard_normal((rows, cols))
+    for a in (m, m.T):
+        got = linf_to_l1_enum(a)
+        assert _bits(got) == _bits(_linf_enum_float64(a))
+        if bound:
+            assert got == brute_force_linf(a)
+
+
+def test_tall_integer_enumeration_sums_past_int16():
+    # Each row's absolute sum is 127, so its sums fit int8, but the 301 rows
+    # add up to 38 227, past int16's 32 767 (an int16 total would wrap to
+    # -27 309).  Every sign vector reaches it.
+    rng = np.random.default_rng(0)
+    m = np.zeros((301, 2))
+    m[0::2, 0] = rng.choice([-127.0, 127.0], 151)
+    m[1::2, 1] = rng.choice([-127.0, 127.0], 150)
+    assert linf_to_l1_enum(m) == brute_force_linf(m) == _linf_enum_float64(m) == 301 * 127
+
+
 # The previous numpy form of ``margin_ascent``, kept verbatim as an oracle:
 # the current one must take the same iterates bit for bit.
 def _margin_ascent_where(m, alphas0, betas0, iterations, step, decay, temp_hi, temp_lo):
