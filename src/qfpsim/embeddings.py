@@ -34,7 +34,7 @@ def _require_unit_rows(name: str, rows, bound: float | None = None) -> None:
             at, norm = f"{name}[{', '.join(map(str, (s.start + i[0], *i[1:])))}]", off[i] + scale
             raise ValueError(f"{at} is not a unit vector (norm {norm})" if bound is None
                              else f"{at} norm {norm} exceeds the bound {bound}")
-        del off, ok  # before the next block's
+        del block, off, ok  # so the next block's arrays replace them: the peak is one block
 
 
 PALETTE_MAX = 256  # the values a uint8 code tells apart
@@ -43,14 +43,13 @@ PALETTE_MAX = 256  # the values a uint8 code tells apart
 class _CodedRows:
     """A 2-d float64 array held as ``palette[codes]``, one uint8 code per
     entry, whose rows are decoded a slice at a time: 1 byte an entry where
-    the decoded rows take 8.  Each read decodes into one buffer, which the
-    next read reuses: a block read stays valid until the next read.  One row
-    read by its index, and ``np.asarray`` of all rows, decode into a new
-    array."""
+    the decoded rows take 8.  The palette and the codes are read-only, and
+    every read decodes into a new array."""
 
     def __init__(self, palette: np.ndarray, codes: np.ndarray):
-        self.palette, self.codes, self.shape = palette, codes, codes.shape
-        self._buffer = None
+        _frozen_array(self, "palette", palette)
+        _frozen_array(self, "codes", codes)
+        self.shape = self.codes.shape
 
     def __array__(self, dtype=None, copy=None):
         # Indexing, not np.take: np.take would copy the codes to intp first.
@@ -63,17 +62,7 @@ class _CodedRows:
         return self.palette.nbytes + self.codes.nbytes
 
     def __getitem__(self, rows: slice | int) -> np.ndarray:
-        codes = self.codes[rows]
-        if codes.ndim == 1:
-            return self.palette[codes]
-        if self._buffer is None or codes.shape[0] > self._buffer.shape[0]:
-            self._buffer = np.empty(codes.shape)
-        out = self._buffer[:codes.shape[0]]
-        # np.take copies its indices to intp, so it gets at most CHUNK codes at
-        # a time; into a given out it runs twice as fast as palette[codes].
-        for s in _row_blocks(*codes.shape):
-            np.take(self.palette, codes[s], out=out[s], mode="clip")
-        return out
+        return self.palette[self.codes[rows]]
 
 
 def _entries_in(arr: np.ndarray, values: tuple[int, ...]) -> bool:
@@ -114,14 +103,6 @@ class SignMatrix(Record):
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def zero_pairs(self) -> np.ndarray:
-        """Boolean mask of (x, y) with f(x, y) = 0 (entry +1)."""
-        return self.entries == 1
-
-    def one_pairs(self) -> np.ndarray:
-        """Boolean mask of (x, y) with f(x, y) = 1 (entry -1)."""
-        return self.entries == -1
-
     def dense(self) -> np.ndarray:
         return self.entries.astype(np.float64)
 
@@ -141,10 +122,7 @@ class _UnitPair(Record):
             raise ValueError("alphas and betas must be 2-d with a common dimension")
         for name, rows in (("alphas", a), ("betas", b)):
             _require_unit_rows(name, rows)
-            if isinstance(rows, _CodedRows):
-                rows._buffer = None  # the check's block: a reader decodes into its own
-                object.__setattr__(self, name, rows)
-            else:
+            if not isinstance(rows, _CodedRows):  # a _CodedRows side is already read-only
                 _frozen_array(self, name, rows)
 
     @property

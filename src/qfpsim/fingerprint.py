@@ -172,12 +172,9 @@ def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
     p_zero = np.minimum(0.5 + squared[support] / 2.0, 1.0)
     # -1 encodes f(x, y) = 1; P0 >= 1/2, so the sign is exact and tells f
     key = np.where(m.entries[support] == -1, -p_zero, p_zero)
-    order = np.argsort(key, kind="stable")  # stable: EQ's long runs of equal keys sort fast
-    listed = key[order]
-    new = listed[1:] != listed[:-1]
-    group = np.empty(key.size, dtype=np.intp)
-    group[order] = np.concatenate([[0], np.cumsum(new)])
-    keys = listed[np.concatenate([[True], new])]
+    # With an inverse, np.unique sorts instead of hashing, so it never calls
+    # np.ma.is_masked: numpy.ma, 6-7 ms of CLI start-up, stays unloaded.
+    keys, group = np.unique(key, return_inverse=True)
     r = p.repetitions
     upper, lower = binomial_tails(r, referee_threshold(r, p.theta), np.abs(keys))
     return support, group, np.where(keys < 0, lower, upper)

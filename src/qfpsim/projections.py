@@ -8,7 +8,7 @@ import numpy as np
 
 from ._record import Record
 from ._rng import generator
-from .embeddings import _row_blocks
+from .embeddings import _row_blocks, _worst_pair
 
 
 def jl_dimension(n: int, eps: float) -> int:
@@ -91,11 +91,11 @@ def verify_distortion(vectors, projected, eps: float) -> DistortionReport:
         distortions = np.abs(ratios - 1.0)
         # only the pairs (i, j) with i < j, i = s.start + row
         upper = np.arange(count + 1) > np.arange(s.start, s.start + dv.shape[0])[:, None]
-        flat = int(np.argmax(np.where(upper, distortions, -np.inf)))
-        found = float(distortions.flat[flat]), (s.start + flat // (count + 1), flat % (count + 1))
+        # never None: every row's pair with the zero vector is in upper
+        value, (row, col) = _worst_pair(distortions, upper, largest=True)
         # argmax keeps the earlier block on a tie, as it keeps the first pair
-        if worst is None or np.argmax([worst[0], found[0]]) == 1:
-            worst = found
+        if worst is None or np.argmax([worst[0], value]) == 1:
+            worst = value, (s.start + row, col)
     max_distortion, worst_pair = worst
     return DistortionReport(
         ok=max_distortion <= eps + 1e-12,

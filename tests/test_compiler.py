@@ -419,13 +419,14 @@ class TestAssemble:
     def test_peak_memory_is_about_the_states(self, system):
         # Each side's codes are allocated once, 1 byte an entry (0.25 MiB of
         # the 2 MiB its float64 states would take).  Beside them, the unit
-        # check decodes one block of CHUNK entries (0.5 MiB) through a
-        # CHUNK-long intp copy of its codes (0.5 MiB); the acceptance product
-        # before them takes no more.
+        # check decodes one block of CHUNK entries (0.5 MiB) at a time, each
+        # into a new array, and drops it before it decodes the next (two
+        # blocks live at once would take ~2.14 blocks here); the acceptance
+        # product before them takes no more (~1.75 blocks).
         v = system()
         e, peak = traced_peak(lambda: assemble_shared_randomness_states(v, eq_matrix(8)))
         assert e.alphas.nbytes + e.betas.nbytes < e.alphas.codes.size + e.betas.codes.size + 4096
-        assert peak <= e.alphas.nbytes + e.betas.nbytes + 2.5 * CHUNK * 8
+        assert peak <= e.alphas.nbytes + e.betas.nbytes + 2.0 * CHUNK * 8
 
     def test_compiled_system_holds_one_byte_per_entry(self):
         # EQ-9: the int8 system takes 1 MiB (8 MiB as float64) and the states'

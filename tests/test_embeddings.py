@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfpsim import embeddings
+from qfpsim import embeddings, io
+from qfpsim.compiler import assemble_shared_randomness_states, compile_smp
 from qfpsim.embeddings import (
     Realization,
     SignMatrix,
@@ -17,7 +18,7 @@ from qfpsim.embeddings import (
     verify_threshold_embedding,
 )
 from qfpsim.fingerprint import swap_test_prob
-from qfpsim.problems import eq_matrix
+from qfpsim.problems import eq_matrix, eq_parity_protocol
 
 
 def eq_orthonormal_embedding(n_inputs):
@@ -75,8 +76,8 @@ class TestSignMatrix:
 
     def test_masks(self):
         m = SignMatrix([[1, 0], [-1, 1]])
-        assert m.zero_pairs().sum() == 2
-        assert m.one_pairs().sum() == 1
+        assert (m.entries == 1).sum() == 2
+        assert (m.entries == -1).sum() == 1
         assert (m.entries == 0).sum() == 1
 
 
@@ -146,9 +147,10 @@ def sign_matrices_with_unit_vectors(draw):
 
 def previous_worst_sides(sq: np.ndarray, m: SignMatrix):
     """The whole-matrix worst-pair search that the row-blocked one replaced,
-    copied verbatim: the reference for values, pairs and ties."""
-    return (embeddings._worst_pair(sq, m.zero_pairs(), largest=True) or (0.0, None),
-            embeddings._worst_pair(sq, m.one_pairs()) or (1.0, None))
+    copied with its sign masks written out: the reference for values, pairs
+    and ties."""
+    return (embeddings._worst_pair(sq, m.entries == 1, largest=True) or (0.0, None),
+            embeddings._worst_pair(sq, m.entries == -1) or (1.0, None))
 
 
 @st.composite
@@ -227,14 +229,17 @@ class TestCodedSides:
     def test_readers_see_the_decoded_arrays(self, monkeypatch, chunk):
         monkeypatch.setattr(embeddings, "CHUNK", chunk)
         e, whole = self.pair(30, 40)
-        m = SignMatrix(np.random.default_rng(1).integers(-1, 2, (30, 40)))
-        assert isinstance(e.alphas, embeddings._CodedRows) and e.dimension == 4
-        assert verify_threshold_embedding(e, m) == verify_threshold_embedding(whole, m)
-        assert np.array_equal(np.asarray(e.betas), whole.betas)
-        assert np.array_equal(e.alphas[7], whole.alphas[7])
-        assert np.array_equal(e.alphas[3:9], whole.alphas[3:9])
-        lifted, want = embed_to_realization(e), embed_to_realization(whole)
-        assert np.array_equal(lifted.alphas, want.alphas) and lifted.gamma == want.gamma
+        # symmetric states (alpha_x = beta_x): both sides are one coded object
+        shared = (ThresholdEmbedding(v.alphas, v.alphas, 0.2, 0.7) for v in (e, whole))
+        for e, whole in ((e, whole), shared):
+            m = SignMatrix(np.random.default_rng(1).integers(-1, 2, (30, whole.betas.shape[0])))
+            assert isinstance(e.alphas, embeddings._CodedRows) and e.dimension == 4
+            assert verify_threshold_embedding(e, m) == verify_threshold_embedding(whole, m)
+            assert np.array_equal(np.asarray(e.betas), whole.betas)
+            assert np.array_equal(e.alphas[7], whole.alphas[7])
+            assert np.array_equal(e.alphas[3:9], whole.alphas[3:9])
+            lifted, want = embed_to_realization(e), embed_to_realization(whole)
+            assert np.array_equal(lifted.alphas, want.alphas) and lifted.gamma == want.gamma
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_the_first_non_unit_row_is_named_alphas_first(self, monkeypatch, chunk):
@@ -255,8 +260,19 @@ class TestCodedSides:
         e, whole = self.pair(30, 40)
         assert e.alphas.nbytes == 8 * np.unique(whole.alphas).size + 30 * 4
         assert whole.alphas.nbytes == 30 * 4 * 8
-        # each read decodes into a buffer the embedding does not hold when built
-        assert e.alphas._buffer is None and e.betas._buffer is None
+        # each read decodes into a new array, which the embedding does not hold
+        assert not np.shares_memory(e.alphas[3:9], e.alphas[3:9])
+
+    def test_palette_and_codes_are_read_only(self):
+        compiled = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(3)),
+                                                     eq_matrix(3))
+        parsed = io.parse_embedding(io.document("embedding", io.embedding_payload(compiled)))
+        for e in (compiled, parsed):
+            for rows in (e.alphas, e.betas):
+                assert isinstance(rows, embeddings._CodedRows)
+                for arr in (rows.codes, rows.palette):
+                    with pytest.raises(ValueError, match="read-only"):
+                        arr[0] = arr[-1]
 
 
 class TestVerifyThresholdEmbedding:
