@@ -75,6 +75,8 @@ def _entries_in(arr: np.ndarray, values: tuple[int, ...]) -> bool:
 
 
 def _frozen_array(obj, field: str, arr: np.ndarray) -> None:
+    """Hold ``arr`` read-only as ``obj.field``: a C-contiguous ``arr`` itself, so the
+    caller's array turns read-only (not a view's base), else a copy; pass a copy to keep it."""
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     object.__setattr__(obj, field, arr)

@@ -47,15 +47,20 @@ class FingerprintProtocol(Record):
         return 2 * self.qubits_per_copy * self.repetitions
 
 
+def _p_zero(squared):
+    """P0 = 1/2 + s/2 at each squared inner product s, clipped to 1: <a, a>^2 may round above 1."""
+    return np.minimum(0.5 + squared / 2.0, 1.0)
+
+
 def swap_test_prob(alpha, beta) -> float:
-    """Probability of outcome 0: 1/2 + <alpha, beta>^2 / 2."""
+    """Probability of outcome 0: 1/2 + <alpha, beta>^2 / 2 (``_p_zero``)."""
     a = np.asarray(alpha, dtype=np.float64)
     b = np.asarray(beta, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"state dimensions differ: {a.shape} vs {b.shape}")
     _require_unit_rows("alpha", np.atleast_2d(a))
     _require_unit_rows("beta", np.atleast_2d(b))
-    return 0.5 + float(a @ b) ** 2 / 2.0
+    return float(_p_zero(float(a @ b) ** 2))
 
 
 def required_repetitions(delta0: float, delta1: float, eps: float) -> int:
@@ -148,12 +153,11 @@ def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
-    """(support, group, q): the mask of M's pairs outside the promise; the
-    group of each such pair, in row-major order; and each group's exact
-    error.
+    """(support, group, q): the mask of M's pairs outside the promise; the group of
+    each such pair, in row-major order; and each group's exact error.
 
-    The referee sees K ~ Bin(r, P0) zero outcomes, P0 = 1/2 +
-    <alpha_x, beta_y>^2 / 2, and says 1 iff K >= k* (``referee_threshold``).
+    The referee sees K ~ Bin(r, P0) zero outcomes (``_p_zero``) and says 1
+    iff K >= k* (``referee_threshold``).
     A group is one distinct signed P0: +P0 for f = 0 pairs, which err with
     P[K >= k*], and -P0 for f = 1 pairs, which err with P[K < k*].  So the
     tails are computed once per group (EQ has 2, HAM(5, 2) has 6).  All P0
@@ -168,8 +172,7 @@ def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
             f"worst f=1 side {report.worst_one_side})"
         )
     support = m.entries != 0
-    # Identical unit states can give <a, a>^2 = 1 + ulp; P0 is a probability.
-    p_zero = np.minimum(0.5 + squared[support] / 2.0, 1.0)
+    p_zero = _p_zero(squared[support])
     # -1 encodes f(x, y) = 1; P0 >= 1/2, so the sign is exact and tells f
     key = np.where(m.entries[support] == -1, -p_zero, p_zero)
     # With an inverse, np.unique sorts instead of hashing, so it never calls

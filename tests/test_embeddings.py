@@ -101,6 +101,30 @@ class TestUnitPairs:
         assert e.dimension == r.dimension == 3
         assert not e.alphas.flags.writeable and not r.betas.flags.writeable
 
+    def test_records_take_arrays_of_their_dtype_and_copy_others(self):
+        # a contiguous float64 side, and a _CodedRows palette and codes, are
+        # held themselves: the caller's array turns read-only
+        a, palette, codes = np.eye(3), np.array([0.0, 1.0]), np.eye(3, dtype=np.uint8)
+        e, r = ThresholdEmbedding(a, a, 0.1, 0.2), Realization(a, a, 0.5)
+        rows = embeddings._CodedRows(palette, codes)
+        assert e.alphas is a and r.betas is a and rows.palette is palette and rows.codes is codes
+        assert not (a.flags.writeable or palette.flags.writeable or codes.flags.writeable)
+        # another dtype or layout is copied, as are sign matrices (astype) and
+        # protocol tables (compiler._integers, astype): the caller's array
+        # stays writable and apart from the record
+        ints, strided = np.eye(3, dtype=np.int64), np.eye(3)[:, ::-1]
+        e = ThresholdEmbedding(ints, strided, 0.1, 0.2)
+        entries = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        m = SignMatrix(entries)
+        p = eq_parity_protocol(1)
+        tables = {name: np.array(getattr(p, name))
+                  for name in ("alice_messages", "bob_messages", "accept")}
+        q = type(p)(p.n, p.c, p.rand_strings, **tables)
+        for held, given in [(e.alphas, ints), (e.betas, strided), (m.entries, entries),
+                            *((getattr(q, name), arr) for name, arr in tables.items())]:
+            assert not held.flags.writeable and given.flags.writeable
+            assert not np.shares_memory(held, given)
+
 
 def brute_force_worst_pairs(alphas, betas, entries):
     """Row-major loops: max squared inner product over +1 entries, min over

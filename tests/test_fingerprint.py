@@ -73,7 +73,10 @@ class TestSwapTestProb:
         assert swap_test_prob([1, 0], [0, 1]) == 0.5
 
     def test_identical(self):
-        assert swap_test_prob([1, 0], [1, 0]) == 1.0
+        # the rounded |+> state has <a, a> = 1 + 1 ulp in any summation order:
+        # P0 is clipped to 1
+        for a in ([1, 0], np.full(2, 2 ** -0.5)):
+            assert swap_test_prob(a, a) == 1.0
 
     def test_formula(self):
         assert swap_test_prob([1, 0], [0.6, 0.8]) == pytest.approx(0.68)

@@ -41,6 +41,7 @@ from qfpsim.problems import (
     ham_parity_embedding,
 )
 from qfpsim.projections import project_vectors, verify_distortion
+from tests.test_compiler import random_one_way, separated_by
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 
 
@@ -204,7 +205,7 @@ class TestDocuments:
         '{"format_version": "1.3", "kind": "sign_matrix", "payload": {"rows": 2, "cols": 3,'
         ' "entries": [[1, 0, -1], [-1, 1, 1]]}, "provenance": {"command": "", "seed": null,'
         ' "version": "0.0.0"}}',
-        # CI's hand-written promise.json: format 1.2 and no provenance
+        # a hand-written document: format 1.2 and no provenance
         '{"format_version": "1.2", "kind": "sign_matrix", "payload": {"rows": 2, "cols": 2,'
         ' "entries": [[1, 0], [0, -1]]}}',
     ], ids=["format-1.3", "hand-written-1.2"])
@@ -543,6 +544,14 @@ class TestCliExitCodes:
         payload = read_doc(out)["payload"]
         assert 0 < payload["heuristic_lower"] <= payload["upper"]
 
+    def test_ip4_heuristic_stops_at_the_forster_bound(self, tmp_path):
+        # IP-4's factored start meets the Forster bound: the witness stops there
+        out = tmp_path / "r.json"
+        assert main(["margin", "--builtin", "ip", "--k", "4", "--heuristic",
+                     "--out", str(out)]) == 0
+        payload = read_doc(out)["payload"]
+        assert 0 <= payload["upper"] - payload["heuristic_lower"] <= 1e-12
+
     def test_parse_error_exits_1(self, capsys):
         assert main(["margin", "--matrix", "/nonexistent.json"]) == 1
         assert "input error" in capsys.readouterr().err
@@ -859,6 +868,13 @@ class TestCliPipelines:
         assert np.array_equal(written.view("<u8"), exact[~promise].view("<u8"))
         assert payload["max_error"] == payload["exact_error"] == np.nanmax(exact)
         assert payload["exact_error"] == max(payload["group_error"])
+        # the Hoeffding count and the worst pair's exact error, within eps
+        figures = {"eq-3": (408, 0.0312), "ham-5-2": (2603, 0.0228)}
+        if case in figures:
+            copies, error = figures[case]
+            assert payload["copies"] == copies
+            assert payload["exact_error"] == pytest.approx(error, abs=1e-4)
+            assert payload["exact_error"] <= payload["eps"]
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e200])
     def test_verify_renormalizes_rows_at_extreme_scales(self, tmp_path, scale):
@@ -925,13 +941,38 @@ class TestCliPipelines:
         assert out.stat().st_size < 20_000
 
     def test_compile_one_way_model_matches_smp(self, tmp_path):
+        # both models, and EQ-3's protocol read from a document, compile to one payload
+        protocol = write_doc(tmp_path / "p.json", "protocol",
+                             io.protocol_payload(eq_parity_protocol(3)))
         payloads = []
-        for model in ("smp", "one-way"):
-            out = tmp_path / f"{model}.json"
-            assert main(["compile", "--builtin", "eq", "--n", "3", "--model", model,
+        for source in (["--model", "smp"], ["--model", "one-way"], ["--protocol", protocol]):
+            out = tmp_path / "e.json"
+            assert main(["compile", "--builtin", "eq", "--n", "3", *source,
                          "--out", str(out)]) == 0
             payloads.append(read_doc(out)["payload"])
-        assert payloads[0] == payloads[1]
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_compile_protocol_against_a_matrix(self, tmp_path):
+        # a seeded c = 3 one-way protocol and the sign matrix its acceptance
+        # separates: Bob's indicator sets take several sizes, so the betas'
+        # slack takes several values, and the coded states verify
+        p = random_one_way(3, 0)
+        protocol = write_doc(tmp_path / "p.json", "protocol", io.protocol_payload(p))
+        matrix = write_doc(tmp_path / "m.json", "sign_matrix",
+                           io.sign_matrix_payload(separated_by(compile_one_way(p))))
+        emb, rep = tmp_path / "e.json", tmp_path / "r.json"
+        assert main(["compile", "--protocol", protocol, "--matrix", matrix,
+                     "--out", str(emb)]) == 0
+        assert main(["verify", "--matrix", matrix, "--embedding", str(emb),
+                     "--out", str(rep)]) == 0
+        betas = read_doc(emb)["payload"]["betas"]
+        assert betas["codec"] == "zlib-palette" and len(betas["palette"]) >= 4, betas
+        assert read_doc(rep)["payload"]["valid"] is True
+        # sign_matrix_payload writes the entries as a palette block, format 1.4
+        doc = read_doc(matrix)
+        entries = doc["payload"]["entries"]
+        assert doc["format_version"] == "1.4"
+        assert entries["codec"] == "zlib-palette" and entries["shape"] == [12, 10]
 
     def test_compile_num_r_is_seeded(self, tmp_path):
         def run(seed, name):
@@ -944,12 +985,27 @@ class TestCliPipelines:
         assert first == run("4", "b.json")
         assert first["dimension"] == 4 * 5
         assert first != run("8", "c.json")
+        # 64 sampled random strings: 512 states of 256 coordinates that still
+        # verify at the document's own thresholds
+        emb, rep = tmp_path / "eq9-r64.json", tmp_path / "eq9-r64-verify.json"
+        assert main(["compile", "--builtin", "eq", "--n", "9", "--num-r", "64",
+                     "--out", str(emb)]) == 0
+        assert main(["verify", "--builtin", "eq", "--n", "9", "--embedding", str(emb),
+                     "--out", str(rep)]) == 0
+        e, v = read_doc(emb)["payload"], read_doc(rep)["payload"]
+        assert e["dimension"] == 256 and e["alphas"]["shape"] == [512, 256]
+        assert v["valid"] is True and (v["delta0"], v["delta1"]) == (e["delta0"], e["delta1"])
 
     def test_compile_no_assemble_emits_vector_system(self, tmp_path):
         out = tmp_path / "vs.json"
         assert main(["compile", "--builtin", "eq", "--n", "1", "--no-assemble",
                      "--out", str(out)]) == 0
-        parsed = io.parse_vector_system(read_doc(out))
+        doc = read_doc(out)
+        # the int8-held indicators are written as float64 0/1 blocks
+        for side in ("a", "b"):
+            block = doc["payload"][side]
+            assert block["dtype"] == "<f8" and block["palette"] == [0.0, 1.0], block
+        parsed = io.parse_vector_system(doc)
         np.testing.assert_allclose(
             parsed.acceptance_matrix(),
             compile_smp(eq_parity_protocol(1)).acceptance_matrix(),
@@ -1134,7 +1190,7 @@ class TestOneStateBlockAtATime:
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= 24 * MiB
 
-    def test_verify_holds_one_state_block(self, eq9):
+    def test_verify_holds_one_state_block(self, eq9, capsys):
         # EQ-9, whose sides span four verifier row blocks (at EQ-8 one block
         # of 256 rows is all of them): verify holds both sides' codes (2 MiB),
         # one block of 128 alphas and one tile of 128 betas (2 MiB each) and
@@ -1142,6 +1198,13 @@ class TestOneStateBlockAtATime:
         argv = ["verify", "--builtin", "eq", "--n", "9", "--embedding", str(eq9)]
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= 8.5 * MiB
+        # every off-diagonal pair ties, as every diagonal one does: the first
+        # pair of each side pins the tie rule across the four blocks
+        v = json.loads(capsys.readouterr().out)["payload"]
+        assert v["valid"] is True
+        assert v["worst_zero_side"] == pytest.approx(1 / 16, rel=1e-12)
+        assert v["worst_one_side"] == pytest.approx(1 / 4, rel=1e-12)
+        assert (v["worst_zero_pair"], v["worst_one_pair"]) == ([0, 1], [0, 0])
 
     def test_project_holds_the_input_and_blocks(self, tmp_path):
         # 256 EQ-8 states (2 MiB) projected to 256 dimensions (0.5 MiB): the
@@ -1305,19 +1368,34 @@ def test_readme_decode_recipe(tmp_path, codec):
     assert np.array_equal(scope["alphas"].view(np.uint64), expected.view(np.uint64))
 
 
+def run_qfpsim_lines(text, capsys):
+    """Run every line of ``text`` that starts with ``qfpsim``, in order,
+    through ``main`` in the current directory; each must exit 0.  Returns
+    how many ran."""
+    commands = [shlex.split(line)[1:] for line in map(str.strip, text.splitlines())
+                if line.startswith("qfpsim ")]
+    for argv in commands:
+        assert main(argv) == 0, shlex.join(argv)
+        capsys.readouterr()
+    return len(commands)
+
+
 def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     """Every ``qfpsim`` line of README's CLI block runs in order and exits 0;
     the block projects ``vecs.json``, which it does not make, so it is made
     here."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    commands = [shlex.split(line)[1:] for line in block.splitlines()
-                if line.startswith("qfpsim ")]
-    assert len(commands) >= 5
     monkeypatch.chdir(tmp_path)
     vectors = np.random.default_rng(0).standard_normal((10, 400))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     write_doc("vecs.json", "vectors", io.vectors_payload(vectors))
-    for argv in commands:
-        assert main(argv) == 0, shlex.join(argv)
-        capsys.readouterr()
+    assert run_qfpsim_lines(block, capsys) >= 5
+
+
+def test_workflow_cli_lines_run(tmp_path, monkeypatch, capsys):
+    """Every ``qfpsim`` line of the CI workflow, which runs them through the
+    installed console script, runs in order through ``main`` and exits 0."""
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tier1.yml"
+    monkeypatch.chdir(tmp_path)
+    assert run_qfpsim_lines(workflow.read_text(), capsys) >= 3
