@@ -8,6 +8,7 @@ full provenance in its output document.
 from __future__ import annotations
 
 import argparse
+import os
 import shlex
 import sys
 
@@ -279,7 +280,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: ``main``, then flush stdout and stderr and end by
+    ``os._exit``, skipping teardown (GC, module finalization and atexit handlers,
+    of which qfpsim and numpy register none): ``io.dump`` and ``io.load`` have
+    closed their files.  What escapes ``main`` (SystemExit, a traceback) exits normally."""
+    status = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(status)
 
 
 if __name__ == "__main__":

@@ -135,8 +135,7 @@ class VectorSystem(Record):
             raise ValueError(f"norm bound {self.norm_bound} must have a finite float64 square")
         for name, arr in (("a", a), ("b", b)):
             _require_unit_rows(name, arr.transpose(1, 0, 2), big_l)  # named (input, r)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+            _frozen_array(self, name, arr)
 
     @property
     def num_rand(self) -> int:
@@ -173,11 +172,13 @@ def _by_input(arr: np.ndarray, dtype) -> np.ndarray:
 def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
     """Indicator-vector compilation: a_r(x) is the one-hot of Alice's message,
     b_r(y) the indicator set of the messages Bob accepts, both in
-    {0,1}^(2^c), held as int8.  An SMP protocol compiles through its one-way
+    {0,1}^(2^c), held as int8.  An SMP protocol compiles as its one-way
     form."""
     dim = 1 << p.c
-    a = np.eye(dim, dtype=np.int8)[p.alice_messages].transpose(1, 0, 2)  # (|R|, |X|, 2^c)
-    b = p.bob_accept.transpose(2, 1, 0)  # (|R|, |Y|, 2^c), the int8 table itself
+    # each side built C-contiguous as (|R|, count, 2^c), which VectorSystem holds uncopied
+    a = np.eye(dim, dtype=np.int8)[p.alice_messages.T]
+    b = (p.accept.T[p.bob_messages.T] if isinstance(p, ClassicalSMPProtocol)  # one-way form
+         else p.bob_accept.transpose(2, 1, 0))  # a one-way table is copied
     return VectorSystem(a, b, float(np.sqrt(dim)))
 
 

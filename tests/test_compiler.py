@@ -280,6 +280,30 @@ class TestVectorSystem:
                            match=rf"^{side}\[2, 1\] norm {re.escape(str(bad))} exceeds the bound 1.0$"):
             VectorSystem(vectors["a"], vectors["b"], 1.0)
 
+    def test_holds_the_callers_arrays_read_only(self):
+        # a system held its caller's a as it was: a later write changed its
+        # acceptance matrix to 5.0, from a row of norm 5 against L = 1
+        a = np.ones((1, 2, 1))
+        v = VectorSystem(a, np.ones((1, 2, 1)), 1.0)
+        assert v.a is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0, 0] = 5.0
+        assert v.acceptance_matrix()[0, 0] == 1.0
+
+    @pytest.mark.parametrize("protocol", [
+        pytest.param(lambda: eq_parity_protocol(3), id="smp"),
+        pytest.param(lambda: eq_parity_one_way_protocol(3), id="one-way"),
+    ])
+    def test_compiled_sides_are_built_contiguous(self, protocol):
+        # compile_one_way builds both sides in (|R|, count, 2^c) order, so the
+        # system holds them as they are built; only a one-way b is a copy
+        p = protocol()
+        v = compile_one_way(p)
+        for side in (v.a, v.b):
+            assert side.flags.c_contiguous and not side.flags.writeable
+        assert not np.shares_memory(v.b, p.bob_accept)
+        assert np.array_equal(v.b, p.bob_accept.transpose(2, 1, 0))
+
     def test_norm_within_tolerance_accepted(self):
         # at dimension 1 the allowance is unit_allowance(1) = 2.5u: one ulp above
         # 1 (2u) passes, two (4u) do not

@@ -154,7 +154,9 @@ def child_env():
     # Child processes must import the qfpsim under test, whatever their cwd:
     # put the directory holding the imported package first on PYTHONPATH
     # (a relative PYTHONPATH=src would not resolve from a tmp_path cwd).
+    # PYTHONUNBUFFERED is dropped: it would hide an exit that skips a flush.
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     root = str(Path(qfpsim.__file__).resolve().parents[1])
     inherited = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([root, inherited] if inherited else [root])
@@ -1319,19 +1321,78 @@ def test_cli_module_runs_in_a_subprocess():
     assert doc["provenance"]["version"] == io.VERSION
 
 
-def test_cli_never_imports_numpy_ma(tmp_path):
-    """np.unique and its kin import numpy.ma on their first call, 6-7 ms of a
-    CLI process; no command may pull it in."""
+def commands_of_each_kind(tmp_path):
+    """One argv of each command, in an order that runs in ``tmp_path``, where
+    the vectors document ``project`` reads is written."""
     vectors = np.random.default_rng(0).standard_normal((10, 200))
     write_doc(tmp_path / "vecs.json", "vectors",
               io.vectors_payload(vectors / np.linalg.norm(vectors, axis=1, keepdims=True)))
-    commands = [
+    return [
         ["compile", "--builtin", "eq", "--n", "3", "--out", "eq3.json"],
         ["verify", "--builtin", "eq", "--n", "3", "--embedding", "eq3.json", "--out", "v.json"],
         ["project", "--vectors", "vecs.json", "--dim", "16", "--out", "p.json"],
         ["margin", "--builtin", "ham", "--n", "4", "--d", "1", "--heuristic", "--out", "m.json"],
         ["simulate", "--builtin", "eq", "--n", "2", "--trials", "5", "--out", "s.json"],
     ]
+
+
+class TestExitPath:
+    """``python -m qfpsim.cli`` runs ``cli.entry``, which flushes stdout and
+    stderr and then ends the process by ``os._exit``, skipping teardown."""
+
+    def test_stdout_document_arrives_whole(self, tmp_path):
+        # ~40 kB of stdout, several buffers: without the flush its tail never arrives
+        argv = ["compile", "--builtin", "eq", "--n", "8"]
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        want = read_doc(tmp_path / "out.json")["payload"]
+        cmd = [sys.executable, "-m", "qfpsim.cli", *argv]
+        piped = subprocess.run(cmd, env=child_env(), capture_output=True, check=True).stdout
+        with open(tmp_path / "stdout.json", "wb") as fh:
+            subprocess.run(cmd, env=child_env(), stdout=fh, check=True)
+        for text in (piped, (tmp_path / "stdout.json").read_bytes()):
+            assert len(text) > 32 * 1024 and text.endswith(b"\n") and text.count(b"\n") == 1
+            assert json.loads(text)["payload"] == want
+
+    @pytest.mark.parametrize("argv, code, line", [
+        pytest.param(["margin", "--matrix", "missing.json"], 1,
+                     "qfpsim: input error: cannot read document 'missing.json': [Errno 2] "
+                     "No such file or directory: 'missing.json'\n", id="unreadable-matrix"),
+        pytest.param(["simulate", "--builtin", "eq", "--n", "3", "--trials", "0"], 2,
+                     "qfpsim: trials must be >= 1\n", id="no-trials"),
+    ])
+    def test_failure_writes_its_one_stderr_line(self, tmp_path, argv, code, line):
+        proc = subprocess.run([sys.executable, "-m", "qfpsim.cli", *argv], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line)
+
+    def test_nothing_registers_an_atexit_handler(self, tmp_path):
+        # os._exit skips atexit handlers: none may exist, from numpy, any
+        # qfpsim module, or a command of any kind.  main returns after each
+        # command; only entry ends the process
+        commands = commands_of_each_kind(tmp_path)
+        script = textwrap.dedent("""
+            import atexit, importlib, json, pkgutil, sys
+            registered = []
+            atexit.register = lambda fn, *args, **kwargs: registered.append(repr(fn))
+            import numpy, numpy.random
+            import qfpsim
+            for module in pkgutil.iter_modules(qfpsim.__path__):
+                importlib.import_module("qfpsim." + module.name)
+            from qfpsim.cli import main
+            for argv in json.loads(sys.argv[1]):
+                if main(argv) != 0:
+                    sys.exit(f"{argv[0]} failed")
+            print(json.dumps(registered))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              cwd=tmp_path, env=child_env(), capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "[]\n")
+
+
+def test_cli_never_imports_numpy_ma(tmp_path):
+    """np.unique and its kin import numpy.ma on their first call, 6-7 ms of a
+    CLI process; no command may pull it in."""
+    commands = commands_of_each_kind(tmp_path)
     script = textwrap.dedent("""
         import json, sys
         from qfpsim.cli import main
