@@ -64,16 +64,27 @@ def _load_matrix(args) -> SignMatrix:
     return io.parse_sign_matrix(io.load(args.matrix))
 
 
-def _emit(kind: str, payload: dict, args, argv: list[str]) -> None:
+def _unwritable(exc: OSError) -> int:
+    print(f"qfpsim: cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
+def _emit(kind: str, payload: dict, args, argv: list[str]) -> int:
+    """Write the document to ``args.out`` (default: stdout) and return the exit
+    status: 1, reported in one line, when writing it raises an OSError."""
     doc = io.document(kind, payload, command=shlex.join(["qfpsim", *argv]),
                       seed=getattr(args, "seed", None))
-    io.dump(doc, args.out)
+    try:
+        io.dump(doc, args.out)
+    except OSError as exc:
+        return _unwritable(exc)
+    return 0
 
 
 def cmd_margin(args, argv) -> int:
     m = _load_matrix(args)
     report = bounds.margin_report(m, heuristic=args.heuristic)
-    _emit(
+    return _emit(
         "report",
         {
             "report": "margin",
@@ -85,7 +96,6 @@ def cmd_margin(args, argv) -> int:
         args,
         argv,
     )
-    return 0
 
 
 def _simulation_inputs(args):
@@ -106,7 +116,7 @@ def cmd_simulate(args, argv) -> int:
     embedding, m = _simulation_inputs(args)
     protocol = fingerprint.protocol_from_embedding(embedding, args.eps)
     report = fingerprint.run_protocol(protocol, m, args.trials)
-    _emit(
+    return _emit(
         "report",
         {
             "report": "simulation",
@@ -127,7 +137,6 @@ def cmd_simulate(args, argv) -> int:
         args,
         argv,
     )
-    return 0
 
 
 def cmd_compile(args, argv) -> int:
@@ -149,16 +158,14 @@ def cmd_compile(args, argv) -> int:
     system = compiler.compile_one_way(protocol)
     del protocol  # not read again: its tables need not outlive compilation
     if args.no_assemble:
-        _emit("vector_system", io.vector_system_payload(system), args, argv)
-        return 0
+        return _emit("vector_system", io.vector_system_payload(system), args, argv)
 
     embedding = compiler.assemble_shared_randomness_states(system, m)
     del system
     payload = io.embedding_payload(embedding)
     payload["stages"] = [{"stage": "assembled", "dimension": embedding.dimension,
                           "delta0": embedding.delta0, "delta1": embedding.delta1}]
-    _emit("embedding", payload, args, argv)
-    return 0
+    return _emit("embedding", payload, args, argv)
 
 
 def cmd_project(args, argv) -> int:
@@ -168,7 +175,7 @@ def cmd_project(args, argv) -> int:
     report = projections.verify_distortion(vectors, projected, args.eps)
     source_dim = vectors.shape[1]
     del vectors  # not read again: the input need not outlive serializing
-    _emit(
+    return _emit(
         "report",
         {
             "report": "projection",
@@ -181,7 +188,6 @@ def cmd_project(args, argv) -> int:
         args,
         argv,
     )
-    return 0
 
 
 def cmd_verify(args, argv) -> int:
@@ -204,8 +210,7 @@ def cmd_verify(args, argv) -> int:
             **report._asdict(),
             "gamma": realization.gamma,
         }
-    _emit("report", payload, args, argv)
-    return 0
+    return _emit("report", payload, args, argv)
 
 
 def build_parser() -> _Parser:
@@ -283,9 +288,13 @@ def entry() -> None:
     """The console script: ``main``, then flush stdout and stderr and end by
     ``os._exit``, skipping teardown (GC, module finalization and atexit handlers,
     of which qfpsim and numpy register none): ``io.dump`` and ``io.load`` have
-    closed their files.  What escapes ``main`` (SystemExit, a traceback) exits normally."""
+    closed their files.  What escapes ``main`` (SystemExit, a traceback) exits normally.
+    A failed flush exits 1, reported unless ``main`` has reported a write error."""
     status = main()
-    sys.stdout.flush()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        status = status or _unwritable(exc)
     sys.stderr.flush()
     os._exit(status)
 

@@ -3,8 +3,9 @@ conversions between the two representations (both directions).
 
 Each side of an embedding is a float64 array or ``_CodedRows``, palette-coded
 rows as ``compiler.assemble_shared_randomness_states`` builds them and
-``io.parse_embedding`` reads them, which the unit check and the verifier
-decode one block of rows at a time."""
+``io.parse_embedding`` reads them, which the unit check decodes one block of
+rows at a time.  The verifier multiplies two coded sides from exact counts of
+their codes on shared columns, without decoding them."""
 
 from __future__ import annotations
 
@@ -216,22 +217,58 @@ def _worst_sides(rows, m: SignMatrix):
     return worst[0] or (0.0, None), worst[1] or (1.0, None)
 
 
+def _count_terms(a, b) -> list | None:
+    """The count path's terms: for each pair of nonzero codes, i of ``a`` and j
+    of ``b``, that share columns, in row-major order, (i, pa[i] * pb[j], those
+    columns, the bool indicator of j on them in every row of ``b``).  Which
+    codes occur in which columns is read in one pass over each side's codes,
+    ``CHUNK`` entries at a time.  None unless both sides are ``_CodedRows``
+    sharing at most D (pair, column) entries, D < 2^24: past D, counting would
+    multiply more columns than the decoded product does."""
+    if not (isinstance(a, _CodedRows) and isinstance(b, _CodedRows)):
+        return None
+    found = []
+    for r in (a, b):
+        seen = np.zeros((r.shape[1], r.palette.size), bool)  # seen[c, k]: code k in column c
+        for s in _row_blocks(*r.shape):
+            seen.reshape(-1)[r.codes[s] + np.arange(0, seen.size, r.palette.size)] = True
+        found.append((codes := np.flatnonzero(r.palette), seen[:, codes].T))
+    (ia, in_a), (ib, in_b) = found
+    if not in_a.sum(0) @ in_b.sum(0) <= a.shape[1] < 1 << 24:
+        return None
+    return [(ia[i], a.palette[ia[i]] * b.palette[ib[j]], cols := np.flatnonzero(in_a[i] & in_b[j]),
+             b.codes[:, cols] == ib[j]) for i, j in zip(*np.nonzero(in_a @ in_b.T))]
+
+
 def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
                                out: np.ndarray | None = None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time.  Each
-    block's products are taken one tile of betas at a time, as tall as the
-    block, so ``_CodedRows`` sides are decoded a tile at a time.  A side may
-    pass its threshold by ``dot_allowance(dimension, squared=True)``.  An
-    (m.rows, m.cols) array ``out`` receives each block."""
+    (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time, each
+    block one tile of betas at a time.  A side may pass its threshold by
+    ``dot_allowance(dimension, squared=True)``.  An (m.rows, m.cols) array
+    ``out`` receives each block.  Sides with ``_count_terms`` are not decoded:
+    a product sums, over P code pairs, pa[i] * pb[j] times the count of columns
+    coded i and j, an exact float32 product of 0/1 indicators (partial sums
+    are integers below 2^24), so equal counts give equal products.  A term
+    rounds in pa[i] * pb[j], and in its multiple if its pair takes k >= 2 of
+    the <= D (pair, column) entries (then P + 1 <= D); the sum rounds P - 1
+    times.  So no term meets more than D roundings, the D u that
+    ``dot_allowance(D)`` grants a D-term sum: a product stays within it, and
+    its square within ``dot_allowance(D, squared=True)``, as decoded ones do."""
     _check_counts(e.alphas, e.betas, m)
     tiles = list(_row_blocks(m.cols, m.cols))
+    terms = _count_terms(e.alphas, e.betas)
 
     def squared_rows(s: slice) -> np.ndarray:
-        alphas = e.alphas[s]
-        block = np.empty((alphas.shape[0], m.cols))
-        for t in tiles:
-            np.matmul(alphas, e.betas[t].T, out=block[:, t])
+        block = np.zeros(m.entries[s].shape)
+        if terms is None:
+            alphas = e.alphas[s]
+            for t in tiles:
+                np.matmul(alphas, e.betas[t].T, out=block[:, t])
+        for i, w, cols, beta in terms or ():
+            alpha = (e.alphas.codes[s][:, cols] == i).astype(np.float32)
+            for t in tiles:
+                block[:, t] += w * (alpha @ beta[t].T.astype(np.float32))
         block **= 2  # in place: the same square as ** 2, without a second block
         if out is not None:
             out[s] = block

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qfpsim import embeddings, io
@@ -18,6 +18,7 @@ from qfpsim.embeddings import (
     verify_threshold_embedding,
 )
 from qfpsim.fingerprint import swap_test_prob
+from qfpsim.linalg import dot_allowance
 from qfpsim.problems import eq_matrix, eq_parity_protocol
 
 
@@ -297,6 +298,106 @@ class TestCodedSides:
                 for arr in (rows.codes, rows.palette):
                     with pytest.raises(ValueError, match="read-only"):
                         arr[0] = arr[-1]
+
+
+@st.composite
+def coded_unit_rows(draw):
+    """Palette-coded unit rows whose codes the verifier counts: a palette of
+    1-6 values with zeros among them; each column holds one code (zero or
+    not), and an entry is that code or a zero one.  Some rows copy an earlier
+    one, so ties occur.  Each distinct row is completed to unit norm by its own
+    value in a column of its own, so no column holds two nonzero codes."""
+    values = draw(st.lists(st.floats(-1, 1), min_size=1, max_size=6))
+    values += [0.0] * draw(st.integers(0 if 0.0 in values else 1, 2))
+    palette = np.array(draw(st.permutations(values)))
+    zeros = np.flatnonzero(palette == 0)
+    rows, dim = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = np.where(rng.random((rows, dim)) < 0.6, rng.integers(0, palette.size, dim),
+                     rng.choice(zeros, (rows, dim)))
+    for x in range(1, rows):
+        if draw(st.booleans()):
+            codes[x] = codes[draw(st.integers(0, x - 1))]
+    norms = np.einsum("xd,xd->x", palette[codes], palette[codes])
+    if norms.max() > 0:
+        palette = palette / np.sqrt(1.25 * norms.max())  # every row's norm below 1
+        norms = np.einsum("xd,xd->x", palette[codes], palette[codes])
+    _, first, group = np.unique(codes, axis=0, return_index=True, return_inverse=True)
+    junk = np.where(group.reshape(-1, 1) == np.arange(first.size),
+                    palette.size + np.arange(first.size), zeros[0])
+    palette = np.concatenate([palette, np.sqrt(1.0 - norms[first])])
+    entries = rng.integers(-1, 2, (rows, rows))
+    entries.flat[draw(st.integers(0, rows * rows - 1))] = draw(st.sampled_from((-1, 1)))
+    delta0 = draw(st.floats(0.0, 0.9))
+    return (palette, np.hstack([codes, junk]).astype(np.uint8), SignMatrix(entries),
+            delta0, draw(st.floats(delta0 + 0.01, 1.0)))
+
+
+def first_worst(sq: np.ndarray, mask: np.ndarray, largest: bool):
+    """The first pair in row-major order holding the largest (smallest) masked value."""
+    values = np.where(mask, sq, -np.inf if largest else np.inf)
+    at = (np.argmax if largest else np.argmin)(values)
+    return float(values.flat[at]), divmod(int(at), sq.shape[1])
+
+
+class TestCodeCounts:
+    """Two coded sides are multiplied from counts of their codes on shared
+    columns, unless that would take more (pair, column) entries than D."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coded_unit_rows())
+    def test_counts_agree_with_decoding(self, case):
+        palette, codes, m, delta0, delta1 = case
+        rows = embeddings._CodedRows(palette, codes)
+        # the same rows under other codes: pairs of unequal codes on the two sides
+        recoded = embeddings._CodedRows(palette[::-1], palette.size - 1 - codes)
+        try:
+            whole = ThresholdEmbedding(np.asarray(rows), np.asarray(rows), delta0, delta1)
+        except ValueError:  # a completed norm that rounds off 1
+            assume(False)
+        want = verify_threshold_embedding(whole, m)
+        tol = dot_allowance(whole.dimension, squared=True)
+        for betas in (rows, recoded):
+            assert embeddings._count_terms(rows, betas) is not None
+            sq = np.empty(m.entries.shape)
+            got = verify_threshold_embedding(ThresholdEmbedding(rows, betas, delta0, delta1), m,
+                                             out=sq)
+            assert abs(got.worst_zero_side - want.worst_zero_side) <= tol
+            assert abs(got.worst_one_side - want.worst_one_side) <= tol
+            if (min(abs(want.worst_zero_side - delta0), abs(want.worst_one_side - delta1))
+                    > 2 * tol):
+                assert got.valid == want.valid
+            for pair, value, mask, largest in (
+                    (got.worst_zero_pair, got.worst_zero_side, m.entries == 1, True),
+                    (got.worst_one_pair, got.worst_one_side, m.entries == -1, False)):
+                if pair is not None:
+                    assert sq[pair] == value and first_worst(sq, mask, largest) == (value, pair)
+            # rows with equal codes have equal products, to the bit
+            for x, y in zip(*np.nonzero((codes[:, None] == codes[None]).all(-1))):
+                assert np.array_equal(sq[x], sq[y]) and np.array_equal(sq[:, x], sq[:, y])
+
+    def test_too_many_shared_entries_decode(self):
+        # +-1/2 in every column on both sides: 4 pairs a column, 4 D > D
+        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
+        rows = np.vstack([hadamard, -hadamard])
+        e = ThresholdEmbedding(coded(rows), coded(rows), 0.0, 1.0)
+        assert embeddings._count_terms(e.alphas, e.betas) is None
+        m = SignMatrix(np.random.default_rng(0).integers(-1, 2, (8, 8)))
+        got, want = np.empty((8, 8)), np.empty((8, 8))
+        assert (verify_threshold_embedding(e, m, out=got)
+                == verify_threshold_embedding(ThresholdEmbedding(rows, rows, 0.0, 1.0), m, out=want))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [7, 8, 9])
+    def test_compiled_eq_pairs_tie_exactly(self, n):
+        # every off-diagonal pair, and every diagonal one, counts the same codes:
+        # the first of each is reported, where a float64 product broke EQ-8's tie
+        m = eq_matrix(n)
+        e = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(n)), m)
+        sq = np.empty(m.entries.shape)
+        report = verify_threshold_embedding(e, m, out=sq)
+        assert (report.worst_zero_pair, report.worst_one_pair) == ((0, 1), (0, 0))
+        assert np.unique(sq[m.entries == 1]).size == np.unique(sq[m.entries == -1]).size == 1
 
 
 class TestVerifyThresholdEmbedding:

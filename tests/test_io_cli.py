@@ -1194,12 +1194,15 @@ class TestOneStateBlockAtATime:
 
     def test_verify_holds_one_state_block(self, eq9, capsys):
         # EQ-9, whose sides span four verifier row blocks (at EQ-8 one block
-        # of 256 rows is all of them): verify holds both sides' codes (2 MiB),
-        # one block of 128 alphas and one tile of 128 betas (2 MiB each) and
-        # the worst-pair search over its 128 x 512 squares; 8.5 MiB covers them.
+        # of 256 rows is all of them): verify counts codes without decoding.
+        # It holds both sides' codes (2 MiB), the betas' bool indicator of
+        # their one shared code pair on its 1023 columns (0.5 MiB), one block's
+        # float32 alpha indicator (128 x 1023, 0.5 MiB) and the worst-pair
+        # search over its 128 x 512 squares.  The peak is ~5.05 MiB; 5.8 MiB
+        # covers it, and float32 indicators of a whole side (2 MiB) exceed it.
         argv = ["verify", "--builtin", "eq", "--n", "9", "--embedding", str(eq9)]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 8.5 * MiB
+        assert code == 0 and peak <= 5.8 * MiB
         # every off-diagonal pair ties, as every diagonal one does: the first
         # pair of each side pins the tie rule across the four blocks
         v = json.loads(capsys.readouterr().out)["payload"]
@@ -1364,6 +1367,49 @@ class TestExitPath:
         proc = subprocess.run([sys.executable, "-m", "qfpsim.cli", *argv], cwd=tmp_path,
                               env=child_env(), capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line)
+
+    @staticmethod
+    def assert_one_write_error(code: int, err: str) -> None:
+        assert (code, err.count("\n")) == (1, 1) and "Traceback" not in err, err
+        assert err.startswith("qfpsim: cannot write output: "), err
+
+    # on stdout, margin's document fits one buffer and fails at entry's flush;
+    # EQ-9's (~150 kB) fails in io.dump, and entry's flush then fails unreported
+    MARGIN = ["margin", "--builtin", "ip", "--k", "1"]
+    EQ9 = ["compile", "--builtin", "eq", "--n", "9"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [MARGIN, EQ9], ids=["margin", "compile-eq9"])
+    @pytest.mark.parametrize("to_out", [False, True], ids=["stdout", "out"])
+    def test_a_full_device_is_one_stderr_line(self, tmp_path, argv, to_out):
+        cmd = [sys.executable, "-m", "qfpsim.cli", *argv, *(["--out", "/dev/full"] * to_out)]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(cmd, cwd=tmp_path, env=child_env(), text=True,
+                                  stdout=subprocess.DEVNULL if to_out else full,
+                                  stderr=subprocess.PIPE)
+        self.assert_one_write_error(proc.returncode, proc.stderr)
+        assert "[Errno 28]" in proc.stderr
+
+    def test_a_missing_directory_is_one_stderr_line(self, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        proc = subprocess.run([sys.executable, "-m", "qfpsim.cli", *self.MARGIN,
+                               "--out", str(out)], cwd=tmp_path, env=child_env(),
+                              capture_output=True, text=True)
+        self.assert_one_write_error(proc.returncode, proc.stderr)
+        assert "[Errno 2]" in proc.stderr and not out.parent.exists()
+
+    def test_a_reader_that_stops_after_10_bytes_is_one_stderr_line(self, tmp_path):
+        # as `qfpsim compile --builtin eq --n 9 | head -c 10`: the document
+        # outgrows the pipe's buffer, so the write after the close fails
+        proc = subprocess.Popen([sys.executable, "-m", "qfpsim.cli", *self.EQ9],
+                                cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b'{"format_v'
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        self.assert_one_write_error(proc.wait(), err)
+        assert "[Errno 32]" in err
 
     def test_nothing_registers_an_atexit_handler(self, tmp_path):
         # os._exit skips atexit handlers: none may exist, from numpy, any
