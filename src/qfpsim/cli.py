@@ -157,12 +157,8 @@ def cmd_compile(args, argv) -> int:
 
     system = compiler.compile_one_way(protocol)
     del protocol  # not read again: its tables need not outlive compilation
-    if args.no_assemble:
-        return _emit("vector_system", io.vector_system_payload(system), args, argv)
-
     embedding = compiler.assemble_shared_randomness_states(system, m)
-    del system
-    payload = io.embedding_payload(embedding)
+    payload = io.embedding_payload(embedding)  # the states as the system they pad
     payload["stages"] = [{"stage": "assembled", "dimension": embedding.dimension,
                           "delta0": embedding.delta0, "delta1": embedding.delta1}]
     return _emit("embedding", payload, args, argv)
@@ -213,11 +209,23 @@ def cmd_verify(args, argv) -> int:
     return _emit("report", payload, args, argv)
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command or, when ``command`` names one, of that
+    command alone: it parses the same, and the others take time to build."""
     parser = _Parser(prog="qfpsim", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    names = ("margin", "simulate", "compile", "project", "verify")
+    one = command in names
+    # with one command built, the usage of an unrecognized argument still names them all
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar="{" + ",".join(names) + "}" if one else None)
 
-    def common(p, builtin=True):
+    def add(name, help_line, run, builtin=True):
+        """The subparser of ``name`` with the options every command takes, or
+        None when only another command is built."""
+        if one and name != command:
+            return None
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(func=run)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if builtin:
@@ -227,53 +235,38 @@ def build_parser() -> _Parser:
             p.add_argument("--n", type=int, default=None)
             p.add_argument("--k", type=int, default=None)
             p.add_argument("--d", type=int, default=None)
+        return p
 
-    p = sub.add_parser("margin", help="margin bounds for a sign matrix")
-    common(p)
-    p.add_argument("--heuristic", action="store_true",
-                   help="also search for a max-margin witness")
-    p.set_defaults(func=cmd_margin)
-
-    p = sub.add_parser("simulate", help="exact error law of a fingerprinting protocol")
-    common(p)
-    p.add_argument("--embedding", default=None, help="embedding document")
-    p.add_argument("--eps", type=float, default=1.0 / 3.0)
-    p.add_argument("--trials", type=int, default=200,
-                   help="echoed as 'trials' for compatibility; must be >= 1, and the "
-                        "exact law does not depend on it")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("compile", help="compile a classical protocol into fingerprint states")
-    common(p)
-    p.add_argument("--protocol", default=None, help="protocol document")
-    p.add_argument("--model", choices=("smp", "one-way"), default=None)
-    p.add_argument("--num-r", type=int, default=None,
-                   help="sample this many shared random strings instead of enumerating")
-    p.add_argument("--no-assemble", action="store_true",
-                   help="emit the raw vector system instead of assembled states")
-    p.set_defaults(func=cmd_compile)
-
-    p = sub.add_parser("project", help="random-project a vector list and report distortion")
-    common(p, builtin=False)
-    p.add_argument("--vectors", required=True, help="vectors document")
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--eps", type=float, default=0.2)
-    p.set_defaults(func=cmd_project)
-
-    p = sub.add_parser("verify", help="verify an embedding or realization against a matrix")
-    common(p)
-    checked = p.add_mutually_exclusive_group(required=True)
-    checked.add_argument("--embedding", default=None)
-    checked.add_argument("--realization", default=None)
-    p.set_defaults(func=cmd_verify)
+    if p := add("margin", "margin bounds for a sign matrix", cmd_margin):
+        p.add_argument("--heuristic", action="store_true",
+                       help="also search for a max-margin witness")
+    if p := add("simulate", "exact error law of a fingerprinting protocol", cmd_simulate):
+        p.add_argument("--embedding", default=None, help="embedding document")
+        p.add_argument("--eps", type=float, default=1.0 / 3.0)
+        p.add_argument("--trials", type=int, default=200,
+                       help="echoed as 'trials' for compatibility; must be >= 1, and the "
+                            "exact law does not depend on it")
+    if p := add("compile", "compile a classical protocol into fingerprint states", cmd_compile):
+        p.add_argument("--protocol", default=None, help="protocol document")
+        p.add_argument("--model", choices=("smp", "one-way"), default=None)
+        p.add_argument("--num-r", type=int, default=None,
+                       help="sample this many shared random strings instead of enumerating")
+    if p := add("project", "random-project a vector list and report distortion", cmd_project,
+                builtin=False):
+        p.add_argument("--vectors", required=True, help="vectors document")
+        p.add_argument("--dim", type=int, required=True)
+        p.add_argument("--eps", type=float, default=0.2)
+    if p := add("verify", "verify an embedding or realization against a matrix", cmd_verify):
+        checked = p.add_mutually_exclusive_group(required=True)
+        checked.add_argument("--embedding", default=None)
+        checked.add_argument("--realization", default=None)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args, argv)
     except io.DocumentError as exc:

@@ -12,14 +12,13 @@ import numpy as np
 from . import projections
 from ._record import Record
 from .embeddings import (
-    PALETTE_MAX,
+    CompiledEmbedding,
     SignMatrix,
     ThresholdEmbedding,
+    VectorSystem,
+    _check_counts,
     _entries_in,
-    _CodedRows,
     _frozen_array,
-    _require_unit_rows,
-    _row_blocks,
     _worst_sides,
     verify_threshold_embedding,
 )
@@ -109,66 +108,6 @@ class OneWayProtocol(_Protocol):
         _frozen_array(self, "bob_accept", acc.astype(np.int8))
 
 
-class VectorSystem(Record):
-    """Per-random-string vectors a_r(x), b_r(y) with a common norm bound L.
-
-    The derived acceptance matrix is P(x,y) = (1/|R|) sum_r <a_r(x), b_r(y)>.
-    Integer arrays (a compiled protocol's int8 indicators) are held exactly;
-    others become float64.  Every reader accumulates in float64, or in float32
-    where each partial sum is an integer below 2^24, so nothing wraps or
-    rounds and an integer system reads exactly as its float64 cast.
-    """
-
-    a: np.ndarray  # (|R|, |X|, dim)
-    b: np.ndarray  # (|R|, |Y|, dim)
-    norm_bound: float
-
-    def __post_init__(self):
-        a, b = (np.asarray(v) for v in (self.a, self.b))
-        a, b = (v if v.dtype.kind in "iu" else v.astype(np.float64, copy=False) for v in (a, b))
-        if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
-            raise ValueError("a and b must be (|R|, count, dim) arrays sharing |R| and dim")
-        if self.norm_bound <= 0:
-            raise ValueError("norm bound must be positive")
-        big_l = float(self.norm_bound)
-        if not np.isfinite(big_l * big_l):  # readers square L; big_l**2 would raise OverflowError
-            raise ValueError(f"norm bound {self.norm_bound} must have a finite float64 square")
-        for name, arr in (("a", a), ("b", b)):
-            _require_unit_rows(name, arr.transpose(1, 0, 2), big_l)  # named (input, r)
-            _frozen_array(self, name, arr)
-
-    @property
-    def num_rand(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.a.shape[2]
-
-    def acceptance_matrix(self) -> np.ndarray:
-        # (|X|, |R| dim) x (|R| dim, |Y|) products, one block of rows at a time, sum
-        # over r and d at once.  When max|a| max|b| |R| dim <= 2^24 every partial sum
-        # is an integer float32 holds exactly, so an integer system multiplies in it.
-        a, b, width = self.a, self.b, self.num_rand * self.dim
-        dtype = np.float64
-        if a.dtype.kind in "iu" and b.dtype.kind in "iu":
-            # from min and max as Python ints: np.abs(int8 -128) wraps to -128
-            big_a, big_b = (max(-int(v.min()), int(v.max())) for v in (a, b))
-            if big_a * big_b * width <= 1 << 24:
-                dtype = np.float32
-        bt = _by_input(b, dtype).T
-        p = np.empty((a.shape[1], b.shape[1]))
-        for s in _row_blocks(a.shape[1], width):
-            p[s] = _by_input(a[:, s], dtype) @ bt
-        p /= self.num_rand
-        return p
-
-
-def _by_input(arr: np.ndarray, dtype) -> np.ndarray:
-    """(|R|, count, k) -> (count, |R| k) in ``dtype``: each input's slices side by side."""
-    return np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=dtype).reshape(arr.shape[1], -1)
-
-
 def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
     """Indicator-vector compilation: a_r(x) is the one-hot of Alice's message,
     b_r(y) the indicator set of the messages Bob accepts, both in
@@ -187,45 +126,15 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
     return compile_one_way(p)
 
 
-def _padded(entries, squares, big_l: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """The padding rule, the one place it is written: an entry u of a row of
-    squared norm S <= big_l^2 becomes (u / big_l) * scale, and the row's junk
-    entry (sqrt(big_l^2 - S) / big_l) * scale, so the padded row has norm
-    ``scale``."""
-    return entries / big_l * scale, np.sqrt(np.maximum(big_l**2 - squares, 0.0)) / big_l * scale
-
-
-def _junk_pad(rows: np.ndarray, junk: int, big_l: float, scale: float = 1.0) -> np.ndarray:
-    """Pad rows (..., dim) of norm <= big_l by ``_padded`` on junk coordinate
-    dim + junk of dim+2 (0 for alphas, 1 for betas): at scale 1, unit states
-    with <alpha_x, beta_y> = <a_x, b_y> / big_l^2 exactly.  The output is
-    allocated once and filled one block of rows at a time, each block cast
-    to float64 on its own."""
-    dim = rows.shape[-1]
-    out = np.zeros(rows.shape[:-1] + (dim + 2,))
-    for s in _row_blocks(rows.shape[0], rows[:1].size):
-        block = rows[s].astype(np.float64, copy=False)
-        out[s, ..., :dim], out[s, ..., dim + junk] = _padded(
-            block, np.add.reduce(block * block, axis=-1), big_l, scale)
-    return out
-
-
 def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
     """delta0 and delta1 of the assembled states: the exact extremal values of
-    (P/L^2)^2 over the f=0 and f=1 pairs of M, from the acceptance matrix
-    squared in place and searched one block of rows at a time.  A delta1
-    above 1 by at most ``dot_allowance(dim, squared=True)`` is rounding (L^2
-    may round below sum of squares) and is clipped to 1.  Errors out when the
-    system does not separate the two sides."""
-    if (v.a.shape[1], v.b.shape[1]) != (m.rows, m.cols):
-        raise ValueError(
-            f"vector system is {v.a.shape[1]}x{v.b.shape[1]} but the sign matrix is "
-            f"{m.rows}x{m.cols}"
-        )
-    sq = v.acceptance_matrix()
-    sq /= v.norm_bound**2
-    sq **= 2
-    (delta0, _), (delta1, _) = _worst_sides(sq.__getitem__, m)
+    (P/L^2)^2 over the f=0 and f=1 pairs of M, which the verifier forms the
+    same way, searched one block of rows at a time.  A delta1 above 1 by at
+    most ``dot_allowance(dim, squared=True)`` is rounding (L^2 may round
+    below sum of squares) and is clipped to 1.  Errors out when the system
+    does not separate the two sides."""
+    _check_counts(v.a.shape[1], v.b.shape[1], m)
+    (delta0, _), (delta1, _) = _worst_sides(v._rows(squared=True), m)
     if delta1 <= 1.0 + dot_allowance(v.dim, squared=True):
         delta1 = min(delta1, 1.0)
     if delta0 >= delta1:
@@ -235,63 +144,16 @@ def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
     return delta0, delta1
 
 
-def _side(v: VectorSystem, side: int) -> np.ndarray | _CodedRows:
-    """The alphas (side 0, from ``v.a``) or betas (side 1, from ``v.b``) of
-    the assembled states, one row per input: block r of a row is slice r
-    padded by ``_padded`` at scale 1/sqrt(|R|).  Coded by ``_coded_side``
-    where it builds them, else padded in float64 by ``_junk_pad``."""
-    coded = _coded_side(v, side)
-    if coded is not None:
-        return coded
-    vectors = (v.a, v.b)[side]
-    return _junk_pad(vectors.transpose(1, 0, 2), side, v.norm_bound,
-                     1.0 / np.sqrt(v.num_rand)).reshape(vectors.shape[1], -1)
-
-
-def _coded_side(v: VectorSystem, side: int) -> _CodedRows | None:
-    """``_side(v, side)`` of an integer system as ``_CodedRows``, one uint8
-    code per entry, built in one pass without a float64 state block.  The
-    palette is ``_padded`` of every candidate value: each u in [lo, hi],
-    then each S in [0, S_max], then 0.0, the other side's junk entry.  So an
-    entry u is coded u - lo and a junk entry hi - lo + 1 + S from its slice's
-    exact squared norm S, and the decoded rows are ``_junk_pad``'s to the
-    bit.  None for a float system, or when the candidates take more than
-    PALETTE_MAX entries: ``_junk_pad`` pads those."""
-    vectors = (v.a, v.b)[side]
-    if vectors.dtype.kind not in "iu":
-        return None
-    num_rand, count, dim = vectors.shape
-    lo, hi = int(vectors.min()), int(vectors.max())
-    s_max = max(-lo, hi) ** 2 * dim  # no slice's S exceeds it
-    junk = hi - lo + 1  # the code of a junk entry of S = 0
-    zero = junk + s_max + 1  # the code of 0.0, the palette's last entry
-    if zero >= PALETTE_MAX:
-        return None
-    values = _padded(np.arange(lo, hi + 1), np.arange(s_max + 1), v.norm_bound,
-                     1.0 / np.sqrt(num_rand))
-    codes = np.full((count, num_rand, dim + 2), zero, np.uint8)
-    for s in _row_blocks(count, num_rand * (dim + 2)):
-        block = vectors[:, s]
-        # an unsafe cast only for uint64, and exact: zero < PALETTE_MAX bounds |u| by 15
-        codes[s, :, :dim] = np.subtract(block, lo, dtype=np.intp,
-                                        casting="unsafe").transpose(1, 0, 2)
-        codes[s, :, dim + side] = np.einsum("rxd,rxd->xr", block, block, dtype=np.intp,
-                                            casting="unsafe") + junk
-    return _CodedRows(np.concatenate([*values, [0.0]]), codes.reshape(count, -1))
-
-
-def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> ThresholdEmbedding:
-    """Superpose all junk-padded per-r states into block vectors on
-    |R| (dim+2) coordinates, so that <alpha_x, beta_y> = P(x,y) / L^2 exactly.
-    An integer system's sides whose candidate values fit in PALETTE_MAX
-    palette entries are held as ``_CodedRows``, 1 byte an entry, as
-    ``compile`` writes them; any other side is a float64 array."""
-    delta0, delta1 = _thresholds(v, m)
-    return ThresholdEmbedding(_side(v, 0), _side(v, 1), delta0, delta1)
+def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> CompiledEmbedding:
+    """The states of Yao's simulation: superposing all junk-padded per-r
+    states into block vectors on |R| (dim+2) coordinates gives
+    <alpha_x, beta_y> = P(x,y) / L^2 exactly.  They are held as ``v`` itself,
+    with the thresholds of ``_thresholds``, and padded only when read."""
+    return CompiledEmbedding(v, *_thresholds(v, m))
 
 
 def classical_projection_protocol(
-    e: ThresholdEmbedding,
+    e: ThresholdEmbedding | CompiledEmbedding,
     pair: tuple[int, int],
     k: int,
     reps: int,

@@ -1,11 +1,13 @@
-"""Threshold embeddings, margin realizations, their verifiers, and the exact
-conversions between the two representations (both directions).
+"""Threshold embeddings, margin realizations, the vector systems a compiled
+protocol gives, their verifiers, and the exact conversions between the two
+representations (both directions).
 
-Each side of an embedding is a float64 array or ``_CodedRows``, palette-coded
-rows as ``compiler.assemble_shared_randomness_states`` builds them and
-``io.parse_embedding`` reads them, which the unit check decodes one block of
-rows at a time.  The verifier multiplies two coded sides from exact counts of
-their codes on shared columns, without decoding them."""
+A ``ThresholdEmbedding`` holds its states as float64 arrays.  A
+``CompiledEmbedding`` holds the ``VectorSystem`` whose junk-padded slices
+are its states, as ``compiler.assemble_shared_randomness_states`` builds it
+and ``io.parse_embedding`` reads it: the verifier squares the system's own
+acceptance products, exact for a compiled int8 system, and the float64
+states are formed only when a caller reads ``alphas`` or ``betas``."""
 
 from __future__ import annotations
 
@@ -16,18 +18,32 @@ from .linalg import CHUNK, dot_allowance, unit_allowance
 
 MIN_GAP = 1e-6  # the smallest threshold gap a sketch accepts
 MAX_TENSOR_DIM = 64
+TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
-def _require_unit_rows(name: str, rows, bound: float | None = None) -> None:
-    """Refuse the first row of ``rows`` (an array of rows or ``_CodedRows``)
-    whose float64 norm is off 1, or above ``bound``, by more than
-    ``unit_allowance`` (times ``bound``), named by its index in ``name``."""
+def _peak(arr: np.ndarray) -> int:
+    """The largest |entry| of an integer array (0 when empty), from its min and
+    max as Python ints: np.abs(int8 -128) wraps to -128."""
+    return max(-int(arr.min(initial=0)), int(arr.max(initial=0)))
+
+
+def _require_unit_rows(name: str, rows: np.ndarray, bound: float | None = None) -> None:
+    """Refuse the first row of ``rows`` whose norm is off 1, or above
+    ``bound``, by more than ``unit_allowance`` (times ``bound``), named by its
+    index in ``name``.  An integer array's squared norms are summed exactly,
+    in the narrowest signed integer type that holds peak^2 dim, if int64
+    does; others' in float64."""
     scale = 1.0 if bound is None else bound
     tol = scale * unit_allowance(rows.shape[-1])
+    sums = (np.min_scalar_type(-1 - _peak(rows) ** 2 * rows.shape[-1])  # object past int64
+            if rows.dtype.kind in "iu" else np.dtype(np.float64))
     for s in _row_blocks(rows.shape[0], int(np.prod(rows.shape[1:]))):
         block = rows[s]
-        off = np.einsum("...d,...d->...", block, block, dtype=np.float64)
-        np.sqrt(off, out=off)
+        if sums.kind == "i":
+            off = np.sqrt(np.vecdot(block, block, dtype=sums, casting="unsafe"), dtype=np.float64)
+        else:
+            off = np.einsum("...d,...d->...", block, block, dtype=np.float64)
+            np.sqrt(off, out=off)
         off -= scale  # in place; exact near scale (Sterbenz), as is off + scale
         ok = (np.abs(off) if bound is None else off) <= tol  # a NaN norm fails too
         if not ok.all():
@@ -36,34 +52,6 @@ def _require_unit_rows(name: str, rows, bound: float | None = None) -> None:
             raise ValueError(f"{at} is not a unit vector (norm {norm})" if bound is None
                              else f"{at} norm {norm} exceeds the bound {bound}")
         del block, off, ok  # so the next block's arrays replace them: the peak is one block
-
-
-PALETTE_MAX = 256  # the values a uint8 code tells apart
-
-
-class _CodedRows:
-    """A 2-d float64 array held as ``palette[codes]``, one uint8 code per
-    entry, whose rows are decoded a slice at a time: 1 byte an entry where
-    the decoded rows take 8.  The palette and the codes are read-only, and
-    every read decodes into a new array."""
-
-    def __init__(self, palette: np.ndarray, codes: np.ndarray):
-        _frozen_array(self, "palette", palette)
-        _frozen_array(self, "codes", codes)
-        self.shape = self.codes.shape
-
-    def __array__(self, dtype=None, copy=None):
-        # Indexing, not np.take: np.take would copy the codes to intp first.
-        # A 1-d index: a 2-d one takes ~0.15 MiB more peak RSS.
-        return np.asarray(self.palette[self.codes.reshape(-1)].reshape(self.shape), dtype=dtype)
-
-    @property
-    def nbytes(self) -> int:
-        """The bytes held: the palette and the codes, not the decoded rows."""
-        return self.palette.nbytes + self.codes.nbytes
-
-    def __getitem__(self, rows: slice | int) -> np.ndarray:
-        return self.palette[self.codes[rows]]
 
 
 def _entries_in(arr: np.ndarray, values: tuple[int, ...]) -> bool:
@@ -111,22 +99,20 @@ class SignMatrix(Record):
 
 
 class _UnitPair(Record):
-    """Unit row vectors alpha_x and beta_y in one common dimension.  Each side
-    is a float64 array, or ``_CodedRows`` held as they are; every row is
-    unit-checked once, one block of rows at a time, alphas before betas."""
+    """Unit row vectors alpha_x and beta_y in one common dimension, each side
+    a float64 array; every row is unit-checked once, one block of rows at a
+    time, alphas before betas."""
 
-    alphas: np.ndarray | _CodedRows
-    betas: np.ndarray | _CodedRows
+    alphas: np.ndarray
+    betas: np.ndarray
 
     def __post_init__(self):
-        a, b = (v if isinstance(v, _CodedRows) else np.asarray(v, dtype=np.float64)
-                for v in (self.alphas, self.betas))
-        if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[1]:
+        a, b = (np.asarray(v, dtype=np.float64) for v in (self.alphas, self.betas))
+        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[1]:
             raise ValueError("alphas and betas must be 2-d with a common dimension")
         for name, rows in (("alphas", a), ("betas", b)):
             _require_unit_rows(name, rows)
-            if not isinstance(rows, _CodedRows):  # a _CodedRows side is already read-only
-                _frozen_array(self, name, rows)
+            _frozen_array(self, name, rows)
 
     @property
     def dimension(self) -> int:
@@ -142,10 +128,13 @@ class ThresholdEmbedding(_UnitPair):
 
     def __post_init__(self):
         super().__post_init__()
-        if not (0.0 <= self.delta0 < self.delta1 <= 1.0):
-            raise ValueError(
-                f"thresholds must satisfy 0 <= delta0 < delta1 <= 1, got ({self.delta0}, {self.delta1})"
-            )
+        _require_thresholds(self.delta0, self.delta1)
+
+
+def _require_thresholds(delta0: float, delta1: float) -> None:
+    if not (0.0 <= delta0 < delta1 <= 1.0):
+        raise ValueError(f"thresholds must satisfy 0 <= delta0 < delta1 <= 1, "
+                         f"got ({delta0}, {delta1})")
 
 
 class Realization(_UnitPair):
@@ -158,6 +147,129 @@ class Realization(_UnitPair):
         super().__post_init__()
         if not (0.0 < self.gamma <= 1.0):
             raise ValueError(f"margin must lie in (0, 1], got {self.gamma}")
+
+
+class VectorSystem(Record):
+    """Per-random-string vectors a_r(x), b_r(y) with a common norm bound L.
+
+    The derived acceptance matrix is P(x,y) = (1/|R|) sum_r <a_r(x), b_r(y)>.
+    Integer arrays (a compiled protocol's int8 indicators) are held exactly;
+    others become float64.  Every reader accumulates in float64, in int64, or
+    in float32 where each partial sum is an integer below 2^24, so nothing
+    wraps or rounds and an integer system reads exactly as its float64 cast.
+    L^2 must be a finite float64 of at least the smallest normal one, so
+    that ``_padded`` makes every slice a unit vector.
+    """
+
+    a: np.ndarray  # (|R|, |X|, dim)
+    b: np.ndarray  # (|R|, |Y|, dim)
+    norm_bound: float
+
+    def __post_init__(self):
+        a, b = (np.asarray(v) for v in (self.a, self.b))
+        a, b = (v if v.dtype.kind in "iu" else v.astype(np.float64, copy=False) for v in (a, b))
+        if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
+            raise ValueError("a and b must be (|R|, count, dim) arrays sharing |R| and dim")
+        if self.norm_bound <= 0:
+            raise ValueError("norm bound must be positive")
+        big_l = float(self.norm_bound)
+        # readers square L; big_l**2 would raise OverflowError, and a NaN fails the test
+        if not TINY <= big_l * big_l < np.inf:
+            raise ValueError(f"norm bound {self.norm_bound} must have a finite float64 "
+                             f"square of at least {TINY}")
+        for name, arr in (("a", a), ("b", b)):
+            _require_unit_rows(name, arr.transpose(1, 0, 2), big_l)  # named (input, r)
+            _frozen_array(self, name, arr)
+
+    @property
+    def num_rand(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.a.shape[2]
+
+    def _rows(self, squared: bool = False):
+        """A function of a slice s of the inputs x that returns rows s of the
+        acceptance matrix as float64, or with ``squared`` of (P/L^2)^2, the
+        squared inner products of ``_states``.  Each block is an
+        (|X|, |R| dim) x (|R| dim, |Y|) product, summing over r and d at once.
+        When max|a| max|b| |R| dim <= 2^24 every partial sum is an integer
+        float32 holds exactly, so an integer system multiplies in it."""
+        a, b, width = self.a, self.b, self.num_rand * self.dim
+        dtype = np.float64
+        if a.dtype.kind in "iu" and b.dtype.kind in "iu" and _peak(a) * _peak(b) * width <= 1 << 24:
+            dtype = np.float32
+
+        def by_input(arr):  # (|R|, count, k) -> (count, |R| k): each input's slices side by side
+            arr = np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=dtype)
+            return arr.reshape(len(arr), -1)
+
+        bt = by_input(b).T
+
+        def rows(s: slice, out: np.ndarray | None = None) -> np.ndarray:
+            p = np.divide(by_input(a[:, s]) @ bt, self.num_rand, out=out, dtype=np.float64)
+            if squared:
+                p /= self.norm_bound**2
+                p **= 2  # in place: the same square as ** 2, without a second block
+            return p
+
+        return rows
+
+    def acceptance_matrix(self) -> np.ndarray:
+        rows, count = self._rows(), self.a.shape[1]
+        p = np.empty((count, self.b.shape[1]))
+        for s in _row_blocks(count, self.num_rand * self.dim):
+            rows(s, out=p[s])
+        return p
+
+    def _states(self, side: int) -> np.ndarray:
+        """The alphas (side 0, from ``a``) or betas (side 1, from ``b``) of the
+        states the system stands for, as new float64 rows filled one block at a
+        time: block r of a row is slice r padded by ``_padded`` at scale
+        1/sqrt(|R|), on junk coordinate dim + side of dim+2."""
+        vectors, dim = (self.a, self.b)[side].transpose(1, 0, 2), self.dim  # (count, |R|, dim)
+        out = np.zeros(vectors.shape[:2] + (dim + 2,))
+        for s in _row_blocks(len(out), vectors[:1].size):
+            block = vectors[s].astype(np.float64, copy=False)
+            out[s, :, :dim], out[s, :, dim + side] = _padded(
+                block, np.add.reduce(block * block, axis=-1), self.norm_bound,
+                1.0 / np.sqrt(self.num_rand))
+        return out.reshape(len(out), -1)
+
+
+def _padded(entries, squares, big_l: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """The padding rule, the one place it is written: an entry u of a row of
+    squared norm S <= big_l^2 becomes (u / big_l) * scale, and the row's junk
+    entry (sqrt(big_l^2 - S) / big_l) * scale, so the padded row has norm
+    ``scale``."""
+    return entries / big_l * scale, np.sqrt(np.maximum(big_l**2 - squares, 0.0)) / big_l * scale
+
+
+class CompiledEmbedding(Record):
+    """A threshold embedding held as the ``VectorSystem`` its states pad: the
+    junk-padded slices of each input, side by side, are a unit state on |R|
+    (dim+2) coordinates, with <alpha_x, beta_y> = P(x,y) / L^2.  ``alphas``
+    and ``betas`` pad them into a new float64 array at each read."""
+
+    system: VectorSystem
+    delta0: float
+    delta1: float
+
+    def __post_init__(self):
+        _require_thresholds(self.delta0, self.delta1)
+
+    @property
+    def dimension(self) -> int:
+        return self.system.num_rand * (self.system.dim + 2)
+
+    @property
+    def alphas(self) -> np.ndarray:
+        return self.system._states(0)
+
+    @property
+    def betas(self) -> np.ndarray:
+        return self.system._states(1)
 
 
 class EmbeddingReport(Record):
@@ -174,12 +286,10 @@ class RealizationReport(Record):
     worst_pair: tuple[int, int] | None
 
 
-def _check_counts(alphas, betas, m: SignMatrix) -> None:
-    if alphas.shape[0] != m.rows or betas.shape[0] != m.cols:
-        raise ValueError(
-            f"index counts ({alphas.shape[0]}, {betas.shape[0]}) do not match the "
-            f"{m.rows}x{m.cols} sign matrix"
-        )
+def _check_counts(rows: int, cols: int, m: SignMatrix) -> None:
+    if (rows, cols) != (m.rows, m.cols):
+        raise ValueError(f"index counts ({rows}, {cols}) do not match the "
+                         f"{m.rows}x{m.cols} sign matrix")
 
 
 def _worst_pair(
@@ -217,59 +327,30 @@ def _worst_sides(rows, m: SignMatrix):
     return worst[0] or (0.0, None), worst[1] or (1.0, None)
 
 
-def _count_terms(a, b) -> list | None:
-    """The count path's terms: for each pair of nonzero codes, i of ``a`` and j
-    of ``b``, that share columns, in row-major order, (i, pa[i] * pb[j], those
-    columns, the bool indicator of j on them in every row of ``b``).  Which
-    codes occur in which columns is read in one pass over each side's codes,
-    ``CHUNK`` entries at a time.  None unless both sides are ``_CodedRows``
-    sharing at most D (pair, column) entries, D < 2^24: past D, counting would
-    multiply more columns than the decoded product does."""
-    if not (isinstance(a, _CodedRows) and isinstance(b, _CodedRows)):
-        return None
-    found = []
-    for r in (a, b):
-        seen = np.zeros((r.shape[1], r.palette.size), bool)  # seen[c, k]: code k in column c
-        for s in _row_blocks(*r.shape):
-            seen.reshape(-1)[r.codes[s] + np.arange(0, seen.size, r.palette.size)] = True
-        found.append((codes := np.flatnonzero(r.palette), seen[:, codes].T))
-    (ia, in_a), (ib, in_b) = found
-    if not in_a.sum(0) @ in_b.sum(0) <= a.shape[1] < 1 << 24:
-        return None
-    return [(ia[i], a.palette[ia[i]] * b.palette[ib[j]], cols := np.flatnonzero(in_a[i] & in_b[j]),
-             b.codes[:, cols] == ib[j]) for i, j in zip(*np.nonzero(in_a @ in_b.T))]
-
-
-def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
+def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding, m: SignMatrix,
                                out: np.ndarray | None = None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    (e.alphas @ e.betas.T) ** 2 formed one block of rows at a time, each
-    block one tile of betas at a time.  A side may pass its threshold by
-    ``dot_allowance(dimension, squared=True)``.  An (m.rows, m.cols) array
-    ``out`` receives each block.  Sides with ``_count_terms`` are not decoded:
-    a product sums, over P code pairs, pa[i] * pb[j] times the count of columns
-    coded i and j, an exact float32 product of 0/1 indicators (partial sums
-    are integers below 2^24), so equal counts give equal products.  A term
-    rounds in pa[i] * pb[j], and in its multiple if its pair takes k >= 2 of
-    the <= D (pair, column) entries (then P + 1 <= D); the sum rounds P - 1
-    times.  So no term meets more than D roundings, the D u that
-    ``dot_allowance(D)`` grants a D-term sum: a product stays within it, and
-    its square within ``dot_allowance(D, squared=True)``, as decoded ones do."""
-    _check_counts(e.alphas, e.betas, m)
-    tiles = list(_row_blocks(m.cols, m.cols))
-    terms = _count_terms(e.alphas, e.betas)
+    squared inner products formed one block of rows at a time: a compiled
+    embedding's (P/L^2)^2 from its system, which its states give exactly in
+    exact arithmetic, else (e.alphas @ e.betas.T) ** 2, one tile of betas at a
+    time.  A side may pass its threshold by ``dot_allowance(dimension,
+    squared=True)``.  An (m.rows, m.cols) array ``out`` receives each block."""
+    if isinstance(e, CompiledEmbedding):
+        _check_counts(e.system.a.shape[1], e.system.b.shape[1], m)
+        squares = e.system._rows(squared=True)
+    else:
+        _check_counts(e.alphas.shape[0], e.betas.shape[0], m)
+        tiles = list(_row_blocks(m.cols, m.cols))
 
-    def squared_rows(s: slice) -> np.ndarray:
-        block = np.zeros(m.entries[s].shape)
-        if terms is None:
-            alphas = e.alphas[s]
+        def squares(s: slice) -> np.ndarray:
+            block, alphas = np.empty(m.entries[s].shape), e.alphas[s]
             for t in tiles:
                 np.matmul(alphas, e.betas[t].T, out=block[:, t])
-        for i, w, cols, beta in terms or ():
-            alpha = (e.alphas.codes[s][:, cols] == i).astype(np.float32)
-            for t in tiles:
-                block[:, t] += w * (alpha @ beta[t].T.astype(np.float32))
-        block **= 2  # in place: the same square as ** 2, without a second block
+            block **= 2  # in place: the same square as ** 2, without a second block
+            return block
+
+    def squared_rows(s: slice) -> np.ndarray:
+        block = squares(s)
         if out is not None:
             out[s] = block
         return block
@@ -283,7 +364,7 @@ def verify_threshold_embedding(e: ThresholdEmbedding, m: SignMatrix,
 def verify_realization(r: Realization, m: SignMatrix) -> RealizationReport:
     """Check the signed margin on every non-promise pair of M, to within
     ``dot_allowance`` of the dimension."""
-    _check_counts(r.alphas, r.betas, m)
+    _check_counts(r.alphas.shape[0], r.betas.shape[0], m)
     achieved, pair = _worst_pair(m.dense() * (r.alphas @ r.betas.T), m.entries != 0)
     return RealizationReport(achieved >= r.gamma - dot_allowance(r.dimension), achieved, pair)
 

@@ -163,7 +163,7 @@ def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
     tails are computed once per group (EQ has 2, HAM(5, 2) has 6).  All P0
     come from the squared inner-product blocks the verifier forms and
     checks, so they match ``verify`` to the bit, with no per-state check:
-    ``ThresholdEmbedding`` holds its rows to the unit-norm tolerance too."""
+    every embedding's states are unit vectors within ``unit_allowance`` already."""
     squared = np.empty(m.entries.shape)
     report = verify_threshold_embedding(p.embedding, m, out=squared)
     if not report.valid:

@@ -3,18 +3,24 @@ systems and protocols.
 
 Every document carries ``format_version``, a ``kind`` tag, a kind-specific
 ``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
-Float arrays (embedding and realization ``alphas``/``betas``, vector system
-``a``/``b``, ``vectors``) and sign matrix ``entries`` are written as one
-little-endian float64 block in one of two forms, chosen from the block's
+Float arrays (embedding and realization ``alphas``/``betas``, a float vector
+system's ``a``/``b``, ``vectors``) and sign matrix ``entries`` are written as
+one little-endian float64 block in one of two forms, chosen from the block's
 contents alone (format 1.3; 1.4 for ``entries``):
 
 - ``{"dtype": "<f8", "shape": [...], "codec": "zlib-palette", "palette":
   [v0, ...], "b64": "..."}`` when the block holds 1 to 256 distinct bit
   patterns.  ``b64`` is a zlib stream of one uint8 code per entry, and the
-  entry is ``palette[code]``.  Fingerprint states are built from scaled
-  one-hot and indicator vectors, so a compiled state block holds a few values.
+  entry is ``palette[code]``.
 - ``{"dtype": "<f8", "shape": [...], "codec": "zlib", "b64": "..."}``
   otherwise (the 1.2 form): a zlib stream of the float64 bytes themselves.
+
+A vector system side of integers in [-127, 127], such as a compiled
+protocol's 0/1 indicators, is a plain int8 block, ``{"dtype": "|i1", "shape":
+[...], "codec": "zlib", "b64": "..."}``, one byte an entry (format 1.5: a
+document holding one is stamped 1.5, any other 1.4).  ``compile`` writes an
+``embedding`` as a ``system`` (the ``vector_system`` payload) in place of
+``alphas`` and ``betas``, which a 1.4 reader refuses as missing.
 
 The palette is built on the bit patterns, so ``-0.0``, ``+0.0`` and
 subnormals are kept apart and parse(serialize(x)) is bit-identical for
@@ -28,10 +34,10 @@ Python's shortest round-trip repr.  The compressed bytes may differ between
 zlib builds; the decoded arrays do not.
 
 ``parse_embedding`` is the one reader of embedding documents, for every
-command that takes one: it keeps a palette block of ``alphas`` or ``betas``
-as its codes (``_CodedRows``, 1 byte an entry) and reads every other form as
-a float64 array, and the ``ThresholdEmbedding`` it builds unit-checks each
-row once.
+command that takes one: a ``system`` becomes a ``CompiledEmbedding``, whose
+``VectorSystem`` bounds every slice, and ``alphas`` and ``betas`` (a 1.4
+compiled document's palette-coded states among them) become a
+``ThresholdEmbedding`` of float64 arrays, which unit-checks each row once.
 """
 
 from __future__ import annotations
@@ -48,21 +54,25 @@ import numpy as np
 
 from . import __version__ as VERSION
 from .embeddings import (
-    PALETTE_MAX,
+    CompiledEmbedding,
     Realization,
     SignMatrix,
     ThresholdEmbedding,
-    _CodedRows,
+    VectorSystem,
+    _peak,
 )
 from .linalg import CHUNK
 
 # imported where used, so reading other kinds of document never loads the compiler
 if TYPE_CHECKING:
-    from .compiler import ClassicalSMPProtocol, OneWayProtocol, VectorSystem
-FORMAT_VERSION = "1.4"
+    from .compiler import ClassicalSMPProtocol, OneWayProtocol
+FORMAT_VERSION = "1.4"  # the version of every document without an int8 block
+INT8_FORMAT_VERSION = "1.5"  # a document holding an int8 block, which a 1.4 reader refuses
 FLOAT_DTYPE = "<f8"
+INT8_DTYPE = "|i1"
 CODEC = "zlib"
 PALETTE_CODEC = "zlib-palette"
+PALETTE_MAX = 256  # the values a uint8 code tells apart
 # The leaf rule: an integer field takes JSON integers only, a number field JSON
 # integers or floats.  true, false, strings and null never pass: the types are
 # compared exactly, and type(True) is bool, not int.
@@ -79,11 +89,17 @@ def document(kind: str, payload: dict, command: str = "", seed=None) -> dict:
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": INT8_FORMAT_VERSION if _holds_int8(payload) else FORMAT_VERSION,
         "kind": kind,
         "payload": payload,
         "provenance": {"command": command, "seed": seed, "version": VERSION},
     }
+
+
+def _holds_int8(value) -> bool:
+    """Whether ``value`` is an int8 block or an object holding one, at any depth."""
+    return isinstance(value, dict) and (value.get("dtype") == INT8_DTYPE
+                                        or any(map(_holds_int8, value.values())))
 
 
 # What dump's encoder writes in place of each 2-d array leaf, whose rows go there.
@@ -175,42 +191,33 @@ def _palette(bits: np.ndarray) -> np.ndarray | None:
 def _float_block(arr) -> dict:
     """``arr`` as one little-endian float64 block, zlib-compressed, in base64:
     palette-coded when it holds at most PALETTE_MAX distinct bit patterns.
-    Entries are checked, coded and deflated one ``CHUNK`` at a time.  A
-    ``_CodedRows`` is recoded from its own codes, its palette cut to the
-    entries they use in ascending order of bit patterns, so it is written as
-    ``np.asarray(arr)`` would be without being decoded."""
-    if isinstance(arr, _CodedRows):
-        shape, codes = arr.shape, arr.codes.reshape(-1)
-        chunks = [codes[start:start + CHUNK] for start in range(0, codes.size, CHUNK)]
-        used = np.zeros(arr.palette.size, bool)
-        for chunk in chunks:
-            used |= np.bincount(chunk, minlength=used.size) > 0
-        if not np.isfinite(arr.palette[used]).all():
-            raise ValueError("float array has a non-finite entry")
-        bits = np.ascontiguousarray(arr.palette, dtype=FLOAT_DTYPE).view("<u8")
-        palette_bits = _palette(bits[used])  # None only when there are no codes
-        # each code's new code; an unused code's is never read
-        recode = np.searchsorted(bits[used] if palette_bits is None else palette_bits,
-                                 bits).astype(np.uint8)
-        data = (np.take(recode, chunk) for chunk in chunks)
-    else:
-        arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
-        shape, bits = arr.shape, arr.reshape(-1).view("<u8")
-        chunks = [slice(start, start + CHUNK) for start in range(0, bits.size, CHUNK)]
-        if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
-            raise ValueError("float array has a non-finite entry")
-        palette_bits = _palette(bits)
-        data = (bits[s].view(np.uint8) if palette_bits is None else
-                np.searchsorted(palette_bits, bits[s]).astype(np.uint8) for s in chunks)
-    palette = None if palette_bits is None else palette_bits.view(FLOAT_DTYPE)
-    block = {"dtype": FLOAT_DTYPE, "shape": list(shape), "codec": CODEC}
-    if palette is not None:
-        block.update(codec=PALETTE_CODEC, palette=palette.tolist())
+    Entries are checked, coded and deflated one ``CHUNK`` at a time."""
+    arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
+    bits = arr.reshape(-1).view("<u8")
+    chunks = [slice(start, start + CHUNK) for start in range(0, bits.size, CHUNK)]
+    if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
+        raise ValueError("float array has a non-finite entry")
+    palette_bits = _palette(bits)
+    data = (bits[s].view(np.uint8) if palette_bits is None else
+            np.searchsorted(palette_bits, bits[s]).astype(np.uint8) for s in chunks)
+    block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC}
+    if palette_bits is not None:
+        block.update(codec=PALETTE_CODEC, palette=palette_bits.view(FLOAT_DTYPE).tolist())
     # one stream deflated chunk by chunk: the bytes of zlib.compress(all data, 1)
     deflater = zlib.compressobj(1)
     block["b64"] = base64.b64encode(b"".join(
         [*map(deflater.compress, data), deflater.flush()])).decode("ascii")
     return block
+
+
+def _system_block(arr: np.ndarray) -> dict:
+    """A vector system side: integers in [-127, 127] as a plain int8 block,
+    one byte an entry before zlib (format 1.5); anything else as a float block."""
+    if arr.dtype.kind not in "iu" or _peak(arr) > 127:
+        return _float_block(arr)
+    data = zlib.compress(np.ascontiguousarray(arr, dtype=np.int8), 1)
+    return {"dtype": INT8_DTYPE, "shape": list(arr.shape), "codec": CODEC,
+            "b64": base64.b64encode(data).decode("ascii")}
 
 
 def _inflated(raw: bytes, need: int, name: str) -> bytes:
@@ -250,21 +257,22 @@ def _palette_field(value: dict, name: str) -> np.ndarray:
 
 
 def _decoded(value, name: str):
-    """A float block as an array, a palette block as its codes in a
-    ``_CodedRows``; any other value is returned as it is."""
+    """A float or int8 block as an array (a palette block decoded); any other
+    value is returned as it is."""
     if not isinstance(value, dict):
         return value
-    if value.get("dtype") != FLOAT_DTYPE:
-        raise DocumentError(f"field {name!r} has dtype {value.get('dtype')!r}, "
-                            f"expected {FLOAT_DTYPE!r}")
+    dtype = value.get("dtype")
+    if dtype not in (FLOAT_DTYPE, INT8_DTYPE):
+        raise DocumentError(f"field {name!r} has dtype {dtype!r}, "
+                            f"expected {FLOAT_DTYPE!r} or {INT8_DTYPE!r}")
     shape = value.get("shape")
     if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
         raise DocumentError(f"field {name!r} has shape {shape!r}, "
                             "expected a list of non-negative integers")
     codec = value.get("codec")
-    if codec not in (None, CODEC, PALETTE_CODEC):
-        raise DocumentError(f"field {name!r} has codec {codec!r}, "
-                            f"expected {PALETTE_CODEC!r}, {CODEC!r} or none")
+    codecs = (PALETTE_CODEC, CODEC, None) if dtype == FLOAT_DTYPE else (CODEC, None)
+    if codec not in codecs:
+        raise DocumentError(f"field {name!r} has codec {codec!r}, expected one of {codecs}")
     if codec == PALETTE_CODEC:
         palette = _palette_field(value, name)
     elif "palette" in value:
@@ -273,18 +281,19 @@ def _decoded(value, name: str):
         raw = base64.b64decode(value.get("b64"), validate=True)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field {name!r} has no valid base64 'b64': {exc}") from exc
-    need = (1 if codec == PALETTE_CODEC else 8) * math.prod(shape)
+    need = (8 if dtype == FLOAT_DTYPE and codec != PALETTE_CODEC else 1) * math.prod(shape)
     if codec is not None:
         raw = _inflated(raw, need, name)
     if len(raw) != need:
         raise DocumentError(f"field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}")
     if codec != PALETTE_CODEC:
-        return np.frombuffer(raw, dtype=FLOAT_DTYPE).reshape(shape)
+        return np.frombuffer(raw, dtype=dtype).reshape(shape)
     codes = np.frombuffer(raw, dtype=np.uint8)
     if codes.size and codes.max() >= palette.size:
         raise DocumentError(f"field {name!r} has code {codes.max()}, "
                             f"its palette has {palette.size} entries")
-    return _CodedRows(palette, codes.reshape(shape))
+    # Indexing, not np.take: np.take would copy the codes to intp first
+    return palette[codes].reshape(shape)
 
 
 def _leaves_are(values: list, leaves: str) -> bool:
@@ -300,18 +309,14 @@ def _leaves_are(values: list, leaves: str) -> bool:
     return True
 
 
-def _array(payload: dict, name: str, dtype=None, leaves: str = "number",
-           coded: bool = False) -> np.ndarray | _CodedRows:
-    """Field ``name`` as an array, from a float block or a nested list; with
-    ``coded``, a palette block stays as its ``_CodedRows``.  A ragged or
+def _array(payload: dict, name: str, dtype=None, leaves: str = "number") -> np.ndarray:
+    """Field ``name`` as an array, from a block or a nested list.  A ragged or
     non-finite list, or one with a leaf that is not a JSON ``leaves``, is
     malformed."""
     value = _field(payload, name)
     if isinstance(value, list) and not _leaves_are(value, leaves):
         raise DocumentError(f"field {name!r} has an entry that is not a JSON {leaves}")
     arr = _decoded(value, name)
-    if coded and isinstance(arr, _CodedRows):
-        return arr  # its palette is finite: _palette_field checked it
     try:
         arr = np.asarray(arr, dtype=dtype)
         finite = bool(np.isfinite(arr).all())
@@ -380,29 +385,39 @@ def parse_sign_matrix(doc: dict) -> SignMatrix:
 # --- embeddings and realizations ------------------------------------------
 
 
-def embedding_payload(e: ThresholdEmbedding) -> dict:
-    return {"dimension": e.dimension, "delta0": e.delta0, "delta1": e.delta1,
-            "alphas": _float_block(e.alphas), "betas": _float_block(e.betas)}
+def embedding_payload(e: ThresholdEmbedding | CompiledEmbedding) -> dict:
+    """A compiled embedding's states as its ``system`` (``vector_system_payload``),
+    any other's as ``alphas`` and ``betas``."""
+    payload = {"dimension": e.dimension, "delta0": e.delta0, "delta1": e.delta1}
+    if isinstance(e, CompiledEmbedding):
+        payload["system"] = vector_system_payload(e.system)
+    else:
+        payload.update(alphas=_float_block(e.alphas), betas=_float_block(e.betas))
+    return payload
 
 
-def _vectors(payload: dict, name: str, coded: bool = False) -> np.ndarray | _CodedRows:
-    """Field ``name`` as a 2-d float array, read as written; with ``coded``, a
-    palette block is held as its codes, in a ``_CodedRows``."""
-    vectors = _array(payload, name, np.float64, coded=coded)
-    if len(vectors.shape) != 2:
+def _vectors(payload: dict, name: str) -> np.ndarray:
+    """Field ``name`` as a 2-d float array, read as written."""
+    vectors = _array(payload, name, np.float64)
+    if vectors.ndim != 2:
         raise DocumentError(f"field {name!r} is not a 2-d array: shape {vectors.shape}")
     return vectors
 
 
-def parse_embedding(doc: dict) -> ThresholdEmbedding:
-    """The embedding ``doc`` holds.  A palette-coded ``alphas`` or ``betas``
-    block stays as its codes, 1 byte an entry, decoded one block of rows at
-    a time by whoever reads it.  ``ThresholdEmbedding`` unit-checks each row
-    once as it is built, alphas before betas: a row that is not a unit
-    vector is malformed input, named by its index."""
+def parse_embedding(doc: dict) -> ThresholdEmbedding | CompiledEmbedding:
+    """A ``CompiledEmbedding`` of the ``system`` ``doc`` holds, else a
+    ``ThresholdEmbedding`` of its ``alphas`` and ``betas``, which unit-checks
+    each row once, alphas before betas.  A row off unit norm, or a slice of a
+    system above its norm bound, is malformed input, named by its index."""
     payload = _payload(doc, "embedding")
-    return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas", coded=True),
-                  _vectors(payload, "betas", coded=True), _scalar(payload, "delta0"),
+    if "system" in payload:
+        if not isinstance(payload["system"], dict):
+            raise DocumentError("field 'system' is not an object")
+        system = parse_vector_system({"kind": "vector_system", "payload": payload["system"]})
+        return _build("embedding", CompiledEmbedding, system, _scalar(payload, "delta0"),
+                      _scalar(payload, "delta1"))
+    return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas"),
+                  _vectors(payload, "betas"), _scalar(payload, "delta0"),
                   _scalar(payload, "delta1"))
 
 
@@ -425,19 +440,18 @@ def parse_realization(doc: dict) -> Realization:
 
 
 def vector_system_payload(v: VectorSystem) -> dict:
-    return {"norm_bound": v.norm_bound, "a": _float_block(v.a), "b": _float_block(v.b)}
+    """The one writer of a vector system, in its own document and as an
+    embedding's ``system``: each side a ``_system_block``."""
+    return {"norm_bound": v.norm_bound, "a": _system_block(v.a), "b": _system_block(v.b)}
 
 
 def parse_vector_system(doc: dict) -> VectorSystem:
-    from .compiler import VectorSystem
+    """The one reader of a vector system, in its own document and as an
+    embedding's ``system``: an int8 side as int8, any other as float64."""
     payload = _payload(doc, "vector_system")
-    return _build(
-        "vector system",
-        VectorSystem,
-        _array(payload, "a", np.float64),
-        _array(payload, "b", np.float64),
-        _scalar(payload, "norm_bound"),
-    )
+    a, b = (_array(payload, side, None if _holds_int8(payload.get(side)) else np.float64)
+            for side in "ab")
+    return _build("vector system", VectorSystem, a, b, _scalar(payload, "norm_bound"))
 
 
 # --- protocols -------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -9,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfpsim import compiler, embeddings, io
+from qfpsim import embeddings, io
 from qfpsim.compiler import (
     ClassicalSMPProtocol,
     OneWayProtocol,
@@ -19,7 +20,12 @@ from qfpsim.compiler import (
     compile_one_way,
     compile_smp,
 )
-from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
+from qfpsim.embeddings import (
+    CompiledEmbedding,
+    SignMatrix,
+    ThresholdEmbedding,
+    verify_threshold_embedding,
+)
 from qfpsim.linalg import CHUNK, unit_rows
 from qfpsim.problems import (
     eq_matrix,
@@ -331,7 +337,13 @@ class TestVectorSystem:
             assert np.array_equal(bits(e.alphas), bits(want.alphas))
             assert np.array_equal(bits(e.betas), bits(want.betas))
             assert (e.delta0, e.delta1) == (want.delta0, want.delta1)
-            assert io.vector_system_payload(v) == io.vector_system_payload(vf)
+            # both integer dtypes write the same int8 blocks, read back as int8
+            payload = io.vector_system_payload(v)
+            assert payload == io.vector_system_payload(v8)
+            assert [payload[side]["dtype"] for side in "ab"] == ["|i1", "|i1"]
+            parsed = io.parse_vector_system(io.document("vector_system", payload))
+            assert parsed.a.dtype == parsed.b.dtype == np.int8
+            assert np.array_equal(bits(parsed.acceptance_matrix()), bits(accept))
 
 
 def int8_column(num_rand: int, value: int, first: int | None = None) -> np.ndarray:
@@ -370,10 +382,8 @@ class TestFloat32Products:
             # the reference squares int8 entries in int8, so it reads v8's float cast
             cast = VectorSystem(v8.a.astype(np.float64), v8.b.astype(np.float64), v8.norm_bound)
             for v, reference in ((v8, cast), (vf, vf)):
-                scale = 1.0 / np.sqrt(v.num_rand)
-                for junk, (side, want) in enumerate(zip((v.a, v.b), per_slice_states(reference))):
-                    got = compiler._junk_pad(side.transpose(1, 0, 2), junk, v.norm_bound)
-                    assert np.array_equal(bits(scale * got.reshape(want.shape)), bits(want))
+                for side, want in enumerate(per_slice_states(reference)):
+                    assert np.array_equal(bits(v._states(side)), bits(want))
 
 
 class TestPadToStates:
@@ -441,24 +451,22 @@ class TestAssemble:
         pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(8)), id="one-way"),
     ])
     def test_peak_memory_is_about_the_states(self, system):
-        # Each side's codes are allocated once, 1 byte an entry (0.25 MiB of
-        # the 2 MiB its float64 states would take).  Beside them, the unit
-        # check decodes one block of CHUNK entries (0.5 MiB) at a time, each
-        # into a new array, and drops it before it decodes the next (two
-        # blocks live at once would take ~2.14 blocks here); the acceptance
-        # product before them takes no more (~1.75 blocks).
+        # Assembly forms no state: it holds the system itself, and its peak
+        # is the threshold search, one block of CHUNK squares at a time
+        # beside the float32 copy of b (0.5 MiB here).
         v = system()
         e, peak = traced_peak(lambda: assemble_shared_randomness_states(v, eq_matrix(8)))
-        assert e.alphas.nbytes + e.betas.nbytes < e.alphas.codes.size + e.betas.codes.size + 4096
-        assert peak <= e.alphas.nbytes + e.betas.nbytes + 2.0 * CHUNK * 8
+        assert e.system is v
+        assert peak <= v.b.size * 4 + 4.0 * CHUNK * 8
 
     def test_compiled_system_holds_one_byte_per_entry(self):
-        # EQ-9: the int8 system takes 1 MiB (8 MiB as float64) and the states'
-        # codes 2 MiB (16 MiB as float64 states).  The traced peak of compile
-        # plus assembly is the system and the acceptance product, taken before
-        # any state is built: its 2 MiB result and the temporaries
-        # TestEq9Temporaries.test_acceptance_matrix allows beside it (2.5 MiB).
-        # The codes, with one decoded block and its intp codes, stay below it.
+        # EQ-9: the int8 system takes 1 MiB (8 MiB as float64) and its states
+        # would take 16 MiB as float64.  The traced peak of compile plus
+        # assembly, ~4.1 MiB, is the system, the float32 copy of b (2 MiB) and
+        # one block of the threshold search: 128 alphas' float32 slices (0.5
+        # MiB), their float32 products and float64 squares (0.75 MiB), and the
+        # worst-pair search's masked copy (0.5 MiB).  The whole acceptance
+        # matrix (2 MiB) is never formed.
         p, m = eq_parity_protocol(9), eq_matrix(9)
 
         def compile_and_assemble():
@@ -466,21 +474,23 @@ class TestAssemble:
             return v, assemble_shared_randomness_states(v, m)
 
         (v, e), peak = traced_peak(compile_and_assemble)
-        assert v.a.dtype == v.b.dtype == np.int8
-        assert e.alphas.nbytes + e.betas.nbytes < e.alphas.codes.size + e.betas.codes.size + 4096
-        assert peak <= v.a.size + v.b.size + 512 * 512 * 8 + 2.5 * MiB
+        assert v.a.dtype == v.b.dtype == np.int8 and e.system is v
+        assert peak <= v.a.size + v.b.size + 3.5 * MiB
 
     def test_each_state_is_unit_checked_once(self, monkeypatch):
         checked = []
 
-        def recording_check(name, rows):
+        def recording_check(name, rows, *bound):
             checked.append(name)
-            return check(name, rows)
+            return check(name, rows, *bound)
 
         check = embeddings._require_unit_rows
         monkeypatch.setattr(embeddings, "_require_unit_rows", recording_check)
-        assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)), eq_matrix(3))
-        assert checked == ["alphas", "betas"]
+        e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
+                                              eq_matrix(3))
+        # each side of the system is bounded once; its states are unit by construction
+        assert checked == ["a", "b"]
+        assert e.alphas.shape == e.betas.shape == (8, 8 * 4) and checked == ["a", "b"]
 
     def test_non_separating_system_rejected(self):
         # A protocol that always accepts cannot sign-separate anything.
@@ -545,61 +555,77 @@ def payload_text(e: ThresholdEmbedding) -> str:
     return json.dumps(io.embedding_payload(e))
 
 
-class TestCodedStates:
-    """An integer system's sides are assembled as palettes and codes built
-    from its indicators, which decode and write byte for byte as the float
-    path's states."""
+def states_of(e) -> ThresholdEmbedding:
+    return ThresholdEmbedding(e.alphas, e.betas, e.delta0, e.delta1)
 
-    @pytest.mark.parametrize("system, coded", [
+
+def round_trip(e):
+    """``e`` written as an embedding document and read back."""
+    return io.parse_embedding(json.loads(json.dumps(io.document("embedding",
+                                                                io.embedding_payload(e)))))
+
+
+class TestCodedStates:
+    """An integer system's states are held coded as the system itself, which
+    its document writes as int8 blocks; read, they are the float path's
+    states to the bit."""
+
+    @pytest.mark.parametrize("system", [
         # compile's byte-identical set: EQ-3 to EQ-9 under both models, and
         # --num-r 64 at n = 9 and 12
-        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n)), eq_matrix(n)), True,
+        *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n)), eq_matrix(n)),
                        id=f"eq{n}-smp") for n in range(3, 10)),
         *(pytest.param(lambda n=n: (compile_one_way(eq_parity_one_way_protocol(n)), eq_matrix(n)),
-                       True, id=f"eq{n}-one-way") for n in range(3, 10)),
+                       id=f"eq{n}-one-way") for n in range(3, 10)),
         *(pytest.param(lambda n=n: (compile_one_way(eq_parity_protocol(n, 64)), eq_matrix(n)),
-                       True, id=f"eq{n}-num-r-64") for n in (9, 12)),
-        pytest.param(lambda: (compile_one_way(eq_parity_protocol(6, 23, 4)), eq_matrix(6)), True,
+                       id=f"eq{n}-num-r-64") for n in (9, 12)),
+        pytest.param(lambda: (compile_one_way(eq_parity_protocol(6, 23, 4)), eq_matrix(6)),
                      id="eq6-num-r"),
         # 9 random strings leave some x != y with every parity equal: not EQ
         pytest.param(lambda: (v := compile_one_way(eq_parity_one_way_protocol(7, 9, 1)),
-                              separated_by(v)), True, id="eq7-one-way-num-r"),
+                              separated_by(v)), id="eq7-one-way-num-r"),
         *(pytest.param(lambda c=c, seed=seed: (v := compile_one_way(random_one_way(c, seed)),
-                                               separated_by(v)), True,
+                                               separated_by(v)),
                        id=f"random-c{c}-seed{seed}") for c in (2, 3) for seed in (0, 1)),
-        # entries below zero: an entry u is coded u - lo
-        pytest.param(lambda: (v := signed_system(0), separated_by(v)), True, id="signed-dim1"),
-        # 2 entry values, 0..dim squared norms and 0.0: dim 252 fills the 256
-        # palette entries, and dim 253 takes the float path
+        # entries below zero
+        pytest.param(lambda: (v := signed_system(0), separated_by(v)), id="signed-dim1"),
+        # 2 entry values and 0..dim squared norms: at dim 253 their padded
+        # values no longer fit a 256-entry palette, and still fit int8 blocks
         *(pytest.param(lambda dim=dim: (v := indicator_system(dim, 0), separated_by(v)),
-                       dim == 252, id=f"indicators-dim{dim}") for dim in (252, 253)),
+                       id=f"indicators-dim{dim}") for dim in (252, 253)),
     ])
-    def test_codes_write_the_float_states(self, system, coded):
-        # the float cast takes _junk_pad: the one reference outside the codes
+    def test_codes_write_the_float_states(self, system):
+        # the float cast pads in float64 from float entries: the reference
         v, m = system()
         assert v.a.dtype == v.b.dtype == np.int8
         e, want = (assemble_shared_randomness_states(x, m) for x in (v, float_cast(v)))
+        assert e.system is v
         for side in ("alphas", "betas"):
-            assert isinstance(getattr(e, side), embeddings._CodedRows if coded else np.ndarray)
-            assert isinstance(getattr(want, side), np.ndarray)
             assert np.array_equal(bits(getattr(e, side)), bits(getattr(want, side)))
         assert (e.delta0, e.delta1) == (want.delta0, want.delta1)
-        assert payload_text(e) == payload_text(want)
+        assert payload_text(states_of(e)) == payload_text(states_of(want))
+        blocks = io.embedding_payload(e)["system"]
+        assert (blocks["a"]["dtype"], blocks["b"]["dtype"]) == ("|i1", "|i1")
+        parsed = round_trip(e)
+        assert parsed.system.a.dtype == parsed.system.b.dtype == np.int8
+        assert np.array_equal(parsed.system.a, v.a) and np.array_equal(parsed.system.b, v.b)
+        assert (parsed.delta0, parsed.delta1, parsed.system.norm_bound) == (
+            e.delta0, e.delta1, v.norm_bound)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.uint64,
                                        np.int8, np.int16, np.int32, np.int64])
     def test_every_integer_dtype_codes_the_float_states(self, dtype):
-        # VectorSystem holds any integer dtype as it is; the coder casts each
-        # block to intp, which uint64 reaches only by an unsafe (here exact) cast
+        # VectorSystem holds any integer dtype as it is; its squared norms
+        # are summed in int64, which uint64 reaches only by an unsafe (here
+        # exact) cast, and its entries are written as the same int8 blocks
         v8 = indicator_system(4, 0)
         v = VectorSystem(v8.a.astype(dtype), v8.b.astype(dtype), v8.norm_bound)
         m = separated_by(v8)
         e, want = (assemble_shared_randomness_states(x, m) for x in (v, float_cast(v8)))
         assert v.a.dtype == v.b.dtype == dtype
         for side in ("alphas", "betas"):
-            assert isinstance(getattr(e, side), embeddings._CodedRows)
             assert np.array_equal(bits(getattr(e, side)), bits(getattr(want, side)))
-        assert payload_text(e) == payload_text(want)
+        assert payload_text(e) == payload_text(assemble_shared_randomness_states(v8, m))
 
     def test_random_protocols_have_several_slack_values(self):
         v = compile_one_way(random_one_way(3, 0))
@@ -609,41 +635,35 @@ class TestCodedStates:
         pytest.param(np.arange(-150, 151), id="range-over-256"),
         pytest.param(np.arange(0, 200), id="values-and-slacks-over-256"),
     ])
-    def test_more_than_256_values_take_the_float_path(self, values, monkeypatch):
+    def test_more_than_256_values_take_the_float_path(self, values):
         # one slice, one input per value; the second coordinate varies the
-        # squared norm, so the junk entries take many values too
+        # squared norm.  Entries past int8 are written as float64 blocks,
+        # which read back as the float cast
         a = np.stack([values, values[::-1]], axis=1)[None]
         big_l = float(np.sqrt(np.einsum("rxd,rxd->rx", a, a).max()))
         v = VectorSystem(a, a[:, :3], big_l)
         m = separated_by(v)
-        scans = []
-
-        def recording_coded_side(v, side):
-            scans.append(side)
-            return coded_side(v, side)
-
-        coded_side = compiler._coded_side
-        monkeypatch.setattr(compiler, "_coded_side", recording_coded_side)
-        e = assemble_shared_randomness_states(v, m)
-        assert scans == [0, 1]  # each side's values are scanned once
-        assert isinstance(e.alphas, np.ndarray)
+        e, want = (assemble_shared_randomness_states(x, m) for x in (v, float_cast(v)))
         text = payload_text(e)
-        assert json.loads(text)["alphas"]["codec"] == "zlib"
-        assert text == payload_text(assemble_shared_randomness_states(float_cast(v), m))
+        assert [json.loads(text)["system"][side]["dtype"] for side in "ab"] == ["<f8", "<f8"]
+        assert text == payload_text(want)
+        assert round_trip(e).system.a.dtype == np.float64
+        for side in ("alphas", "betas"):
+            assert np.array_equal(bits(getattr(e, side)), bits(getattr(want, side)))
 
     def test_non_unit_rows_are_refused_as_by_the_float_path(self):
-        # L^2 underflows to 0, so the zero rows get no slack and stay zero.
-        # Such a system separates nothing, so its sides are built on their
-        # own, and ThresholdEmbedding, the one unit check, refuses both forms
+        # L^2 underflows to 0 at 1e-200, so zero slices would get no slack and
+        # pad into zero rows, and to a subnormal at 1e-160, whose root gives
+        # zero slices a norm of 0.9999944: such bounds are refused, integer
+        # and float alike
         zeros = np.zeros((2, 3, 2), dtype=np.int8)
-        v = VectorSystem(zeros, zeros, 1e-200)
-        assert isinstance(compiler._side(v, 0), embeddings._CodedRows)
-        errors = []
-        for system in (float_cast(v), v):
-            with pytest.raises(ValueError) as error:
-                ThresholdEmbedding(compiler._side(system, 0), compiler._side(system, 1), 0.0, 1.0)
-            errors.append(str(error.value))
-        assert errors[0] == errors[1] == "alphas[0] is not a unit vector (norm 0.0)"
+        for a, bound in itertools.product((zeros, zeros.astype(np.float64)), (1e-200, 1e-160)):
+            with pytest.raises(ValueError, match=rf"^norm bound {bound} must have a finite float64 "
+                                                 r"square of at least 2.2250738585072014e-308$"):
+                VectorSystem(a, a, bound)
+        # at a bound whose square is normal, zero slices pad into unit states
+        e = CompiledEmbedding(VectorSystem(zeros, zeros, 1.5e-154), 0.0, 1.0)
+        assert ThresholdEmbedding(e.alphas, e.betas, 0.0, 1.0).dimension == 8
 
     @pytest.mark.parametrize("bound", [1e200, 1.35e154, math.inf, math.nan])
     def test_a_bound_without_a_finite_square_is_refused(self, bound):
@@ -656,12 +676,17 @@ class TestCodedStates:
         assert VectorSystem(zeros, zeros, 1.3e154).norm_bound == 1.3e154
 
     def test_a_document_with_such_a_bound_is_malformed(self):
-        zeros = np.zeros((2, 3, 2))
-        doc = io.document("vector_system", {"norm_bound": 1e200, "a": io._float_block(zeros),
-                                            "b": io._float_block(zeros)})
-        with pytest.raises(io.DocumentError,
-                           match="^invalid vector system: norm bound 1e"):
-            io.parse_vector_system(json.loads(json.dumps(doc)))
+        # in a vector system document, and as the system of an embedding
+        for zeros in (np.zeros((2, 3, 2)), np.zeros((2, 3, 2), dtype=np.int8)):
+            system = {"norm_bound": 1e200, "a": io._system_block(zeros),
+                      "b": io._system_block(zeros)}
+            for doc, parse in (
+                    (io.document("vector_system", system), io.parse_vector_system),
+                    (io.document("embedding", {"delta0": 0.0, "delta1": 1.0, "system": system}),
+                     io.parse_embedding)):
+                with pytest.raises(io.DocumentError,
+                                   match="^invalid vector system: norm bound 1e"):
+                    parse(json.loads(json.dumps(doc)))
 
 
 class TestEq9Temporaries:
@@ -684,11 +709,10 @@ class TestEq9Temporaries:
         assert peak <= accept.nbytes + 2.5 * MiB
 
     def test_verify(self, eq9):
-        # float64 states: verifying the assembled codes, which decodes blocks,
-        # has its own budget in test_verify_holds_one_state_block
-        _, m, _, coded = eq9
-        e = ThresholdEmbedding(np.asarray(coded.alphas), np.asarray(coded.betas), coded.delta0,
-                               coded.delta1)
+        # float64 states: verifying the compiled system has its own budget
+        # in test_verify_holds_one_state_block
+        _, m, _, compiled = eq9
+        e = states_of(compiled)
         report, peak = traced_peak(lambda: verify_threshold_embedding(e, m))
         assert peak <= 1.5 * MiB
         # every off-diagonal pair ties, as every diagonal one does, across the

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -5,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfpsim import embeddings, io
 from qfpsim.compiler import assemble_shared_randomness_states, compile_smp
 from qfpsim.embeddings import (
+    CompiledEmbedding,
     Realization,
     SignMatrix,
     ThresholdEmbedding,
+    VectorSystem,
     embed_to_realization,
     realization_to_embedding,
     verify_realization,
@@ -103,13 +107,13 @@ class TestUnitPairs:
         assert not e.alphas.flags.writeable and not r.betas.flags.writeable
 
     def test_records_take_arrays_of_their_dtype_and_copy_others(self):
-        # a contiguous float64 side, and a _CodedRows palette and codes, are
-        # held themselves: the caller's array turns read-only
-        a, palette, codes = np.eye(3), np.array([0.0, 1.0]), np.eye(3, dtype=np.uint8)
+        # a contiguous float64 side, and a vector system's contiguous integer
+        # sides, are held themselves: the caller's array turns read-only
+        a, ints = np.eye(3), np.eye(3, dtype=np.int8)[None]
         e, r = ThresholdEmbedding(a, a, 0.1, 0.2), Realization(a, a, 0.5)
-        rows = embeddings._CodedRows(palette, codes)
-        assert e.alphas is a and r.betas is a and rows.palette is palette and rows.codes is codes
-        assert not (a.flags.writeable or palette.flags.writeable or codes.flags.writeable)
+        v = VectorSystem(ints, ints, 1.0)
+        assert e.alphas is a and r.betas is a and v.a is ints and v.b is ints
+        assert not (a.flags.writeable or ints.flags.writeable)
         # another dtype or layout is copied, as are sign matrices (astype) and
         # protocol tables (compiler._integers, astype): the caller's array
         # stays writable and apart from the record
@@ -231,106 +235,107 @@ class TestWorstPairSearch:
         assert (r.achieved_margin, r.worst_pair) == signed
 
 
-def coded(rows: np.ndarray) -> embeddings._CodedRows:
-    """``rows`` held as a palette of their distinct values and uint8 codes."""
-    palette, codes = np.unique(rows, return_inverse=True)
-    return embeddings._CodedRows(palette, codes.reshape(rows.shape).astype(np.uint8))
+def states_of(e: CompiledEmbedding) -> ThresholdEmbedding:
+    """The float64 states a compiled embedding stands for, at its thresholds."""
+    return ThresholdEmbedding(e.alphas, e.betas, e.delta0, e.delta1)
 
 
 class TestCodedSides:
-    """A ThresholdEmbedding holds palette-coded sides as their codes, and
-    every reader sees the decoded arrays."""
-
-    STATES = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0.5, 0.5, 0.5, 0.5],
-                       [0.5, -0.5, 0.5, -0.5], [0.6, 0.8, 0, 0], [0, 0, -0.8, 0.6]])
+    """A CompiledEmbedding holds its sides coded as the int8 system whose
+    padded slices they are, and every reader sees the padded arrays."""
 
     def pair(self, rows: int, cols: int):
+        """A seeded 0/1 system on |R| = 3 slices of 4 coordinates (one-hot
+        alphas, indicator betas, L = 2) as a compiled embedding, and its
+        padded states as a ThresholdEmbedding."""
         rng = np.random.default_rng(rows)
-        alphas, betas = (self.STATES[rng.integers(0, 6, k)] for k in (rows, cols))
-        whole = ThresholdEmbedding(alphas, betas, 0.2, 0.7)
-        return ThresholdEmbedding(coded(alphas), coded(betas), 0.2, 0.7), whole
+        a = np.eye(4, dtype=np.int8)[rng.integers(0, 4, (3, rows))]
+        b = rng.integers(0, 2, (3, cols, 4), dtype=np.int8)
+        e = CompiledEmbedding(VectorSystem(a, b, 2.0), 0.2, 0.7)
+        return e, states_of(e)
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_readers_see_the_decoded_arrays(self, monkeypatch, chunk):
+        reference = self.pair(30, 40)[1]  # padded at the default CHUNK
         monkeypatch.setattr(embeddings, "CHUNK", chunk)
         e, whole = self.pair(30, 40)
-        # symmetric states (alpha_x = beta_x): both sides are one coded object
-        shared = (ThresholdEmbedding(v.alphas, v.alphas, 0.2, 0.7) for v in (e, whole))
-        for e, whole in ((e, whole), shared):
+        # padding one block of rows at a time changes no bit at any CHUNK
+        for side in ("alphas", "betas"):
+            assert np.array_equal(getattr(e, side).view(np.uint64),
+                                  getattr(reference, side).view(np.uint64))
+        # symmetric states (alpha_x = beta_x): both sides are one system array
+        v = e.system
+        shared = CompiledEmbedding(VectorSystem(v.a, v.a, v.norm_bound), 0.2, 0.7)
+        for e, whole in ((e, whole), (shared, states_of(shared))):
             m = SignMatrix(np.random.default_rng(1).integers(-1, 2, (30, whole.betas.shape[0])))
-            assert isinstance(e.alphas, embeddings._CodedRows) and e.dimension == 4
-            assert verify_threshold_embedding(e, m) == verify_threshold_embedding(whole, m)
-            assert np.array_equal(np.asarray(e.betas), whole.betas)
+            assert e.dimension == whole.dimension == 3 * (4 + 2)
+            got, want = (verify_threshold_embedding(x, m) for x in (e, whole))
+            tol = dot_allowance(e.dimension, squared=True)
+            assert got.valid == want.valid
+            assert abs(got.worst_zero_side - want.worst_zero_side) <= tol
+            assert abs(got.worst_one_side - want.worst_one_side) <= tol
+            assert np.array_equal(e.betas, whole.betas)
             assert np.array_equal(e.alphas[7], whole.alphas[7])
             assert np.array_equal(e.alphas[3:9], whole.alphas[3:9])
-            lifted, want = embed_to_realization(e), embed_to_realization(whole)
-            assert np.array_equal(lifted.alphas, want.alphas) and lifted.gamma == want.gamma
+            lifted, want_lift = embed_to_realization(e), embed_to_realization(whole)
+            assert np.array_equal(lifted.alphas, want_lift.alphas)
+            assert lifted.gamma == want_lift.gamma
 
     @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
     def test_the_first_non_unit_row_is_named_alphas_first(self, monkeypatch, chunk):
-        # each block of rows is checked as the embedding is built
+        # each block of slices is bounded as the system is built, a before b,
+        # each named by its (input, random string)
         monkeypatch.setattr(embeddings, "CHUNK", chunk)
-        _, whole = self.pair(30, 40)
-        alphas, betas = whole.alphas.copy(), whole.betas.copy()
-        alphas[23] *= 2
-        betas[4] *= 2
-        with pytest.raises(ValueError, match=r"^alphas\[23\] is not a unit vector \(norm 2.0\)"):
-            ThresholdEmbedding(coded(alphas), coded(betas), 0.2, 0.7)
-        with pytest.raises(ValueError, match=r"^betas\[4\] is not a unit vector \(norm 2.0\)"):
-            ThresholdEmbedding(whole.alphas, coded(betas), 0.2, 0.7)
+        e, _ = self.pair(30, 40)
+        a, b = e.system.a.copy(), e.system.b.copy()
+        a[1, 23] = (3, 0, 0, 0)
+        b[0, 4] = (2, 2, 0, 0)
+        with pytest.raises(ValueError, match=r"^a\[23, 1\] norm 3.0 exceeds the bound 2.0$"):
+            VectorSystem(a, b, 2.0)
+        with pytest.raises(ValueError, match=r"^b\[4, 0\] norm 2.8284271247461903 exceeds"):
+            VectorSystem(e.system.a, b, 2.0)
 
     def test_nbytes_is_the_palette_and_codes(self):
-        # 30 x 4 entries: 8 bytes per distinct value and 120 of codes, where
-        # the decoded rows take 960
+        # 30 inputs x 3 slices x 4 entries: one byte each, where the padded
+        # rows take 8 bytes for each of 30 x 18 entries
         e, whole = self.pair(30, 40)
-        assert e.alphas.nbytes == 8 * np.unique(whole.alphas).size + 30 * 4
-        assert whole.alphas.nbytes == 30 * 4 * 8
-        # each read decodes into a new array, which the embedding does not hold
-        assert not np.shares_memory(e.alphas[3:9], e.alphas[3:9])
+        assert e._asdict().keys() == {"system", "delta0", "delta1"}
+        assert e.system.a.nbytes == 30 * 3 * 4 and whole.alphas.nbytes == 30 * 18 * 8
+        # each read pads into a new array, which the embedding does not hold
+        assert not np.shares_memory(e.alphas, e.alphas)
 
     def test_palette_and_codes_are_read_only(self):
         compiled = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(3)),
                                                      eq_matrix(3))
         parsed = io.parse_embedding(io.document("embedding", io.embedding_payload(compiled)))
         for e in (compiled, parsed):
-            for rows in (e.alphas, e.betas):
-                assert isinstance(rows, embeddings._CodedRows)
-                for arr in (rows.codes, rows.palette):
-                    with pytest.raises(ValueError, match="read-only"):
-                        arr[0] = arr[-1]
+            assert isinstance(e, CompiledEmbedding)
+            for arr in (e.system.a, e.system.b):
+                assert arr.dtype == np.int8
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = arr[-1]
 
 
 @st.composite
-def coded_unit_rows(draw):
-    """Palette-coded unit rows whose codes the verifier counts: a palette of
-    1-6 values with zeros among them; each column holds one code (zero or
-    not), and an entry is that code or a zero one.  Some rows copy an earlier
-    one, so ties occur.  Each distinct row is completed to unit norm by its own
-    value in a column of its own, so no column holds two nonzero codes."""
-    values = draw(st.lists(st.floats(-1, 1), min_size=1, max_size=6))
-    values += [0.0] * draw(st.integers(0 if 0.0 in values else 1, 2))
-    palette = np.array(draw(st.permutations(values)))
-    zeros = np.flatnonzero(palette == 0)
-    rows, dim = draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    codes = np.where(rng.random((rows, dim)) < 0.6, rng.integers(0, palette.size, dim),
-                     rng.choice(zeros, (rows, dim)))
-    for x in range(1, rows):
-        if draw(st.booleans()):
-            codes[x] = codes[draw(st.integers(0, x - 1))]
-    norms = np.einsum("xd,xd->x", palette[codes], palette[codes])
-    if norms.max() > 0:
-        palette = palette / np.sqrt(1.25 * norms.max())  # every row's norm below 1
-        norms = np.einsum("xd,xd->x", palette[codes], palette[codes])
-    _, first, group = np.unique(codes, axis=0, return_index=True, return_inverse=True)
-    junk = np.where(group.reshape(-1, 1) == np.arange(first.size),
-                    palette.size + np.arange(first.size), zeros[0])
-    palette = np.concatenate([palette, np.sqrt(1.0 - norms[first])])
-    entries = rng.integers(-1, 2, (rows, rows))
-    entries.flat[draw(st.integers(0, rows * rows - 1))] = draw(st.sampled_from((-1, 1)))
-    delta0 = draw(st.floats(0.0, 0.9))
-    return (palette, np.hstack([codes, junk]).astype(np.uint8), SignMatrix(entries),
-            delta0, draw(st.floats(delta0 + 0.01, 1.0)))
+def separated_integer_systems(draw):
+    """An int8 system (entries in [-3, 3], |R| <= 4, |X| and |Y| <= 5, dim
+    <= 6, L^2 an integer at least its largest squared slice norm) and a sign
+    matrix it separates: f = 0 where (P/L^2)^2 is below the midpoint of its
+    range, f = 1 above it, and a promise zero at the midpoint."""
+    nr, dim = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    a, b = (draw(arrays(np.int8, (nr, draw(st.integers(1, 5)), dim), elements=st.integers(-3, 3)))
+            for _ in range(2))
+    # copied inputs give equal products, so ties occur
+    for side in (a, b):
+        for x in range(1, side.shape[1]):
+            if draw(st.booleans()):
+                side[:, x] = side[:, draw(st.integers(0, x - 1))]
+    top = max(1, *(int(np.einsum("rxd,rxd->rx", s, s, dtype=np.int64).max()) for s in (a, b)))
+    v = VectorSystem(a, b, math.sqrt(draw(st.integers(top, 2 * top))))
+    sq = (v.acceptance_matrix() / v.norm_bound**2) ** 2
+    cut = (sq.min() + sq.max()) / 2
+    assume(sq.min() < sq.max())
+    return v, SignMatrix(np.where(sq < cut, 1, np.where(sq > cut, -1, 0)))
 
 
 def first_worst(sq: np.ndarray, mask: np.ndarray, largest: bool):
@@ -341,57 +346,44 @@ def first_worst(sq: np.ndarray, mask: np.ndarray, largest: bool):
 
 
 class TestCodeCounts:
-    """Two coded sides are multiplied from counts of their codes on shared
-    columns, unless that would take more (pair, column) entries than D."""
+    """A compiled embedding is verified from its system's exact acceptance
+    counts, which its padded float64 states give up to rounding."""
 
     @settings(max_examples=300, deadline=None)
-    @given(coded_unit_rows())
+    @given(separated_integer_systems())
     def test_counts_agree_with_decoding(self, case):
-        palette, codes, m, delta0, delta1 = case
-        rows = embeddings._CodedRows(palette, codes)
-        # the same rows under other codes: pairs of unequal codes on the two sides
-        recoded = embeddings._CodedRows(palette[::-1], palette.size - 1 - codes)
-        try:
-            whole = ThresholdEmbedding(np.asarray(rows), np.asarray(rows), delta0, delta1)
-        except ValueError:  # a completed norm that rounds off 1
-            assume(False)
-        want = verify_threshold_embedding(whole, m)
-        tol = dot_allowance(whole.dimension, squared=True)
-        for betas in (rows, recoded):
-            assert embeddings._count_terms(rows, betas) is not None
-            sq = np.empty(m.entries.shape)
-            got = verify_threshold_embedding(ThresholdEmbedding(rows, betas, delta0, delta1), m,
-                                             out=sq)
-            assert abs(got.worst_zero_side - want.worst_zero_side) <= tol
-            assert abs(got.worst_one_side - want.worst_one_side) <= tol
-            if (min(abs(want.worst_zero_side - delta0), abs(want.worst_one_side - delta1))
-                    > 2 * tol):
-                assert got.valid == want.valid
-            for pair, value, mask, largest in (
-                    (got.worst_zero_pair, got.worst_zero_side, m.entries == 1, True),
-                    (got.worst_one_pair, got.worst_one_side, m.entries == -1, False)):
-                if pair is not None:
-                    assert sq[pair] == value and first_worst(sq, mask, largest) == (value, pair)
-            # rows with equal codes have equal products, to the bit
-            for x, y in zip(*np.nonzero((codes[:, None] == codes[None]).all(-1))):
-                assert np.array_equal(sq[x], sq[y]) and np.array_equal(sq[:, x], sq[:, y])
-
-    def test_too_many_shared_entries_decode(self):
-        # +-1/2 in every column on both sides: 4 pairs a column, 4 D > D
-        hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2
-        rows = np.vstack([hadamard, -hadamard])
-        e = ThresholdEmbedding(coded(rows), coded(rows), 0.0, 1.0)
-        assert embeddings._count_terms(e.alphas, e.betas) is None
-        m = SignMatrix(np.random.default_rng(0).integers(-1, 2, (8, 8)))
-        got, want = np.empty((8, 8)), np.empty((8, 8))
-        assert (verify_threshold_embedding(e, m, out=got)
-                == verify_threshold_embedding(ThresholdEmbedding(rows, rows, 0.0, 1.0), m, out=want))
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        v, m = case
+        e = assemble_shared_randomness_states(v, m)
+        sq = np.empty(m.entries.shape)
+        got = verify_threshold_embedding(e, m, out=sq)
+        want = verify_threshold_embedding(states_of(e), m)
+        tol = dot_allowance(e.dimension, squared=True)
+        # the thresholds are the system's own extremes, which its states reach
+        # within rounding: both forms are valid
+        assert got.valid and want.valid
+        assert (got.worst_zero_side, got.worst_one_side) == (e.delta0, e.delta1) or e.delta1 == 1.0
+        assert abs(got.worst_zero_side - want.worst_zero_side) <= tol
+        assert abs(got.worst_one_side - want.worst_one_side) <= tol
+        for pair, value, mask, largest in (
+                (got.worst_zero_pair, got.worst_zero_side, m.entries == 1, True),
+                (got.worst_one_pair, got.worst_one_side, m.entries == -1, False)):
+            if pair is not None:
+                assert sq[pair] == value and first_worst(sq, mask, largest) == (value, pair)
+        # inputs with equal slices have equal products, to the bit
+        for side, products in ((v.a, sq), (v.b, sq.T)):
+            same = (side[:, :, None] == side[:, None]).all(axis=(0, 3))
+            for x, y in zip(*np.nonzero(same)):
+                assert np.array_equal(products[x], products[y])
+        # the system form survives a JSON round trip, report and all, to the bit
+        doc = json.loads(json.dumps(io.document("embedding", io.embedding_payload(e))))
+        parsed = io.parse_embedding(doc)
+        assert verify_threshold_embedding(parsed, m) == got
 
     @pytest.mark.parametrize("n", [7, 8, 9])
     def test_compiled_eq_pairs_tie_exactly(self, n):
-        # every off-diagonal pair, and every diagonal one, counts the same codes:
-        # the first of each is reported, where a float64 product broke EQ-8's tie
+        # every off-diagonal pair, and every diagonal one, has the same exact
+        # count: the first of each is reported, where a float64 product of the
+        # states broke EQ-8's tie
         m = eq_matrix(n)
         e = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(n)), m)
         sq = np.empty(m.entries.shape)

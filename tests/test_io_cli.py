@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qfpsim
-from qfpsim import embeddings, io
+from qfpsim import cli, embeddings, io
 from qfpsim.cli import main
 from qfpsim.compiler import (
     VectorSystem,
@@ -53,6 +53,18 @@ def write_doc(path, kind, payload):
 def read_doc(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def states_of(e):
+    """The float64 states a compiled embedding stands for, at its thresholds."""
+    return ThresholdEmbedding(e.alphas, e.betas, e.delta0, e.delta1)
+
+
+def write_states(path, n):
+    """EQ-n's compiled states as float64 ``alphas`` and ``betas`` blocks (the
+    form ``compile`` wrote before format 1.5), written to ``path``."""
+    e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(n)), eq_matrix(n))
+    return write_doc(path, "embedding", io.embedding_payload(states_of(e)))
 
 
 def block_array(block):
@@ -237,6 +249,7 @@ class TestDocuments:
         v = compile_smp(eq_parity_protocol(2))
         doc = json.loads(json.dumps(io.document("vector_system", io.vector_system_payload(v))))
         parsed = io.parse_vector_system(doc)
+        assert doc["format_version"] == "1.5" and parsed.a.dtype == parsed.b.dtype == np.int8
         np.testing.assert_array_equal(parsed.a, v.a)
         assert parsed.norm_bound == v.norm_bound
 
@@ -376,28 +389,22 @@ class TestDocuments:
 
     @pytest.mark.parametrize("chunk", [7, 1 << 16])
     def test_coded_rows_write_as_their_decoded_array(self, monkeypatch, chunk):
-        # _CodedRows are recoded from their codes, and written as
-        # np.asarray of them would be: whatever the order of the palette, and
-        # whichever of its entries the codes use
+        # a system side of integers in [-127, 127] is deflated one CHUNK at a
+        # time into the stream of zlib.compress(its int8 bytes, 1), whatever
+        # its integer dtype, and read back as int8; past int8, or of floats,
+        # it is a float block
         monkeypatch.setattr(io, "CHUNK", chunk)
-        e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(5)),
-                                              eq_matrix(5))
-        palette, codes = e.alphas.palette, e.alphas.codes
-        last = palette.size - 1
-        cases = {
-            "as-built": (palette, codes),
-            "reversed": (palette[::-1].copy(), last - codes),
-            "unused-entry-first": (np.insert(palette, 0, 0.75), codes + 1),
-            "unused-non-finite-entry": (np.append(palette, np.inf), codes),
-            "repeated-entry": (np.append(palette, palette[0]),
-                               np.where(codes[::2] == 0, last + 1, codes[::2]).astype(np.uint8)),
-            "no-rows": (palette, codes[:0]),
-        }
-        for name, (p, c) in cases.items():
-            rows = embeddings._CodedRows(p, c)
-            assert io._float_block(rows) == io._float_block(np.asarray(rows)), name
-        with pytest.raises(ValueError, match="non-finite"):
-            io._float_block(embeddings._CodedRows(np.append(palette, np.nan), codes + 1))
+        v = compile_one_way(eq_parity_protocol(5))
+        for side in (v.a, v.b, v.a[:, :0]):
+            for arr in (side, side.astype(np.uint64), -127 * side.astype(np.int16)):
+                block = io._system_block(arr)
+                assert block["dtype"] == "|i1" and block["shape"] == list(arr.shape)
+                stream = zlib.compress(arr.astype(np.int8).tobytes(), 1)
+                assert base64.b64decode(block["b64"]) == stream
+                got = io._array({"a": block}, "a")
+                assert got.dtype == np.int8 and np.array_equal(got, arr)
+        for arr in (np.full((1, 1, 1), 128), np.full((1, 1, 1), 1.0)):
+            assert io._system_block(arr) == io._float_block(arr)
 
     def test_empty_block_is_zlib(self):
         block = io.vectors_payload(np.zeros((0, 3)))["vectors"]
@@ -513,10 +520,9 @@ PALETTE_EDITS = [
 
 
 def check_malformed_alphas_exit_1(tmp_path, capsys, edit, codec):
-    """Compile EQ-1, rewrite its alphas block in ``codec`` (see ``recode``),
-    apply ``edit`` to the block, and expect verify to exit 1."""
-    emb = tmp_path / "emb.json"
-    assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+    """Write EQ-1's states, rewrite their alphas block in ``codec`` (see
+    ``recode``), apply ``edit`` to the block, and expect verify to exit 1."""
+    emb = write_states(tmp_path / "emb.json", 1)
     doc = read_doc(emb)
     block = doc["payload"]["alphas"]
     assert block["shape"] == [2, 8] and block["codec"] == "zlib-palette"
@@ -573,7 +579,7 @@ class TestCliExitCodes:
         (["compile", "--builtin", "eq", "--n", "1", "--protocol", "PROTOCOL", "--model", "smp"],
          "input error: --model conflicts with --protocol"),
         (["compile", "--builtin", "eq", "--n", "1", "--no-assemble", "--reduce",
-          "--target-dim", "3"], "unrecognized arguments: --reduce --target-dim 3"),
+          "--target-dim", "3"], "unrecognized arguments: --no-assemble --reduce --target-dim 3"),
         (["margin", "--builtin", "ip", "--k", "1", "--n", "7", "--d", "3"],
          "input error: --n, --d conflicts with --builtin ip"),
         (["margin", "--matrix", "MATRIX", "--k", "2"], "input error: --k conflicts with --matrix"),
@@ -670,8 +676,7 @@ class TestCliExitCodes:
         assert "Traceback" not in err
 
     def test_ragged_embedding_exits_1(self, tmp_path, capsys):
-        emb = tmp_path / "emb.json"
-        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        emb = write_states(tmp_path / "emb.json", 1)
         doc = read_doc(emb)
         as_lists(doc["payload"], "alphas", "betas")
         doc["payload"]["alphas"][0] = doc["payload"]["alphas"][0][:-1]
@@ -705,7 +710,7 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
     def test_non_finite_array_entry_exits_1(self, tmp_path, capsys, command, value, token):
         emb = tmp_path / "emb.json"
-        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        write_states(emb, 1)
         doc = read_doc(emb)
         as_lists(doc["payload"], "alphas", "betas")
         doc["payload"]["alphas"][0][0] = value
@@ -751,6 +756,64 @@ class TestCliExitCodes:
         assert main(["margin", "--matrix", path]) == 1
         err = capsys.readouterr().err
         assert "input error" in err and "'entries'" in err and "Traceback" not in err
+
+    # Edits of EQ-1's compiled system (|R| = 2, two inputs a side, dim 2,
+    # L = sqrt 2), each with a piece of the one-line error it must give.
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda v: v["a"].update(dtype="<i2"),
+                     "field 'a' has dtype '<i2', expected '<f8' or '|i1'", id="wrong-dtype"),
+        pytest.param(lambda v: v.update(b=io._system_block(np.ones((1, 2, 2), np.int8))),
+                     "a and b must be (|R|, count, dim) arrays sharing |R| and dim",
+                     id="num-r-mismatch"),
+        pytest.param(lambda v: v.update(b=io._system_block(np.ones((2, 2, 3), np.int8))),
+                     "a and b must be (|R|, count, dim) arrays sharing |R| and dim",
+                     id="dim-mismatch"),
+        pytest.param(lambda v: v.update(b=io._system_block(np.full((2, 2, 2), 2, np.int8))),
+                     "b[0, 0] norm 2.8284271247461903 exceeds the bound 1.4142135623730951",
+                     id="slice-above-the-bound"),
+        pytest.param(lambda v: v["a"].update(
+            b64=b64(zlib.compress(b"")[:2] + b"not a deflate stream")),
+                     "field 'a' has a corrupt zlib stream", id="corrupt-zlib"),
+        pytest.param(lambda v: v["b"].update(b64=b64(zlib.compress(bytes(9)))),
+                     "field 'b' inflates to more than 8 bytes", id="over-long-zlib"),
+        pytest.param(lambda v: v.pop("norm_bound"), "payload is missing field 'norm_bound'",
+                     id="no-norm-bound"),
+    ])
+    def test_malformed_system_block_exits_1(self, tmp_path, capsys, edit, message):
+        emb = tmp_path / "emb.json"
+        assert main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)]) == 0
+        doc = read_doc(emb)
+        edit(doc["payload"]["system"])
+        with open(emb, "w") as fh:
+            json.dump(doc, fh)
+        for command in ("verify", "simulate"):
+            code = main([command, "--builtin", "eq", "--n", "1", "--embedding", str(emb)])
+            err = capsys.readouterr().err
+            assert code == 1 and err.startswith("qfpsim: input error: ") and message in err
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_usage_and_exit_codes_of_the_parser(self, capsys):
+        # main builds only the subparser argv[0] names; help, a missing
+        # command and an unknown one print what the whole parser prints
+        def run(parse, argv):
+            try:
+                code = parse(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        whole = cli.build_parser()
+        for argv, code in ((["--help"], 0), ([], 1), (["bogus"], 1), (["-h", "verify"], 0),
+                           (["compile", "--help"], 0), (["verify", "--n", "2"], 1),
+                           (["compile", "--no-assemble"], 1)):
+            got = run(main, argv)
+            assert got == run(whole.parse_args, argv) and got[0] == code, argv
+            if not argv or argv[0] in ("--help", "bogus", "-h"):
+                assert "usage: qfpsim [-h] {margin,simulate,compile,project,verify} ..." in (
+                    got[1] + got[2])
+        assert run(main, ["compile", "--help"])[1].count("--no-assemble") == 0
+        assert list(cli.build_parser("verify")._subparsers._group_actions[0].choices) == ["verify"]
 
     @pytest.mark.parametrize("field, value", [
         ("n", "abc"),
@@ -884,7 +947,7 @@ class TestCliPipelines:
         # subnormals, to zero, or overflow are refused like any non-unit row,
         # by verify and simulate alike, without a warning
         emb = tmp_path / "emb.json"
-        assert main(["compile", "--builtin", "eq", "--n", "2", "--out", str(emb)]) == 0
+        write_states(emb, 2)
         doc = read_doc(emb)
         block = doc["payload"]["alphas"]
         put_array(block, block_array(block) * scale)
@@ -902,7 +965,7 @@ class TestCliPipelines:
 
     def test_corrupted_embedding_names_offending_pair(self, tmp_path):
         emb = tmp_path / "emb.json"
-        main(["compile", "--builtin", "eq", "--n", "1", "--out", str(emb)])
+        write_states(emb, 1)
         doc = read_doc(emb)
         as_lists(doc["payload"], "alphas", "betas")
         # Point one Alice state at the wrong Bob state: it is still a unit
@@ -933,14 +996,34 @@ class TestCliPipelines:
         assert (payload["source_dim"], payload["target_dim"]) == (400, 64)
 
     def test_compiled_states_are_compressed(self, tmp_path):
-        out = tmp_path / "e.json"
-        assert main(["compile", "--builtin", "eq", "--n", "7", "--out", str(out)]) == 0
-        doc = read_doc(out)
-        assert doc["format_version"] == "1.4"
-        for name in ("alphas", "betas"):
-            block = doc["payload"][name]
-            assert block["codec"] == "zlib-palette" and len(block["palette"]) == 3
-        assert out.stat().st_size < 20_000
+        # the states are written as their int8 system, one byte a slice
+        # entry: EQ-7 took 11 kB as palette-coded states, EQ-9 147 kB
+        for n, size in ((7, 8_000), (9, 100_000)):
+            out = tmp_path / "e.json"
+            assert main(["compile", "--builtin", "eq", "--n", str(n), "--out", str(out)]) == 0
+            doc = read_doc(out)
+            assert doc["format_version"] == "1.5" and "alphas" not in doc["payload"]
+            for name in ("a", "b"):
+                block = doc["payload"]["system"][name]
+                assert (block["dtype"], block["codec"]) == ("|i1", "zlib")
+                assert block["shape"] == [1 << n, 1 << n, 2]
+            assert out.stat().st_size < size
+
+    def test_format_1_4_compiled_document_verifies(self, tmp_path, capsys):
+        # EQ-3 as a 1.4 compile wrote it: palette-coded float64 states, read
+        # as float64 arrays, give the report they gave then
+        path = str(Path(__file__).resolve().parent / "data" / "eq3-format-1.4.json")
+        doc = read_doc(path)
+        assert (doc["format_version"], doc["payload"]["alphas"]["codec"]) == ("1.4", "zlib-palette")
+        assert type(io.parse_embedding(doc)) is ThresholdEmbedding
+        assert main(["verify", "--builtin", "eq", "--n", "3", "--embedding", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"] == {
+            "report": "verify_embedding", "valid": True,
+            "worst_zero_side": 0.062499999999999944, "worst_one_side": 0.24999999999999978,
+            "worst_zero_pair": [0, 1], "worst_one_pair": [0, 0],
+            "delta0": 0.06249999999999997, "delta1": 0.2499999999999999}
+        assert main(["simulate", "--builtin", "eq", "--n", "3", "--embedding", path]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["copies"] == 408
 
     def test_compile_one_way_model_matches_smp(self, tmp_path):
         # both models, and EQ-3's protocol read from a document, compile to one payload
@@ -957,7 +1040,7 @@ class TestCliPipelines:
     def test_compile_protocol_against_a_matrix(self, tmp_path):
         # a seeded c = 3 one-way protocol and the sign matrix its acceptance
         # separates: Bob's indicator sets take several sizes, so the betas'
-        # slack takes several values, and the coded states verify
+        # slack takes several values, and the compiled states verify
         p = random_one_way(3, 0)
         protocol = write_doc(tmp_path / "p.json", "protocol", io.protocol_payload(p))
         matrix = write_doc(tmp_path / "m.json", "sign_matrix",
@@ -967,8 +1050,8 @@ class TestCliPipelines:
                      "--out", str(emb)]) == 0
         assert main(["verify", "--matrix", matrix, "--embedding", str(emb),
                      "--out", str(rep)]) == 0
-        betas = read_doc(emb)["payload"]["betas"]
-        assert betas["codec"] == "zlib-palette" and len(betas["palette"]) >= 4, betas
+        b = io.parse_embedding(read_doc(emb)).system.b
+        assert len(np.unique(np.einsum("rxd,rxd->rx", b, b))) >= 4
         assert read_doc(rep)["payload"]["valid"] is True
         # sign_matrix_payload writes the entries as a palette block, format 1.4
         doc = read_doc(matrix)
@@ -995,23 +1078,8 @@ class TestCliPipelines:
         assert main(["verify", "--builtin", "eq", "--n", "9", "--embedding", str(emb),
                      "--out", str(rep)]) == 0
         e, v = read_doc(emb)["payload"], read_doc(rep)["payload"]
-        assert e["dimension"] == 256 and e["alphas"]["shape"] == [512, 256]
+        assert e["dimension"] == 256 and e["system"]["a"]["shape"] == [64, 512, 2]
         assert v["valid"] is True and (v["delta0"], v["delta1"]) == (e["delta0"], e["delta1"])
-
-    def test_compile_no_assemble_emits_vector_system(self, tmp_path):
-        out = tmp_path / "vs.json"
-        assert main(["compile", "--builtin", "eq", "--n", "1", "--no-assemble",
-                     "--out", str(out)]) == 0
-        doc = read_doc(out)
-        # the int8-held indicators are written as float64 0/1 blocks
-        for side in ("a", "b"):
-            block = doc["payload"][side]
-            assert block["dtype"] == "<f8" and block["palette"] == [0.0, 1.0], block
-        parsed = io.parse_vector_system(doc)
-        np.testing.assert_allclose(
-            parsed.acceptance_matrix(),
-            compile_smp(eq_parity_protocol(1)).acceptance_matrix(),
-        )
 
     def test_margin_viewed_through_realization_verify(self, tmp_path):
         r = eq_explicit_realization(4)
@@ -1039,9 +1107,9 @@ MiB = 1 << 20
 
 
 class TestOneStateBlockAtATime:
-    """compile builds, checks and encodes one side of the states at a time,
-    from codes where it can, and verify reads palette-coded alphas and betas
-    one block of rows at a time; neither writes a byte that the
+    """compile writes the states as the system they pad, verify reads them as
+    that system, and float64 states, as a 1.4 compile wrote them, are read
+    and checked one block of rows at a time; neither writes a byte that the
     whole-embedding path would not."""
 
     @pytest.fixture(scope="class")
@@ -1049,6 +1117,10 @@ class TestOneStateBlockAtATime:
         path = tmp_path_factory.mktemp("eq9") / "eq9.json"
         assert main(["compile", "--builtin", "eq", "--n", "9", "--out", str(path)]) == 0
         return path
+
+    @pytest.fixture(scope="class")
+    def eq9_states(self, tmp_path_factory):
+        return write_states(tmp_path_factory.mktemp("eq9") / "eq9-states.json", 9)
 
     @pytest.mark.parametrize("model", ["smp", "one-way"])
     @pytest.mark.parametrize("n", range(3, 10))
@@ -1063,14 +1135,15 @@ class TestOneStateBlockAtATime:
         assert json.dumps(payload) == json.dumps(io.embedding_payload(e))
         assert stages == [{"stage": "assembled", "dimension": e.dimension,
                            "delta0": e.delta0, "delta1": e.delta1}]
-        # one form: the reader holds palette and codes, as assembly returns
-        # them.  Assembly's palette lists every candidate value and the writer
-        # cuts it to the used ones, so the two agree in their decoded bits
+        # one form: the reader holds the system, as assembly returns it, and
+        # the two pad into the same bits
         parsed = io.parse_embedding(read_doc(out))
+        assert isinstance(parsed, embeddings.CompiledEmbedding)
+        for side in ("a", "b"):
+            assert np.array_equal(getattr(parsed.system, side), getattr(e.system, side))
         for side in ("alphas", "betas"):
             got, want = getattr(parsed, side), getattr(e, side)
-            assert isinstance(got, embeddings._CodedRows) and isinstance(want, embeddings._CodedRows)
-            assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     @pytest.mark.parametrize("codec", ["zlib-palette", "zlib", None, "lists"])
     def test_verify_reports_what_the_whole_embedding_gives(self, tmp_path, codec):
@@ -1100,10 +1173,10 @@ class TestOneStateBlockAtATime:
         assert read_doc(out)["payload"] == json.loads(json.dumps(expected))
 
     @staticmethod
-    def doubled_row_511(tmp_path, capsys, eq9, side):
+    def doubled_row_511(tmp_path, capsys, eq9_states, side):
         # EQ-9's verifier reads its 512 alphas in four blocks of 128 rows, and
         # the betas in four tiles of 128; row 511 ends the last of each.
-        doc = read_doc(eq9)
+        doc = read_doc(eq9_states)
         rows = block_array(doc["payload"][side]).copy()
         rows[511] *= 2
         doc["payload"][side] = io._float_block(rows)
@@ -1116,19 +1189,19 @@ class TestOneStateBlockAtATime:
             assert code == 1 and err == ("qfpsim: input error: invalid embedding: "
                                          f"{side}[511] is not a unit vector (norm 2.0)\n")
 
-    def test_doubled_row_in_the_last_block_names_its_index(self, tmp_path, capsys, eq9):
-        self.doubled_row_511(tmp_path, capsys, eq9, "alphas")
+    def test_doubled_row_in_the_last_block_names_its_index(self, tmp_path, capsys, eq9_states):
+        self.doubled_row_511(tmp_path, capsys, eq9_states, "alphas")
 
-    def test_doubled_beta_in_the_last_tile_names_its_index(self, tmp_path, capsys, eq9):
-        self.doubled_row_511(tmp_path, capsys, eq9, "betas")
+    def test_doubled_beta_in_the_last_tile_names_its_index(self, tmp_path, capsys, eq9_states):
+        self.doubled_row_511(tmp_path, capsys, eq9_states, "betas")
 
-    def test_alphas_of_later_blocks_are_named_before_betas(self, tmp_path, capsys, eq9):
+    def test_alphas_of_later_blocks_are_named_before_betas(self, tmp_path, capsys, eq9_states):
         # the verifier's first block reads every tile of betas, beta row 0
         # among them, before its last block reads alpha row 511: the alpha is
         # still named, as the reader checks every alpha before any beta, from
         # palette and raw zlib blocks alike, for verify and simulate alike
         for codec in ("zlib-palette", "zlib"):
-            doc = read_doc(eq9)
+            doc = read_doc(eq9_states)
             for side, row in (("alphas", 511), ("betas", 0)):
                 rows = block_array(doc["payload"][side]).copy()
                 rows[row] *= 2
@@ -1158,7 +1231,7 @@ class TestOneStateBlockAtATime:
         e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
                                               eq_matrix(3))
         for codec in ("zlib-palette", "zlib"):
-            payload = io.embedding_payload(e)
+            payload = io.embedding_payload(states_of(e))
             for side, row in scaled.items():
                 rows = np.array(getattr(e, side))
                 rows[row] *= 2
@@ -1173,17 +1246,19 @@ class TestOneStateBlockAtATime:
                     "(norm "), (codec, command)
 
     def test_compile_holds_one_state_block(self, tmp_path):
-        # EQ-8: each side's states would be a 256 x 1024 float64 block, 2 MiB.
-        # compile builds one side's codes (0.25 MiB) from the int8 system
-        # (0.25 MiB); its peak is the 256 x 256 acceptance matrix (0.5 MiB)
-        # and its float32 product's temporaries, within 2.5 MiB in all.
+        # EQ-8: each side's states would be a 256 x 1024 float64 block, 2 MiB,
+        # and are never formed: compile writes the int8 system (0.25 MiB a
+        # side) as it is.  Its peak, ~1.9 MiB, is the threshold search: the
+        # float32 copy of b (0.5 MiB) and one block of the 256 x 256 squares
+        # (0.5 MiB) with the float32 slices and products behind it.  2.5 MiB
+        # covers it.
         argv = ["compile", "--builtin", "eq", "--n", "8", "--out", str(tmp_path / "e.json")]
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= 2.5 * MiB
 
     def test_simulate_holds_the_codes(self, tmp_path):
-        # EQ-9's states are held as their codes (2 MiB), not as float64 states
-        # (16 MiB).  The peak, ~23 MiB, is the exact law's grouping of the
+        # EQ-9's states are held as their int8 system (1 MiB), not as float64
+        # states (16 MiB).  The peak, ~18 MiB, is the exact law's grouping of the
         # 512 x 512 pairs (their squares, sort keys, order and groups, 2 MiB
         # each); the report's one group index per pair, as nested lists and as
         # JSON text, stays below it.  24 MiB covers them (32 MiB at float64
@@ -1193,16 +1268,16 @@ class TestOneStateBlockAtATime:
         assert code == 0 and peak <= 24 * MiB
 
     def test_verify_holds_one_state_block(self, eq9, capsys):
-        # EQ-9, whose sides span four verifier row blocks (at EQ-8 one block
-        # of 256 rows is all of them): verify counts codes without decoding.
-        # It holds both sides' codes (2 MiB), the betas' bool indicator of
-        # their one shared code pair on its 1023 columns (0.5 MiB), one block's
-        # float32 alpha indicator (128 x 1023, 0.5 MiB) and the worst-pair
-        # search over its 128 x 512 squares.  The peak is ~5.05 MiB; 5.8 MiB
-        # covers it, and float32 indicators of a whole side (2 MiB) exceed it.
+        # EQ-9, whose 512 inputs span four verifier row blocks of 128 (at
+        # EQ-8 one block of 256 rows is all of them): verify squares the
+        # system's exact acceptance products and never forms the states.  It
+        # holds the int8 system (1 MiB), the float32 copy of b (2 MiB), one
+        # block's float32 alpha slices (128 x 1024, 0.5 MiB) and products, and
+        # the worst-pair search over its 128 x 512 squares.  The peak is ~4.6
+        # MiB; 5.3 MiB covers it, and one side's float64 states (8 MiB) exceed it.
         argv = ["verify", "--builtin", "eq", "--n", "9", "--embedding", str(eq9)]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 5.8 * MiB
+        assert code == 0 and peak <= 5.3 * MiB
         # every off-diagonal pair ties, as every diagonal one does: the first
         # pair of each side pins the tie rule across the four blocks
         v = json.loads(capsys.readouterr().out)["payload"]
@@ -1289,8 +1364,9 @@ class TestDeterminism:
             dirs.append(d)
         for out in runs:
             assert (dirs[0] / out).read_bytes() == (dirs[1] / out).read_bytes()
-        # the compared compile output really holds a binary float array
-        assert "b64" in json.loads((dirs[0] / "states.json").read_bytes())["payload"]["alphas"]
+        # the compared compile output really holds a binary array
+        doc = json.loads((dirs[0] / "states.json").read_bytes())
+        assert "b64" in doc["payload"]["system"]["a"]
 
     def test_simulate_reads_no_seed(self, tmp_path):
         payloads = []
@@ -1344,8 +1420,8 @@ class TestExitPath:
     stderr and then ends the process by ``os._exit``, skipping teardown."""
 
     def test_stdout_document_arrives_whole(self, tmp_path):
-        # ~40 kB of stdout, several buffers: without the flush its tail never arrives
-        argv = ["compile", "--builtin", "eq", "--n", "8"]
+        # ~88 kB of stdout, several buffers: without the flush its tail never arrives
+        argv = ["compile", "--builtin", "eq", "--n", "9"]
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
         want = read_doc(tmp_path / "out.json")["payload"]
         cmd = [sys.executable, "-m", "qfpsim.cli", *argv]
@@ -1458,21 +1534,26 @@ def readme_decode_recipe():
     return readme.split("To decode a block with numpy:\n\n```python\n", 1)[1].split("```", 1)[0]
 
 
-@pytest.mark.parametrize("codec", ["zlib-palette", "zlib"])
+@pytest.mark.parametrize("codec", ["zlib-palette", "zlib", "int8"])
 def test_readme_decode_recipe(tmp_path, codec):
-    """README's numpy-only recipe decodes both codecs as the reader does."""
+    """README's numpy-only recipe decodes every form of block as the reader does."""
     if codec == "zlib-palette":
-        emb = tmp_path / "eq3.json"
-        assert main(["compile", "--builtin", "eq", "--n", "3", "--out", str(emb)]) == 0
-        doc = read_doc(emb)
-    else:
+        doc = read_doc(write_states(tmp_path / "eq3.json", 3))
+    elif codec == "zlib":
         alphas = np.random.default_rng(0).standard_normal((5, 300))
         doc = {"payload": {"alphas": io.vectors_payload(alphas)["vectors"]}}
+    else:  # a compiled document's system side, under the recipe's field name
+        emb = tmp_path / "eq3.json"
+        assert main(["compile", "--builtin", "eq", "--n", "3", "--out", str(emb)]) == 0
+        doc = {"payload": {"alphas": read_doc(emb)["payload"]["system"]["a"]}}
+        assert doc["payload"]["alphas"]["dtype"] == "|i1"
+        codec = "zlib"
     assert doc["payload"]["alphas"]["codec"] == codec
     scope = {"doc": doc}
     exec(readme_decode_recipe(), scope)
     expected = io._array(doc["payload"], "alphas")
-    assert np.array_equal(scope["alphas"].view(np.uint64), expected.view(np.uint64))
+    assert scope["alphas"].dtype == expected.dtype
+    assert scope["alphas"].tobytes() == expected.tobytes()
 
 
 def run_qfpsim_lines(text, capsys):

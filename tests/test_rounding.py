@@ -93,10 +93,13 @@ class TestClaimsRoundingCannotExplain:
 
     @pytest.mark.parametrize("side, row", [("alphas", 5), ("betas", 2)])
     def test_a_row_scaled_by_1_plus_9e_10_is_named(self, tmp_path, capsys, side, row):
+        # the compiled states, written as float64 alphas and betas
         doc = eq3_document(tmp_path)
-        rows = np.array(getattr(io.parse_embedding(doc), side))
-        rows[row] *= 1 + 9e-10
-        doc["payload"][side] = io._float_block(rows)
+        e = io.parse_embedding(doc)
+        states = {"alphas": e.alphas, "betas": e.betas}
+        states[side][row] *= 1 + 9e-10
+        del doc["payload"]["system"]
+        doc["payload"].update((name, io._float_block(rows)) for name, rows in states.items())
         path = write(tmp_path, doc)
         capsys.readouterr()
         for command in ("verify", "simulate"):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from qfpsim import io
-from qfpsim.problems import eq_matrix
+from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
+from qfpsim.problems import eq_matrix, eq_parity_protocol
 from tests.test_embeddings import eq_orthonormal_embedding
 from tests.test_io_cli import child_env
 
@@ -26,11 +27,15 @@ print(json.dumps({"status": status, "dataclasses": "dataclasses" in sys.modules,
 
 @pytest.fixture
 def inputs(tmp_path):
-    """A directory holding m.json (EQ-3), e.json (states for it) and v.json."""
+    """A directory holding m.json (EQ-3), e.json (states for it), c.json (its
+    compiled states, written as their vector system) and v.json."""
     vectors = np.random.default_rng(0).standard_normal((6, 8))
+    compiled = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
+                                                 eq_matrix(3))
     documents = {
         "m.json": ("sign_matrix", io.sign_matrix_payload(eq_matrix(3))),
         "e.json": ("embedding", io.embedding_payload(eq_orthonormal_embedding(8))),
+        "c.json": ("embedding", io.embedding_payload(compiled)),
         "v.json": ("vectors", io.vectors_payload(vectors)),
     }
     for name, (kind, payload) in documents.items():
@@ -69,8 +74,13 @@ def test_margin_loads_only_the_bounds_path(inputs):
     (["margin", "--builtin", "ip", "--k", "2"], "problems", {"compiler", "projections"}, False),
     (["verify", "--builtin", "eq", "--n", "3", "--embedding", "e.json"], "problems",
      {"compiler", "projections"}, False),
+    # a compiled document holds a vector system, which embeddings reads and pads
+    (["verify", "--matrix", "m.json", "--embedding", "c.json"], "embeddings",
+     {"compiler", "problems", "projections", "fingerprint"}, False),
+    (["simulate", "--embedding", "c.json", "--matrix", "m.json"], "fingerprint",
+     {"compiler", "problems", "projections"}, False),
 ], ids=["project", "compile", "simulate-embedding", "simulate-builtin", "margin-builtin",
-        "verify-builtin"])
+        "verify-builtin", "verify-compiled", "simulate-compiled"])
 def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped, numpy_random):
     modules, _, loaded_numpy_random = loaded(argv, inputs)
     assert runs in modules and not modules & skipped
