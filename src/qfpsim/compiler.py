@@ -173,9 +173,10 @@ def classical_projection_protocol(
     if precision_bits < 2:
         raise ValueError("precision_bits must be >= 2")
     from ._rng import generator  # only this estimator draws; compiling loads no RNG
-    x, y = pair
-    alpha = e.alphas[x]
-    beta = e.betas[y]
+    if isinstance(e, CompiledEmbedding):  # pads the two rows it reads, not both sides
+        alpha, beta = (e.system._states(side, [i])[0] for side, i in enumerate(pair))
+    else:
+        alpha, beta = e.alphas[pair[0]], e.betas[pair[1]]
     rng = generator(seed)
     maps = rng.standard_normal((reps, k, e.dimension)) / np.sqrt(k)
     u = maps @ alpha

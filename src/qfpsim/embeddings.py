@@ -192,23 +192,30 @@ class VectorSystem(Record):
     def _rows(self, squared: bool = False):
         """A function of a slice s of the inputs x that returns rows s of the
         acceptance matrix as float64, or with ``squared`` of (P/L^2)^2, the
-        squared inner products of ``_states``.  Each block is an
-        (|X|, |R| dim) x (|R| dim, |Y|) product, summing over r and d at once.
-        When max|a| max|b| |R| dim <= 2^24 every partial sum is an integer
-        float32 holds exactly, so an integer system multiplies in it."""
+        squared inner products of ``_states``, from (|X|, |R| dim) x (|R| dim,
+        |Y|) tiles of at most ``CHUNK`` entries a side.  When max|a| max|b| |R|
+        dim <= 2^24 every partial sum is an integer float32 holds exactly, so
+        an integer system multiplies in it."""
         a, b, width = self.a, self.b, self.num_rand * self.dim
         dtype = np.float64
         if a.dtype.kind in "iu" and b.dtype.kind in "iu" and _peak(a) * _peak(b) * width <= 1 << 24:
             dtype = np.float32
 
         def by_input(arr):  # (|R|, count, k) -> (count, |R| k): each input's slices side by side
-            arr = np.ascontiguousarray(arr.transpose(1, 0, 2), dtype=dtype)
-            return arr.reshape(len(arr), -1)
+            r, count, k = arr.shape
+            items = arr.view(f"V{k * arr.itemsize}") if k else arr  # a slice moves as one item
+            return np.ascontiguousarray(items.swapaxes(0, 1)).view(arr.dtype).reshape(count, r * k)
 
-        bt = by_input(b).T
+        b = by_input(b)  # in b's own dtype: one byte an entry for int8
 
-        def rows(s: slice, out: np.ndarray | None = None) -> np.ndarray:
-            p = np.divide(by_input(a[:, s]) @ bt, self.num_rand, out=out, dtype=np.float64)
+        def rows(s: slice) -> np.ndarray:
+            a_s = a[:, s]
+            p = np.empty((a_s.shape[1], len(b)))
+            for t in _row_blocks(len(p), width):
+                block = by_input(a_s[:, t]).astype(dtype, copy=False)
+                for u in _row_blocks(len(b), width):
+                    p[t, u] = block @ b[u].astype(dtype, copy=False).T  # exact in float64
+            p /= self.num_rand
             if squared:
                 p /= self.norm_bound**2
                 p **= 2  # in place: the same square as ** 2, without a second block
@@ -217,18 +224,14 @@ class VectorSystem(Record):
         return rows
 
     def acceptance_matrix(self) -> np.ndarray:
-        rows, count = self._rows(), self.a.shape[1]
-        p = np.empty((count, self.b.shape[1]))
-        for s in _row_blocks(count, self.num_rand * self.dim):
-            rows(s, out=p[s])
-        return p
+        return self._rows()(slice(None))
 
-    def _states(self, side: int) -> np.ndarray:
+    def _states(self, side: int, rows=slice(None)) -> np.ndarray:
         """The alphas (side 0, from ``a``) or betas (side 1, from ``b``) of the
-        states the system stands for, as new float64 rows filled one block at a
+        states of inputs ``rows``, as new float64 rows filled one block at a
         time: block r of a row is slice r padded by ``_padded`` at scale
         1/sqrt(|R|), on junk coordinate dim + side of dim+2."""
-        vectors, dim = (self.a, self.b)[side].transpose(1, 0, 2), self.dim  # (count, |R|, dim)
+        vectors, dim = (self.a, self.b)[side][:, rows].transpose(1, 0, 2), self.dim
         out = np.zeros(vectors.shape[:2] + (dim + 2,))
         for s in _row_blocks(len(out), vectors[:1].size):
             block = vectors[s].astype(np.float64, copy=False)
@@ -263,13 +266,8 @@ class CompiledEmbedding(Record):
     def dimension(self) -> int:
         return self.system.num_rand * (self.system.dim + 2)
 
-    @property
-    def alphas(self) -> np.ndarray:
-        return self.system._states(0)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return self.system._states(1)
+    alphas = property(lambda self: self.system._states(0))
+    betas = property(lambda self: self.system._states(1))
 
 
 class EmbeddingReport(Record):

@@ -451,22 +451,24 @@ class TestAssemble:
         pytest.param(lambda: compile_one_way(eq_parity_one_way_protocol(8)), id="one-way"),
     ])
     def test_peak_memory_is_about_the_states(self, system):
-        # Assembly forms no state: it holds the system itself, and its peak
-        # is the threshold search, one block of CHUNK squares at a time
-        # beside the float32 copy of b (0.5 MiB here).
+        # Assembly forms no state: it holds the system itself, and its peak,
+        # ~1.2 MiB, is the threshold search beside the int8 copy of b by input
+        # (0.125 MiB here): one block of CHUNK squares (0.5 MiB), the
+        # worst-pair search's masked copy of it (0.5 MiB), and float32 tiles of
+        # at most CHUNK entries.
         v = system()
         e, peak = traced_peak(lambda: assemble_shared_randomness_states(v, eq_matrix(8)))
         assert e.system is v
-        assert peak <= v.b.size * 4 + 4.0 * CHUNK * 8
+        assert peak <= v.b.size + 2.5 * CHUNK * 8
 
     def test_compiled_system_holds_one_byte_per_entry(self):
         # EQ-9: the int8 system takes 1 MiB (8 MiB as float64) and its states
         # would take 16 MiB as float64.  The traced peak of compile plus
-        # assembly, ~4.1 MiB, is the system, the float32 copy of b (2 MiB) and
-        # one block of the threshold search: 128 alphas' float32 slices (0.5
-        # MiB), their float32 products and float64 squares (0.75 MiB), and the
-        # worst-pair search's masked copy (0.5 MiB).  The whole acceptance
-        # matrix (2 MiB) is never formed.
+        # assembly, ~3.1 MiB, is the system, the int8 copy of b by input (0.5
+        # MiB) and one block of the threshold search: 128 alphas' float64
+        # squares (0.5 MiB), the worst-pair search's masked copy (0.5 MiB), and
+        # float32 tiles of 64 alphas' and 64 betas' slices (0.25 MiB each).
+        # The whole acceptance matrix (2 MiB) is never formed.
         p, m = eq_parity_protocol(9), eq_matrix(9)
 
         def compile_and_assemble():
@@ -475,7 +477,7 @@ class TestAssemble:
 
         (v, e), peak = traced_peak(compile_and_assemble)
         assert v.a.dtype == v.b.dtype == np.int8 and e.system is v
-        assert peak <= v.a.size + v.b.size + 3.5 * MiB
+        assert peak <= v.a.size + v.b.size + 2.5 * MiB
 
     def test_each_state_is_unit_checked_once(self, monkeypatch):
         checked = []
@@ -691,7 +693,7 @@ class TestCodedStates:
 
 class TestEq9Temporaries:
     """Each temporary of EQ-9's compile, acceptance product and verification
-    is a block of at most CHUNK entries, or the system's float32 copy of b."""
+    is a block of at most CHUNK entries, or the system's int8 copy of b."""
 
     @pytest.fixture(scope="class")
     def eq9(self):
@@ -706,7 +708,7 @@ class TestEq9Temporaries:
 
     def test_acceptance_matrix(self, eq9):
         accept, peak = traced_peak(eq9[2].acceptance_matrix)
-        assert peak <= accept.nbytes + 2.5 * MiB
+        assert peak <= accept.nbytes + 1.5 * MiB
 
     def test_verify(self, eq9):
         # float64 states: verifying the compiled system has its own budget
@@ -721,6 +723,15 @@ class TestEq9Temporaries:
         assert (report.worst_zero_pair, report.worst_one_pair) == ((0, 1), (0, 0))
         assert report.worst_zero_side == pytest.approx(1 / 16, rel=1e-12)
         assert report.worst_one_side == pytest.approx(1 / 4, rel=1e-12)
+
+
+    def test_classical_projection_pads_only_its_pair(self, eq9):
+        # the two rows read take 16 kB; padding a whole side would take 8 MiB
+        _, _, _, compiled = eq9
+        args = dict(pair=(3, 5), k=2, reps=4, precision_bits=8, seed=0)
+        est, peak = traced_peak(lambda: classical_projection_protocol(compiled, **args))
+        assert peak <= 1.5 * MiB
+        assert est == classical_projection_protocol(states_of(compiled), **args)
 
 
 class TestClassicalProjectionProtocol:

@@ -1248,13 +1248,13 @@ class TestOneStateBlockAtATime:
     def test_compile_holds_one_state_block(self, tmp_path):
         # EQ-8: each side's states would be a 256 x 1024 float64 block, 2 MiB,
         # and are never formed: compile writes the int8 system (0.25 MiB a
-        # side) as it is.  Its peak, ~1.9 MiB, is the threshold search: the
-        # float32 copy of b (0.5 MiB) and one block of the 256 x 256 squares
-        # (0.5 MiB) with the float32 slices and products behind it.  2.5 MiB
-        # covers it.
+        # side) as it is.  Its peak, ~1.5 MiB, is the threshold search beside
+        # the system: the int8 copy of b by input (0.125 MiB), one block of the
+        # 256 x 256 squares (0.5 MiB) and the worst-pair search's masked copy
+        # of it (0.5 MiB).  2 MiB covers it.
         argv = ["compile", "--builtin", "eq", "--n", "8", "--out", str(tmp_path / "e.json")]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 2.5 * MiB
+        assert code == 0 and peak <= 2.0 * MiB
 
     def test_simulate_holds_the_codes(self, tmp_path):
         # EQ-9's states are held as their int8 system (1 MiB), not as float64
@@ -1271,13 +1271,14 @@ class TestOneStateBlockAtATime:
         # EQ-9, whose 512 inputs span four verifier row blocks of 128 (at
         # EQ-8 one block of 256 rows is all of them): verify squares the
         # system's exact acceptance products and never forms the states.  It
-        # holds the int8 system (1 MiB), the float32 copy of b (2 MiB), one
-        # block's float32 alpha slices (128 x 1024, 0.5 MiB) and products, and
-        # the worst-pair search over its 128 x 512 squares.  The peak is ~4.6
-        # MiB; 5.3 MiB covers it, and one side's float64 states (8 MiB) exceed it.
+        # holds the int8 system (1 MiB), its int8 copy of b by input (0.5 MiB),
+        # float32 tiles of 64 alphas' and 64 betas' slices (0.25 MiB each), and
+        # the worst-pair search over one block's 128 x 512 squares.  The peak
+        # is ~3.3 MiB; 4 MiB covers it, and one side's float64 states (8 MiB)
+        # exceed it.
         argv = ["verify", "--builtin", "eq", "--n", "9", "--embedding", str(eq9)]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 5.3 * MiB
+        assert code == 0 and peak <= 4.0 * MiB
         # every off-diagonal pair ties, as every diagonal one does: the first
         # pair of each side pins the tie rule across the four blocks
         v = json.loads(capsys.readouterr().out)["payload"]
