@@ -131,8 +131,7 @@ def cmd_simulate(args, argv) -> int:
             "max_error": report.exact_error,  # kept for readers of the former estimate
             "exact_error": report.exact_error,
             "group_error": report.group_error.tolist(),
-            "pair_group": [[None if g < 0 else g for g in row]
-                           for row in report.pair_group.tolist()],
+            "pair_group": io.integer_block(report.pair_group),  # -1 on promise pairs
         },
         args,
         argv,

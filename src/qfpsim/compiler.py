@@ -95,7 +95,8 @@ class ClassicalSMPProtocol(_Protocol):
 
 
 class OneWayProtocol(_Protocol):
-    """Classical one-way protocol: Bob's decision ``bob_accept[m_a, y, r]``."""
+    """Classical one-way protocol: Bob's decision ``bob_accept[m_a, y, r]``, a read-only
+    view of a copy held in the (|R|, |Y|, 2^c) order of the system it compiles to."""
 
     bob_accept: np.ndarray
 
@@ -105,7 +106,9 @@ class OneWayProtocol(_Protocol):
         if (acc.ndim != 3 or acc.shape[0] != 1 << self.c or acc.shape[2] != self.num_rand
                 or not _entries_in(acc, (0, 1))):
             raise ValueError("bob_accept must be a 2^c x |Y| x |R| 0/1 table")
-        _frozen_array(self, "bob_accept", acc.astype(np.int8))
+        table = acc.transpose(2, 1, 0).astype(np.int8, order="C")
+        table.setflags(write=False)
+        object.__setattr__(self, "bob_accept", table.transpose(2, 1, 0))  # not made contiguous
 
 
 def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
@@ -117,7 +120,7 @@ def compile_one_way(p: OneWayProtocol | ClassicalSMPProtocol) -> VectorSystem:
     # each side built C-contiguous as (|R|, count, 2^c), which VectorSystem holds uncopied
     a = np.eye(dim, dtype=np.int8)[p.alice_messages.T]
     b = (p.accept.T[p.bob_messages.T] if isinstance(p, ClassicalSMPProtocol)  # one-way form
-         else p.bob_accept.transpose(2, 1, 0))  # a one-way table is copied
+         else p.bob_accept.transpose(2, 1, 0))  # a one-way table is held in this order
     return VectorSystem(a, b, float(np.sqrt(dim)))
 
 

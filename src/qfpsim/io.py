@@ -20,7 +20,9 @@ protocol's 0/1 indicators, is a plain int8 block, ``{"dtype": "|i1", "shape":
 [...], "codec": "zlib", "b64": "..."}``, one byte an entry (format 1.5: a
 document holding one is stamped 1.5, any other 1.4).  ``compile`` writes an
 ``embedding`` as a ``system`` (the ``vector_system`` payload) in place of
-``alphas`` and ``betas``, which a 1.4 reader refuses as missing.
+``alphas`` and ``betas``, which a 1.4 reader refuses as missing.  A ``simulate``
+report's ``pair_group``, one group index per pair and -1 on promise pairs, is
+an int8 block by the same rule (``integer_block``), a float block above 127.
 
 The palette is built on the bit patterns, so ``-0.0``, ``+0.0`` and
 subnormals are kept apart and parse(serialize(x)) is bit-identical for
@@ -30,8 +32,9 @@ and arrays as nested lists (the 1.0 form).  Sign matrix ``entries`` hold at
 most 3 values, so they are always palette-coded, one byte an entry; a 1.3
 reader refuses the block, and nested lists of JSON integers are still read.
 Scalars and the remaining lists (protocol tables among them) are written in
-Python's shortest round-trip repr.  The compressed bytes may differ between
-zlib builds; the decoded arrays do not.
+Python's shortest round-trip repr, and every document without whitespace
+between items or after keys.  The compressed bytes may differ between zlib
+builds; the decoded arrays do not.
 
 ``parse_embedding`` is the one reader of embedding documents, for every
 command that takes one: a ``system`` becomes a ``CompiledEmbedding``, whose
@@ -73,6 +76,7 @@ INT8_DTYPE = "|i1"
 CODEC = "zlib"
 PALETTE_CODEC = "zlib-palette"
 PALETTE_MAX = 256  # the values a uint8 code tells apart
+SEPARATORS = (",", ":")  # no whitespace between items or after keys
 # The leaf rule: an integer field takes JSON integers only, a number field JSON
 # integers or floats.  true, false, strings and null never pass: the types are
 # compared exactly, and type(True) is bool, not int.
@@ -107,7 +111,7 @@ _ROWS_SLOT = "\0rows\0"
 
 
 def dump(doc: dict, path: str | None = None) -> None:
-    """Write ``doc`` as one line of JSON to ``path`` (default: stdout).  A 2-d
+    """Write ``doc`` as one line of compact JSON to ``path`` (default: stdout).  A 2-d
     ndarray leaf is written as its ``.tolist()`` would be, one row at a time,
     so neither the nested lists nor their text is ever whole."""
     arrays = []
@@ -121,7 +125,8 @@ def dump(doc: dict, path: str | None = None) -> None:
         return _ROWS_SLOT
 
     # No indent: with one, json falls back from its C encoder to pure Python.
-    pieces = json.dumps(doc, allow_nan=False, default=rows_slot).split(json.dumps(_ROWS_SLOT))
+    pieces = json.dumps(doc, allow_nan=False, default=rows_slot,
+                        separators=SEPARATORS).split(json.dumps(_ROWS_SLOT))
     if len(pieces) != len(arrays) + 1:
         raise ValueError(f"a string of the document equals {_ROWS_SLOT!r}")
     if path is None:
@@ -137,7 +142,7 @@ def _write(fh, pieces: list[str], arrays: list[np.ndarray]) -> None:
     for arr, piece in zip(arrays, pieces[1:]):
         fh.write("[")
         for i, row in enumerate(arr):
-            fh.write((", " if i else "") + json.dumps(row.tolist()))
+            fh.write(("," if i else "") + json.dumps(row.tolist(), separators=SEPARATORS))
         fh.write("]")
         fh.write(piece)  # not "]" + piece: that would copy the rest of the document
     fh.write("\n")
@@ -210,9 +215,9 @@ def _float_block(arr) -> dict:
     return block
 
 
-def _system_block(arr: np.ndarray) -> dict:
-    """A vector system side: integers in [-127, 127] as a plain int8 block,
-    one byte an entry before zlib (format 1.5); anything else as a float block."""
+def integer_block(arr: np.ndarray) -> dict:
+    """A vector system side or ``pair_group``: integers in [-127, 127] as a plain
+    int8 block, one byte an entry before zlib (format 1.5); else a float block."""
     if arr.dtype.kind not in "iu" or _peak(arr) > 127:
         return _float_block(arr)
     data = zlib.compress(np.ascontiguousarray(arr, dtype=np.int8), 1)
@@ -441,8 +446,8 @@ def parse_realization(doc: dict) -> Realization:
 
 def vector_system_payload(v: VectorSystem) -> dict:
     """The one writer of a vector system, in its own document and as an
-    embedding's ``system``: each side a ``_system_block``."""
-    return {"norm_bound": v.norm_bound, "a": _system_block(v.a), "b": _system_block(v.b)}
+    embedding's ``system``: each side an ``integer_block``."""
+    return {"norm_bound": v.norm_bound, "a": integer_block(v.a), "b": integer_block(v.b)}
 
 
 def parse_vector_system(doc: dict) -> VectorSystem:

@@ -8,7 +8,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from ._rng import generator
 from .embeddings import MIN_GAP, SignMatrix, ThresholdEmbedding
 
 # imported where used, so that a sign matrix alone never loads the compiler
@@ -61,6 +60,7 @@ def _rand_set(n: int, num_r: int | None, seed) -> np.ndarray:
         return np.arange(1 << n)
     if num_r < 1:
         raise ValueError("num_r must be >= 1")
+    from ._rng import generator  # only --num-r draws; a matrix alone loads no RNG
     return generator(seed).integers(0, 1 << n, size=num_r)
 
 

@@ -302,12 +302,13 @@ class TestVectorSystem:
     ])
     def test_compiled_sides_are_built_contiguous(self, protocol):
         # compile_one_way builds both sides in (|R|, count, 2^c) order, so the
-        # system holds them as they are built; only a one-way b is a copy
+        # system holds them as they are built; a one-way protocol holds its
+        # table in that order, so its b is that table, uncopied
         p = protocol()
         v = compile_one_way(p)
         for side in (v.a, v.b):
             assert side.flags.c_contiguous and not side.flags.writeable
-        assert not np.shares_memory(v.b, p.bob_accept)
+        assert np.shares_memory(v.b, p.bob_accept) == isinstance(p, OneWayProtocol)
         assert np.array_equal(v.b, p.bob_accept.transpose(2, 1, 0))
 
     def test_norm_within_tolerance_accepted(self):
@@ -680,8 +681,8 @@ class TestCodedStates:
     def test_a_document_with_such_a_bound_is_malformed(self):
         # in a vector system document, and as the system of an embedding
         for zeros in (np.zeros((2, 3, 2)), np.zeros((2, 3, 2), dtype=np.int8)):
-            system = {"norm_bound": 1e200, "a": io._system_block(zeros),
-                      "b": io._system_block(zeros)}
+            system = {"norm_bound": 1e200, "a": io.integer_block(zeros),
+                      "b": io.integer_block(zeros)}
             for doc, parse in (
                     (io.document("vector_system", system), io.parse_vector_system),
                     (io.document("embedding", {"delta0": 0.0, "delta1": 1.0, "system": system}),
@@ -705,6 +706,16 @@ class TestEq9Temporaries:
         p = eq9[0]
         _, peak = traced_peak(lambda: compile_one_way(p))
         assert peak <= 1.5 * MiB
+
+    def test_one_way_compile_takes_its_table_uncopied(self, eq9):
+        # the one-way table is held in the system's order: its compile forms
+        # only a, so it peaks b's bytes below the SMP compile, which forms a and b
+        one_way = eq_parity_one_way_protocol(9)
+        v, peak = traced_peak(lambda: compile_one_way(one_way))
+        _, smp_peak = traced_peak(lambda: compile_one_way(eq9[0]))
+        assert peak + v.b.nbytes <= smp_peak + 64 * 1024
+        # written in the (2^c, |Y|, |R|) shape it is read in
+        assert io.protocol_payload(one_way)["bob_accept"] == eq9[0].bob_accept.tolist()
 
     def test_acceptance_matrix(self, eq9):
         accept, peak = traced_peak(eq9[2].acceptance_matrix)

@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 import qfpsim
 from qfpsim import cli, embeddings, io
+from qfpsim.bounds import maximize_margin_heuristic
 from qfpsim.cli import main
 from qfpsim.compiler import (
     VectorSystem,
@@ -30,9 +31,10 @@ from qfpsim.embeddings import (
     Realization,
     SignMatrix,
     ThresholdEmbedding,
+    realization_to_embedding,
     verify_threshold_embedding,
 )
-from qfpsim.fingerprint import exact_pair_errors, protocol_from_embedding
+from qfpsim.fingerprint import exact_pair_errors, protocol_from_embedding, run_protocol
 from qfpsim.problems import (
     eq_matrix,
     eq_parity_one_way_protocol,
@@ -397,14 +399,14 @@ class TestDocuments:
         v = compile_one_way(eq_parity_protocol(5))
         for side in (v.a, v.b, v.a[:, :0]):
             for arr in (side, side.astype(np.uint64), -127 * side.astype(np.int16)):
-                block = io._system_block(arr)
+                block = io.integer_block(arr)
                 assert block["dtype"] == "|i1" and block["shape"] == list(arr.shape)
                 stream = zlib.compress(arr.astype(np.int8).tobytes(), 1)
                 assert base64.b64decode(block["b64"]) == stream
                 got = io._array({"a": block}, "a")
                 assert got.dtype == np.int8 and np.array_equal(got, arr)
         for arr in (np.full((1, 1, 1), 128), np.full((1, 1, 1), 1.0)):
-            assert io._system_block(arr) == io._float_block(arr)
+            assert io.integer_block(arr) == io._float_block(arr)
 
     def test_empty_block_is_zlib(self):
         block = io.vectors_payload(np.zeros((0, 3)))["vectors"]
@@ -762,13 +764,13 @@ class TestCliExitCodes:
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda v: v["a"].update(dtype="<i2"),
                      "field 'a' has dtype '<i2', expected '<f8' or '|i1'", id="wrong-dtype"),
-        pytest.param(lambda v: v.update(b=io._system_block(np.ones((1, 2, 2), np.int8))),
+        pytest.param(lambda v: v.update(b=io.integer_block(np.ones((1, 2, 2), np.int8))),
                      "a and b must be (|R|, count, dim) arrays sharing |R| and dim",
                      id="num-r-mismatch"),
-        pytest.param(lambda v: v.update(b=io._system_block(np.ones((2, 2, 3), np.int8))),
+        pytest.param(lambda v: v.update(b=io.integer_block(np.ones((2, 2, 3), np.int8))),
                      "a and b must be (|R|, count, dim) arrays sharing |R| and dim",
                      id="dim-mismatch"),
-        pytest.param(lambda v: v.update(b=io._system_block(np.full((2, 2, 2), 2, np.int8))),
+        pytest.param(lambda v: v.update(b=io.integer_block(np.full((2, 2, 2), 2, np.int8))),
                      "b[0, 0] norm 2.8284271247461903 exceeds the bound 1.4142135623730951",
                      id="slice-above-the-bound"),
         pytest.param(lambda v: v["a"].update(
@@ -898,8 +900,9 @@ class TestCliPipelines:
 
     @pytest.mark.parametrize("case", ["eq-3", "ham-5-2", "promise"])
     def test_simulate_writes_the_exact_law(self, tmp_path, case):
-        # each pair's error, group_error[pair_group[x][y]], is exact_pair_errors'
-        # to the bit, and pair_group is null exactly on the promise pairs
+        # pair_group is an int8 block of run_protocol's table, -1 exactly on the
+        # promise pairs, and each pair's error, group_error[pair_group[x, y]],
+        # is exact_pair_errors' to the bit
         if case == "eq-3":
             m = eq_matrix(3)
             e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)), m)
@@ -923,13 +926,16 @@ class TestCliPipelines:
         out = tmp_path / "sim.json"
         assert main(["simulate", *argv, "--out", str(out)]) == 0
         payload = read_doc(out)["payload"]
-        exact = exact_pair_errors(protocol_from_embedding(e, 1 / 3), m)
+        protocol = protocol_from_embedding(e, 1 / 3)
+        exact = exact_pair_errors(protocol, m)
         promise = m.entries == 0
         assert (case == "promise") == promise.any()
-        pair_group = payload["pair_group"]
-        assert [[g is None for g in row] for row in pair_group] == promise.tolist()
-        written = np.array([payload["group_error"][g] for row in pair_group for g in row
-                            if g is not None])
+        assert payload["pair_group"]["dtype"] == "|i1"
+        pair_group = io._array(payload, "pair_group", leaves="integer")
+        assert pair_group.dtype == np.int8
+        assert np.array_equal(pair_group, run_protocol(protocol, m, 1).pair_group)
+        assert np.array_equal(pair_group == -1, promise)
+        written = np.array(payload["group_error"])[pair_group[~promise]]
         assert np.array_equal(written.view("<u8"), exact[~promise].view("<u8"))
         assert payload["max_error"] == payload["exact_error"] == np.nanmax(exact)
         assert payload["exact_error"] == max(payload["group_error"])
@@ -940,6 +946,30 @@ class TestCliPipelines:
             assert payload["copies"] == copies
             assert payload["exact_error"] == pytest.approx(error, abs=1e-4)
             assert payload["exact_error"] <= payload["eps"]
+
+    def test_simulate_writes_more_than_127_groups_as_floats(self, tmp_path):
+        # a margin witness on a random 16 x 16 sign matrix has 256 groups, past
+        # int8: pair_group is a float block that still decodes to the exact table
+        m = SignMatrix(np.where(np.random.default_rng(0).random((16, 16)) < 0.5, -1, 1))
+        e = realization_to_embedding(maximize_margin_heuristic(m))
+        report = run_protocol(protocol_from_embedding(e, 1 / 3), m, 1)
+        assert report.group_error.size > 127
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--out", str(out),
+                     "--matrix", write_doc(tmp_path / "m.json", "sign_matrix",
+                                           io.sign_matrix_payload(m)),
+                     "--embedding", write_doc(tmp_path / "e.json", "embedding",
+                                              io.embedding_payload(e))]) == 0
+        doc = read_doc(out)
+        assert doc["format_version"] == io.FORMAT_VERSION
+        assert doc["payload"]["pair_group"]["dtype"] == "<f8"
+        assert np.array_equal(io._array(doc["payload"], "pair_group"), report.pair_group)
+
+    def test_simulate_eq_9_writes_at_most_8_kb(self, tmp_path):
+        # one int8 entry a pair, deflated: the nested lists took 788 kB
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--builtin", "eq", "--n", "9", "--out", str(out)]) == 0
+        assert out.stat().st_size <= 8000
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e200])
     def test_verify_renormalizes_rows_at_extreme_scales(self, tmp_path, scale):
@@ -1305,7 +1335,7 @@ class TestOneStateBlockAtATime:
 
 class TestDumpRows:
     """io.dump writes a 2-d ndarray leaf as nested lists, one row at a time:
-    the bytes json writes for the leaf's .tolist()."""
+    the bytes json writes, without separator whitespace, for the leaf's .tolist()."""
 
     @staticmethod
     def doc():
@@ -1325,12 +1355,14 @@ class TestDumpRows:
     def test_file_holds_the_lists_text(self, tmp_path):
         doc = self.doc()
         io.dump(doc, str(tmp_path / "d.json"))
-        assert (tmp_path / "d.json").read_text() == json.dumps(self.listed(doc)) + "\n"
+        assert (tmp_path / "d.json").read_text() == json.dumps(
+            self.listed(doc), separators=(",", ":")) + "\n"
 
     def test_stdout_holds_the_lists_text(self, capsys):
         doc = self.doc()
         io.dump(doc)
-        assert capsys.readouterr().out == json.dumps(self.listed(doc)) + "\n"
+        assert capsys.readouterr().out == json.dumps(
+            self.listed(doc), separators=(",", ":")) + "\n"
 
     def test_non_finite_entry_refused_before_writing(self, tmp_path):
         doc = self.doc()
@@ -1414,6 +1446,15 @@ def commands_of_each_kind(tmp_path):
         ["margin", "--builtin", "ham", "--n", "4", "--d", "1", "--heuristic", "--out", "m.json"],
         ["simulate", "--builtin", "eq", "--n", "2", "--trials", "5", "--out", "s.json"],
     ]
+
+
+def test_every_command_writes_a_compact_document(tmp_path, monkeypatch):
+    """No command's document holds whitespace between items or after keys."""
+    monkeypatch.chdir(tmp_path)
+    for argv in commands_of_each_kind(tmp_path):
+        assert main(argv) == 0
+        text = Path(argv[-1]).read_text()
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", argv[0]
 
 
 class TestExitPath:
@@ -1535,7 +1576,7 @@ def readme_decode_recipe():
     return readme.split("To decode a block with numpy:\n\n```python\n", 1)[1].split("```", 1)[0]
 
 
-@pytest.mark.parametrize("codec", ["zlib-palette", "zlib", "int8"])
+@pytest.mark.parametrize("codec", ["zlib-palette", "zlib", "int8", "pair_group"])
 def test_readme_decode_recipe(tmp_path, codec):
     """README's numpy-only recipe decodes every form of block as the reader does."""
     if codec == "zlib-palette":
@@ -1543,10 +1584,12 @@ def test_readme_decode_recipe(tmp_path, codec):
     elif codec == "zlib":
         alphas = np.random.default_rng(0).standard_normal((5, 300))
         doc = {"payload": {"alphas": io.vectors_payload(alphas)["vectors"]}}
-    else:  # a compiled document's system side, under the recipe's field name
-        emb = tmp_path / "eq3.json"
-        assert main(["compile", "--builtin", "eq", "--n", "3", "--out", str(emb)]) == 0
-        doc = {"payload": {"alphas": read_doc(emb)["payload"]["system"]["a"]}}
+    else:  # a compiled system side or a report's pair_group, under the recipe's field name
+        out = tmp_path / "out.json"
+        command, field = ("compile", "system") if codec == "int8" else ("simulate", "pair_group")
+        assert main([command, "--builtin", "eq", "--n", "3", "--out", str(out)]) == 0
+        block = read_doc(out)["payload"][field]
+        doc = {"payload": {"alphas": block["a"] if codec == "int8" else block}}
         assert doc["payload"]["alphas"]["dtype"] == "|i1"
         codec = "zlib"
     assert doc["payload"]["alphas"]["codec"] == codec

@@ -71,9 +71,10 @@ def test_margin_loads_only_the_bounds_path(inputs):
     (["simulate", "--embedding", "e.json", "--matrix", "m.json"], "fingerprint",
      {"compiler", "problems"}, False),
     (["simulate", "--builtin", "eq", "--n", "3"], "fingerprint", set(), False),
-    (["margin", "--builtin", "ip", "--k", "2"], "problems", {"compiler", "projections"}, False),
+    (["margin", "--builtin", "ip", "--k", "2"], "problems",
+     {"compiler", "projections", "_rng"}, False),
     (["verify", "--builtin", "eq", "--n", "3", "--embedding", "e.json"], "problems",
-     {"compiler", "projections"}, False),
+     {"compiler", "projections", "_rng"}, False),
     # a compiled document holds a vector system, which embeddings reads and pads
     (["verify", "--matrix", "m.json", "--embedding", "c.json"], "embeddings",
      {"compiler", "problems", "projections", "fingerprint"}, False),
