@@ -157,10 +157,8 @@ def cmd_compile(args, argv) -> int:
     system = compiler.compile_one_way(protocol)
     del protocol  # not read again: its tables need not outlive compilation
     embedding = compiler.assemble_shared_randomness_states(system, m)
-    payload = io.embedding_payload(embedding)  # the states as the system they pad
-    payload["stages"] = [{"stage": "assembled", "dimension": embedding.dimension,
-                          "delta0": embedding.delta0, "delta1": embedding.delta1}]
-    return _emit("embedding", payload, args, argv)
+    # the states as the system they pad
+    return _emit("embedding", io.embedding_payload(embedding), args, argv)
 
 
 def cmd_project(args, argv) -> int:

@@ -16,7 +16,6 @@ import numpy as np
 from ._record import Record
 from .linalg import CHUNK, dot_allowance, unit_allowance
 
-MIN_GAP = 1e-6  # the smallest threshold gap a sketch accepts
 MAX_TENSOR_DIM = 64
 TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 

@@ -12,6 +12,7 @@ from .embeddings import (
     Realization,
     SignMatrix,
     ThresholdEmbedding,
+    _require_thresholds,
     _require_unit_rows,
     _row_blocks,
     realization_to_embedding,
@@ -70,8 +71,7 @@ def required_repetitions(delta0: float, delta1: float, eps: float) -> int:
     on the correct side of the midpoint, i.e. p_hat must deviate by less than
     (delta1-delta0)/4; the constant 8 follows.
     """
-    if not (0.0 <= delta0 < delta1 <= 1.0):
-        raise ValueError(f"need 0 <= delta0 < delta1 <= 1, got ({delta0}, {delta1})")
+    _require_thresholds(delta0, delta1)
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     gap = delta1 - delta0
@@ -212,6 +212,7 @@ def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int) -> Protocol
     if trials < 1:
         raise ValueError("trials must be >= 1")
     support, group, q = _pair_groups(p, m)
-    pair_group = np.full(m.entries.shape, -1)
+    # the narrowest signed type holding -len(q) holds -1 and every index below len(q)
+    pair_group = np.full(m.entries.shape, -1, dtype=np.min_scalar_type(-q.size))
     pair_group[support] = group
     return ProtocolRunReport(pair_group, q, float(q.max()))  # every group holds a pair

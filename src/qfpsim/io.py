@@ -1,44 +1,38 @@
-"""JSON interchange documents for matrices, embeddings, realizations, vector
-systems and protocols.
+"""JSON interchange documents: sign matrices, embeddings, realizations,
+protocols, vector lists and reports.
 
-Every document carries ``format_version``, a ``kind`` tag, a kind-specific
-``payload`` and a ``provenance`` block; ``load`` reads any 1.x version.
-Float arrays (embedding and realization ``alphas``/``betas``, a float vector
-system's ``a``/``b``, ``vectors``) and sign matrix ``entries`` are written as
-one little-endian float64 block in one of two forms, chosen from the block's
-contents alone (format 1.3; 1.4 for ``entries``):
+Every document carries ``format_version`` (``FORMAT_VERSION``), a ``kind`` tag,
+a kind-specific ``payload`` and a ``provenance`` block; ``load`` reads any 1.x
+version.  Each array is written as one block by its dtype:
 
-- ``{"dtype": "<f8", "shape": [...], "codec": "zlib-palette", "palette":
-  [v0, ...], "b64": "..."}`` when the block holds 1 to 256 distinct bit
-  patterns.  ``b64`` is a zlib stream of one uint8 code per entry, and the
-  entry is ``palette[code]``.
-- ``{"dtype": "<f8", "shape": [...], "codec": "zlib", "b64": "..."}``
-  otherwise (the 1.2 form): a zlib stream of the float64 bytes themselves.
-
-A vector system side of integers in [-127, 127], such as a compiled
-protocol's 0/1 indicators, is a plain int8 block, ``{"dtype": "|i1", "shape":
-[...], "codec": "zlib", "b64": "..."}``, one byte an entry (format 1.5: a
-document holding one is stamped 1.5, any other 1.4).  ``compile`` writes an
-``embedding`` as a ``system`` (the ``vector_system`` payload) in place of
-``alphas`` and ``betas``, which a 1.4 reader refuses as missing.  A ``simulate``
-report's ``pair_group``, one group index per pair and -1 on promise pairs, is
-an int8 block by the same rule (``integer_block``), a float block above 127.
+- an integer array (sign matrix ``entries``, a compiled system's sides ``a``
+  and ``b``, a ``simulate`` report's ``pair_group``) whose entries lie in
+  [-127, 127] is an int8 block, ``{"dtype": "|i1", "shape": [...], "codec":
+  "zlib", "b64": "..."}``: a zlib stream of one byte an entry
+  (``integer_block``); past int8 it is a float block of the same values;
+- a float array (``alphas``, ``betas``, ``vectors``) is a little-endian
+  float64 block, ``{"dtype": "<f8", "shape": [...], "codec": "zlib-palette",
+  "palette": [v0, ...], "b64": "..."}`` when it holds 1 to 256 distinct bit
+  patterns, a zlib stream of one uint8 code per entry whose entry is
+  ``palette[code]``, and ``{"dtype": "<f8", "shape": [...], "codec": "zlib",
+  "b64": "..."}`` otherwise, a zlib stream of the float64 bytes themselves.
 
 The palette is built on the bit patterns, so ``-0.0``, ``+0.0`` and
 subnormals are kept apart and parse(serialize(x)) is bit-identical for
-doubles.  A 1.2 reader rejects a palette block as an unknown codec.  The reader
-also accepts blocks without ``codec``, holding the raw bytes (the 1.1 form),
-and arrays as nested lists (the 1.0 form).  Sign matrix ``entries`` hold at
-most 3 values, so they are always palette-coded, one byte an entry; a 1.3
-reader refuses the block, and nested lists of JSON integers are still read.
-Scalars and the remaining lists (protocol tables among them) are written in
-Python's shortest round-trip repr, and every document without whitespace
-between items or after keys.  The compressed bytes may differ between zlib
-builds; the decoded arrays do not.
+doubles.  Scalars and the remaining lists (protocol tables among them) are
+written in Python's shortest round-trip repr, and every document without
+whitespace between items or after keys.  The compressed bytes may differ
+between zlib builds; the decoded arrays do not.
 
-``parse_embedding`` is the one reader of embedding documents, for every
-command that takes one: a ``system`` becomes a ``CompiledEmbedding``, whose
-``VectorSystem`` bounds every slice, and ``alphas`` and ``betas`` (a 1.4
+The reader also accepts every earlier 1.x form: arrays as nested lists (1.0),
+float blocks without ``codec`` holding the raw bytes (1.1), and palette-coded
+float blocks wherever an int8 block is now written, such as a 1.4 sign matrix.
+
+``compile`` writes an ``embedding`` as a ``system`` (``vector_system_payload``:
+``norm_bound`` and the sides ``a`` and ``b``) in place of ``alphas`` and
+``betas``.  ``parse_embedding`` is the one reader of embedding documents, for
+every command that takes one: a ``system`` becomes a ``CompiledEmbedding``,
+whose ``VectorSystem`` bounds every slice, and ``alphas`` and ``betas`` (a 1.4
 compiled document's palette-coded states among them) become a
 ``ThresholdEmbedding`` of float64 arrays, which unit-checks each row once.
 """
@@ -69,8 +63,7 @@ from .linalg import CHUNK
 # imported where used, so reading other kinds of document never loads the compiler
 if TYPE_CHECKING:
     from .compiler import ClassicalSMPProtocol, OneWayProtocol
-FORMAT_VERSION = "1.4"  # the version of every document without an int8 block
-INT8_FORMAT_VERSION = "1.5"  # a document holding an int8 block, which a 1.4 reader refuses
+FORMAT_VERSION = "1.5"
 FLOAT_DTYPE = "<f8"
 INT8_DTYPE = "|i1"
 CODEC = "zlib"
@@ -82,7 +75,7 @@ SEPARATORS = (",", ":")  # no whitespace between items or after keys
 # compared exactly, and type(True) is bool, not int.
 _JSON_TYPES = {"integer": (int,), "number": (int, float)}
 
-KINDS = ("sign_matrix", "embedding", "realization", "vector_system", "protocol", "vectors", "report")
+KINDS = ("sign_matrix", "embedding", "realization", "protocol", "vectors", "report")
 
 
 class DocumentError(Exception):
@@ -93,17 +86,11 @@ def document(kind: str, payload: dict, command: str = "", seed=None) -> dict:
     if kind not in KINDS:
         raise DocumentError(f"unknown document kind {kind!r}")
     return {
-        "format_version": INT8_FORMAT_VERSION if _holds_int8(payload) else FORMAT_VERSION,
+        "format_version": FORMAT_VERSION,
         "kind": kind,
         "payload": payload,
         "provenance": {"command": command, "seed": seed, "version": VERSION},
     }
-
-
-def _holds_int8(value) -> bool:
-    """Whether ``value`` is an int8 block or an object holding one, at any depth."""
-    return isinstance(value, dict) and (value.get("dtype") == INT8_DTYPE
-                                        or any(map(_holds_int8, value.values())))
 
 
 # What dump's encoder writes in place of each 2-d array leaf, whose rows go there.
@@ -216,8 +203,9 @@ def _float_block(arr) -> dict:
 
 
 def integer_block(arr: np.ndarray) -> dict:
-    """A vector system side or ``pair_group``: integers in [-127, 127] as a plain
-    int8 block, one byte an entry before zlib (format 1.5); else a float block."""
+    """An integer array (sign matrix entries, a system side, ``pair_group``) of
+    entries in [-127, 127] as a plain int8 block, one byte an entry before zlib,
+    without a copy of an int8 ``arr``; any other array as a float block."""
     if arr.dtype.kind not in "iu" or _peak(arr) > 127:
         return _float_block(arr)
     data = zlib.compress(np.ascontiguousarray(arr, dtype=np.int8), 1)
@@ -371,12 +359,12 @@ def _build(what: str, cls, *args, **kwargs):
 
 
 def sign_matrix_payload(m: SignMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols, "entries": _float_block(m.entries)}
+    return {"rows": m.rows, "cols": m.cols, "entries": integer_block(m.entries)}
 
 
 def parse_sign_matrix(doc: dict) -> SignMatrix:
-    """``entries`` as a block or nested lists of JSON integers; ``SignMatrix``
-    checks the values either way."""
+    """``entries`` as a block (int8, or a 1.4 palette-coded float block) or
+    nested lists of JSON integers; ``SignMatrix`` checks the values either way."""
     payload = _payload(doc, "sign_matrix")
     read = _array if isinstance(_field(payload, "entries"), dict) else _integers
     m = _build("sign matrix 'entries'", SignMatrix, read(payload, "entries"))
@@ -392,7 +380,7 @@ def parse_sign_matrix(doc: dict) -> SignMatrix:
 
 def embedding_payload(e: ThresholdEmbedding | CompiledEmbedding) -> dict:
     """A compiled embedding's states as its ``system`` (``vector_system_payload``),
-    any other's as ``alphas`` and ``betas``."""
+    any other's as ``alphas`` and ``betas`` float blocks."""
     payload = {"dimension": e.dimension, "delta0": e.delta0, "delta1": e.delta1}
     if isinstance(e, CompiledEmbedding):
         payload["system"] = vector_system_payload(e.system)
@@ -416,9 +404,7 @@ def parse_embedding(doc: dict) -> ThresholdEmbedding | CompiledEmbedding:
     system above its norm bound, is malformed input, named by its index."""
     payload = _payload(doc, "embedding")
     if "system" in payload:
-        if not isinstance(payload["system"], dict):
-            raise DocumentError("field 'system' is not an object")
-        system = parse_vector_system({"kind": "vector_system", "payload": payload["system"]})
+        system = parse_vector_system(payload["system"])
         return _build("embedding", CompiledEmbedding, system, _scalar(payload, "delta0"),
                       _scalar(payload, "delta1"))
     return _build("embedding", ThresholdEmbedding, _vectors(payload, "alphas"),
@@ -445,18 +431,19 @@ def parse_realization(doc: dict) -> Realization:
 
 
 def vector_system_payload(v: VectorSystem) -> dict:
-    """The one writer of a vector system, in its own document and as an
-    embedding's ``system``: each side an ``integer_block``."""
+    """The one writer of a vector system, an embedding's ``system``: each side
+    an ``integer_block``."""
     return {"norm_bound": v.norm_bound, "a": integer_block(v.a), "b": integer_block(v.b)}
 
 
-def parse_vector_system(doc: dict) -> VectorSystem:
-    """The one reader of a vector system, in its own document and as an
-    embedding's ``system``: an int8 side as int8, any other as float64."""
-    payload = _payload(doc, "vector_system")
-    a, b = (_array(payload, side, None if _holds_int8(payload.get(side)) else np.float64)
-            for side in "ab")
-    return _build("vector system", VectorSystem, a, b, _scalar(payload, "norm_bound"))
+def parse_vector_system(system) -> VectorSystem:
+    """The one reader of a vector system, an embedding's ``system`` object: each
+    side in the dtype it was written in, which ``VectorSystem`` keeps if integer
+    and casts to float64 otherwise."""
+    if not isinstance(system, dict):
+        raise DocumentError("field 'system' is not an object")
+    a, b = (_array(system, side) for side in "ab")
+    return _build("vector system", VectorSystem, a, b, _scalar(system, "norm_bound"))
 
 
 # --- protocols -------------------------------------------------------------

@@ -8,7 +8,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._record import Record
-from .embeddings import MIN_GAP, SignMatrix, ThresholdEmbedding
+from .embeddings import SignMatrix, ThresholdEmbedding
 
 # imported where used, so that a sign matrix alone never loads the compiler
 if TYPE_CHECKING:
@@ -16,6 +16,7 @@ if TYPE_CHECKING:
 
 MAX_BITS = 12
 MAX_EXACT_HAM_BITS = 9
+MIN_GAP = 1e-6  # the smallest threshold gap a sketch accepts
 
 def _check_bits(name: str, n: int) -> None:
     if not (1 <= n <= MAX_BITS):

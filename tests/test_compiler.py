@@ -342,7 +342,8 @@ class TestVectorSystem:
             payload = io.vector_system_payload(v)
             assert payload == io.vector_system_payload(v8)
             assert [payload[side]["dtype"] for side in "ab"] == ["|i1", "|i1"]
-            parsed = io.parse_vector_system(io.document("vector_system", payload))
+            doc = io.document("embedding", {"delta0": 0.0, "delta1": 1.0, "system": payload})
+            parsed = io.parse_embedding(json.loads(json.dumps(doc))).system
             assert parsed.a.dtype == parsed.b.dtype == np.int8
             assert np.array_equal(bits(parsed.acceptance_matrix()), bits(accept))
 
@@ -679,17 +680,13 @@ class TestCodedStates:
         assert VectorSystem(zeros, zeros, 1.3e154).norm_bound == 1.3e154
 
     def test_a_document_with_such_a_bound_is_malformed(self):
-        # in a vector system document, and as the system of an embedding
+        # as the system of an embedding, of float or of int8 sides
         for zeros in (np.zeros((2, 3, 2)), np.zeros((2, 3, 2), dtype=np.int8)):
             system = {"norm_bound": 1e200, "a": io.integer_block(zeros),
                       "b": io.integer_block(zeros)}
-            for doc, parse in (
-                    (io.document("vector_system", system), io.parse_vector_system),
-                    (io.document("embedding", {"delta0": 0.0, "delta1": 1.0, "system": system}),
-                     io.parse_embedding)):
-                with pytest.raises(io.DocumentError,
-                                   match="^invalid vector system: norm bound 1e"):
-                    parse(json.loads(json.dumps(doc)))
+            doc = io.document("embedding", {"delta0": 0.0, "delta1": 1.0, "system": system})
+            with pytest.raises(io.DocumentError, match="^invalid vector system: norm bound 1e"):
+                io.parse_embedding(json.loads(json.dumps(doc)))
 
 
 class TestEq9Temporaries:

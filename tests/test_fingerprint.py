@@ -114,9 +114,11 @@ class TestRequiredRepetitions:
         assert required_repetitions(0, 0.1875, 1 / 3) == 408
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            required_repetitions(0.5, 0.5, 1 / 3)
-        with pytest.raises(ValueError):
+        # the thresholds are checked by the rule every embedding is checked by
+        for delta0, delta1 in ((0.5, 0.5), (-0.1, 0.5), (0.2, 1.1), (float("nan"), 0.5)):
+            with pytest.raises(ValueError, match="thresholds must satisfy 0 <= delta0"):
+                required_repetitions(delta0, delta1, 1 / 3)
+        with pytest.raises(ValueError, match="eps must lie"):
             required_repetitions(0, 1, 0.7)
 
 

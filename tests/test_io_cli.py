@@ -28,6 +28,7 @@ from qfpsim.compiler import (
     compile_smp,
 )
 from qfpsim.embeddings import (
+    CompiledEmbedding,
     Realization,
     SignMatrix,
     ThresholdEmbedding,
@@ -45,6 +46,11 @@ from qfpsim.problems import (
 from qfpsim.projections import project_vectors, verify_distortion
 from tests.test_compiler import random_one_way, separated_by
 from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
+
+
+DATA = Path(__file__).resolve().parent / "data"
+# EQ-3 as compile wrote it at format 1.4: palette-coded float64 states
+EQ3_FORMAT_1_4 = str(DATA / "eq3-format-1.4.json")
 
 
 def write_doc(path, kind, payload):
@@ -142,17 +148,19 @@ def unit_rows(rows, cols):
 
 def float_kind_case(kind, draw):
     """A random object of ``kind``: its payload, its parser, and for each float
-    field the array sent and how to read it back from the parsed object."""
+    field the array sent and how to read it back from the parsed object.  A
+    vector system is written as the ``system`` of an embedding."""
     rows, other, cols = (draw(st.integers(1, 3)) for _ in range(3))
     if kind == "vectors":
         v = draw(float_arrays((rows, cols), HUGE[0], TINY + HUGE))
         return io.vectors_payload(v), io.parse_vectors, {"vectors": (v, lambda parsed: parsed)}
-    if kind == "vector_system":
+    if kind == "vector_system":  # a float system, as an embedding's ``system``
         shape = (draw(st.integers(1, 3)), rows, cols)
         a = draw(float_arrays(shape, 1e150, TINY))
         b = draw(float_arrays((shape[0], other, cols), 1e150, TINY))
-        return (io.vector_system_payload(VectorSystem(a, b, 1e154)), io.parse_vector_system,
-                {"a": (a, attrgetter("a")), "b": (b, attrgetter("b"))})
+        e = CompiledEmbedding(VectorSystem(a, b, 1e154), 0.25, 0.75)
+        return (io.embedding_payload(e), io.parse_embedding,
+                {"a": (a, attrgetter("system.a")), "b": (b, attrgetter("system.b"))})
     alphas, betas = draw(unit_rows(rows, cols)), draw(unit_rows(other, cols))
     if kind == "embedding":
         payload = io.embedding_payload(ThresholdEmbedding(alphas, betas, 0.25, 0.75))
@@ -178,13 +186,12 @@ def child_env():
 
 
 def check_sign_matrix_round_trip(path, m):
-    """Write ``m`` to ``path``: its entries are one palette block with an
-    entry per value, and read back they are ``m``'s own int8 entries."""
+    """Write ``m`` to ``path``: its entries are one int8 block of its own bytes,
+    and read back they are ``m``'s own int8 entries."""
     io.dump(io.document("sign_matrix", io.sign_matrix_payload(m)), str(path))
     block = read_doc(path)["payload"]["entries"]
-    assert block["codec"] == "zlib-palette" and block["shape"] == [m.rows, m.cols]
-    assert sorted(block["palette"]) == sorted(set(m.entries.reshape(-1).tolist()))
-    assert np.array_equal(block_array(block), m.entries)
+    assert (block["dtype"], block["codec"], block["shape"]) == ("|i1", "zlib", [m.rows, m.cols])
+    assert zlib.decompress(base64.b64decode(block["b64"])) == m.entries.tobytes()
     got = io.parse_sign_matrix(io.load(str(path)))
     assert got.entries.dtype == np.int8 and got.entries.tobytes() == m.entries.tobytes()
     assert got.entries.shape == m.entries.shape
@@ -248,11 +255,15 @@ class TestDocuments:
         np.testing.assert_array_equal(parsed.betas, r.betas)
 
     def test_vector_system_round_trip(self):
+        # as the system of a compiled embedding, its only place in a document
         v = compile_smp(eq_parity_protocol(2))
-        doc = json.loads(json.dumps(io.document("vector_system", io.vector_system_payload(v))))
-        parsed = io.parse_vector_system(doc)
-        assert doc["format_version"] == "1.5" and parsed.a.dtype == parsed.b.dtype == np.int8
+        payload = io.embedding_payload(CompiledEmbedding(v, 0.25, 0.75))
+        assert payload["system"] == io.vector_system_payload(v)
+        doc = json.loads(json.dumps(io.document("embedding", payload)))
+        parsed = io.parse_embedding(doc).system
+        assert parsed.a.dtype == parsed.b.dtype == np.int8
         np.testing.assert_array_equal(parsed.a, v.a)
+        np.testing.assert_array_equal(parsed.b, v.b)
         assert parsed.norm_bound == v.norm_bound
 
     def test_protocol_round_trip_both_models(self):
@@ -269,9 +280,11 @@ class TestDocuments:
     @given(data=st.data())
     def test_float_arrays_round_trip_bit_exact(self, kind, data):
         payload, parse, fields = float_kind_case(kind, data.draw)
-        parsed = parse(json.loads(json.dumps(io.document(kind, payload))))
+        doc_kind = "embedding" if kind == "vector_system" else kind
+        parsed = parse(json.loads(json.dumps(io.document(doc_kind, payload))))
+        blocks = payload.get("system", payload)
         for name, (sent, read) in fields.items():
-            assert "b64" in payload[name]
+            assert "b64" in blocks[name]
             # np.asarray decodes an embedding's palette-coded rows
             got = np.asarray(read(parsed))
             assert np.array_equal(sent.view(np.uint64), got.view(np.uint64))
@@ -539,6 +552,17 @@ def check_malformed_alphas_exit_1(tmp_path, capsys, edit, codec):
     assert "Traceback" not in err
 
 
+def check_malformed_entries_exit_1(tmp_path, capsys, block):
+    """Write a 2 x 2 sign matrix document of entries ``block`` and expect
+    margin to exit 1 naming 'entries'."""
+    path = tmp_path / "m.json"
+    with open(path, "w") as fh:  # Python's json writes a NaN token
+        json.dump(io.document("sign_matrix", {"rows": 2, "cols": 2, "entries": block}), fh)
+    assert main(["margin", "--matrix", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "input error" in err and "'entries'" in err and "Traceback" not in err
+
+
 class TestCliExitCodes:
     def test_margin_builtin_success(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -735,8 +759,9 @@ class TestCliExitCodes:
     def test_malformed_palette_block_exits_1(self, tmp_path, capsys, edit):
         check_malformed_alphas_exit_1(tmp_path, capsys, edit, "zlib-palette")
 
-    # Each edit of a valid {-1, 0, 1} block: the values it decodes to, or the
-    # block itself, are what is wrong.
+    # Each edit of a valid {-1, 0, 1} palette block, as sign_matrix_payload
+    # wrote it at format 1.4: the values it decodes to, or the block itself,
+    # are what is wrong.
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda block: block["palette"].__setitem__(0, 0.5), id="half-entry"),
         pytest.param(lambda block: block["palette"].__setitem__(0, 2), id="two-entry"),
@@ -747,17 +772,32 @@ class TestCliExitCodes:
                      id="truncated-zlib"),
     ])
     def test_malformed_sign_matrix_block_exits_1(self, tmp_path, capsys, edit):
-        path = write_doc(tmp_path / "m.json", "sign_matrix",
-                         io.sign_matrix_payload(SignMatrix([[1, 0], [-1, 1]])))
-        doc = read_doc(path)
-        block = doc["payload"]["entries"]
+        block = io._float_block(np.array([[1, 0], [-1, 1]]))
         assert block["codec"] == "zlib-palette" and block["palette"] == [0.0, 1.0, -1.0]
         edit(block)
-        with open(path, "w") as fh:
-            json.dump(doc, fh)  # Python's json writes a NaN token
-        assert main(["margin", "--matrix", path]) == 1
-        err = capsys.readouterr().err
-        assert "input error" in err and "'entries'" in err and "Traceback" not in err
+        check_malformed_entries_exit_1(tmp_path, capsys, block)
+
+    # Each edit of a valid int8 block of {-1, 0, 1}, as sign_matrix_payload writes it.
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes([1, 0, 2, 1])))),
+                     id="two-entry"),
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes([1, 0, 128, 1])))),
+                     id="minus-128-entry"),
+        pytest.param(lambda block: block.update(dtype="<i2"), id="wrong-dtype"),
+        pytest.param(lambda block: block.update(codec="zlib-palette", palette=[1.0]),
+                     id="palette-codec"),
+        pytest.param(lambda block: block.update(shape=[1, 4]), id="shape-not-rows-cols"),
+        pytest.param(lambda block: block.update(shape=[4]), id="one-d-shape"),
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes(4))[:-6])),
+                     id="truncated-zlib"),
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes(5)))),
+                     id="over-long-zlib"),
+    ])
+    def test_malformed_int8_sign_matrix_block_exits_1(self, tmp_path, capsys, edit):
+        block = io.sign_matrix_payload(SignMatrix([[1, 0], [-1, 1]]))["entries"]
+        assert (block["dtype"], block["codec"]) == ("|i1", "zlib")
+        edit(block)
+        check_malformed_entries_exit_1(tmp_path, capsys, block)
 
     # Edits of EQ-1's compiled system (|R| = 2, two inputs a side, dim 2,
     # L = sqrt 2), each with a piece of the one-line error it must give.
@@ -881,7 +921,7 @@ class TestCliPipelines:
         doc = read_doc(emb)
         assert doc["kind"] == "embedding"
         assert doc["payload"]["delta0"] == pytest.approx(1 / 16, abs=1e-12)
-        assert doc["payload"]["stages"][0]["stage"] == "assembled"
+        assert "stages" not in doc["payload"]
 
         rep = tmp_path / "verify.json"
         assert main(["verify", "--builtin", "eq", "--n", "2",
@@ -961,7 +1001,6 @@ class TestCliPipelines:
                      "--embedding", write_doc(tmp_path / "e.json", "embedding",
                                               io.embedding_payload(e))]) == 0
         doc = read_doc(out)
-        assert doc["format_version"] == io.FORMAT_VERSION
         assert doc["payload"]["pair_group"]["dtype"] == "<f8"
         assert np.array_equal(io._array(doc["payload"], "pair_group"), report.pair_group)
 
@@ -1032,7 +1071,7 @@ class TestCliPipelines:
             out = tmp_path / "e.json"
             assert main(["compile", "--builtin", "eq", "--n", str(n), "--out", str(out)]) == 0
             doc = read_doc(out)
-            assert doc["format_version"] == "1.5" and "alphas" not in doc["payload"]
+            assert "alphas" not in doc["payload"]
             for name in ("a", "b"):
                 block = doc["payload"]["system"][name]
                 assert (block["dtype"], block["codec"]) == ("|i1", "zlib")
@@ -1042,18 +1081,41 @@ class TestCliPipelines:
     def test_format_1_4_compiled_document_verifies(self, tmp_path, capsys):
         # EQ-3 as a 1.4 compile wrote it: palette-coded float64 states, read
         # as float64 arrays, give the report they gave then
-        path = str(Path(__file__).resolve().parent / "data" / "eq3-format-1.4.json")
-        doc = read_doc(path)
+        doc = read_doc(EQ3_FORMAT_1_4)
         assert (doc["format_version"], doc["payload"]["alphas"]["codec"]) == ("1.4", "zlib-palette")
         assert type(io.parse_embedding(doc)) is ThresholdEmbedding
-        assert main(["verify", "--builtin", "eq", "--n", "3", "--embedding", path]) == 0
+        assert main(["verify", "--builtin", "eq", "--n", "3", "--embedding", EQ3_FORMAT_1_4]) == 0
         assert json.loads(capsys.readouterr().out)["payload"] == {
             "report": "verify_embedding", "valid": True,
             "worst_zero_side": 0.062499999999999944, "worst_one_side": 0.24999999999999978,
             "worst_zero_pair": [0, 1], "worst_one_pair": [0, 0],
             "delta0": 0.06249999999999997, "delta1": 0.2499999999999999}
-        assert main(["simulate", "--builtin", "eq", "--n", "3", "--embedding", path]) == 0
+        assert main(["simulate", "--builtin", "eq", "--n", "3", "--embedding", EQ3_FORMAT_1_4]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["copies"] == 408
+
+    @pytest.mark.parametrize("name", ["eq3", "promise-12x10"])
+    def test_format_1_4_sign_matrix_reports_as_its_int8_document(self, tmp_path, capsys, name):
+        # a sign matrix as sign_matrix_payload wrote it at format 1.4, a float64
+        # palette block, gives margin and verify the reports its int8 document gives
+        legacy = str(DATA / f"{name}-sign-matrix-1.4.json")
+        doc = read_doc(legacy)
+        assert (doc["format_version"], doc["payload"]["entries"]["codec"]) == ("1.4", "zlib-palette")
+        m = io.parse_sign_matrix(doc)
+        assert m.entries.dtype == np.int8 and (m.entries == 0).any() == (name != "eq3")
+        current = write_doc(tmp_path / "m.json", "sign_matrix", io.sign_matrix_payload(m))
+        assert read_doc(current)["payload"]["entries"]["dtype"] == "|i1"
+        realization = write_doc(tmp_path / "r.json", "realization",
+                                io.realization_payload(maximize_margin_heuristic(m)))
+        runs = [["margin", "--heuristic"], ["margin"], ["verify", "--realization", realization]]
+        if name == "eq3":
+            runs.append(["verify", "--embedding", EQ3_FORMAT_1_4])
+        for argv in runs:
+            reports = []
+            for path in (legacy, current):
+                assert main([*argv, "--matrix", path]) == 0
+                reports.append(json.loads(capsys.readouterr().out)["payload"])
+            assert reports[0] == reports[1], argv
+        assert reports[0]["valid"] is True
 
     def test_compile_one_way_model_matches_smp(self, tmp_path):
         # both models, and EQ-3's protocol read from a document, compile to one payload
@@ -1083,11 +1145,9 @@ class TestCliPipelines:
         b = io.parse_embedding(read_doc(emb)).system.b
         assert len(np.unique(np.einsum("rxd,rxd->rx", b, b))) >= 4
         assert read_doc(rep)["payload"]["valid"] is True
-        # sign_matrix_payload writes the entries as a palette block, format 1.4
-        doc = read_doc(matrix)
-        entries = doc["payload"]["entries"]
-        assert doc["format_version"] == "1.4"
-        assert entries["codec"] == "zlib-palette" and entries["shape"] == [12, 10]
+        # sign_matrix_payload writes the entries as an int8 block
+        entries = read_doc(matrix)["payload"]["entries"]
+        assert (entries["dtype"], entries["codec"], entries["shape"]) == ("|i1", "zlib", [12, 10])
 
     def test_compile_num_r_is_seeded(self, tmp_path):
         def run(seed, name):
@@ -1159,12 +1219,10 @@ class TestOneStateBlockAtATime:
         assert main(["compile", "--builtin", "eq", "--n", str(n), "--model", model,
                      "--out", str(out)]) == 0
         payload = read_doc(out)["payload"]
-        stages = payload.pop("stages")
         protocol = (eq_parity_protocol if model == "smp" else eq_parity_one_way_protocol)(n)
         e = assemble_shared_randomness_states(compile_one_way(protocol), eq_matrix(n))
         assert json.dumps(payload) == json.dumps(io.embedding_payload(e))
-        assert stages == [{"stage": "assembled", "dimension": e.dimension,
-                           "delta0": e.delta0, "delta1": e.delta1}]
+        assert list(payload) == ["dimension", "delta0", "delta1", "system"]
         # one form: the reader holds the system, as assembly returns it, and
         # the two pad into the same bits
         parsed = io.parse_embedding(read_doc(out))
@@ -1285,6 +1343,19 @@ class TestOneStateBlockAtATime:
         argv = ["compile", "--builtin", "eq", "--n", "8", "--out", str(tmp_path / "e.json")]
         code, peak = traced_peak(lambda: main(argv))
         assert code == 0 and peak <= 2.0 * MiB
+
+    def test_pair_group_is_written_uncopied(self):
+        # run_protocol holds EQ-9's table of 512 x 512 group indices as int8,
+        # 0.25 MiB where int64 took 2 MiB, and integer_block deflates it as it
+        # is: writing it traces ~0.29 MiB (zlib's deflate state), and 0.54 MiB
+        # from an int64 table, which it writes as the same block
+        m = eq_matrix(9)
+        e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(9)), m)
+        table = run_protocol(protocol_from_embedding(e, 1 / 3), m, 1).pair_group
+        assert table.dtype == np.int8 and table.nbytes == MiB // 4
+        block, peak = traced_peak(lambda: io.integer_block(table))
+        assert peak <= 0.4 * MiB
+        assert block == io.integer_block(table.astype(np.int64))
 
     def test_simulate_holds_the_codes(self, tmp_path):
         # EQ-9's states are held as their int8 system (1 MiB), not as float64
@@ -1446,6 +1517,18 @@ def commands_of_each_kind(tmp_path):
         ["margin", "--builtin", "ham", "--n", "4", "--d", "1", "--heuristic", "--out", "m.json"],
         ["simulate", "--builtin", "eq", "--n", "2", "--trials", "5", "--out", "s.json"],
     ]
+
+
+@pytest.mark.parametrize("command", ["compile", "verify", "project", "margin", "simulate"])
+def test_every_command_stamps_the_format_version(tmp_path, monkeypatch, command):
+    """Each command's document carries the one format version, whatever blocks
+    it holds (int8, float or none)."""
+    monkeypatch.chdir(tmp_path)
+    for argv in commands_of_each_kind(tmp_path):  # those before ``command`` make its inputs
+        assert main(argv) == 0
+        if argv[0] == command:
+            break
+    assert read_doc(argv[-1])["format_version"] == io.FORMAT_VERSION
 
 
 def test_every_command_writes_a_compact_document(tmp_path, monkeypatch):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qfpsim.compiler import compile_smp
-from qfpsim.embeddings import MIN_GAP, verify_threshold_embedding
+from qfpsim.embeddings import verify_threshold_embedding
 from qfpsim.problems import (
     MAX_BITS,
     MAX_EXACT_HAM_BITS,
+    MIN_GAP,
     collision_probability,
     eq_matrix,
     eq_parity_protocol,
