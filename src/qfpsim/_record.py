@@ -6,7 +6,8 @@ class Record:
     """Fields are the annotated names of the class and its bases, in order.
     ``__init__`` takes them by position or name, then runs ``__post_init__``,
     which may replace a field through ``object.__setattr__``.  Records are
-    immutable, and compare and hash by class and field values."""
+    immutable.  Reports (scalar and tuple fields) compare and hash by value; a
+    record holding arrays is unhashable, and == of distinct multi-entry arrays raises."""
 
     _fields = ()  # extended by each subclass
 

@@ -289,16 +289,19 @@ def _check_counts(rows: int, cols: int, m: SignMatrix) -> None:
                          f"{m.rows}x{m.cols} sign matrix")
 
 
-def _worst_pair(
-    values: np.ndarray, mask: np.ndarray, largest: bool = False
-) -> tuple[float, tuple[int, int]] | None:
-    """The smallest (or largest) masked entry of ``values`` as (value, (x, y)),
-    ties going to the first in row-major order; None for an empty mask."""
+def _worst_pair(values: np.ndarray, mask: np.ndarray, largest: bool = False, worst=None,
+                start: int = 0) -> tuple[float, tuple[int, int]] | None:
+    """The smallest (or largest) masked entry of ``values``, a block of rows
+    from ``start``, as (value, (x, y)), unless ``worst`` (one such pair or
+    None) is no better: ties go to the first in row-major order, and an
+    earlier block's ``worst`` keeps a tie.  None for an empty mask and no ``worst``."""
     if not mask.any():
-        return None
+        return worst
     pick, fill = (np.argmax, -np.inf) if largest else (np.argmin, np.inf)
-    pair = divmod(int(pick(np.where(mask, values, fill))), values.shape[1])
-    return float(values[pair]), pair
+    x, y = divmod(int(pick(np.where(mask, values, fill))), values.shape[1])
+    if worst is not None and pick([worst[0], values[x, y]]) == 0:
+        return worst
+    return float(values[x, y]), (start + x, y)
 
 
 def _row_blocks(count: int, width: int):
@@ -316,43 +319,38 @@ def _worst_sides(rows, m: SignMatrix):
     worst = [None, None]
     for s in _row_blocks(m.rows, m.cols):
         block, signs = rows(s), m.entries[s]
-        for side, (sign, pick) in enumerate(((1, np.argmax), (-1, np.argmin))):
-            found = _worst_pair(block, signs == sign, largest=sign == 1)
-            # pick keeps the earlier block on a tie, as it keeps the first entry
-            if found and (worst[side] is None or pick([worst[side][0], found[0]]) == 1):
-                worst[side] = found[0], (found[1][0] + s.start, found[1][1])
+        for side, sign in enumerate((1, -1)):
+            worst[side] = _worst_pair(block, signs == sign, sign == 1, worst[side], s.start)
     return worst[0] or (0.0, None), worst[1] or (1.0, None)
 
 
-def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding, m: SignMatrix,
-                               out: np.ndarray | None = None) -> EmbeddingReport:
-    """Check the threshold inequalities on every non-promise pair of M, from
-    squared inner products formed one block of rows at a time: a compiled
-    embedding's (P/L^2)^2 from its system, which its states give exactly in
-    exact arithmetic, else (e.alphas @ e.betas.T) ** 2, one tile of betas at a
-    time.  A side may pass its threshold by ``dot_allowance(dimension,
-    squared=True)``.  An (m.rows, m.cols) array ``out`` receives each block."""
+def _squares(e: ThresholdEmbedding | CompiledEmbedding, m: SignMatrix):
+    """A function of a slice s of M's rows that returns their squared inner
+    products: a compiled embedding's (P/L^2)^2 from its system, which its
+    states give exactly in exact arithmetic, else (e.alphas[s] @ e.betas.T) ** 2,
+    one tile of betas at a time.  The same s gives the same block to the bit."""
     if isinstance(e, CompiledEmbedding):
         _check_counts(e.system.a.shape[1], e.system.b.shape[1], m)
-        squares = e.system._rows(squared=True)
-    else:
-        _check_counts(e.alphas.shape[0], e.betas.shape[0], m)
-        tiles = list(_row_blocks(m.cols, m.cols))
+        return e.system._rows(squared=True)
+    _check_counts(e.alphas.shape[0], e.betas.shape[0], m)
+    tiles = list(_row_blocks(m.cols, m.cols))
 
-        def squares(s: slice) -> np.ndarray:
-            block, alphas = np.empty(m.entries[s].shape), e.alphas[s]
-            for t in tiles:
-                np.matmul(alphas, e.betas[t].T, out=block[:, t])
-            block **= 2  # in place: the same square as ** 2, without a second block
-            return block
-
-    def squared_rows(s: slice) -> np.ndarray:
-        block = squares(s)
-        if out is not None:
-            out[s] = block
+    def squares(s: slice) -> np.ndarray:
+        block, alphas = np.empty(m.entries[s].shape), e.alphas[s]
+        for t in tiles:
+            np.matmul(alphas, e.betas[t].T, out=block[:, t])
+        block **= 2  # in place: the same square as ** 2, without a second block
         return block
 
-    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(squared_rows, m)
+    return squares
+
+
+def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding,
+                               m: SignMatrix) -> EmbeddingReport:
+    """Check the threshold inequalities on every non-promise pair of M, from
+    the ``_squares`` blocks, one block of rows at a time.  A side may pass its
+    threshold by ``dot_allowance(dimension, squared=True)``."""
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(_squares(e, m), m)
     tol = dot_allowance(e.dimension, squared=True)
     valid = worst_zero <= e.delta0 + tol and worst_one >= e.delta1 - tol
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
@@ -360,9 +358,13 @@ def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding, m: Sig
 
 def verify_realization(r: Realization, m: SignMatrix) -> RealizationReport:
     """Check the signed margin on every non-promise pair of M, to within
-    ``dot_allowance`` of the dimension."""
+    ``dot_allowance`` of the dimension, one block of rows at a time."""
     _check_counts(r.alphas.shape[0], r.betas.shape[0], m)
-    achieved, pair = _worst_pair(m.dense() * (r.alphas @ r.betas.T), m.entries != 0)
+    worst = None
+    for s in _row_blocks(m.rows, m.cols):
+        signs = m.entries[s]
+        worst = _worst_pair(signs * (r.alphas[s] @ r.betas.T), signs != 0, False, worst, s.start)
+    achieved, pair = worst  # SignMatrix holds a nonzero entry
     return RealizationReport(achieved >= r.gamma - dot_allowance(r.dimension), achieved, pair)
 
 

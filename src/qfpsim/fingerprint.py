@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from ._record import Record
+from .linalg import _distinct
 from .embeddings import (
     Realization,
     SignMatrix,
@@ -15,6 +16,7 @@ from .embeddings import (
     _require_thresholds,
     _require_unit_rows,
     _row_blocks,
+    _squares,
     realization_to_embedding,
     verify_realization,
     verify_threshold_embedding,
@@ -153,34 +155,36 @@ def binomial_tails(r: int, k: int, probs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
-    """(support, group, q): the mask of M's pairs outside the promise; the group of
-    each such pair, in row-major order; and each group's exact error.
+    """(pair_group, q): each pair's group, -1 on promise pairs, in the
+    narrowest signed type holding -1 and every index; and each group's exact error.
 
     The referee sees K ~ Bin(r, P0) zero outcomes (``_p_zero``) and says 1
-    iff K >= k* (``referee_threshold``).
-    A group is one distinct signed P0: +P0 for f = 0 pairs, which err with
-    P[K >= k*], and -P0 for f = 1 pairs, which err with P[K < k*].  So the
-    tails are computed once per group (EQ has 2, HAM(5, 2) has 6).  All P0
-    come from the squared inner-product blocks the verifier forms and
-    checks, so they match ``verify`` to the bit, with no per-state check:
-    every embedding's states are unit vectors within ``unit_allowance`` already."""
-    squared = np.empty(m.entries.shape)
-    report = verify_threshold_embedding(p.embedding, m, out=squared)
+    iff K >= k* (``referee_threshold``).  A group is one distinct signed P0,
+    ascending: +P0 for f = 0 pairs, which err with P[K >= k*], and -P0 for
+    f = 1 pairs, which err with P[K < k*].  So the tails are computed once per
+    group (EQ has 2, HAM(5, 2) has 6).  Every P0 comes from the verifier's
+    ``_squares`` blocks, read once more after it passes, so it matches
+    ``verify`` to the bit with no per-state check: the states are unit already."""
+    report = verify_threshold_embedding(p.embedding, m)
     if not report.valid:
-        raise ValueError(
-            f"embedding is not valid for M (worst f=0 side {report.worst_zero_side}, "
-            f"worst f=1 side {report.worst_one_side})"
-        )
-    support = m.entries != 0
-    p_zero = _p_zero(squared[support])
-    # -1 encodes f(x, y) = 1; P0 >= 1/2, so the sign is exact and tells f
-    key = np.where(m.entries[support] == -1, -p_zero, p_zero)
-    # With an inverse, np.unique sorts instead of hashing, so it never calls
-    # np.ma.is_masked: numpy.ma, 6-7 ms of CLI start-up, stays unloaded.
-    keys, group = np.unique(key, return_inverse=True)
+        raise ValueError(f"embedding is not valid for M (worst f=0 side "
+                         f"{report.worst_zero_side}, worst f=1 side {report.worst_one_side})")
+    squares, blocks = _squares(p.embedding, m), list(_row_blocks(m.rows, m.cols))
+    local = []  # each block's distinct keys, and each of its pairs' index into them
+    for s in blocks:
+        # the signed P0, 0 on promise pairs: P0 >= 1/2, so the sign is exact and tells f
+        key = _p_zero(squares(s)) * m.entries[s]
+        distinct = _distinct(key.ravel())
+        local.append((distinct, np.searchsorted(distinct, key).astype(
+            np.min_scalar_type(distinct.size))))
+    keys = _distinct(np.concatenate([distinct for distinct, _ in local]))
+    keys = keys[keys != 0]  # promise pairs form no group
+    pair_group = np.empty(m.entries.shape, np.min_scalar_type(-keys.size))
+    for s, (distinct, at) in zip(blocks, local):
+        pair_group[s] = np.where(distinct == 0, -1, np.searchsorted(keys, distinct))[at]
     r = p.repetitions
     upper, lower = binomial_tails(r, referee_threshold(r, p.theta), np.abs(keys))
-    return support, group, np.where(keys < 0, lower, upper)
+    return pair_group, np.where(keys < 0, lower, upper)
 
 
 def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
@@ -188,10 +192,8 @@ def exact_pair_errors(p: FingerprintProtocol, m: SignMatrix) -> np.ndarray:
     on promise-excluded pairs: P[K >= k*] on f = 0 pairs and P[K < k*] on
     f = 1 pairs, for the referee's count K of zero outcomes
     (``_pair_groups``)."""
-    support, group, q = _pair_groups(p, m)
-    errors = np.full(m.entries.shape, np.nan)
-    errors[support] = q[group]
-    return errors
+    pair_group, q = _pair_groups(p, m)
+    return np.append(q, np.nan)[pair_group]  # index -1 reads the NaN
 
 
 class ProtocolRunReport(Record):
@@ -211,8 +213,5 @@ def run_protocol(p: FingerprintProtocol, m: SignMatrix, trials: int) -> Protocol
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    support, group, q = _pair_groups(p, m)
-    # the narrowest signed type holding -len(q) holds -1 and every index below len(q)
-    pair_group = np.full(m.entries.shape, -1, dtype=np.min_scalar_type(-q.size))
-    pair_group[support] = group
+    pair_group, q = _pair_groups(p, m)
     return ProtocolRunReport(pair_group, q, float(q.max()))  # every group holds a pair

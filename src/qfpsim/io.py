@@ -17,9 +17,9 @@ version.  Each array is written as one block by its dtype:
   ``palette[code]``, and ``{"dtype": "<f8", "shape": [...], "codec": "zlib",
   "b64": "..."}`` otherwise, a zlib stream of the float64 bytes themselves.
 
-The palette is built on the bit patterns, so ``-0.0``, ``+0.0`` and
-subnormals are kept apart and parse(serialize(x)) is bit-identical for
-doubles.  Scalars and the remaining lists (protocol tables among them) are
+The palette is the distinct bit patterns (``linalg._distinct``), so ``-0.0``,
+``+0.0`` and subnormals are kept apart and parse(serialize(x)) is bit-identical
+for doubles.  Scalars and the remaining lists (protocol tables among them) are
 written in Python's shortest round-trip repr, and every document without
 whitespace between items or after keys.  The compressed bytes may differ
 between zlib builds; the decoded arrays do not.
@@ -58,7 +58,7 @@ from .embeddings import (
     VectorSystem,
     _peak,
 )
-from .linalg import CHUNK
+from .linalg import CHUNK, _distinct
 
 # imported where used, so reading other kinds of document never loads the compiler
 if TYPE_CHECKING:
@@ -139,7 +139,7 @@ def load(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: not UTF-8, or not JSON
         raise DocumentError(f"cannot read document {path!r}: {exc}") from exc
     if not isinstance(doc, dict) or "kind" not in doc or "payload" not in doc:
         raise DocumentError(f"{path!r} is not an interchange document")
@@ -167,29 +167,16 @@ def _field(payload: dict, name: str):
     return payload[name]
 
 
-def _palette(bits: np.ndarray) -> np.ndarray | None:
-    """The distinct entries of the uint64 array ``bits`` in ascending order, or
-    None if there are none or more than PALETTE_MAX.  Each chunk is merged in
-    by a plain sort: np.unique would import numpy.ma, 6-7 ms of CLI start-up."""
-    palette = bits[:0]
-    for start in range(0, bits.size, CHUNK):
-        merged = np.sort(np.concatenate([palette, bits[start:start + CHUNK]]))
-        palette = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
-        if palette.size > PALETTE_MAX:
-            return None
-    return palette if palette.size else None
-
-
 def _float_block(arr) -> dict:
     """``arr`` as one little-endian float64 block, zlib-compressed, in base64:
-    palette-coded when it holds at most PALETTE_MAX distinct bit patterns.
-    Entries are checked, coded and deflated one ``CHUNK`` at a time."""
+    palette-coded when it holds 1 to PALETTE_MAX distinct bit patterns
+    (``_distinct``).  Entries are checked, coded and deflated one ``CHUNK`` at a time."""
     arr = np.ascontiguousarray(arr, dtype=FLOAT_DTYPE)
     bits = arr.reshape(-1).view("<u8")
     chunks = [slice(start, start + CHUNK) for start in range(0, bits.size, CHUNK)]
     if not all(np.isfinite(bits[s].view(FLOAT_DTYPE)).all() for s in chunks):
         raise ValueError("float array has a non-finite entry")
-    palette_bits = _palette(bits)
+    palette_bits = _distinct(bits, PALETTE_MAX) if bits.size else None
     data = (bits[s].view(np.uint8) if palette_bits is None else
             np.searchsorted(palette_bits, bits[s]).astype(np.uint8) for s in chunks)
     block = {"dtype": FLOAT_DTYPE, "shape": list(arr.shape), "codec": CODEC}

@@ -9,9 +9,22 @@ import numpy as np
 from ._kernels import linf_to_l1_enum
 
 MAX_ENUM_COLS = 25
-# Entries per step of every chunked pass (binomial_tails, the palette scan and
-# coding): a pass's temporaries stay small next to its input.
+# Entries per step of every chunked pass (row blocks, binomial_tails, _distinct,
+# io's float blocks): a pass's temporaries stay small next to its input.
 CHUNK = 1 << 16
+
+
+def _distinct(values: np.ndarray, cap: float = math.inf) -> np.ndarray | None:
+    """The distinct entries of the 1-d ``values`` in ascending order, or None
+    past ``cap`` of them.  Each ``CHUNK`` is merged in by a plain sort: numpy's
+    set routines would import numpy.ma, 6-7 ms of CLI start-up."""
+    distinct = values[:0]
+    for start in range(0, values.size, CHUNK):
+        merged = np.sort(np.concatenate([distinct, values[start:start + CHUNK]]))
+        distinct = merged[np.concatenate([[True], merged[1:] != merged[:-1]])]
+        if distinct.size > cap:
+            return None
+    return distinct
 
 
 def as_matrix(m) -> np.ndarray:

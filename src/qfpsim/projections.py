@@ -92,10 +92,7 @@ def verify_distortion(vectors, projected, eps: float) -> DistortionReport:
         # only the pairs (i, j) with i < j, i = s.start + row
         upper = np.arange(count + 1) > np.arange(s.start, s.start + dv.shape[0])[:, None]
         # never None: every row's pair with the zero vector is in upper
-        value, (row, col) = _worst_pair(distortions, upper, largest=True)
-        # argmax keeps the earlier block on a tie, as it keeps the first pair
-        if worst is None or np.argmax([worst[0], value]) == 1:
-            worst = value, (s.start + row, col)
+        worst = _worst_pair(distortions, upper, True, worst, s.start)
     max_distortion, worst_pair = worst
     return DistortionReport(
         ok=max_distortion <= eps + 1e-12,

@@ -338,6 +338,13 @@ def separated_integer_systems(draw):
     return v, SignMatrix(np.where(sq < cut, 1, np.where(sq > cut, -1, 0)))
 
 
+def squares_of(e, m: SignMatrix) -> np.ndarray:
+    """The verifier's squared inner products, its ``_squares`` blocks stacked
+    in the row blocks it reads them in."""
+    squares = embeddings._squares(e, m)
+    return np.vstack([squares(s) for s in embeddings._row_blocks(m.rows, m.cols)])
+
+
 def first_worst(sq: np.ndarray, mask: np.ndarray, largest: bool):
     """The first pair in row-major order holding the largest (smallest) masked value."""
     values = np.where(mask, sq, -np.inf if largest else np.inf)
@@ -354,8 +361,7 @@ class TestCodeCounts:
     def test_counts_agree_with_decoding(self, case):
         v, m = case
         e = assemble_shared_randomness_states(v, m)
-        sq = np.empty(m.entries.shape)
-        got = verify_threshold_embedding(e, m, out=sq)
+        got, sq = verify_threshold_embedding(e, m), squares_of(e, m)
         want = verify_threshold_embedding(states_of(e), m)
         tol = dot_allowance(e.dimension, squared=True)
         # the thresholds are the system's own extremes, which its states reach
@@ -386,8 +392,7 @@ class TestCodeCounts:
         # states broke EQ-8's tie
         m = eq_matrix(n)
         e = assemble_shared_randomness_states(compile_smp(eq_parity_protocol(n)), m)
-        sq = np.empty(m.entries.shape)
-        report = verify_threshold_embedding(e, m, out=sq)
+        report, sq = verify_threshold_embedding(e, m), squares_of(e, m)
         assert (report.worst_zero_pair, report.worst_one_pair) == ((0, 1), (0, 0))
         assert np.unique(sq[m.entries == 1]).size == np.unique(sq[m.entries == -1]).size == 1
 
@@ -442,6 +447,27 @@ class TestVerifyRealization:
         r = Realization(alphas, alphas, 1.0)
         report = verify_realization(r, m)
         assert report.valid and report.achieved_margin == pytest.approx(1.0)
+
+    def test_holds_one_block_of_rows(self):
+        # 2048 x 2048 pairs of 16-dimensional states: the signed products are
+        # formed one block of 32 rows at a time (0.5 MiB), never as the whole
+        # 32 MiB matrix, and give the whole matrix's first worst pair
+        rng = np.random.default_rng(0)
+        alphas, betas = (rng.standard_normal((2048, 16)) for _ in range(2))
+        r = Realization(alphas / np.linalg.norm(alphas, axis=1, keepdims=True),
+                        betas / np.linalg.norm(betas, axis=1, keepdims=True), 0.5)
+        m = SignMatrix(rng.choice(np.array([-1, 0, 1], dtype=np.int8), (2048, 2048)))
+        tracemalloc.start()
+        try:
+            report = verify_realization(r, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20
+        signed = np.where(m.entries != 0, m.entries * (r.alphas @ r.betas.T), np.inf)
+        at = divmod(int(np.argmin(signed)), 2048)
+        assert report.worst_pair == at and not report.valid
+        assert report.achieved_margin == pytest.approx(signed[at], rel=1e-12)
 
 
 class TestConversions:

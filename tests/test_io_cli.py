@@ -639,6 +639,24 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert code == 1 and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["margin", "--matrix", "DOC"],
+        ["verify", "--builtin", "eq", "--n", "2", "--embedding", "DOC"],
+        ["compile", "--protocol", "DOC", "--builtin", "eq", "--n", "2"],
+        ["project", "--vectors", "DOC", "--dim", "2"],
+    ], ids=["margin", "verify", "compile", "project"])
+    @pytest.mark.parametrize("text", [b"\xff\xfe", b"[" * 200_000],
+                             ids=["not-utf-8", "nested-past-the-recursion-limit"])
+    def test_an_unreadable_document_is_an_input_error(self, tmp_path, capsys, argv, text):
+        # a file that does not decode as UTF-8, or JSON too deep for the parser,
+        # is malformed input (exit 1), not a failed precondition (exit 2)
+        doc = tmp_path / "doc.json"
+        doc.write_bytes(text)
+        assert main([str(doc) if a == "DOC" else a for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"qfpsim: input error: cannot read document {str(doc)!r}: ")
+
     def test_math_error_exits_2(self, capsys):
         # eps = 1/2 leaves no room for a swap-test threshold: a precondition
         assert main(["simulate", "--builtin", "eq", "--n", "2", "--eps", "0.5"]) == 2
@@ -1359,14 +1377,27 @@ class TestOneStateBlockAtATime:
 
     def test_simulate_holds_the_codes(self, tmp_path):
         # EQ-9's states are held as their int8 system (1 MiB), not as float64
-        # states (16 MiB).  The peak, ~18 MiB, is the exact law's grouping of the
-        # 512 x 512 pairs (their squares, sort keys, order and groups, 2 MiB
-        # each); the report's one group index per pair, as nested lists and as
-        # JSON text, stays below it.  24 MiB covers them (32 MiB at float64
-        # states).
+        # states (16 MiB).  The exact law groups the 512 x 512 pairs one
+        # verifier block of rows at a time, holding each block's few distinct
+        # keys and a one-byte index a pair, then writes the int8 table (0.25
+        # MiB).  The peak is ~4.1 MiB; 8 MiB covers it, and any N^2 float64
+        # array beside it (2 MiB each) soon exceeds it: grouping by np.unique
+        # over every pair's key peaked at ~18 MiB.
         argv = ["simulate", "--builtin", "eq", "--n", "9", "--out", str(tmp_path / "s.json")]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 24 * MiB
+        assert code == 0 and peak <= 8 * MiB
+
+    def test_run_protocol_groups_one_block_at_a_time(self):
+        # the embedding built, run_protocol holds the verifier's blocks of
+        # 128 x 512 squares, each block's keys and one-byte indices into its
+        # distinct keys (0.25 MiB in all), and the int8 table: ~2.7 MiB, where
+        # np.unique's sort and inverse over every pair's key took 16.5 MiB
+        m = eq_matrix(9)
+        p = protocol_from_embedding(assemble_shared_randomness_states(
+            compile_one_way(eq_parity_protocol(9)), m), 1 / 3)
+        report, peak = traced_peak(lambda: run_protocol(p, m, 1))
+        assert peak <= 6 * MiB
+        assert report.pair_group.dtype == np.int8 and report.group_error.size == 2
 
     def test_verify_holds_one_state_block(self, eq9, capsys):
         # EQ-9, whose 512 inputs span four verifier row blocks of 128 (at

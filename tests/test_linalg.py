@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfpsim.linalg import linf_to_l1_norm, operator_norm, unit_rows
+from qfpsim import linalg
+from qfpsim.linalg import _distinct, linf_to_l1_norm, operator_norm, unit_rows
 
 
 def brute_force_linf_l1(m):
@@ -15,6 +16,31 @@ def brute_force_linf_l1(m):
         np.abs(m @ np.array(v)).sum()
         for v in itertools.product((-1.0, 1.0), repeat=m.shape[1])
     )
+
+
+class TestDistinct:
+    """The one distinct-values pass, merged a ``CHUNK`` at a time: io's
+    palette of bit patterns, and simulate's groups of signed P0."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint64])
+    @pytest.mark.parametrize("size", [0, 1, 7, 64, 1000])
+    def test_agrees_with_np_unique_across_chunks(self, monkeypatch, dtype, size):
+        monkeypatch.setattr(linalg, "CHUNK", 16)  # 1000 entries span 63 chunks
+        rng = np.random.default_rng(size)
+        values = rng.choice(rng.standard_normal(40), size)
+        if dtype is np.uint64:
+            values = values.view(np.uint64)  # bit patterns, as io codes them
+        want = np.unique(values)
+        got = _distinct(values)
+        assert got.dtype == values.dtype and np.array_equal(got, want)
+        assert np.array_equal(_distinct(values, want.size), want)
+        assert want.size == 0 or _distinct(values, want.size - 1) is None
+
+    def test_the_cap_counts_distinct_values_not_entries(self, monkeypatch):
+        monkeypatch.setattr(linalg, "CHUNK", 4)
+        assert _distinct(np.tile([3.0, 1.0, 2.0], 8), 3).tolist() == [1.0, 2.0, 3.0]
+        assert _distinct(np.arange(12.0), 4) is None
+        assert _distinct(np.arange(12.0), 12).tolist() == list(range(12))
 
 
 class TestUnitRows:

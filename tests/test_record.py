@@ -6,6 +6,7 @@ import pytest
 from qfpsim.bounds import MarginReport
 from qfpsim.compiler import ClassicalSMPProtocol, OneWayProtocol
 from qfpsim.embeddings import EmbeddingReport, Realization, RealizationReport, ThresholdEmbedding
+from qfpsim.problems import eq_matrix
 from qfpsim.projections import DistortionReport
 
 
@@ -88,6 +89,16 @@ class TestValueSemantics:
         assert margin_report() == margin_report()
         assert hash(margin_report()) == hash(margin_report())
         assert margin_report() != margin_report(upper=0.25)
+
+    def test_records_holding_arrays_neither_hash_nor_compare(self):
+        # only the reports compare and hash by value: an array field makes a
+        # record unhashable, and == of distinct arrays of several entries ambiguous
+        m = eq_matrix(2)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(m)
+        with pytest.raises(ValueError, match="ambiguous"):
+            m == eq_matrix(2)  # noqa: B015
+        assert m == m  # the same array: tuple comparison sees identity first
 
     def test_other_classes_are_never_equal(self):
         report = margin_report()
