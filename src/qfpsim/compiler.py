@@ -7,8 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 # projections stays imported here: perfbench's traced pass wraps it from
-# sys.modules, where only this module's import puts it.  Likewise
-# verify_threshold_embedding, whose binding here perfbench's self-test looks up.
+# sys.modules, where only this module's import puts it.
 from . import projections
 from ._record import Record
 from .embeddings import (
@@ -16,10 +15,8 @@ from .embeddings import (
     SignMatrix,
     ThresholdEmbedding,
     VectorSystem,
-    _check_counts,
     _entries_in,
     _frozen_array,
-    _worst_sides,
     verify_threshold_embedding,
 )
 from .linalg import dot_allowance
@@ -129,30 +126,24 @@ def compile_smp(p: ClassicalSMPProtocol) -> VectorSystem:
     return compile_one_way(p)
 
 
-def _thresholds(v: VectorSystem, m: SignMatrix) -> tuple[float, float]:
-    """delta0 and delta1 of the assembled states: the exact extremal values of
-    (P/L^2)^2 over the f=0 and f=1 pairs of M, which the verifier forms the
-    same way, searched one block of rows at a time.  A delta1 above 1 by at
-    most ``dot_allowance(dim, squared=True)`` is rounding (L^2 may round
-    below sum of squares) and is clipped to 1.  Errors out when the system
-    does not separate the two sides."""
-    _check_counts(v.a.shape[1], v.b.shape[1], m)
-    (delta0, _), (delta1, _) = _worst_sides(v._rows(squared=True), m)
-    if delta1 <= 1.0 + dot_allowance(v.dim, squared=True):
-        delta1 = min(delta1, 1.0)
-    if delta0 >= delta1:
-        raise ValueError(
-            f"protocol does not separate f=0 from f=1 pairs (delta0={delta0} >= delta1={delta1})"
-        )
-    return delta0, delta1
-
-
 def assemble_shared_randomness_states(v: VectorSystem, m: SignMatrix) -> CompiledEmbedding:
     """The states of Yao's simulation: superposing all junk-padded per-r
     states into block vectors on |R| (dim+2) coordinates gives
     <alpha_x, beta_y> = P(x,y) / L^2 exactly.  They are held as ``v`` itself,
-    with the thresholds of ``_thresholds``, and padded only when read."""
-    return CompiledEmbedding(v, *_thresholds(v, m))
+    padded only when read, with delta0 and delta1 the exact extremal values
+    of (P/L^2)^2 over the f=0 and f=1 pairs of M: the worst sides the
+    verifier reports for ``v`` at the widest thresholds, from its one walk.
+    A delta1 above 1 by at most ``dot_allowance(dim, squared=True)`` is
+    rounding (L^2 may round below sum of squares) and is clipped to 1.
+    Errors out when the system does not separate the two sides."""
+    report = verify_threshold_embedding(CompiledEmbedding(v, 0.0, 1.0), m)
+    delta0, delta1 = report.worst_zero_side, report.worst_one_side
+    if delta1 <= 1.0 + dot_allowance(v.dim, squared=True):
+        delta1 = min(delta1, 1.0)
+    if delta0 >= delta1:
+        raise ValueError(f"protocol does not separate f=0 from f=1 pairs "
+                         f"(delta0={delta0} >= delta1={delta1})")
+    return CompiledEmbedding(v, delta0, delta1)
 
 
 def classical_projection_protocol(

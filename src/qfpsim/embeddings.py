@@ -310,17 +310,20 @@ def _row_blocks(count: int, width: int):
     return (slice(x, x + step) for x in range(0, count, step))
 
 
-def _worst_sides(rows, m: SignMatrix):
+def _worst_sides(rows, m: SignMatrix, each=None):
     """The largest squared inner product over the f=0 pairs of M (0.0 when
     there are none) and the smallest over its f=1 pairs (1.0 when none), each
     as (value, pair), ties going to the first pair in row-major order.
     ``rows(s)`` returns the rows ``s`` of the squared matrix; it is asked for
-    one block of at most ``CHUNK`` entries at a time."""
+    one block of at most ``CHUNK`` entries at a time, and ``each(s, block)``,
+    when given, is called on each block once it has been searched."""
     worst = [None, None]
     for s in _row_blocks(m.rows, m.cols):
         block, signs = rows(s), m.entries[s]
         for side, sign in enumerate((1, -1)):
             worst[side] = _worst_pair(block, signs == sign, sign == 1, worst[side], s.start)
+        if each is not None:
+            each(s, block)
     return worst[0] or (0.0, None), worst[1] or (1.0, None)
 
 
@@ -346,11 +349,12 @@ def _squares(e: ThresholdEmbedding | CompiledEmbedding, m: SignMatrix):
 
 
 def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding,
-                               m: SignMatrix) -> EmbeddingReport:
+                               m: SignMatrix, each=None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    the ``_squares`` blocks, one block of rows at a time.  A side may pass its
-    threshold by ``dot_allowance(dimension, squared=True)``."""
-    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(_squares(e, m), m)
+    the ``_squares`` blocks, one block of rows at a time: the one walk over
+    the products, which hands each block to ``each`` (``_worst_sides``).  A
+    side may pass its threshold by ``dot_allowance(dimension, squared=True)``."""
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(_squares(e, m), m, each)
     tol = dot_allowance(e.dimension, squared=True)
     valid = worst_zero <= e.delta0 + tol and worst_one >= e.delta1 - tol
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)

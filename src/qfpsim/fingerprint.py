@@ -16,7 +16,6 @@ from .embeddings import (
     _require_thresholds,
     _require_unit_rows,
     _row_blocks,
-    _squares,
     realization_to_embedding,
     verify_realization,
     verify_threshold_embedding,
@@ -71,13 +70,16 @@ def required_repetitions(delta0: float, delta1: float, eps: float) -> int:
 
     The referee's estimate 2 p_hat - 1 of the squared inner product must land
     on the correct side of the midpoint, i.e. p_hat must deviate by less than
-    (delta1-delta0)/4; the constant 8 follows.
+    (delta1-delta0)/4; the constant 8 follows.  A count past float64 is refused.
     """
     _require_thresholds(delta0, delta1)
     if not (0.0 < eps < 0.5):
         raise ValueError(f"eps must lie in (0, 1/2), got {eps}")
     gap = delta1 - delta0
-    return math.ceil(8.0 * math.log(2.0 / eps) / gap**2)
+    try:  # ln 2 - ln eps is finite where 2/eps overflows, but gap**2 may underflow to 0
+        return math.ceil(8.0 * (math.log(2.0) - math.log(eps)) / gap**2)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"the Hoeffding count at gap {gap}, eps {eps} exceeds float64") from None
 
 
 def referee_rule(frac_zero, theta: float):
@@ -162,25 +164,26 @@ def _pair_groups(p: FingerprintProtocol, m: SignMatrix):
     iff K >= k* (``referee_threshold``).  A group is one distinct signed P0,
     ascending: +P0 for f = 0 pairs, which err with P[K >= k*], and -P0 for
     f = 1 pairs, which err with P[K < k*].  So the tails are computed once per
-    group (EQ has 2, HAM(5, 2) has 6).  Every P0 comes from the verifier's
-    ``_squares`` blocks, read once more after it passes, so it matches
-    ``verify`` to the bit with no per-state check: the states are unit already."""
-    report = verify_threshold_embedding(p.embedding, m)
+    group (EQ has 2, HAM(5, 2) has 6).  The pairs are grouped on the
+    verifier's one walk, from each block of squares it reads, so every P0
+    matches ``verify`` to the bit with no per-state check: the states are unit."""
+    local = []  # each block's slice, its distinct keys, and each of its pairs' index into them
+
+    def group(s: slice, squares: np.ndarray) -> None:
+        # the signed P0, 0 on promise pairs: P0 >= 1/2, so the sign is exact and tells f
+        key = _p_zero(squares) * m.entries[s]
+        distinct = _distinct(key.ravel())
+        local.append((s, distinct, np.searchsorted(distinct, key).astype(
+            np.min_scalar_type(distinct.size))))
+
+    report = verify_threshold_embedding(p.embedding, m, group)
     if not report.valid:
         raise ValueError(f"embedding is not valid for M (worst f=0 side "
                          f"{report.worst_zero_side}, worst f=1 side {report.worst_one_side})")
-    squares, blocks = _squares(p.embedding, m), list(_row_blocks(m.rows, m.cols))
-    local = []  # each block's distinct keys, and each of its pairs' index into them
-    for s in blocks:
-        # the signed P0, 0 on promise pairs: P0 >= 1/2, so the sign is exact and tells f
-        key = _p_zero(squares(s)) * m.entries[s]
-        distinct = _distinct(key.ravel())
-        local.append((distinct, np.searchsorted(distinct, key).astype(
-            np.min_scalar_type(distinct.size))))
-    keys = _distinct(np.concatenate([distinct for distinct, _ in local]))
+    keys = _distinct(np.concatenate([distinct for _, distinct, _ in local]))
     keys = keys[keys != 0]  # promise pairs form no group
     pair_group = np.empty(m.entries.shape, np.min_scalar_type(-keys.size))
-    for s, (distinct, at) in zip(blocks, local):
+    for s, distinct, at in local:
         pair_group[s] = np.where(distinct == 0, -1, np.searchsorted(keys, distinct))[at]
     r = p.repetitions
     upper, lower = binomial_tails(r, referee_threshold(r, p.theta), np.abs(keys))

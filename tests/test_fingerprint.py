@@ -113,6 +113,14 @@ class TestRequiredRepetitions:
     def test_narrow_gap(self):
         assert required_repetitions(0, 0.1875, 1 / 3) == 408
 
+    def test_counts_near_the_float64_limits(self):
+        # ln 2 - ln eps is finite at the least eps, where 2/eps overflows
+        assert required_repetitions(1 / 16, 1 / 4, 5e-324) == 169560
+        # a gap whose square is 0, and one whose count overflows
+        for gap in (1e-200, 1e-160):
+            with pytest.raises(ValueError, match="exceeds float64"):
+                required_repetitions(0, gap, 1 / 3)
+
     def test_preconditions(self):
         # the thresholds are checked by the rule every embedding is checked by
         for delta0, delta1 in ((0.5, 0.5), (-0.1, 0.5), (0.2, 1.1), (float("nan"), 0.5)):

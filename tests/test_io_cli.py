@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import qfpsim
-from qfpsim import cli, embeddings, io
+from qfpsim import cli, embeddings, fingerprint, io
 from qfpsim.bounds import maximize_margin_heuristic
 from qfpsim.cli import main
 from qfpsim.compiler import (
@@ -667,6 +667,38 @@ class TestCliExitCodes:
         assert main(["simulate", "--builtin", "eq", "--n", "3", "--trials", "0"]) == 2
         err = capsys.readouterr().err
         assert "trials must be >= 1" in err and "Traceback" not in err
+
+    def test_simulate_counts_copies_at_the_least_eps(self, capsys):
+        # 2/eps overflows at eps = 5e-324, but ln 2 - ln eps does not
+        assert main(["simulate", "--builtin", "eq", "--n", "3", "--eps", "5e-324"]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["copies"] == 169560
+
+    def test_simulate_refuses_a_count_past_float64_exits_2(self, tmp_path, capsys):
+        # a valid embedding whose gap, 1e-200, squares to 0
+        e = ThresholdEmbedding(np.eye(2), np.eye(2), 0.0, 1e-200)
+        emb = write_doc(tmp_path / "e.json", "embedding", io.embedding_payload(e))
+        assert main(["verify", "--builtin", "eq", "--n", "1", "--embedding", emb]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["valid"] is True
+        assert main(["simulate", "--builtin", "eq", "--n", "1", "--embedding", emb]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "exceeds float64" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["margin", "simulate", "compile", "project", "verify"])
+    def test_negative_seed_exits_1(self, tmp_path, capsys, command):
+        # numpy's generators refuse it, so every command refuses it before it runs
+        argv = {
+            "margin": ["--builtin", "eq", "--n", "2"],
+            "simulate": ["--builtin", "eq", "--n", "2"],
+            "compile": ["--builtin", "eq", "--n", "3", "--num-r", "4"],
+            "project": ["--dim", "2", "--vectors",
+                        write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(np.eye(4)))],
+            "verify": ["--builtin", "eq", "--n", "2", "--embedding",
+                       write_states(tmp_path / "e.json", 2)],
+        }[command]
+        assert main([command, *argv, "--seed", "0", "--out", str(tmp_path / "out.json")]) == 0
+        assert main([command, *argv, "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
     def test_project_refuses_an_eps_that_is_not_finite_and_positive(self, eps, tmp_path, capsys):
@@ -1398,6 +1430,43 @@ class TestOneStateBlockAtATime:
         report, peak = traced_peak(lambda: run_protocol(p, m, 1))
         assert peak <= 6 * MiB
         assert report.pair_group.dtype == np.int8 and report.group_error.size == 2
+
+    def test_walks_over_the_products(self, tmp_path, monkeypatch):
+        # a walk squares every pair's product, through a system's _rows or
+        # float states' _squares: simulate groups its pairs on the verifier's
+        # walk, and assembling EQ's states reads its thresholds from one more
+        walks, rows, squares = [], VectorSystem._rows, embeddings._squares
+
+        def counted_rows(self, squared=False):
+            walks.append(self)
+            return rows(self, squared)
+
+        def counted_squares(e, m):
+            if not isinstance(e, CompiledEmbedding):  # a compiled one walks through _rows
+                walks.append(e)
+            return squares(e, m)
+
+        monkeypatch.setattr(VectorSystem, "_rows", counted_rows)
+        monkeypatch.setattr(embeddings, "_squares", counted_squares)
+        # set even where unbound, so that a by-name import of _squares would be counted too
+        monkeypatch.setattr(fingerprint, "_squares", counted_squares, raising=False)
+
+        def walked(*argv):
+            walks.clear()
+            assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+            return len(walks)
+
+        eq5 = ["--builtin", "eq", "--n", "5"]
+        compiled = tmp_path / "eq5.json"
+        assert main(["compile", *eq5, "--out", str(compiled)]) == 0
+        ham = write_doc(tmp_path / "ham.json", "embedding",
+                        io.embedding_payload(ham_parity_embedding(5, 2).embedding))
+        assert walked("compile", *eq5) == 1
+        assert walked("verify", *eq5, "--embedding", str(compiled)) == 1
+        assert walked("simulate", *eq5, "--embedding", str(compiled)) == 1
+        assert walked("simulate", "--builtin", "ham", "--n", "5", "--d", "2",
+                      "--embedding", ham) == 1
+        assert walked("simulate", *eq5) == 2
 
     def test_verify_holds_one_state_block(self, eq9, capsys):
         # EQ-9, whose 512 inputs span four verifier row blocks of 128 (at
