@@ -9,7 +9,9 @@ version.  Each array is written as one block by its dtype:
   and ``b``, a ``simulate`` report's ``pair_group``) whose entries lie in
   [-127, 127] is an int8 block, ``{"dtype": "|i1", "shape": [...], "codec":
   "zlib", "b64": "..."}``: a zlib stream of one byte an entry
-  (``integer_block``); past int8 it is a float block of the same values;
+  (``integer_block``), or with ``"codec": "zlib-bits"`` when every entry is 0
+  or 1, of its ``np.packbits`` bytes (first entry in the high bit, pad bits
+  zero); past int8 it is a float block of the same values;
 - a float array (``alphas``, ``betas``, ``vectors``) is a little-endian
   float64 block, ``{"dtype": "<f8", "shape": [...], "codec": "zlib-palette",
   "palette": [v0, ...], "b64": "..."}`` when it holds 1 to 256 distinct bit
@@ -26,7 +28,8 @@ between zlib builds; the decoded arrays do not.
 
 The reader also accepts every earlier 1.x form: arrays as nested lists (1.0),
 float blocks without ``codec`` holding the raw bytes (1.1), and palette-coded
-float blocks wherever an int8 block is now written, such as a 1.4 sign matrix.
+float blocks wherever an int8 block is now written, such as a 1.4 sign matrix,
+and int8 blocks of one byte an entry wherever a bit block is (1.5).
 
 ``compile`` writes an ``embedding`` as a ``system`` (``vector_system_payload``:
 ``norm_bound`` and the sides ``a`` and ``b``) in place of ``alphas`` and
@@ -63,10 +66,11 @@ from .linalg import CHUNK, _distinct
 # imported where used, so reading other kinds of document never loads the compiler
 if TYPE_CHECKING:
     from .compiler import ClassicalSMPProtocol, OneWayProtocol
-FORMAT_VERSION = "1.5"
+FORMAT_VERSION = "1.6"
 FLOAT_DTYPE = "<f8"
 INT8_DTYPE = "|i1"
 CODEC = "zlib"
+BITS_CODEC = "zlib-bits"
 PALETTE_CODEC = "zlib-palette"
 PALETTE_MAX = 256  # the values a uint8 code tells apart
 SEPARATORS = (",", ":")  # no whitespace between items or after keys
@@ -191,13 +195,15 @@ def _float_block(arr) -> dict:
 
 def integer_block(arr: np.ndarray) -> dict:
     """An integer array (sign matrix entries, a system side, ``pair_group``) of
+    entries in {0, 1} as a bit block, its ``np.packbits`` bytes before zlib; of
     entries in [-127, 127] as a plain int8 block, one byte an entry before zlib,
     without a copy of an int8 ``arr``; any other array as a float block."""
     if arr.dtype.kind not in "iu" or _peak(arr) > 127:
         return _float_block(arr)
-    data = zlib.compress(np.ascontiguousarray(arr, dtype=np.int8), 1)
-    return {"dtype": INT8_DTYPE, "shape": list(arr.shape), "codec": CODEC,
-            "b64": base64.b64encode(data).decode("ascii")}
+    bits = arr.min(initial=0) >= 0 and arr.max(initial=0) <= 1
+    data = np.packbits(arr) if bits else np.ascontiguousarray(arr, dtype=np.int8)
+    return {"dtype": INT8_DTYPE, "shape": list(arr.shape), "codec": BITS_CODEC if bits else CODEC,
+            "b64": base64.b64encode(zlib.compress(data, 1)).decode("ascii")}
 
 
 def _inflated(raw: bytes, need: int, name: str) -> bytes:
@@ -237,8 +243,8 @@ def _palette_field(value: dict, name: str) -> np.ndarray:
 
 
 def _decoded(value, name: str):
-    """A float or int8 block as an array (a palette block decoded); any other
-    value is returned as it is."""
+    """A float or int8 block as an array (a palette or bit block decoded); any
+    other value is returned as it is."""
     if not isinstance(value, dict):
         return value
     dtype = value.get("dtype")
@@ -250,7 +256,7 @@ def _decoded(value, name: str):
         raise DocumentError(f"field {name!r} has shape {shape!r}, "
                             "expected a list of non-negative integers")
     codec = value.get("codec")
-    codecs = (PALETTE_CODEC, CODEC, None) if dtype == FLOAT_DTYPE else (CODEC, None)
+    codecs = (PALETTE_CODEC, CODEC, None) if dtype == FLOAT_DTYPE else (BITS_CODEC, CODEC, None)
     if codec not in codecs:
         raise DocumentError(f"field {name!r} has codec {codec!r}, expected one of {codecs}")
     if codec == PALETTE_CODEC:
@@ -261,11 +267,17 @@ def _decoded(value, name: str):
         raw = base64.b64decode(value.get("b64"), validate=True)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"field {name!r} has no valid base64 'b64': {exc}") from exc
-    need = (8 if dtype == FLOAT_DTYPE and codec != PALETTE_CODEC else 1) * math.prod(shape)
+    count = math.prod(shape)
+    need = (-(-count // 8) if codec == BITS_CODEC else
+            (8 if dtype == FLOAT_DTYPE and codec != PALETTE_CODEC else 1) * count)
     if codec is not None:
         raw = _inflated(raw, need, name)
     if len(raw) != need:
         raise DocumentError(f"field {name!r} holds {len(raw)} bytes, shape {shape} needs {need}")
+    if codec == BITS_CODEC:
+        if -count % 8 and raw[-1] & ((1 << -count % 8) - 1):
+            raise DocumentError(f"field {name!r} has a pad bit set in its last byte")
+        return np.unpackbits(np.frombuffer(raw, np.uint8), count=count).view(np.int8).reshape(shape)
     if codec != PALETTE_CODEC:
         return np.frombuffer(raw, dtype=dtype).reshape(shape)
     codes = np.frombuffer(raw, dtype=np.uint8)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 import qfpsim
 from qfpsim import cli, embeddings, fingerprint, io
@@ -51,6 +51,7 @@ from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedd
 DATA = Path(__file__).resolve().parent / "data"
 # EQ-3 as compile wrote it at format 1.4: palette-coded float64 states
 EQ3_FORMAT_1_4 = str(DATA / "eq3-format-1.4.json")
+EQ3_COMPILED_1_5 = str(DATA / "eq3-compiled-1.5.json")
 
 
 def write_doc(path, kind, payload):
@@ -186,12 +187,15 @@ def child_env():
 
 
 def check_sign_matrix_round_trip(path, m):
-    """Write ``m`` to ``path``: its entries are one int8 block of its own bytes,
-    and read back they are ``m``'s own int8 entries."""
+    """Write ``m`` to ``path``: its entries are one int8 block, of its own
+    bytes, or of their packed bits when every entry is 0 or 1, and read back
+    they are ``m``'s own int8 entries."""
     io.dump(io.document("sign_matrix", io.sign_matrix_payload(m)), str(path))
     block = read_doc(path)["payload"]["entries"]
-    assert (block["dtype"], block["codec"], block["shape"]) == ("|i1", "zlib", [m.rows, m.cols])
-    assert zlib.decompress(base64.b64decode(block["b64"])) == m.entries.tobytes()
+    codec, data = ("zlib-bits", np.packbits(m.entries)) if m.entries.min() >= 0 else (
+        "zlib", m.entries)
+    assert (block["dtype"], block["codec"], block["shape"]) == ("|i1", codec, [m.rows, m.cols])
+    assert zlib.decompress(base64.b64decode(block["b64"])) == data.tobytes()
     got = io.parse_sign_matrix(io.load(str(path)))
     assert got.entries.dtype == np.int8 and got.entries.tobytes() == m.entries.tobytes()
     assert got.entries.shape == m.entries.shape
@@ -402,20 +406,40 @@ class TestDocuments:
             with pytest.raises(ValueError, match="non-finite"):
                 io._float_block(arr)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_integer_block_round_trip(self, data):
+        # any shape, empty and 0-d ones and sizes off a multiple of 8 among
+        # them, of any integer dtype: read back bit-exact as int8, from a bit
+        # block exactly when every entry is 0 or 1
+        dtype = data.draw(st.sampled_from(["|i1", "<i2", "<i8", "|u1"]))
+        low = data.draw(st.sampled_from([0, 0, 0, -1, -127]) if dtype != "|u1" else st.just(0))
+        high = data.draw(st.sampled_from([low, 1, 1, 2, 127]))
+        shape = data.draw(array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=11))
+        arr = data.draw(arrays(dtype, shape, elements=st.integers(min(low, high), high)))
+        block = json.loads(json.dumps(io.integer_block(arr)))
+        assert block["codec"] == ("zlib-bits" if np.isin(arr, [0, 1]).all() else "zlib")
+        got = io._array({"a": block}, "a")
+        assert got.dtype == np.int8 and got.shape == arr.shape
+        assert got.tobytes() == arr.astype(np.int8).tobytes()
+
     @pytest.mark.parametrize("chunk", [7, 1 << 16])
     def test_coded_rows_write_as_their_decoded_array(self, monkeypatch, chunk):
-        # a system side of integers in [-127, 127] is deflated one CHUNK at a
-        # time into the stream of zlib.compress(its int8 bytes, 1), whatever
-        # its integer dtype, and read back as int8; past int8, or of floats,
-        # it is a float block
+        # a system side of integers in [-127, 127] is the stream of
+        # zlib.compress(its int8 bytes, 1), or of its np.packbits bytes when
+        # every entry is 0 or 1 (so when it is empty), whatever its integer
+        # dtype and at any CHUNK, and is read back as int8; past int8, or of
+        # floats, it is a float block
         monkeypatch.setattr(io, "CHUNK", chunk)
         v = compile_one_way(eq_parity_protocol(5))
         for side in (v.a, v.b, v.a[:, :0]):
             for arr in (side, side.astype(np.uint64), -127 * side.astype(np.int16)):
                 block = io.integer_block(arr)
                 assert block["dtype"] == "|i1" and block["shape"] == list(arr.shape)
-                stream = zlib.compress(arr.astype(np.int8).tobytes(), 1)
-                assert base64.b64decode(block["b64"]) == stream
+                bits = set(np.unique(arr)) <= {0, 1}
+                assert block["codec"] == ("zlib-bits" if bits else "zlib")
+                data = np.packbits(arr) if bits else arr.astype(np.int8)
+                assert base64.b64decode(block["b64"]) == zlib.compress(data.tobytes(), 1)
                 got = io._array({"a": block}, "a")
                 assert got.dtype == np.int8 and np.array_equal(got, arr)
         for arr in (np.full((1, 1, 1), 128), np.full((1, 1, 1), 1.0)):
@@ -552,15 +576,16 @@ def check_malformed_alphas_exit_1(tmp_path, capsys, edit, codec):
     assert "Traceback" not in err
 
 
-def check_malformed_entries_exit_1(tmp_path, capsys, block):
+def check_malformed_entries_exit_1(tmp_path, capsys, block, message=""):
     """Write a 2 x 2 sign matrix document of entries ``block`` and expect
-    margin to exit 1 naming 'entries'."""
+    margin to exit 1 naming 'entries', with ``message`` in its error."""
     path = tmp_path / "m.json"
     with open(path, "w") as fh:  # Python's json writes a NaN token
         json.dump(io.document("sign_matrix", {"rows": 2, "cols": 2, "entries": block}), fh)
     assert main(["margin", "--matrix", str(path)]) == 1
     err = capsys.readouterr().err
     assert "input error" in err and "'entries'" in err and "Traceback" not in err
+    assert message in err
 
 
 class TestCliExitCodes:
@@ -849,6 +874,28 @@ class TestCliExitCodes:
         edit(block)
         check_malformed_entries_exit_1(tmp_path, capsys, block)
 
+    # Each edit of a valid bit block, the identity's four entries of {0, 1}
+    # packed high bit first into 0b1001_0000 (four pad bits), with a piece of
+    # the one-line error it must give.
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes([0b1001_0001])))),
+                     "field 'entries' has a pad bit set", id="pad-bit-set"),
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(b""))),
+                     "field 'entries' holds 0 bytes, shape [2, 2] needs 1", id="one-byte-short"),
+        pytest.param(lambda block: block.update(b64=b64(zlib.compress(bytes([0b1001_0000, 0])))),
+                     "field 'entries' inflates to more than 1 bytes", id="one-byte-long"),
+        pytest.param(lambda block: block.update(dtype="<f8"),
+                     "field 'entries' has codec 'zlib-bits', expected one of", id="float-dtype"),
+        pytest.param(lambda block: block.update(palette=[1.0]),
+                     "field 'entries' has a palette but codec 'zlib-bits'", id="palette"),
+    ])
+    def test_malformed_bit_block_exits_1(self, tmp_path, capsys, edit, message):
+        block = io.sign_matrix_payload(SignMatrix([[1, 0], [0, 1]]))["entries"]
+        assert (block["dtype"], block["codec"]) == ("|i1", "zlib-bits")
+        assert zlib.decompress(base64.b64decode(block["b64"])) == bytes([0b1001_0000])
+        edit(block)
+        check_malformed_entries_exit_1(tmp_path, capsys, block, message)
+
     # Edits of EQ-1's compiled system (|R| = 2, two inputs a side, dim 2,
     # L = sqrt 2), each with a piece of the one-line error it must give.
     @pytest.mark.parametrize("edit, message", [
@@ -866,8 +913,9 @@ class TestCliExitCodes:
         pytest.param(lambda v: v["a"].update(
             b64=b64(zlib.compress(b"")[:2] + b"not a deflate stream")),
                      "field 'a' has a corrupt zlib stream", id="corrupt-zlib"),
-        pytest.param(lambda v: v["b"].update(b64=b64(zlib.compress(bytes(9)))),
-                     "field 'b' inflates to more than 8 bytes", id="over-long-zlib"),
+        # b's 8 entries of {0, 1} are a bit block of 1 byte: 2 bytes are too many
+        pytest.param(lambda v: v["b"].update(b64=b64(zlib.compress(bytes(2)))),
+                     "field 'b' inflates to more than 1 bytes", id="over-long-zlib"),
         pytest.param(lambda v: v.pop("norm_bound"), "payload is missing field 'norm_bound'",
                      id="no-norm-bound"),
     ])
@@ -1055,7 +1103,8 @@ class TestCliPipelines:
         assert np.array_equal(io._array(doc["payload"], "pair_group"), report.pair_group)
 
     def test_simulate_eq_9_writes_at_most_8_kb(self, tmp_path):
-        # one int8 entry a pair, deflated: the nested lists took 788 kB
+        # one bit a pair (EQ's two groups), deflated: 1.3 kB, where one int8
+        # entry a pair took 2.9 kB and the nested lists 788 kB
         out = tmp_path / "sim.json"
         assert main(["simulate", "--builtin", "eq", "--n", "9", "--out", str(out)]) == 0
         assert out.stat().st_size <= 8000
@@ -1115,16 +1164,17 @@ class TestCliPipelines:
         assert (payload["source_dim"], payload["target_dim"]) == (400, 64)
 
     def test_compiled_states_are_compressed(self, tmp_path):
-        # the states are written as their int8 system, one byte a slice
-        # entry: EQ-7 took 11 kB as palette-coded states, EQ-9 147 kB
-        for n, size in ((7, 8_000), (9, 100_000)):
+        # the states are written as their int8 system of {0, 1}, one bit a
+        # slice entry: EQ-7 took 11 kB as palette-coded states and 7.7 kB at
+        # one byte an entry, EQ-9 147 kB and 88 kB
+        for n, size in ((7, 2_500), (9, 20_000)):
             out = tmp_path / "e.json"
             assert main(["compile", "--builtin", "eq", "--n", str(n), "--out", str(out)]) == 0
             doc = read_doc(out)
             assert "alphas" not in doc["payload"]
             for name in ("a", "b"):
                 block = doc["payload"]["system"][name]
-                assert (block["dtype"], block["codec"]) == ("|i1", "zlib")
+                assert (block["dtype"], block["codec"]) == ("|i1", "zlib-bits")
                 assert block["shape"] == [1 << n, 1 << n, 2]
             assert out.stat().st_size < size
 
@@ -1142,6 +1192,31 @@ class TestCliPipelines:
             "delta0": 0.06249999999999997, "delta1": 0.2499999999999999}
         assert main(["simulate", "--builtin", "eq", "--n", "3", "--embedding", EQ3_FORMAT_1_4]) == 0
         assert json.loads(capsys.readouterr().out)["payload"]["copies"] == 408
+
+    def test_format_1_5_compiled_document_reports_as_its_bit_document(self, tmp_path, capsys):
+        # EQ-3 as a 1.5 compile wrote it, int8 sides of one byte an entry,
+        # gives verify and simulate the reports today's bit-block document gives
+        doc = read_doc(EQ3_COMPILED_1_5)
+        assert doc["format_version"] == "1.5"
+        current = tmp_path / "eq3.json"
+        assert main(["compile", "--builtin", "eq", "--n", "3", "--out", str(current)]) == 0
+        new = read_doc(current)
+        assert new["format_version"] == io.FORMAT_VERSION == "1.6"
+        for side in "ab":
+            assert doc["payload"]["system"][side]["codec"] == "zlib"
+            assert new["payload"]["system"][side]["codec"] == "zlib-bits"
+        old_system, new_system = (io.parse_embedding(d).system for d in (doc, new))
+        for side in "ab":
+            got, want = getattr(old_system, side), getattr(new_system, side)
+            assert got.dtype == want.dtype == np.int8 and got.tobytes() == want.tobytes()
+        for command in ("verify", "simulate"):
+            reports = []
+            for path in (EQ3_COMPILED_1_5, str(current)):
+                argv = [command, "--builtin", "eq", "--n", "3", "--embedding", path]
+                assert main(argv) == 0
+                reports.append(json.loads(capsys.readouterr().out)["payload"])
+            assert reports[0] == reports[1]
+        assert reports[0]["copies"] == 408  # simulate's, as the 1.4 document gives
 
     @pytest.mark.parametrize("name", ["eq3", "promise-12x10"])
     def test_format_1_4_sign_matrix_reports_as_its_int8_document(self, tmp_path, capsys, name):
@@ -1645,8 +1720,8 @@ class TestExitPath:
     stderr and then ends the process by ``os._exit``, skipping teardown."""
 
     def test_stdout_document_arrives_whole(self, tmp_path):
-        # ~88 kB of stdout, several buffers: without the flush its tail never arrives
-        argv = ["compile", "--builtin", "eq", "--n", "9"]
+        # ~59 kB of stdout, several buffers: without the flush its tail never arrives
+        argv = ["compile", "--builtin", "eq", "--n", "10"]
         assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
         want = read_doc(tmp_path / "out.json")["payload"]
         cmd = [sys.executable, "-m", "qfpsim.cli", *argv]
@@ -1675,9 +1750,12 @@ class TestExitPath:
         assert err.startswith("qfpsim: cannot write output: "), err
 
     # on stdout, margin's document fits one buffer and fails at entry's flush;
-    # EQ-9's (~150 kB) fails in io.dump, and entry's flush then fails unreported
+    # EQ-9's (~19 kB) fails in io.dump, and entry's flush then fails unreported
     MARGIN = ["margin", "--builtin", "ip", "--k", "1"]
     EQ9 = ["compile", "--builtin", "eq", "--n", "9"]
+    # ~89 kB, more than a pipe holds (64 KiB on Linux), in ~0.3 s: 4096
+    # sampled random strings compress less than EQ-9's 512 enumerated ones
+    PIPE_FILLER = ["compile", "--builtin", "eq", "--n", "8", "--num-r", "4096"]
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     @pytest.mark.parametrize("argv", [MARGIN, EQ9], ids=["margin", "compile-eq9"])
@@ -1700,9 +1778,9 @@ class TestExitPath:
         assert "[Errno 2]" in proc.stderr and not out.parent.exists()
 
     def test_a_reader_that_stops_after_10_bytes_is_one_stderr_line(self, tmp_path):
-        # as `qfpsim compile --builtin eq --n 9 | head -c 10`: the document
-        # outgrows the pipe's buffer, so the write after the close fails
-        proc = subprocess.Popen([sys.executable, "-m", "qfpsim.cli", *self.EQ9],
+        # as `qfpsim compile ... | head -c 10`: the document outgrows the
+        # pipe's buffer, so the write after the close fails
+        proc = subprocess.Popen([sys.executable, "-m", "qfpsim.cli", *self.PIPE_FILLER],
                                 cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE,
                                 stderr=subprocess.PIPE)
         assert proc.stdout.read(10) == b'{"format_v'
@@ -1759,7 +1837,8 @@ def readme_decode_recipe():
     return readme.split("To decode a block with numpy:\n\n```python\n", 1)[1].split("```", 1)[0]
 
 
-@pytest.mark.parametrize("codec", ["zlib-palette", "zlib", "int8", "pair_group"])
+@pytest.mark.parametrize("codec", ["zlib-palette", "zlib", "int8", "zlib-bits", "system",
+                                   "pair_group"])
 def test_readme_decode_recipe(tmp_path, codec):
     """README's numpy-only recipe decodes every form of block as the reader does."""
     if codec == "zlib-palette":
@@ -1767,15 +1846,19 @@ def test_readme_decode_recipe(tmp_path, codec):
     elif codec == "zlib":
         alphas = np.random.default_rng(0).standard_normal((5, 300))
         doc = {"payload": {"alphas": io.vectors_payload(alphas)["vectors"]}}
+    elif codec in ("int8", "zlib-bits"):  # EQ-3's entries, and 15 bits with 1 pad bit
+        arr = eq_matrix(3).entries if codec == "int8" else np.tri(3, 5, dtype=np.int8)
+        doc = {"payload": {"alphas": io.integer_block(arr)}}
     else:  # a compiled system side or a report's pair_group, under the recipe's field name
         out = tmp_path / "out.json"
-        command, field = ("compile", "system") if codec == "int8" else ("simulate", "pair_group")
+        command, field = ("compile", "system") if codec == "system" else ("simulate", "pair_group")
         assert main([command, "--builtin", "eq", "--n", "3", "--out", str(out)]) == 0
         block = read_doc(out)["payload"][field]
-        doc = {"payload": {"alphas": block["a"] if codec == "int8" else block}}
+        doc = {"payload": {"alphas": block["a"] if codec == "system" else block}}
+        codec = "zlib-bits"
+    if codec in ("int8", "zlib-bits"):
         assert doc["payload"]["alphas"]["dtype"] == "|i1"
-        codec = "zlib"
-    assert doc["payload"]["alphas"]["codec"] == codec
+    assert doc["payload"]["alphas"]["codec"] == ("zlib" if codec == "int8" else codec)
     scope = {"doc": doc}
     exec(readme_decode_recipe(), scope)
     expected = io._array(doc["payload"], "alphas")
