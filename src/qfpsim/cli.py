@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's generators refuse it, and provenance would record it
+        if args.seed < 0:  # random.Random would seed |seed|, and provenance would record it
             raise io.DocumentError("--seed must be >= 0")
         return args.func(args, argv)
     except io.DocumentError as exc:

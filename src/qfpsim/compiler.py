@@ -168,27 +168,35 @@ def classical_projection_protocol(
 ) -> float:
     """Classical SMP estimator of <alpha_x, beta_y> via shared random maps.
 
-    Per repetition both states are projected with one shared seeded Gaussian
-    map to k dimensions, every coordinate is quantized to ``precision_bits``
-    symmetric fixed-point bits on [-QUANT_RANGE, QUANT_RANGE] (round to
-    nearest), and the inner product of the quantized images is taken; the
-    mean over repetitions is returned.  The unquantized estimator is unbiased.
+    Per repetition both states are projected with one shared seeded map of
+    k x dim standard normals (``_rng.normals``) scaled by 1/sqrt(k), every
+    coordinate is quantized to ``precision_bits`` symmetric fixed-point bits
+    on [-QUANT_RANGE, QUANT_RANGE] (round to nearest), and the inner product
+    of the quantized images is taken; the mean over repetitions is returned.
+    The unquantized estimator is unbiased.  The maps are drawn and applied
+    one block of repetitions at a time, whose stream bytes (16 an entry) take
+    at most ``CHUNK`` unless one repetition takes more: the estimate is the
+    same at any block size.
     """
     if k < 1 or reps < 1:
         raise ValueError("k and reps must be >= 1")
     if precision_bits < 2:
         raise ValueError("precision_bits must be >= 2")
-    from ._rng import generator  # only this estimator draws; compiling loads no RNG
+    from ._rng import generator, normals  # only this estimator draws; compiling loads no RNG
     if isinstance(e, CompiledEmbedding):  # pads the two rows it reads, not both sides
         alpha, beta = (e.system._states(side, [i])[0] for side, i in enumerate(pair))
     else:
         alpha, beta = e.alphas[pair[0]], e.betas[pair[1]]
     rng = generator(seed)
-    maps = rng.standard_normal((reps, k, e.dimension)) / np.sqrt(k)
-    u = maps @ alpha
-    v = maps @ beta
     levels = (1 << (precision_bits - 1)) - 1
     scale = levels / QUANT_RANGE
-    qu = np.clip(np.rint(u * scale), -levels, levels) / scale
-    qv = np.clip(np.rint(v * scale), -levels, levels) / scale
-    return float(np.mean((qu * qv).sum(axis=1)))
+    products = np.empty(reps)  # each repetition's inner product
+    step = max(1, CHUNK // (16 * k * e.dimension))
+    for start in range(0, reps, step):
+        count = min(step, reps - start)
+        maps = normals(rng, count * k * e.dimension).reshape(count, k, e.dimension)
+        maps /= np.sqrt(k)
+        qu, qv = (np.clip(np.rint((maps @ x) * scale), -levels, levels) / scale
+                  for x in (alpha, beta))
+        products[start:start + count] = (qu * qv).sum(axis=1)
+    return float(np.mean(products))

@@ -61,8 +61,8 @@ def _rand_set(n: int, num_r: int | None, seed) -> np.ndarray:
         return np.arange(1 << n)
     if num_r < 1:
         raise ValueError("num_r must be >= 1")
-    from ._rng import generator  # only --num-r draws; a matrix alone loads no RNG
-    return generator(seed).integers(0, 1 << n, size=num_r)
+    from ._rng import generator, integers  # only --num-r draws; a matrix alone draws nothing
+    return integers(generator(seed), num_r, n)
 
 
 def eq_parity_protocol(n: int, num_r: int | None = None, seed=0) -> ClassicalSMPProtocol:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from ._record import Record
-from ._rng import generator
+from ._rng import generator, signs
 from .embeddings import _row_blocks, _worst_pair
 
 
@@ -23,11 +23,12 @@ def jl_dimension(n: int, eps: float) -> int:
 def project_vectors(vectors, d: int, seed) -> np.ndarray:
     """Apply one random linear map to all vectors.
 
-    The map is a d x D matrix of independent standard Gaussians scaled by
-    1/sqrt(d): the standard JL surrogate for projecting onto a random
-    d-dimensional subspace, with identical guarantees up to constants.  It
-    is drawn and applied a block of its rows at a time, from one stream: the
-    map is the one a single d x D draw gives, and only a block is ever held.
+    The map is a d x D matrix of independent +-1/sqrt(d) entries, one stream
+    byte each (``_rng.signs``): by Achlioptas (2003) it meets the JL
+    guarantee at the target dimension ``jl_dimension`` gives.  It is drawn
+    and applied as +-1 entries a block of a multiple of 4 rows at a time, so
+    that every block reads whole words of the stream and the map is the one a
+    single d x D draw gives; the product is scaled by 1/sqrt(d) once.
     """
     arr = np.asarray(vectors, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] < 1:
@@ -37,10 +38,11 @@ def project_vectors(vectors, d: int, seed) -> np.ndarray:
         raise ValueError(f"target dimension {d} must lie in [1, {big_d}]")
     rng = generator(seed)
     projected = np.empty((arr.shape[0], d))
-    for s in _row_blocks(d, big_d):
-        g = rng.standard_normal((len(range(d)[s]), big_d))
-        g /= math.sqrt(d)
-        projected[:, s] = arr @ g.T
+    for groups in _row_blocks(-(-d // 4), 4 * big_d):  # blocks of 4-row groups
+        s = slice(4 * groups.start, min(4 * groups.stop, d))
+        block = signs(rng, (s.stop - s.start) * big_d).reshape(-1, big_d)
+        projected[:, s] = arr @ block.T
+    projected /= math.sqrt(d)
     return projected
 
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfpsim import embeddings, io
+from qfpsim import compiler, embeddings, io
 from qfpsim.compiler import (
     ClassicalSMPProtocol,
     OneWayProtocol,
@@ -769,6 +769,26 @@ class TestClassicalProjectionProtocol:
             e, (1, 1), k=4, reps=8000, precision_bits=4, seed=1
         )
         assert est == pytest.approx(float(e.alphas[1] @ e.betas[1]), abs=0.15)
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 100, 1])
+    def test_estimate_is_the_same_at_any_block_size(self, monkeypatch, chunk):
+        # 50 repetitions of 3 x 12 maps: CHUNK = 2^16 draws them in one block,
+        # 100 and 1 one repetition a block
+        e = eq_orthonormal_embedding(12)
+        args = dict(pair=(2, 5), k=3, reps=50, precision_bits=6, seed=4)
+        whole = classical_projection_protocol(e, **args)
+        monkeypatch.setattr(compiler, "CHUNK", chunk)
+        assert classical_projection_protocol(e, **args) == whole
+
+    def test_holds_one_block_of_maps(self):
+        # compiled EQ-7 states of dimension 512 and 800 maps of 4 x 512: all
+        # of them at once traced 13.4 MiB
+        compiled = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(7)),
+                                                     eq_matrix(7))
+        args = dict(pair=(3, 3), k=4, reps=800, precision_bits=16, seed=0)
+        est, peak = traced_peak(lambda: classical_projection_protocol(compiled, **args))
+        assert peak <= 2 * MiB
+        assert est == pytest.approx(0.5, abs=0.1)  # <alpha_x, beta_x> = 1/2 on EQ
 
     def test_rejects_bad_parameters(self):
         e = eq_orthonormal_embedding(1)

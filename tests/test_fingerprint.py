@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qfpsim._rng import generator
 from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
 from qfpsim.embeddings import SignMatrix, ThresholdEmbedding, verify_threshold_embedding
 from qfpsim.fingerprint import (
@@ -26,13 +25,14 @@ from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedd
 
 def reference_run(p: FingerprintProtocol, m: SignMatrix, trials: int, seed) -> np.ndarray:
     """Monte-Carlo reference for the protocol's per-pair error, independent of
-    the exact law: each trial draws the referee's count of zero outcomes,
+    the exact law and of qfpsim's streams: each trial draws, from numpy's own
+    generator, the referee's count of zero outcomes,
     Bin(r, P0) with P0 = 1/2 + <alpha_x, beta_y>^2 / 2, and applies
     ``referee_rule`` to it.  NaN on promise pairs."""
     r = p.repetitions
     alphas, betas = np.asarray(p.embedding.alphas), np.asarray(p.embedding.betas)
     p_zero = np.minimum(0.5 + (alphas @ betas.T) ** 2 / 2.0, 1.0)
-    rng = generator(seed)
+    rng = np.random.default_rng(seed)
     errors = np.full((m.rows, m.cols), np.nan)
     for x in range(m.rows):
         cols = np.flatnonzero(m.entries[x])

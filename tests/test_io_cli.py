@@ -688,6 +688,15 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "eps must lie in (0, 1/2)" in err and "Traceback" not in err
 
+    def test_num_r_sample_that_does_not_span_exits_2(self, capsys):
+        # seed 0's 4 strings at n = 3 span a proper subspace of F_2^3: some
+        # x != y agree on every parity, so the states do not separate EQ-3
+        assert main(["compile", "--builtin", "eq", "--n", "3", "--num-r", "4",
+                     "--seed", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("qfpsim: protocol does not separate f=0 from f=1 pairs ")
+
     def test_trials_below_one_exits_2(self, capsys):
         assert main(["simulate", "--builtin", "eq", "--n", "3", "--trials", "0"]) == 2
         err = capsys.readouterr().err
@@ -710,7 +719,8 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("command", ["margin", "simulate", "compile", "project", "verify"])
     def test_negative_seed_exits_1(self, tmp_path, capsys, command):
-        # numpy's generators refuse it, so every command refuses it before it runs
+        # random.Random would seed it as its absolute value, so every command
+        # refuses it before it runs; seed 3's 4 strings at n = 3 span F_2^3
         argv = {
             "margin": ["--builtin", "eq", "--n", "2"],
             "simulate": ["--builtin", "eq", "--n", "2"],
@@ -720,7 +730,8 @@ class TestCliExitCodes:
             "verify": ["--builtin", "eq", "--n", "2", "--embedding",
                        write_states(tmp_path / "e.json", 2)],
         }[command]
-        assert main([command, *argv, "--seed", "0", "--out", str(tmp_path / "out.json")]) == 0
+        seed = "3" if command == "compile" else "0"
+        assert main([command, *argv, "--seed", seed, "--out", str(tmp_path / "out.json")]) == 0
         assert main([command, *argv, "--seed", "-1"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--seed" in err and "Traceback" not in err
@@ -1281,10 +1292,11 @@ class TestCliPipelines:
                          "--seed", seed, "--out", str(out)]) == 0
             return read_doc(out)["payload"]
 
+        # the 5 strings of seeds 4 and 5 both span F_2^4, as compile needs
         first = run("4", "a.json")
         assert first == run("4", "b.json")
         assert first["dimension"] == 4 * 5
-        assert first != run("8", "c.json")
+        assert first != run("5", "c.json")
         # 64 sampled random strings: 512 states of 256 coordinates that still
         # verify at the document's own thresholds
         emb, rep = tmp_path / "eq9-r64.json", tmp_path / "eq9-r64-verify.json"
@@ -1566,15 +1578,15 @@ class TestOneStateBlockAtATime:
     def test_project_holds_the_input_and_blocks(self, tmp_path):
         # 256 EQ-8 states (2 MiB) projected to 256 dimensions (0.5 MiB): the
         # map is drawn, and the pairwise check formed, one block of rows at a
-        # time, and the report is written one row at a time; 4.5 MiB covers
-        # them and the generator.
+        # time, and the report is written one row at a time; 4.0 MiB covers
+        # them.
         e = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(8)),
                                               eq_matrix(8))
         vectors = write_doc(tmp_path / "v.json", "vectors", io.vectors_payload(e.alphas))
         out = tmp_path / "p.json"
         argv = ["project", "--vectors", vectors, "--dim", "256", "--out", str(out)]
         code, peak = traced_peak(lambda: main(argv))
-        assert code == 0 and peak <= 4.5 * MiB
+        assert code == 0 and peak <= 4.0 * MiB
         assert np.array_equal(read_doc(out)["payload"]["projected"],
                               project_vectors(e.alphas, 256, 0))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfpsim import embeddings
-from qfpsim._rng import generator
+from qfpsim._rng import generator, signs
 from qfpsim.projections import jl_dimension, project_vectors, verify_distortion
 
 
@@ -196,8 +196,25 @@ class TestBlockedMap:
     @pytest.mark.parametrize("chunk", [1 << 16, 100, 1])
     def test_map_is_one_draw_of_the_stream(self, monkeypatch, chunk):
         # projecting the identity reads the map back exactly: drawn a block
-        # of rows at a time, it is the map one d x D draw gives
+        # of rows at a time, it is the +-1/sqrt(d) map one d x D draw gives
         monkeypatch.setattr(embeddings, "CHUNK", chunk)
         d, big_d = 7, 30
-        g = generator(11).standard_normal((d, big_d)) / np.sqrt(d)
+        g = signs(generator(11), d * big_d).reshape(d, big_d) / np.sqrt(d)
         assert np.array_equal(project_vectors(np.eye(big_d), d, 11), g.T)
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 100, 1])
+    def test_projection_is_the_same_at_any_block_size(self, monkeypatch, chunk):
+        # on integer points every sum of +-1 multiples is exact in any order,
+        # so the projections agree to the bit.  A row of 11 entries ends off a
+        # word boundary of the stream and a group of 4 rows on one: CHUNK = 100
+        # cuts the 10 rows into blocks of 8 and 2, CHUNK = 1 into 4, 4 and 2
+        points = np.random.default_rng(2).integers(-9, 10, (6, 11)).astype(np.float64)
+        whole = project_vectors(points, 10, 5)
+        monkeypatch.setattr(embeddings, "CHUNK", chunk)
+        assert np.array_equal(project_vectors(points, 10, 5), whole)
+
+    def test_entries_are_balanced_signs(self):
+        # the map of seed 0 at 64 x 256: every entry is +-1/8, about half of each
+        g = project_vectors(np.eye(256), 64, 0)
+        assert set(np.unique(g)) == {-1 / 8, 1 / 8}
+        assert abs(np.mean(g > 0) - 0.5) < 0.01

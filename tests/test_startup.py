@@ -1,6 +1,6 @@
 """Which modules a CLI job loads: each command imports only the modules it
-runs, and only ``project`` loads numpy.random, checked in a fresh interpreter
-per command."""
+runs, and none loads numpy.random, checked in a fresh interpreter per
+command."""
 
 import json
 import subprocess
@@ -62,27 +62,30 @@ def test_margin_loads_only_the_bounds_path(inputs):
     assert not dataclasses and not numpy_random
 
 
-# Only project draws from numpy's PCG64 (``_rng.generator``); simulate draws
-# nothing, since it writes the exact error law.
-@pytest.mark.parametrize("argv, runs, skipped, numpy_random", [
+# project and compile --num-r draw from the standard library's Mersenne
+# Twister (``_rng.generator``); simulate draws nothing, since it writes the
+# exact error law.
+@pytest.mark.parametrize("argv, runs, skipped", [
     (["project", "--vectors", "v.json", "--dim", "4"], "projections",
-     {"compiler", "problems", "fingerprint"}, True),
-    (["compile", "--builtin", "eq", "--n", "3"], "compiler", {"fingerprint"}, False),
+     {"compiler", "problems", "fingerprint"}),
+    (["compile", "--builtin", "eq", "--n", "3"], "compiler", {"fingerprint"}),
+    # seed 3's 4 strings span F_2^3, so the sample separates EQ-3
+    (["compile", "--builtin", "eq", "--n", "3", "--num-r", "4", "--seed", "3"], "_rng",
+     {"fingerprint"}),
     (["simulate", "--embedding", "e.json", "--matrix", "m.json"], "fingerprint",
-     {"compiler", "problems"}, False),
-    (["simulate", "--builtin", "eq", "--n", "3"], "fingerprint", set(), False),
-    (["margin", "--builtin", "ip", "--k", "2"], "problems",
-     {"compiler", "projections", "_rng"}, False),
+     {"compiler", "problems"}),
+    (["simulate", "--builtin", "eq", "--n", "3"], "fingerprint", set()),
+    (["margin", "--builtin", "ip", "--k", "2"], "problems", {"compiler", "projections", "_rng"}),
     (["verify", "--builtin", "eq", "--n", "3", "--embedding", "e.json"], "problems",
-     {"compiler", "projections", "_rng"}, False),
+     {"compiler", "projections", "_rng"}),
     # a compiled document holds a vector system, which embeddings reads and pads
     (["verify", "--matrix", "m.json", "--embedding", "c.json"], "embeddings",
-     {"compiler", "problems", "projections", "fingerprint"}, False),
+     {"compiler", "problems", "projections", "fingerprint"}),
     (["simulate", "--embedding", "c.json", "--matrix", "m.json"], "fingerprint",
-     {"compiler", "problems", "projections"}, False),
-], ids=["project", "compile", "simulate-embedding", "simulate-builtin", "margin-builtin",
-        "verify-builtin", "verify-compiled", "simulate-compiled"])
-def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped, numpy_random):
-    modules, _, loaded_numpy_random = loaded(argv, inputs)
+     {"compiler", "problems", "projections"}),
+], ids=["project", "compile", "compile-num-r", "simulate-embedding", "simulate-builtin",
+        "margin-builtin", "verify-builtin", "verify-compiled", "simulate-compiled"])
+def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped):
+    modules, _, numpy_random = loaded(argv, inputs)
     assert runs in modules and not modules & skipped
-    assert loaded_numpy_random == numpy_random
+    assert not numpy_random
