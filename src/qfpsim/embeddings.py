@@ -117,6 +117,13 @@ class _UnitPair(Record):
     def dimension(self) -> int:
         return self.alphas.shape[1]
 
+    @property
+    def system(self) -> VectorSystem:
+        """These rows as the one-string system of norm bound 1 they are: views, not rechecked."""
+        v = object.__new__(VectorSystem)
+        vars(v).update(a=self.alphas[None], b=self.betas[None], norm_bound=1.0)
+        return v
+
 
 class ThresholdEmbedding(_UnitPair):
     """Unit vectors alpha_x, beta_y with squared-inner-product thresholds
@@ -169,6 +176,8 @@ class VectorSystem(Record):
         a, b = (v if v.dtype.kind in "iu" else v.astype(np.float64, copy=False) for v in (a, b))
         if a.ndim != 3 or b.ndim != 3 or a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
             raise ValueError("a and b must be (|R|, count, dim) arrays sharing |R| and dim")
+        if a.shape[0] < 1:  # P divides by |R|
+            raise ValueError("a and b must hold at least one random string")
         if self.norm_bound <= 0:
             raise ValueError("norm bound must be positive")
         big_l = float(self.norm_bound)
@@ -191,21 +200,26 @@ class VectorSystem(Record):
     def _rows(self, squared: bool = False):
         """A function of a slice s of the inputs x that returns rows s of the
         acceptance matrix as float64, or with ``squared`` of (P/L^2)^2, the
-        squared inner products of ``_states``, from (|X|, |R| dim) x (|R| dim,
-        |Y|) tiles of at most ``CHUNK`` entries a side.  When max|a| max|b| |R|
-        dim <= 2^24 every partial sum is an integer float32 holds exactly, so
-        an integer system multiplies in it."""
+        squared inner products of ``_states``: the one pair-product kernel,
+        float states' too (``_UnitPair.system``).  It multiplies (|X|, |R| dim)
+        x (|R| dim, |Y|) tiles of at most ``CHUNK`` entries a side into the rows
+        in place.  When max|a| max|b| |R| dim <= 2^24 every partial sum is an
+        integer float32 holds exactly, so an integer system multiplies in it."""
         a, b, width = self.a, self.b, self.num_rand * self.dim
         dtype = np.float64
         if a.dtype.kind in "iu" and b.dtype.kind in "iu" and _peak(a) * _peak(b) * width <= 1 << 24:
             dtype = np.float32
+        # P/|R|, then /L^2 for the squares; a division by 1 is exact, so it is skipped
+        scales = tuple(v for v in (self.num_rand, self.norm_bound**2 if squared else 1) if v != 1)
 
         def by_input(arr):  # (|R|, count, k) -> (count, |R| k): each input's slices side by side
             r, count, k = arr.shape
+            if r == 1:  # already side by side; a void view would cost ~0.1 MiB of child RSS
+                return arr[0]
             items = arr.view(f"V{k * arr.itemsize}") if k else arr  # a slice moves as one item
             return np.ascontiguousarray(items.swapaxes(0, 1)).view(arr.dtype).reshape(count, r * k)
 
-        b = by_input(b)  # in b's own dtype: one byte an entry for int8
+        b = by_input(b)  # in b's own dtype: one byte an entry for int8, a view if |R| = 1
 
         def rows(s: slice) -> np.ndarray:
             a_s = a[:, s]
@@ -213,10 +227,10 @@ class VectorSystem(Record):
             for t in _row_blocks(len(p), width):
                 block = by_input(a_s[:, t]).astype(dtype, copy=False)
                 for u in _row_blocks(len(b), width):
-                    p[t, u] = block @ b[u].astype(dtype, copy=False).T  # exact in float64
-            p /= self.num_rand
+                    np.matmul(block, b[u].astype(dtype, copy=False).T, out=p[t, u])
+            for scale in scales:
+                p /= scale
             if squared:
-                p /= self.norm_bound**2
                 p **= 2  # in place: the same square as ** 2, without a second block
             return p
 
@@ -283,12 +297,6 @@ class RealizationReport(Record):
     worst_pair: tuple[int, int] | None
 
 
-def _check_counts(rows: int, cols: int, m: SignMatrix) -> None:
-    if (rows, cols) != (m.rows, m.cols):
-        raise ValueError(f"index counts ({rows}, {cols}) do not match the "
-                         f"{m.rows}x{m.cols} sign matrix")
-
-
 def _worst_pair(values: np.ndarray, mask: np.ndarray, largest: bool = False, worst=None,
                 start: int = 0) -> tuple[float, tuple[int, int]] | None:
     """The smallest (or largest) masked entry of ``values``, a block of rows
@@ -327,34 +335,25 @@ def _worst_sides(rows, m: SignMatrix, each=None):
     return worst[0] or (0.0, None), worst[1] or (1.0, None)
 
 
-def _squares(e: ThresholdEmbedding | CompiledEmbedding, m: SignMatrix):
-    """A function of a slice s of M's rows that returns their squared inner
-    products: a compiled embedding's (P/L^2)^2 from its system, which its
-    states give exactly in exact arithmetic, else (e.alphas[s] @ e.betas.T) ** 2,
-    one tile of betas at a time.  The same s gives the same block to the bit."""
-    if isinstance(e, CompiledEmbedding):
-        _check_counts(e.system.a.shape[1], e.system.b.shape[1], m)
-        return e.system._rows(squared=True)
-    _check_counts(e.alphas.shape[0], e.betas.shape[0], m)
-    tiles = list(_row_blocks(m.cols, m.cols))
-
-    def squares(s: slice) -> np.ndarray:
-        block, alphas = np.empty(m.entries[s].shape), e.alphas[s]
-        for t in tiles:
-            np.matmul(alphas, e.betas[t].T, out=block[:, t])
-        block **= 2  # in place: the same square as ** 2, without a second block
-        return block
-
-    return squares
+def _products(e: ThresholdEmbedding | CompiledEmbedding | Realization, m: SignMatrix,
+              squared: bool = False):
+    """``e.system._rows(squared)``, once e's input counts match M: rows of P
+    (float states' inner products, as L = 1), or of (P/L^2)^2, the squared
+    inner products of e's states.  The same s gives the same block to the bit."""
+    system = e.system
+    counts = system.a.shape[1], system.b.shape[1]
+    if counts != (m.rows, m.cols):
+        raise ValueError(f"index counts {counts} do not match the {m.rows}x{m.cols} sign matrix")
+    return system._rows(squared)
 
 
 def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding,
                                m: SignMatrix, each=None) -> EmbeddingReport:
     """Check the threshold inequalities on every non-promise pair of M, from
-    the ``_squares`` blocks, one block of rows at a time: the one walk over
+    the squared ``_products``, one block of rows at a time: the one walk over
     the products, which hands each block to ``each`` (``_worst_sides``).  A
     side may pass its threshold by ``dot_allowance(dimension, squared=True)``."""
-    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(_squares(e, m), m, each)
+    (worst_zero, zero_pair), (worst_one, one_pair) = _worst_sides(_products(e, m, True), m, each)
     tol = dot_allowance(e.dimension, squared=True)
     valid = worst_zero <= e.delta0 + tol and worst_one >= e.delta1 - tol
     return EmbeddingReport(valid, worst_zero, worst_one, zero_pair, one_pair)
@@ -362,12 +361,11 @@ def verify_threshold_embedding(e: ThresholdEmbedding | CompiledEmbedding,
 
 def verify_realization(r: Realization, m: SignMatrix) -> RealizationReport:
     """Check the signed margin on every non-promise pair of M, to within
-    ``dot_allowance`` of the dimension, one block of rows at a time."""
-    _check_counts(r.alphas.shape[0], r.betas.shape[0], m)
-    worst = None
+    ``dot_allowance`` of the dimension, from ``_products``, one block of rows at a time."""
+    products, worst = _products(r, m), None
     for s in _row_blocks(m.rows, m.cols):
         signs = m.entries[s]
-        worst = _worst_pair(signs * (r.alphas[s] @ r.betas.T), signs != 0, False, worst, s.start)
+        worst = _worst_pair(signs * products(s), signs != 0, False, worst, s.start)
     achieved, pair = worst  # SignMatrix holds a nonzero entry
     return RealizationReport(achieved >= r.gamma - dot_allowance(r.dimension), achieved, pair)
 

@@ -167,6 +167,20 @@ class TestCompile:
             else:
                 OneWayProtocol(**fields, bob_accept=np.ones((2, 2, 1)))
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("rand_strings", (), "the shared-randomness set must be a nonempty list"),
+        ("alice_messages", [1, 0], "alice_messages must be a 2-d truth table"),
+    ], ids=["no-random-strings", "one-d-messages"])
+    @pytest.mark.parametrize("model", ["smp", "one-way"])
+    def test_rejects_tables_of_the_wrong_shape(self, model, field, value, message):
+        fields = dict(n=1, c=1, rand_strings=(0,), alice_messages=[[1], [0]])
+        fields[field] = value
+        with pytest.raises(ValueError, match=message):
+            if model == "smp":
+                ClassicalSMPProtocol(**fields, bob_messages=[[0], [1]], accept=np.eye(2))
+            else:
+                OneWayProtocol(**fields, bob_accept=np.ones((2, 2, 1)))
+
     @pytest.mark.parametrize("bad", [2, 0.5, np.nan, -1])
     @pytest.mark.parametrize("model", ["smp", "one-way"])
     def test_rejects_accept_entries_other_than_0_and_1(self, model, bad):

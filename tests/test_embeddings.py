@@ -339,9 +339,9 @@ def separated_integer_systems(draw):
 
 
 def squares_of(e, m: SignMatrix) -> np.ndarray:
-    """The verifier's squared inner products, its ``_squares`` blocks stacked
-    in the row blocks it reads them in."""
-    squares = embeddings._squares(e, m)
+    """The verifier's squared inner products, its squared ``_products`` blocks
+    stacked in the row blocks it reads them in."""
+    squares = embeddings._products(e, m, squared=True)
     return np.vstack([squares(s) for s in embeddings._row_blocks(m.rows, m.cols)])
 
 
@@ -397,6 +397,25 @@ class TestCodeCounts:
         assert np.unique(sq[m.entries == 1]).size == np.unique(sq[m.entries == -1]).size == 1
 
 
+def random_unit_pairs():
+    """2048 random unit alphas and betas in 16 dimensions, and a random
+    2048 x 2048 sign matrix whose promise pairs are a third of the pairs."""
+    rng = np.random.default_rng(0)
+    alphas, betas = (rng.standard_normal((2048, 16)) for _ in range(2))
+    m = SignMatrix(rng.choice(np.array([-1, 0, 1], dtype=np.int8), (2048, 2048)))
+    return (alphas / np.linalg.norm(alphas, axis=1, keepdims=True),
+            betas / np.linalg.norm(betas, axis=1, keepdims=True), m)
+
+
+def traced_peak(call):
+    """``call()`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestVerifyThresholdEmbedding:
     def test_eq_orthonormal_valid(self):
         m = eq_matrix(2)
@@ -428,6 +447,21 @@ class TestVerifyThresholdEmbedding:
         with pytest.raises(ValueError, match="match"):
             verify_threshold_embedding(eq_orthonormal_embedding(3), eq_matrix(2))
 
+    def test_holds_one_block_of_rows(self):
+        # 2048 x 2048 pairs of 16-dimensional states, walked as the system of
+        # one random string that views them: the squares are formed one block
+        # of 32 rows at a time (0.5 MiB), in place, never as the whole 32 MiB
+        # matrix, and give the whole matrix's first worst pairs
+        alphas, betas, m = random_unit_pairs()
+        e = ThresholdEmbedding(alphas, betas, 0.25, 0.5)
+        report, peak = traced_peak(lambda: verify_threshold_embedding(e, m))
+        assert peak <= 2 * 2**20
+        sq = (e.alphas @ e.betas.T) ** 2
+        zero, one = first_worst(sq, m.entries == 1, True), first_worst(sq, m.entries == -1, False)
+        assert (report.worst_zero_pair, report.worst_one_pair) == (zero[1], one[1])
+        assert report.worst_zero_side == pytest.approx(zero[0], rel=1e-12)
+        assert report.worst_one_side == pytest.approx(one[0], rel=1e-12)
+
 
 class TestVerifyRealization:
     def test_explicit_eq_margin(self):
@@ -452,17 +486,9 @@ class TestVerifyRealization:
         # 2048 x 2048 pairs of 16-dimensional states: the signed products are
         # formed one block of 32 rows at a time (0.5 MiB), never as the whole
         # 32 MiB matrix, and give the whole matrix's first worst pair
-        rng = np.random.default_rng(0)
-        alphas, betas = (rng.standard_normal((2048, 16)) for _ in range(2))
-        r = Realization(alphas / np.linalg.norm(alphas, axis=1, keepdims=True),
-                        betas / np.linalg.norm(betas, axis=1, keepdims=True), 0.5)
-        m = SignMatrix(rng.choice(np.array([-1, 0, 1], dtype=np.int8), (2048, 2048)))
-        tracemalloc.start()
-        try:
-            report = verify_realization(r, m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        alphas, betas, m = random_unit_pairs()
+        r = Realization(alphas, betas, 0.5)
+        report, peak = traced_peak(lambda: verify_realization(r, m))
         assert peak <= 2 * 2**20
         signed = np.where(m.entries != 0, m.entries * (r.alphas @ r.betas.T), np.inf)
         at = divmod(int(np.argmin(signed)), 2048)

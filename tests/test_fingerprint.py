@@ -100,6 +100,10 @@ class TestSwapTestProb:
         with pytest.raises(ValueError, match="unit"):
             swap_test_prob([1 + 1e-7, 0], [1, 0])
 
+    def test_rejects_states_of_different_dimensions(self):
+        with pytest.raises(ValueError, match=r"^state dimensions differ: \(2,\) vs \(3,\)$"):
+            swap_test_prob([1, 0], [1, 0, 0])
+
 
 class TestRequiredRepetitions:
     def test_full_gap(self):
@@ -174,6 +178,10 @@ class TestProtocolFromMargin:
     def test_theta_must_separate(self):
         with pytest.raises(ValueError, match="theta"):
             FingerprintProtocol(eq_orthonormal_embedding(4), 10, 1.0)
+
+    def test_repetitions_must_be_positive(self):
+        with pytest.raises(ValueError, match="^repetitions must be >= 1$"):
+            FingerprintProtocol(eq_orthonormal_embedding(4), 0, 0.5)
 
 
 class TestRunProtocol:

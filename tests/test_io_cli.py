@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import qfpsim
-from qfpsim import cli, embeddings, fingerprint, io
+from qfpsim import cli, embeddings, io
 from qfpsim.bounds import maximize_margin_heuristic
 from qfpsim.cli import main
 from qfpsim.compiler import (
@@ -929,6 +929,12 @@ class TestCliExitCodes:
                      "field 'b' inflates to more than 1 bytes", id="over-long-zlib"),
         pytest.param(lambda v: v.pop("norm_bound"), "payload is missing field 'norm_bound'",
                      id="no-norm-bound"),
+        pytest.param(lambda v: v.update(norm_bound=0), "norm bound must be positive",
+                     id="zero-norm-bound"),
+        # P divides by |R|: with no random strings it read 0/0
+        pytest.param(lambda v: v.update(a=io.integer_block(np.ones((0, 2, 2), np.int8)),
+                                        b=io.integer_block(np.ones((0, 2, 2), np.int8))),
+                     "a and b must hold at least one random string", id="no-random-strings"),
     ])
     def test_malformed_system_block_exits_1(self, tmp_path, capsys, edit, message):
         emb = tmp_path / "emb.json"
@@ -1519,24 +1525,17 @@ class TestOneStateBlockAtATime:
         assert report.pair_group.dtype == np.int8 and report.group_error.size == 2
 
     def test_walks_over_the_products(self, tmp_path, monkeypatch):
-        # a walk squares every pair's product, through a system's _rows or
-        # float states' _squares: simulate groups its pairs on the verifier's
-        # walk, and assembling EQ's states reads its thresholds from one more
-        walks, rows, squares = [], VectorSystem._rows, embeddings._squares
+        # a walk forms every pair's product through the one kernel, a system's
+        # _rows, which float states reach as the system they view: simulate
+        # groups its pairs on the verifier's walk, and assembling EQ's states
+        # reads its thresholds from one more
+        walks, rows = [], VectorSystem._rows
 
         def counted_rows(self, squared=False):
             walks.append(self)
             return rows(self, squared)
 
-        def counted_squares(e, m):
-            if not isinstance(e, CompiledEmbedding):  # a compiled one walks through _rows
-                walks.append(e)
-            return squares(e, m)
-
         monkeypatch.setattr(VectorSystem, "_rows", counted_rows)
-        monkeypatch.setattr(embeddings, "_squares", counted_squares)
-        # set even where unbound, so that a by-name import of _squares would be counted too
-        monkeypatch.setattr(fingerprint, "_squares", counted_squares, raising=False)
 
         def walked(*argv):
             walks.clear()
@@ -1744,14 +1743,78 @@ class TestExitPath:
             assert len(text) > 32 * 1024 and text.endswith(b"\n") and text.count(b"\n") == 1
             assert json.loads(text)["payload"] == want
 
+    @staticmethod
+    def write_refused_documents(path):
+        """The documents the refusals below read, each malformed in one way
+        but m.json (EQ-1's sign matrix), e.json (its compiled states) and
+        v.json (three vectors)."""
+        protocol = io.protocol_payload(eq_parity_protocol(1))
+        compiled = io.embedding_payload(assemble_shared_randomness_states(
+            compile_one_way(eq_parity_protocol(1)), eq_matrix(1)))
+        docs = {
+            "m.json": ("sign_matrix", io.sign_matrix_payload(eq_matrix(1))),
+            "e.json": ("embedding", compiled),
+            "v.json": ("vectors", io.vectors_payload(np.eye(3))),
+            "no-vectors.json": ("vectors", io.vectors_payload(np.zeros((0, 3)))),
+            "payload.json": ("sign_matrix", [1]),
+            "float-table.json": ("protocol", dict(
+                protocol, accept=io.vectors_payload(np.eye(2))["vectors"])),
+            "model.json": ("protocol", dict(protocol, model="quantum")),
+            "one-d.json": ("protocol", dict(protocol, alice_messages=[0, 1])),
+            "system.json": ("embedding", dict(compiled, system=[1])),
+        }
+        for name, (kind, payload) in docs.items():
+            write_doc(path / name, kind, payload)
+        (path / "list.json").write_text("[]")
+
     @pytest.mark.parametrize("argv, code, line", [
         pytest.param(["margin", "--matrix", "missing.json"], 1,
                      "qfpsim: input error: cannot read document 'missing.json': [Errno 2] "
                      "No such file or directory: 'missing.json'\n", id="unreadable-matrix"),
         pytest.param(["simulate", "--builtin", "eq", "--n", "3", "--trials", "0"], 2,
                      "qfpsim: trials must be >= 1\n", id="no-trials"),
+        # a command given no source for its matrix, states or protocol
+        pytest.param(["margin"], 1,
+                     "qfpsim: input error: either --matrix or --builtin is required\n",
+                     id="margin-without-matrix"),
+        pytest.param(["verify", "--embedding", "e.json"], 1,
+                     "qfpsim: input error: either --matrix or --builtin is required\n",
+                     id="verify-without-matrix"),
+        pytest.param(["simulate", "--builtin", "ip", "--k", "2"], 1,
+                     "qfpsim: input error: simulate needs --embedding plus a matrix, "
+                     "or --builtin eq\n", id="simulate-without-states"),
+        pytest.param(["compile", "--builtin", "ip", "--k", "2"], 1,
+                     "qfpsim: input error: compile needs --protocol plus a matrix, "
+                     "or --builtin eq\n", id="compile-without-protocol"),
+        # a malformed document
+        pytest.param(["margin", "--matrix", "list.json"], 1,
+                     "qfpsim: input error: 'list.json' is not an interchange document\n",
+                     id="not-a-document"),
+        pytest.param(["margin", "--matrix", "payload.json"], 1,
+                     "qfpsim: input error: payload must be an object\n", id="payload-not-object"),
+        pytest.param(["compile", "--protocol", "float-table.json", "--matrix", "m.json"], 1,
+                     "qfpsim: input error: field 'accept' is not an array of integers\n",
+                     id="protocol-table-as-float-block"),
+        pytest.param(["compile", "--protocol", "model.json", "--matrix", "m.json"], 1,
+                     "qfpsim: input error: unknown protocol model 'quantum'\n",
+                     id="unknown-protocol-model"),
+        pytest.param(["compile", "--protocol", "one-d.json", "--matrix", "m.json"], 1,
+                     "qfpsim: input error: invalid protocol: alice_messages must be a 2-d "
+                     "truth table (inputs x random strings)\n", id="one-d-messages"),
+        pytest.param(["verify", "--matrix", "m.json", "--embedding", "system.json"], 1,
+                     "qfpsim: input error: field 'system' is not an object\n",
+                     id="system-not-object"),
+        # an option or input out of range
+        pytest.param(["compile", "--builtin", "eq", "--n", "2", "--num-r", "0"], 2,
+                     "qfpsim: num_r must be >= 1\n", id="no-random-strings"),
+        pytest.param(["project", "--vectors", "no-vectors.json", "--dim", "2"], 2,
+                     "qfpsim: expected a nonempty list of equal-dimension vectors\n",
+                     id="project-no-vectors"),
+        pytest.param(["project", "--vectors", "v.json", "--dim", "0"], 2,
+                     "qfpsim: target dimension 0 must lie in [1, 3]\n", id="project-to-dim-0"),
     ])
     def test_failure_writes_its_one_stderr_line(self, tmp_path, argv, code, line):
+        self.write_refused_documents(tmp_path)
         proc = subprocess.run([sys.executable, "-m", "qfpsim.cli", *argv], cwd=tmp_path,
                               env=child_env(), capture_output=True, text=True)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", line)

@@ -156,3 +156,15 @@ class TestLinfToL1:
         v = rng.uniform(-1, 1, size=cols)
         v[rng.integers(cols)] = rng.choice([-1.0, 1.0])  # make the inf-norm exactly 1
         assert np.abs(m @ v).sum() <= linf_to_l1_norm(m) + 1e-9
+
+
+@pytest.mark.parametrize("norm", [operator_norm, linf_to_l1_norm], ids=["operator", "linf-to-l1"])
+@pytest.mark.parametrize("m, message", [
+    (np.ones(3), r"^expected a 2-d matrix, got shape \(3,\)$"),
+    (np.zeros((0, 2)), r"^expected a 2-d matrix, got shape \(0, 2\)$"),
+    ([[1.0, np.inf]], "^matrix entries must be finite$"),
+    ([[np.nan]], "^matrix entries must be finite$"),
+], ids=["1-d", "empty", "inf", "nan"])
+def test_refuses_what_is_not_a_finite_matrix(norm, m, message):
+    with pytest.raises(ValueError, match=message):
+        norm(m)

@@ -12,7 +12,7 @@ import pytest
 from qfpsim import io
 from qfpsim.compiler import assemble_shared_randomness_states, compile_one_way
 from qfpsim.problems import eq_matrix, eq_parity_protocol
-from tests.test_embeddings import eq_orthonormal_embedding
+from tests.test_embeddings import eq_explicit_realization, eq_orthonormal_embedding
 from tests.test_io_cli import child_env
 
 CHILD = """
@@ -28,7 +28,8 @@ print(json.dumps({"status": status, "dataclasses": "dataclasses" in sys.modules,
 @pytest.fixture
 def inputs(tmp_path):
     """A directory holding m.json (EQ-3), e.json (states for it), c.json (its
-    compiled states, written as their vector system) and v.json."""
+    compiled states, written as their vector system), r.json (a realization
+    of it) and v.json."""
     vectors = np.random.default_rng(0).standard_normal((6, 8))
     compiled = assemble_shared_randomness_states(compile_one_way(eq_parity_protocol(3)),
                                                  eq_matrix(3))
@@ -36,6 +37,7 @@ def inputs(tmp_path):
         "m.json": ("sign_matrix", io.sign_matrix_payload(eq_matrix(3))),
         "e.json": ("embedding", io.embedding_payload(eq_orthonormal_embedding(8))),
         "c.json": ("embedding", io.embedding_payload(compiled)),
+        "r.json": ("realization", io.realization_payload(eq_explicit_realization(8))),
         "v.json": ("vectors", io.vectors_payload(vectors)),
     }
     for name, (kind, payload) in documents.items():
@@ -83,8 +85,12 @@ def test_margin_loads_only_the_bounds_path(inputs):
      {"compiler", "problems", "projections", "fingerprint"}),
     (["simulate", "--embedding", "c.json", "--matrix", "m.json"], "fingerprint",
      {"compiler", "problems", "projections"}),
+    # a realization's products go through the same kernel, in embeddings
+    (["verify", "--matrix", "m.json", "--realization", "r.json"], "embeddings",
+     {"compiler", "problems", "projections", "fingerprint"}),
 ], ids=["project", "compile", "compile-num-r", "simulate-embedding", "simulate-builtin",
-        "margin-builtin", "verify-builtin", "verify-compiled", "simulate-compiled"])
+        "margin-builtin", "verify-builtin", "verify-compiled", "simulate-compiled",
+        "verify-realization"])
 def test_commands_load_no_module_they_do_not_run(inputs, argv, runs, skipped):
     modules, _, numpy_random = loaded(argv, inputs)
     assert runs in modules and not modules & skipped
